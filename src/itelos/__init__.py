@@ -47,12 +47,10 @@ from .model import (
     DatasetSchema,
     ElementSet,
     Entity,
-    Label,
     PropertyDef,
     ResourceMeta,
     etype_elements,
     load_etg,
-    normalize_label,
     property_elements,
     validate_eg,
     validate_etg,
@@ -69,7 +67,6 @@ __all__ = [
     "ETGModel",
     "ElementSet",
     "Entity",
-    "Label",
     "MetricResult",
     "PropertyDef",
     "Purpose",
@@ -95,7 +92,6 @@ __all__ = [
     "load_etg",
     "match_resources",
     "name_similarity",
-    "normalize_label",
     "parse_purpose",
     "property_elements",
     "property_sharability",

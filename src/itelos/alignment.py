@@ -23,13 +23,11 @@ from .metrics import (
 )
 from .model import (
     ETG,
-    Label,
     ModelError,
     PropertyDef,
     ResourceMeta,
     compound_key,
     etype_elements,
-    normalize_label,
     property_elements,
     validate_etg,
 )
@@ -103,6 +101,10 @@ class AlignmentPolicy:
                 raise InvalidPolicyError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _blend(similarity: Fraction, sharability: Fraction, policy: AlignmentPolicy) -> Fraction:
+    return policy.etr_name_weight * similarity + (1 - policy.etr_name_weight) * sharability
+
+
 def etr_score(
     name_a: str,
     props_a: Iterable[str],
@@ -112,17 +114,18 @@ def etr_score(
 ) -> Fraction:
     """Match score of two etypes: weighted blend of name similarity and
     property sharability. Symmetric, since both terms are."""
-    policy = policy or AlignmentPolicy()
-    similarity = name_similarity(name_a, name_b)
-    sharability = property_sharability(props_a, props_b)
-    return policy.etr_name_weight * similarity + (1 - policy.etr_name_weight) * sharability
+    return _blend(
+        name_similarity(name_a, name_b),
+        property_sharability(props_a, props_b),
+        policy or AlignmentPolicy(),
+    )
 
 
 @dataclass(frozen=True)
 class Candidate:
     """One ontology etype proposed for a model etype, with its score parts."""
 
-    label: Label
+    label: str
     score: Fraction
     name_similarity: Fraction
     sharability: Fraction
@@ -136,8 +139,8 @@ class PredictionVector:
     ontology_id: str
     candidates: Mapping[str, tuple[Candidate, ...]]
 
-    def best_for(self, etype: Label) -> Candidate | None:
-        ranked = self.candidates.get(etype.normalized, ())
+    def best_for(self, etype: str) -> Candidate | None:
+        ranked = self.candidates.get(etype, ())
         return ranked[0] if ranked else None
 
 
@@ -153,12 +156,9 @@ def etr_predict(model: ETGModel, ontology: ETG, policy: AlignmentPolicy) -> Pred
         model_props = model.etg.property_names(etype)
         candidates = []
         for onto_etype in ontology.sorted_etypes():
-            similarity = name_similarity(etype.normalized, onto_etype.normalized)
+            similarity = name_similarity(etype, onto_etype)
             sharability = property_sharability(model_props, ontology.property_names(onto_etype))
-            score = (
-                policy.etr_name_weight * similarity
-                + (1 - policy.etr_name_weight) * sharability
-            )
+            score = _blend(similarity, sharability, policy)
             if score >= policy.match_threshold:
                 candidates.append(
                     Candidate(
@@ -168,9 +168,9 @@ def etr_predict(model: ETGModel, ontology: ETG, policy: AlignmentPolicy) -> Pred
                         sharability=sharability,
                     )
                 )
-        candidates.sort(key=lambda c: (-c.score, -c.sharability, c.label.normalized))
+        candidates.sort(key=lambda c: (-c.score, -c.sharability, c.label))
         if candidates:
-            by_etype[etype.normalized] = tuple(candidates)
+            by_etype[etype] = tuple(candidates)
     return PredictionVector(ontology_id=ontology.meta.id, candidates=by_etype)
 
 
@@ -221,7 +221,7 @@ def rank_ontologies(model: ETGModel, ontologies: Mapping[str, ETG]) -> OntologyR
             property_sharability(
                 model.etg.property_names(e), ontology.property_names(e)
             )
-            for e in sorted(shared, key=lambda x: x.normalized)
+            for e in sorted(shared)
         ]
         mean = sum(shares, Fraction(0)) / len(shares) if shares else Fraction(0)
         included.append(
@@ -257,7 +257,7 @@ class MergePlan:
     rename_map: Mapping[str, str]
 
 
-def _closure_edges(ontology: ETG, members: set[Label]) -> set[tuple[Label, Label]]:
+def _closure_edges(ontology: ETG, members: set[str]) -> set[tuple[str, str]]:
     return {
         (child, parent)
         for child, parent in ontology.subclass_edges
@@ -282,20 +282,20 @@ def generate_etg(
     policy = policy or AlignmentPolicy()
     decisions: list[Decision] = []
     rename_map: dict[str, str] = {}
-    final_etypes: set[Label] = set()
+    final_etypes: set[str] = set()
     # insertion order fixes precedence: model definitions land first
-    final_props: dict[Label, dict[str, PropertyDef]] = {}
-    final_edges: set[tuple[Label, Label]] = set()
+    final_props: dict[str, dict[str, PropertyDef]] = {}
+    final_edges: set[tuple[str, str]] = set()
     adopted_count: dict[str, int] = {}
     category_count: dict[str, int] = {}
 
-    def add_props(etype: Label, defs: Iterable[PropertyDef]) -> list[str]:
+    def add_props(etype: str, defs: Iterable[PropertyDef]) -> list[str]:
         bucket = final_props.setdefault(etype, {})
         added = []
         for definition in defs:
-            if definition.name.normalized not in bucket:
-                bucket[definition.name.normalized] = definition
-                added.append(definition.name.normalized)
+            if definition.name not in bucket:
+                bucket[definition.name] = definition
+                added.append(definition.name)
         return added
 
     for etype in model.etg.sorted_etypes():
@@ -321,11 +321,11 @@ def generate_etg(
             add_props(etype, model.etg.props_of(etype))
             decisions.append(
                 Decision(
-                    etype=etype.normalized,
+                    etype=etype,
                     category=category,
                     action="keep",
                     ontology=best[0] if best else None,
-                    candidate=best[1].label.normalized if best else None,
+                    candidate=best[1].label if best else None,
                     score=best[1].score if best else None,
                 )
             )
@@ -335,7 +335,7 @@ def generate_etg(
         ontology = ontologies[ontology_id]
         final_name = candidate.label
         if final_name != etype:
-            rename_map[etype.normalized] = final_name.normalized
+            rename_map[etype] = final_name
         final_etypes.add(final_name)
         add_props(final_name, model.etg.props_of(etype))
         adopted = add_props(final_name, ontology.props_of(final_name))
@@ -347,20 +347,16 @@ def generate_etg(
         adopted_count[category] = adopted_count.get(category, 0) + 1
         decisions.append(
             Decision(
-                etype=etype.normalized,
+                etype=etype,
                 category=category,
                 action="adopt",
                 ontology=ontology_id,
-                candidate=final_name.normalized,
+                candidate=final_name,
                 score=candidate.score,
                 adopted_properties=tuple(sorted(adopted)),
-                adopted_parents=tuple(a.normalized for a in ancestors),
+                adopted_parents=tuple(ancestors),
             )
         )
-
-    def renamed(label: Label) -> Label:
-        target = rename_map.get(label.normalized)
-        return normalize_label(target) if target else label
 
     properties = {
         etype: tuple(
@@ -368,7 +364,7 @@ def generate_etg(
                 name=d.name,
                 kind=d.kind,
                 datatype=d.datatype,
-                range=renamed(d.range) if d.range is not None else None,
+                range=rename_map.get(d.range, d.range),
             )
             for d in bucket.values()
         )
@@ -402,7 +398,6 @@ def generate_etg(
 def _check_queries_preserved(model: ETGModel, final: ETG, rename_map: Mapping[str, str]) -> None:
     """Every query element in the model must survive alignment, possibly under
     its reference name."""
-    final_names = {e.normalized for e in final.etypes}
     final_pairs = {
         compound_key(e, d.name) for e in final.etypes for d in final.props_of(e)
     }
@@ -415,7 +410,7 @@ def _check_queries_preserved(model: ETGModel, final: ETG, rename_map: Mapping[st
             if f"{etype_name}.{prop_name}" not in final_pairs:
                 raise AlignmentError(f"alignment lost the query property {element}")
         else:
-            if rename_map.get(element, element) not in final_names:
+            if rename_map.get(element, element) not in final.etypes:
                 raise AlignmentError(f"alignment lost the query etype {element}")
 
 

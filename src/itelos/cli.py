@@ -32,6 +32,8 @@ from .alignment import (
 )
 from .alignment import ranking_to_json as ontology_ranking_to_json
 from .inception import (
+    Purpose,
+    ResourceCatalog,
     ResourceRef,
     collect_resources,
     eval_inception,
@@ -39,6 +41,7 @@ from .inception import (
     parse_purpose,
     ranking_from_json,
     ranking_to_json,
+    sidecar_schema_path,
 )
 from .integration import (
     connected_components,
@@ -245,7 +248,7 @@ def _dataset_path(config: PipelineConfig, ref: ResourceRef) -> Path:
     return config.base_dir / ref.path
 
 
-def _load_catalog(config: PipelineConfig):
+def _load_catalog(config: PipelineConfig) -> tuple[Purpose, ResourceCatalog]:
     purpose = parse_purpose(config.purpose)
     refs = purpose.dataset_refs
     if config.datasets_dir is not None:
@@ -261,7 +264,7 @@ def _load_catalog(config: PipelineConfig):
 def phase_inception(config: PipelineConfig) -> GateReport:
     purpose, catalog = _load_catalog(config)
     ranking = match_resources(purpose.cqs, catalog)
-    report = eval_inception(purpose.cqs, ranking, config.thresholds)
+    report = eval_inception(purpose.cqs, ranking, config.thresholds, catalog.errors)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -426,7 +429,7 @@ def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
         path = _dataset_path(config, ref)
         digests[str(path)] = _sha256(path)
         if ref.meta.kind == "dataset":
-            sidecar = path.with_name(path.stem + ".schema.json")
+            sidecar = sidecar_schema_path(path)
             digests[str(sidecar)] = _sha256(sidecar)
     for mapping_path in config.mappings:
         digests[str(mapping_path)] = _sha256(mapping_path)

@@ -8,7 +8,6 @@ second.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,14 +28,13 @@ from .model import (
     DatasetSchema,
     DocumentError,
     ETG,
-    Label,
     ModelError,
     ResourceMeta,
     etype_elements,
     load_etg,
-    normalize_label,
     normalize_text,
     property_elements,
+    read_csv,
     validate_etg,
 )
 
@@ -67,7 +65,7 @@ class PropertyOverride:
 
     kind: str = "data"
     datatype: str | None = None
-    range: Label | None = None
+    range: str | None = None
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,9 @@ def _parse_cq(raw: Mapping, index: int) -> CompetencyQuery:
     if "id" not in raw:
         raise PurposeParseError(f"{where}: missing 'id'")
     cq_id = str(raw["id"])
-    etypes = frozenset(normalize_label(str(e)) for e in raw.get("etypes", []))
+    etypes = frozenset(normalize_text(str(e)) for e in raw.get("etypes", []))
     pairs = frozenset(
-        (normalize_label(str(etype)), normalize_label(str(prop)))
+        (normalize_text(str(etype)), normalize_text(str(prop)))
         for etype, prop in raw.get("properties", [])
     )
     try:
@@ -152,7 +150,7 @@ def _parse_overrides(raw: Mapping) -> dict[str, PropertyOverride]:
         overrides[key] = PropertyOverride(
             kind=kind,
             datatype=str(spec["datatype"]) if spec.get("datatype") is not None else None,
-            range=normalize_label(str(spec["range"])) if spec.get("range") is not None else None,
+            range=normalize_text(str(spec["range"])) if spec.get("range") is not None else None,
         )
     return overrides
 
@@ -235,15 +233,6 @@ def sidecar_schema_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".schema.json")
 
 
-def read_csv_header(path: Path) -> list[str]:
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            return next(reader)
-        except StopIteration:
-            raise DocumentError(f"{path}: dataset file has no header row") from None
-
-
 def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     """Load a dataset's sidecar schema and check it against the CSV header.
 
@@ -260,27 +249,24 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     if "etype" not in doc:
         raise DocumentError(f"{schema_path}: missing 'etype'")
 
-    header = [normalize_label(h) for h in read_csv_header(csv_path)]
-    header_names = {h.normalized for h in header}
+    header = [normalize_text(h) for h in next(read_csv(csv_path))]
     columns: dict[str, Column] = {}
     for raw in doc.get("columns", []):
-        name = normalize_label(str(raw["name"]))
-        if name.normalized not in header_names:
+        name = normalize_text(str(raw["name"]))
+        if name not in header:
             raise DocumentError(
                 f"{schema_path}: column {name} is not present in the header of {csv_path.name}"
             )
         mapped = raw.get("property")
-        columns[name.normalized] = Column(
+        columns[name] = Column(
             name=name,
-            mapped=normalize_label(str(mapped)) if mapped is not None else None,
+            mapped=normalize_text(str(mapped)) if mapped is not None else None,
             role=str(raw.get("role", "attribute")),
         )
-    ordered = tuple(
-        columns.get(h.normalized, Column(name=h)) for h in header
-    )
+    ordered = tuple(columns.get(h, Column(name=h)) for h in header)
     return DatasetSchema(
         dataset_id=meta.id,
-        assigned_etype=normalize_label(str(doc["etype"])),
+        assigned_etype=normalize_text(str(doc["etype"])),
         columns=ordered,
         meta=meta,
     )
@@ -390,11 +376,13 @@ def eval_inception(
     cqs: Sequence[CompetencyQuery],
     ranking: CandidateRanking,
     thresholds: Thresholds | None = None,
+    load_errors: Sequence[LoadFailure] = (),
 ) -> GateReport:
     """Gate eval_a: every shortlisted dataset must cover the queries, on both
     etypes and properties, at least to `cov_min`.
 
     An empty shortlist fails outright: nothing is reusable for this purpose.
+    Each resource that failed to load gets a note, since it was never ranked.
     """
     thresholds = thresholds or Thresholds()
     items = []
@@ -402,7 +390,7 @@ def eval_inception(
         items.append((entry.resource_id, "etypes", entry.etype_coverage, REUSE_HINT))
         if entry.property_coverage is not None:
             items.append((entry.resource_id, "properties", entry.property_coverage, REUSE_HINT))
-    notes = []
+    notes = [f"load failure: {e.resource_id} ({e.path}): {e.message}" for e in load_errors]
     if not items:
         notes.append("no dataset overlaps the competency queries; nothing can be reused")
     if not any(cq.property_pairs for cq in cqs):

@@ -9,7 +9,6 @@ merge, so integrating datasets in a different order yields the same graph.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -35,11 +34,10 @@ from .model import (
     Entity,
     DatasetSchema,
     DocumentError,
-    Label,
     ModelError,
-    normalize_label,
     normalize_text,
     normalize_value,
+    read_csv,
 )
 
 # Minimum name similarity for mapping an undeclared column onto a property.
@@ -52,10 +50,6 @@ class IntegrationError(ModelError):
     """Dataset rows cannot be turned into graph entities."""
 
 
-class RowArityError(IntegrationError):
-    """A data row does not have the same number of fields as the header."""
-
-
 class MappingError(IntegrationError):
     """A column mapping names an unknown or incompatible target."""
 
@@ -64,23 +58,11 @@ class UnknownEtypeError(MappingError):
     """The dataset's etype does not occur in the final graph."""
 
 
-def read_dataset_rows(path: Path) -> tuple[list[Label], list[list[str]]]:
-    """Read a CSV dataset: normalized header labels plus stripped cell rows."""
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DocumentError(f"{path}: dataset file has no header row")
-        labels = [normalize_label(name) for name in header]
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise RowArityError(
-                    f"{path.name}: line {reader.line_num}: expected "
-                    f"{len(header)} fields, got {len(row)}"
-                )
-            rows.append([cell.strip() for cell in row])
-    return labels, rows
+def read_dataset_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV dataset: normalized header names plus stripped cell rows."""
+    records = read_csv(path)
+    header = [normalize_text(name) for name in next(records)]
+    return header, [[cell.strip() for cell in row] for row in records]
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +74,14 @@ class MappingOverride:
     """Author-supplied replacement for the inferred column mapping."""
 
     dataset_id: str
-    columns: Mapping[str, tuple[Label, Label] | None]
-    identity_key: tuple[Label, ...]
+    columns: Mapping[str, tuple[str, str] | None]
+    identity_key: tuple[str, ...]
 
 
 def override_from_doc(doc: Mapping) -> MappingOverride:
     if "dataset_id" not in doc:
         raise DocumentError("mapping override: missing 'dataset_id'")
-    columns: dict[str, tuple[Label, Label] | None] = {}
+    columns: dict[str, tuple[str, str] | None] = {}
     for raw_name, spec in doc.get("columns", {}).items():
         name = normalize_text(str(raw_name))
         if spec == "drop":
@@ -112,8 +94,8 @@ def override_from_doc(doc: Mapping) -> MappingOverride:
                     f"mapping override: column {raw_name!r} must map to "
                     f"[etype, property] or \"drop\""
                 ) from None
-            columns[name] = (normalize_label(str(etype)), normalize_label(str(prop)))
-    identity = tuple(normalize_label(str(c)) for c in doc.get("identity_key", []))
+            columns[name] = (normalize_text(str(etype)), normalize_text(str(prop)))
+    identity = tuple(normalize_text(str(c)) for c in doc.get("identity_key", []))
     return MappingOverride(
         dataset_id=str(doc["dataset_id"]), columns=columns, identity_key=identity
     )
@@ -125,12 +107,12 @@ class SchemaMapping:
     graph. `columns` follows header order; None means the column is dropped."""
 
     dataset_id: str
-    etype: Label
-    columns: tuple[tuple[Label, Label | None], ...]
-    identity_columns: tuple[Label, ...]
+    etype: str
+    columns: tuple[tuple[str, str | None], ...]
+    identity_columns: tuple[str, ...]
     dropped: tuple[tuple[str, str], ...] = ()
 
-    def property_of(self, column: Label) -> Label | None:
+    def property_of(self, column: str) -> str | None:
         for name, prop in self.columns:
             if name == column:
                 return prop
@@ -151,8 +133,7 @@ def infer_mapping(
     file replaces the whole mapping, including the identity key.
     """
     rename_map = rename_map or {}
-    etype_name = schema.assigned_etype.normalized
-    etype = normalize_label(rename_map.get(etype_name, etype_name))
+    etype = normalize_text(rename_map.get(schema.assigned_etype, schema.assigned_etype))
     if etype not in etg.etypes:
         raise UnknownEtypeError(
             f"dataset {schema.dataset_id!r}: etype {etype} is not part of the final graph"
@@ -168,24 +149,23 @@ def infer_mapping(
         columns = []
         dropped = []
         for column in schema.columns:
-            spec = override.columns.get(column.name.normalized)
+            spec = override.columns.get(column.name)
             if spec is None:
                 reason = (
                     "dropped by override"
-                    if column.name.normalized in override.columns
+                    if column.name in override.columns
                     else "not mentioned by override"
                 )
                 columns.append((column.name, None))
-                dropped.append((column.name.normalized, reason))
+                dropped.append((column.name, reason))
                 continue
             target_etype, prop = spec
-            resolved = rename_map.get(target_etype.normalized, target_etype.normalized)
-            if resolved != etype.normalized:
+            if rename_map.get(target_etype, target_etype) != etype:
                 raise MappingError(
                     f"dataset {schema.dataset_id!r}: column {column.name} mapped "
                     f"into etype {target_etype}, which is not this dataset's etype"
                 )
-            if prop.normalized not in declared:
+            if prop not in declared:
                 raise MappingError(
                     f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
                     f"undeclared property {etype}.{prop}"
@@ -208,12 +188,12 @@ def infer_mapping(
 
     taken = set()
     for column in schema.mapped_columns():
-        if column.mapped.normalized not in declared:
+        if column.mapped not in declared:
             raise MappingError(
                 f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
                 f"undeclared property {etype}.{column.mapped}"
             )
-        taken.add(column.mapped.normalized)
+        taken.add(column.mapped)
     columns = []
     dropped = []
     for column in schema.columns:
@@ -224,15 +204,15 @@ def infer_mapping(
         for prop_name in sorted(declared):
             if prop_name in taken:
                 continue
-            similarity = name_similarity(column.name.normalized, prop_name)
+            similarity = name_similarity(column.name, prop_name)
             if similarity >= INFER_THRESHOLD and (best is None or similarity > best[1]):
                 best = (prop_name, similarity)
         if best is not None:
             taken.add(best[0])
-            columns.append((column.name, normalize_label(best[0])))
+            columns.append((column.name, best[0]))
         else:
             columns.append((column.name, None))
-            dropped.append((column.name.normalized, "no matching property"))
+            dropped.append((column.name, "no matching property"))
     return SchemaMapping(
         dataset_id=schema.dataset_id,
         etype=etype,
@@ -251,12 +231,12 @@ class PendingLink:
     """An object-property cell whose target entity has not appeared yet."""
 
     source_id: str
-    property: Label
+    property: str
     target_text: str
     dataset_id: str
 
     def sort_key(self):
-        return (self.source_id, self.property.normalized, self.target_text, self.dataset_id)
+        return (self.source_id, self.property, self.target_text, self.dataset_id)
 
 
 @dataclass(frozen=True)
@@ -271,7 +251,7 @@ class Fragment:
 
 def generate_entities(
     mapping: SchemaMapping,
-    header: Sequence[Label],
+    header: Sequence[str],
     rows: Sequence[Sequence[str]],
     schema_graph: ETG,
 ) -> Fragment:
@@ -282,16 +262,16 @@ def generate_entities(
     Rows that are entirely empty are skipped. The same (value, source) pair
     is never stored twice on a property.
     """
-    index_of = {label.normalized: i for i, label in enumerate(header)}
+    index_of = {name: i for i, name in enumerate(header)}
     for column, _prop in mapping.columns:
-        if column.normalized not in index_of:
+        if column not in index_of:
             raise MappingError(
                 f"dataset {mapping.dataset_id!r}: mapped column {column} is not in the header"
             )
     declared = schema_graph.declared_properties(mapping.etype)
-    key_indexes = [index_of[c.normalized] for c in mapping.identity_columns]
+    key_indexes = [index_of[c] for c in mapping.identity_columns]
 
-    values: dict[str, dict[Label, list[tuple[str, str]]]] = {}
+    values: dict[str, dict[str, list[tuple[str, str]]]] = {}
     pending: dict[tuple[str, str, str, str], PendingLink] = {}
     data_cells = 0
     skipped = 0
@@ -313,10 +293,10 @@ def generate_entities(
         for column, prop in mapping.columns:
             if prop is None:
                 continue
-            cell = row[index_of[column.normalized]]
+            cell = row[index_of[column]]
             if cell == "":
                 continue
-            definition = declared[prop.normalized]
+            definition = declared[prop]
             if definition.kind == "object":
                 link = PendingLink(
                     source_id=entity_id,
@@ -348,9 +328,7 @@ def generate_entities(
         entities=entities,
         conflict_flags=flags,
     )
-    identity_props = tuple(
-        mapping.property_of(c).normalized for c in mapping.identity_columns
-    )
+    identity_props = tuple(mapping.property_of(c) for c in mapping.identity_columns)
     stats = {
         "rows": len(rows),
         "skipped_empty_rows": skipped,
@@ -366,7 +344,7 @@ def generate_entities(
     )
 
 
-def _conflict_flags(entities: Mapping[str, Entity]) -> frozenset[tuple[str, Label]]:
+def _conflict_flags(entities: Mapping[str, Entity]) -> frozenset[tuple[str, str]]:
     flags = set()
     for entity in entities.values():
         for prop, pairs in entity.data_values.items():
@@ -380,11 +358,11 @@ def _conflict_flags(entities: Mapping[str, Entity]) -> frozenset[tuple[str, Labe
 # Matching and merging
 
 
-def _value_set(entity: Entity, prop: Label) -> frozenset[str]:
+def _value_set(entity: Entity, prop: str) -> frozenset[str]:
     return frozenset(normalize_value(v) for v in entity.value_texts(prop) if v.strip())
 
 
-def _same_entity(existing: Entity, candidate: Entity, key_props: Sequence[Label]) -> bool:
+def _same_entity(existing: Entity, candidate: Entity, key_props: Sequence[str]) -> bool:
     """Identity decision for two same-etype entities.
 
     When both sides carry every key property the keys alone decide; otherwise
@@ -397,7 +375,7 @@ def _same_entity(existing: Entity, candidate: Entity, key_props: Sequence[Label]
         return all(_value_set(existing, p) == _value_set(candidate, p) for p in key_props)
     shared = [
         p
-        for p in sorted(set(existing.data_values) & set(candidate.data_values), key=str)
+        for p in sorted(set(existing.data_values) & set(candidate.data_values))
         if _value_set(existing, p) and _value_set(candidate, p)
     ]
     if not shared:
@@ -411,8 +389,7 @@ def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
     An id collision is always a match; otherwise candidates of the same etype
     are tried in id order.
     """
-    key_props = [normalize_label(p) for p in fragment.identity_properties]
-    by_etype: dict[Label, list[Entity]] = {}
+    by_etype: dict[str, list[Entity]] = {}
     for entity in eg.sorted_entities():
         by_etype.setdefault(entity.etype, []).append(entity)
     matches: dict[str, str] = {}
@@ -421,16 +398,16 @@ def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
             matches[candidate.id] = candidate.id
             continue
         for existing in by_etype.get(candidate.etype, ()):
-            if _same_entity(existing, candidate, key_props):
+            if _same_entity(existing, candidate, fragment.identity_properties):
                 matches[candidate.id] = existing.id
                 break
     return matches
 
 
 def _merge_values(
-    first: Mapping[Label, tuple[tuple[str, str], ...]],
-    second: Mapping[Label, tuple[tuple[str, str], ...]],
-) -> dict[Label, tuple[tuple[str, str], ...]]:
+    first: Mapping[str, tuple[tuple[str, str], ...]],
+    second: Mapping[str, tuple[tuple[str, str], ...]],
+) -> dict[str, tuple[tuple[str, str], ...]]:
     merged = {p: list(pairs) for p, pairs in first.items()}
     for prop, pairs in second.items():
         series = merged.setdefault(prop, [])
@@ -523,7 +500,7 @@ def initial_state(schema_graph: ETG, graph_id: str) -> IntegrationState:
     return IntegrationState(eg=empty, pending=())
 
 
-def _conforms(schema_graph: ETG, etype: Label, range_etype: Label) -> bool:
+def _conforms(schema_graph: ETG, etype: str, range_etype: str) -> bool:
     return etype == range_etype or range_etype in schema_graph.ancestors_of(etype)
 
 
@@ -536,13 +513,13 @@ def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
     written into the graph.
     """
     eg = state.eg
-    added: dict[str, set[tuple[Label, str, str]]] = {}
+    added: dict[str, set[tuple[str, str, str]]] = {}
     still: list[PendingLink] = []
     resolved = 0
     for link in sorted(state.pending, key=PendingLink.sort_key):
         source = eg.entities.get(link.source_id)
         declared = (
-            eg.schema.declared_properties(source.etype).get(link.property.normalized)
+            eg.schema.declared_properties(source.etype).get(link.property)
             if source is not None
             else None
         )
@@ -636,7 +613,7 @@ class IntegrationCaseReport:
             "unresolved_links": [
                 {
                     "source": link.source_id,
-                    "property": link.property.normalized,
+                    "property": link.property,
                     "target": link.target_text,
                     "dataset": link.dataset_id,
                 }
@@ -673,15 +650,13 @@ def missing_ratio(eg: EG) -> Fraction:
     missing = 0
     for entity in eg.sorted_entities():
         declared = eg.schema.declared_properties(entity.etype)
-        linked = {prop.normalized for prop, _t, _s in entity.object_links}
+        linked = {prop for prop, _t, _s in entity.object_links}
         for prop_name, definition in sorted(declared.items()):
             total += 1
             if definition.kind == "object":
                 populated = prop_name in linked
             else:
-                populated = any(
-                    v.strip() for v in entity.value_texts(normalize_label(prop_name))
-                )
+                populated = any(v.strip() for v in entity.value_texts(prop_name))
             if not populated:
                 missing += 1
     if total == 0:
@@ -692,7 +667,7 @@ def missing_ratio(eg: EG) -> Fraction:
 def integrate_dataset(
     state: IntegrationState,
     mapping: SchemaMapping,
-    header: Sequence[Label],
+    header: Sequence[str],
     rows: Sequence[Sequence[str]],
 ) -> tuple[IntegrationState, IntegrationCaseReport]:
     """Run one dataset through generation, matching, merging and resolution."""
@@ -734,7 +709,7 @@ def integrate_dataset(
     )
     report = IntegrationCaseReport(
         dataset_id=mapping.dataset_id,
-        etype=mapping.etype.normalized,
+        etype=mapping.etype,
         case=case,
         entity_overlap="populates_both" if merged_count >= 1 else "only_one",
         entities_before=len(before.entities),
@@ -761,15 +736,15 @@ def _populated_elements(eg: EG) -> tuple[set[str], set[str]]:
     for entity in eg.entities.values():
         lineage = [entity.etype, *eg.schema.ancestors_of(entity.etype)]
         populated = {
-            prop.normalized
+            prop
             for prop, pairs in entity.data_values.items()
             if any(v.strip() for v, _s in pairs)
         }
-        populated |= {prop.normalized for prop, _t, _s in entity.object_links}
+        populated |= {prop for prop, _t, _s in entity.object_links}
         for holder in lineage:
-            etypes.add(holder.normalized)
+            etypes.add(holder)
             for prop_name in populated:
-                props.add(f"{holder.normalized}.{prop_name}")
+                props.add(f"{holder}.{prop_name}")
     return etypes, props
 
 
@@ -789,8 +764,8 @@ def eval_purpose(
     thresholds = thresholds or Thresholds()
     populated_etypes, populated_props = _populated_elements(eg)
 
-    def final_name(label: Label) -> str:
-        return rename_map.get(label.normalized, label.normalized)
+    def final_name(etype: str) -> str:
+        return rename_map.get(etype, etype)
 
     items = []
     for cq in cqs:
@@ -804,7 +779,7 @@ def eval_purpose(
         items.append((cq.id, "etypes", result, note))
         if cq.property_pairs:
             alpha_pairs = frozenset(
-                f"{final_name(etype)}.{prop.normalized}"
+                f"{final_name(etype)}.{prop}"
                 for etype, prop in cq.property_pairs
             )
             result = coverage(
@@ -825,6 +800,8 @@ _RDF_TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)\Z")
+# fromisoformat alone accepts 20200301 and 2020-W10-1 from Python 3.11 on
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 
 _LITERAL_ESCAPES = {
     "\\": "\\\\",
@@ -851,6 +828,8 @@ def _valid_for(datatype: str, text: str) -> bool:
     if datatype == "boolean":
         return text in ("true", "false")
     if datatype == "date":
+        if _DATE_RE.match(text) is None:
+            return False
         try:
             date.fromisoformat(text)
         except ValueError:
@@ -866,12 +845,12 @@ def export_eg(eg: EG, path: Path) -> list[str]:
     warnings: list[str] = []
     for entity in eg.sorted_entities():
         subject = _iri(f"urn:itelos:{eg.id}:{entity.id}")
-        etype_iri = _iri(f"urn:itelos:etg:{entity.etype.normalized}")
+        etype_iri = _iri(f"urn:itelos:etg:{entity.etype}")
         lines.add(f"{subject} {_RDF_TYPE} {etype_iri} .")
         declared = eg.schema.declared_properties(entity.etype)
-        for prop in sorted(entity.data_values, key=lambda p: p.normalized):
-            predicate = _iri(f"urn:itelos:etg:{prop.normalized}")
-            definition = declared.get(prop.normalized)
+        for prop in sorted(entity.data_values):
+            predicate = _iri(f"urn:itelos:etg:{prop}")
+            definition = declared.get(prop)
             datatype = definition.datatype if definition and definition.kind == "data" else "string"
             for value, _source in entity.data_values[prop]:
                 literal = f'"{_escape_literal(value)}"'
@@ -884,10 +863,8 @@ def export_eg(eg: EG, path: Path) -> list[str]:
                             f"{datatype}; exported as a plain string"
                         )
                 lines.add(f"{subject} {predicate} {literal} .")
-        for prop, target, _source in sorted(
-            entity.object_links, key=lambda l: (l[0].normalized, l[1], l[2])
-        ):
-            predicate = _iri(f"urn:itelos:etg:{prop.normalized}")
+        for prop, target, _source in sorted(entity.object_links):
+            predicate = _iri(f"urn:itelos:etg:{prop}")
             target_iri = _iri(f"urn:itelos:{eg.id}:{target}")
             lines.add(f"{subject} {predicate} {target_iri} .")
     body = "\n".join(sorted(lines))

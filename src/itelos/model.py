@@ -1,18 +1,19 @@
 """Core graph model: schema graphs (ETGs), instance graphs (EGs), competency
 queries, dataset schemas and resource catalog entries.
 
-Every name that participates in matching or metrics is a :class:`Label` and is
-compared by its normalized form, so results never depend on the spelling used
-in a particular source file.
+Every name that participates in matching or metrics (etype, property, column)
+is the plain string :func:`normalize_text` returns, so results never depend on
+the spelling used in a particular source file.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 PROPERTY_KINDS = ("data", "object")
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -30,7 +31,11 @@ class EmptyLabelError(ModelError):
 
 
 class DocumentError(ModelError):
-    """A schema-graph document does not follow the published format."""
+    """An input document (schema graph, sidecar, CSV file) is malformed."""
+
+
+class RowArityError(DocumentError):
+    """A data row does not have the same number of fields as the header."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,31 +62,9 @@ def normalize_value(raw: str) -> str:
     return " ".join(raw.split()).lower()
 
 
-@dataclass(frozen=True)
-class Label:
-    """A raw name plus its canonical form; equality and hashing ignore `raw`."""
-
-    raw: str = field(compare=False)
-    normalized: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.normalized or normalize_text(self.normalized) != self.normalized:
-            raise ModelError(f"{self.normalized!r} is not a normalized label")
-
-    def __str__(self) -> str:
-        return self.normalized
-
-
-def normalize_label(raw: Union[str, Label]) -> Label:
-    """Build a Label from raw text (idempotent on already-built labels)."""
-    if isinstance(raw, Label):
-        return raw
-    return Label(raw=raw, normalized=normalize_text(raw))
-
-
-def compound_key(etype: Label, prop: Label) -> str:
+def compound_key(etype: str, prop: str) -> str:
     """Canonical "etype.property" key; labels never contain dots."""
-    return f"{etype.normalized}.{prop.normalized}"
+    return f"{etype}.{prop}"
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +98,10 @@ class PropertyDef:
     the etype label of their target range instead.
     """
 
-    name: Label
+    name: str
     kind: str = "data"
     datatype: str | None = None
-    range: Label | None = None
+    range: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in PROPERTY_KINDS:
@@ -142,29 +125,26 @@ class ETG:
     """Entity Type Graph: etypes, their properties, and subclass edges."""
 
     id: str
-    etypes: frozenset[Label]
-    properties: Mapping[Label, tuple[PropertyDef, ...]]
-    subclass_edges: frozenset[tuple[Label, Label]]
+    etypes: frozenset[str]
+    properties: Mapping[str, tuple[PropertyDef, ...]]
+    subclass_edges: frozenset[tuple[str, str]]
     meta: ResourceMeta
 
-    def sorted_etypes(self) -> list[Label]:
-        return sorted(self.etypes, key=lambda e: e.normalized)
+    def sorted_etypes(self) -> list[str]:
+        return sorted(self.etypes)
 
-    def props_of(self, etype: Label) -> tuple[PropertyDef, ...]:
+    def props_of(self, etype: str) -> tuple[PropertyDef, ...]:
         return self.properties.get(etype, ())
 
-    def property_names(self, etype: Label) -> frozenset[str]:
-        return frozenset(p.name.normalized for p in self.props_of(etype))
+    def property_names(self, etype: str) -> frozenset[str]:
+        return frozenset(p.name for p in self.props_of(etype))
 
-    def parents_of(self, etype: Label) -> list[Label]:
-        return sorted(
-            (p for c, p in self.subclass_edges if c == etype),
-            key=lambda e: e.normalized,
-        )
+    def parents_of(self, etype: str) -> list[str]:
+        return sorted(p for c, p in self.subclass_edges if c == etype)
 
-    def ancestors_of(self, etype: Label) -> list[Label]:
+    def ancestors_of(self, etype: str) -> list[str]:
         """All transitive parents in deterministic (BFS, name-sorted) order."""
-        seen: list[Label] = []
+        seen: list[str] = []
         queue = self.parents_of(etype)
         while queue:
             node = queue.pop(0)
@@ -174,7 +154,7 @@ class ETG:
             queue.extend(self.parents_of(node))
         return seen
 
-    def declared_properties(self, etype: Label) -> dict[str, PropertyDef]:
+    def declared_properties(self, etype: str) -> dict[str, PropertyDef]:
         """Properties usable by entities of `etype`: own ones plus inherited.
 
         On a name clash the nearest declaration wins (own before ancestors).
@@ -182,7 +162,7 @@ class ETG:
         declared: dict[str, PropertyDef] = {}
         for holder in [etype, *self.ancestors_of(etype)]:
             for prop in self.props_of(holder):
-                declared.setdefault(prop.name.normalized, prop)
+                declared.setdefault(prop.name, prop)
         return declared
 
 
@@ -200,11 +180,11 @@ class Entity:
     """
 
     id: str
-    etype: Label
-    data_values: Mapping[Label, tuple[tuple[str, str], ...]]
-    object_links: frozenset[tuple[Label, str, str]]
+    etype: str
+    data_values: Mapping[str, tuple[tuple[str, str], ...]]
+    object_links: frozenset[tuple[str, str, str]]
 
-    def value_texts(self, prop: Label) -> list[str]:
+    def value_texts(self, prop: str) -> list[str]:
         return [v for v, _src in self.data_values.get(prop, ())]
 
 
@@ -215,7 +195,7 @@ class EG:
     id: str
     schema: ETG
     entities: Mapping[str, Entity]
-    conflict_flags: frozenset[tuple[str, Label]]
+    conflict_flags: frozenset[tuple[str, str]]
 
     def sorted_entities(self) -> list[Entity]:
         return [self.entities[k] for k in sorted(self.entities)]
@@ -232,8 +212,8 @@ class CompetencyQuery:
 
     id: str
     sentence: str
-    etypes: frozenset[Label]
-    property_pairs: frozenset[tuple[Label, Label]]
+    etypes: frozenset[str]
+    property_pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
         if not self.etypes:
@@ -250,8 +230,8 @@ class CompetencyQuery:
 class Column:
     """One CSV column of a dataset schema and its (optional) property mapping."""
 
-    name: Label
-    mapped: Label | None = None
+    name: str
+    mapped: str | None = None
     role: str = "attribute"
 
     def __post_init__(self) -> None:
@@ -265,7 +245,7 @@ class DatasetSchema:
     column-to-property mapping declared by the catalog author."""
 
     dataset_id: str
-    assigned_etype: Label
+    assigned_etype: str
     columns: tuple[Column, ...]
     meta: ResourceMeta
 
@@ -273,7 +253,7 @@ class DatasetSchema:
         identity = [c for c in self.columns if c.role == "identity"]
         if len(identity) > 1:
             raise ModelError(f"dataset {self.dataset_id!r} declares more than one identity column")
-        names = [c.name.normalized for c in self.columns]
+        names = [c.name for c in self.columns]
         if len(names) != len(set(names)):
             raise ModelError(f"dataset {self.dataset_id!r} has duplicate column names after normalization")
         for col in identity:
@@ -322,11 +302,11 @@ def etype_elements(source: ElementSource) -> ElementSet:
     """Normalized etype labels mentioned by an ETG, a dataset schema, or a
     collection of competency queries."""
     if isinstance(source, ETG):
-        members = frozenset(e.normalized for e in source.etypes)
+        members = frozenset(source.etypes)
     elif isinstance(source, DatasetSchema):
-        members = frozenset({source.assigned_etype.normalized})
+        members = frozenset({source.assigned_etype})
     else:
-        members = frozenset(e.normalized for cq in source for e in cq.etypes)
+        members = frozenset(e for cq in source for e in cq.etypes)
     return ElementSet(kind="etypes", members=members)
 
 
@@ -370,21 +350,21 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-def _subclass_cycles(edges: frozenset[tuple[Label, Label]]) -> list[tuple[Label, Label]]:
+def _subclass_cycles(edges: frozenset[tuple[str, str]]) -> list[tuple[str, str]]:
     """Edges that close a cycle in the child->parent graph, iterative DFS."""
-    adjacency: dict[Label, list[Label]] = {}
+    adjacency: dict[str, list[str]] = {}
     for child, parent in edges:
         adjacency.setdefault(child, []).append(parent)
     for targets in adjacency.values():
-        targets.sort(key=lambda e: e.normalized)
+        targets.sort()
 
     WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[Label, int] = {}
-    back_edges: list[tuple[Label, Label]] = []
-    for start in sorted(adjacency, key=lambda e: e.normalized):
+    color: dict[str, int] = {}
+    back_edges: list[tuple[str, str]] = []
+    for start in sorted(adjacency):
         if color.get(start, WHITE) != WHITE:
             continue
-        stack: list[tuple[Label, int]] = [(start, 0)]
+        stack: list[tuple[str, int]] = [(start, 0)]
         color[start] = GREY
         while stack:
             node, idx = stack[-1]
@@ -407,10 +387,10 @@ def _subclass_cycles(edges: frozenset[tuple[Label, Label]]) -> list[tuple[Label,
 def validate_etg(g: ETG) -> list[Violation]:
     """Check every ETG invariant; an empty report means the graph is valid."""
     out: list[Violation] = []
-    for etype in sorted(g.properties, key=lambda e: e.normalized):
+    for etype in sorted(g.properties):
         if etype not in g.etypes:
             out.append(Violation("unknown_property_etype", f"properties declared for unknown etype {etype}"))
-        names = [p.name.normalized for p in g.properties[etype]]
+        names = [p.name for p in g.properties[etype]]
         for name in sorted(set(n for n in names if names.count(n) > 1)):
             out.append(Violation("duplicate_property", f"etype {etype} declares property {name} more than once"))
         for prop in g.properties[etype]:
@@ -418,7 +398,7 @@ def validate_etg(g: ETG) -> list[Violation]:
                 out.append(
                     Violation("dangling_range", f"object property {etype}.{prop.name} targets unknown etype {prop.range}")
                 )
-    for child, parent in sorted(g.subclass_edges, key=lambda e: (e[0].normalized, e[1].normalized)):
+    for child, parent in sorted(g.subclass_edges):
         for end in (child, parent):
             if end not in g.etypes:
                 out.append(Violation("dangling_subclass", f"subclass edge ({child}, {parent}) references unknown etype {end}"))
@@ -435,22 +415,20 @@ def validate_eg(eg: EG) -> list[Violation]:
             out.append(Violation("unknown_etype", f"entity {entity.id} has unknown etype {entity.etype}"))
             continue
         declared = eg.schema.declared_properties(entity.etype)
-        for prop in sorted(entity.data_values, key=lambda p: p.normalized):
+        for prop in sorted(entity.data_values):
             pairs = entity.data_values[prop]
             if not pairs:
                 out.append(Violation("empty_value_list", f"entity {entity.id} has an empty value list for {prop}"))
-            pdef = declared.get(prop.normalized)
+            pdef = declared.get(prop)
             if pdef is None or pdef.kind != "data":
                 out.append(Violation("undeclared_property", f"entity {entity.id} uses undeclared data property {prop}"))
-        for prop, target, _src in sorted(
-            entity.object_links, key=lambda l: (l[0].normalized, l[1], l[2])
-        ):
-            pdef = declared.get(prop.normalized)
+        for prop, target, _src in sorted(entity.object_links):
+            pdef = declared.get(prop)
             if pdef is None or pdef.kind != "object":
                 out.append(Violation("undeclared_property", f"entity {entity.id} uses undeclared link property {prop}"))
             if target not in eg.entities:
                 out.append(Violation("dangling_link", f"entity {entity.id} links to missing entity {target!r} via {prop}"))
-    for entity_id, prop in sorted(eg.conflict_flags, key=lambda f: (f[0], f[1].normalized)):
+    for entity_id, prop in sorted(eg.conflict_flags):
         entity = eg.entities.get(entity_id)
         values = entity.value_texts(prop) if entity is not None else []
         distinct = {normalize_value(v) for v in values if v.strip()}
@@ -487,13 +465,13 @@ def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
             popularity=int(raw_meta.get("popularity", 0)),
             origin=str(raw_meta.get("origin", "")),
         )
-    etypes = frozenset(normalize_label(str(e)) for e in _require(doc, "etypes", graph_id))
-    properties: dict[Label, tuple[PropertyDef, ...]] = {}
+    etypes = frozenset(normalize_text(str(e)) for e in _require(doc, "etypes", graph_id))
+    properties: dict[str, tuple[PropertyDef, ...]] = {}
     for raw_etype, raw_props in sorted(dict(doc.get("properties", {})).items()):
-        etype = normalize_label(str(raw_etype))
+        etype = normalize_text(str(raw_etype))
         defs = []
         for raw in raw_props:
-            name = normalize_label(str(_require(raw, "name", f"{graph_id}.properties.{raw_etype}")))
+            name = normalize_text(str(_require(raw, "name", f"{graph_id}.properties.{raw_etype}")))
             kind = str(raw.get("kind", "data"))
             rng = raw.get("range")
             defs.append(
@@ -501,12 +479,12 @@ def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
                     name=name,
                     kind=kind,
                     datatype=str(raw["datatype"]) if raw.get("datatype") is not None else None,
-                    range=normalize_label(str(rng)) if rng is not None else None,
+                    range=normalize_text(str(rng)) if rng is not None else None,
                 )
             )
-        properties[etype] = tuple(sorted(defs, key=lambda p: p.name.normalized))
+        properties[etype] = tuple(sorted(defs, key=lambda p: p.name))
     subclass = frozenset(
-        (normalize_label(str(child)), normalize_label(str(parent)))
+        (normalize_text(str(child)), normalize_text(str(parent)))
         for child, parent in doc.get("subclass", [])
     )
     return ETG(id=graph_id, etypes=etypes, properties=properties, subclass_edges=subclass, meta=meta)
@@ -515,24 +493,22 @@ def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
 def etg_to_doc(g: ETG) -> dict:
     """Serialize an ETG to its canonical (sorted, normalized) document form."""
     properties = {}
-    for etype in sorted(g.properties, key=lambda e: e.normalized):
+    for etype in sorted(g.properties):
         serialized = []
-        for p in sorted(g.props_of(etype), key=lambda p: p.name.normalized):
-            entry: dict[str, str] = {"name": p.name.normalized, "kind": p.kind}
+        for p in sorted(g.props_of(etype), key=lambda p: p.name):
+            entry: dict[str, str] = {"name": p.name, "kind": p.kind}
             if p.kind == "data":
                 entry["datatype"] = p.datatype or "string"
             else:
-                entry["range"] = p.range.normalized if p.range else ""
+                entry["range"] = p.range or ""
             serialized.append(entry)
-        properties[etype.normalized] = serialized
+        properties[etype] = serialized
     return {
         "id": g.id,
         "meta": {"category": g.meta.category, "popularity": g.meta.popularity, "origin": g.meta.origin},
-        "etypes": [e.normalized for e in g.sorted_etypes()],
+        "etypes": g.sorted_etypes(),
         "properties": properties,
-        "subclass": sorted(
-            [c.normalized, p.normalized] for c, p in g.subclass_edges
-        ),
+        "subclass": sorted([c, p] for c, p in g.subclass_edges),
     }
 
 
@@ -548,3 +524,37 @@ def load_etg(path: Path, *, meta: ResourceMeta | None = None) -> ETG:
 
 def dump_etg(g: ETG, path: Path) -> None:
     path.write_text(json.dumps(etg_to_doc(g), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Dataset files (CSV)
+
+
+def read_csv(path: Path) -> Iterator[list[str]]:
+    """Yield the header of a UTF-8 CSV dataset file, then each data row.
+
+    Every row must have as many fields as the header. A missing header, a
+    malformed or oversized field, or a byte that is not UTF-8 raises a
+    DocumentError naming the file; taking only the first item reads only the
+    header.
+    """
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DocumentError(f"{path}: dataset file has no header row")
+            yield header
+            for row in reader:
+                if len(row) != len(header):
+                    raise RowArityError(
+                        f"{path.name}: line {reader.line_num}: expected "
+                        f"{len(header)} fields, got {len(row)}"
+                    )
+                yield row
+        except csv.Error as exc:
+            raise DocumentError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DocumentError(
+                f"{path}: not valid UTF-8 after line {reader.line_num}"
+            ) from exc

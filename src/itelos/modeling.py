@@ -17,7 +17,6 @@ from .model import (
     CompetencyQuery,
     DatasetSchema,
     ETG,
-    Label,
     ModelError,
     PropertyDef,
     ResourceMeta,
@@ -53,8 +52,8 @@ class ETGModel:
     provenance: Mapping[str, str]
     etype_categories: Mapping[str, str]
 
-    def category_of(self, etype: Label) -> str:
-        return self.etype_categories.get(etype.normalized, "contextual")
+    def category_of(self, etype: str) -> str:
+        return self.etype_categories.get(etype, "contextual")
 
 
 def _most_reusable(categories: Sequence[str]) -> str:
@@ -76,16 +75,16 @@ def build_etg_model(
     the range etype, and the range must itself be part of the model.
     """
     overrides = overrides or {}
-    etypes: set[Label] = set()
+    etypes: set[str] = set()
     provenance: dict[str, str] = {}
     categories: dict[str, list[str]] = {}
     # (etype, property) -> does some source require an object property
-    wants_object: dict[tuple[Label, Label], bool] = {}
+    wants_object: dict[tuple[str, str], bool] = {}
 
     for schema in schemas:
         etypes.add(schema.assigned_etype)
-        provenance.setdefault(schema.assigned_etype.normalized, FROM_DATASET)
-        categories.setdefault(schema.assigned_etype.normalized, []).append(schema.meta.category)
+        provenance.setdefault(schema.assigned_etype, FROM_DATASET)
+        categories.setdefault(schema.assigned_etype, []).append(schema.meta.category)
         for column in schema.mapped_columns():
             pair = (schema.assigned_etype, column.mapped)
             wants_object[pair] = wants_object.get(pair, False) or column.role == "link"
@@ -94,13 +93,13 @@ def build_etg_model(
     for cq in cqs:
         for etype in cq.etypes:
             etypes.add(etype)
-            provenance[etype.normalized] = FROM_CQ
+            provenance[etype] = FROM_CQ
         for etype, prop in cq.property_pairs:
             wants_object.setdefault((etype, prop), False)
             provenance[compound_key(etype, prop)] = FROM_CQ
 
-    properties: dict[Label, list[PropertyDef]] = {}
-    for (etype, prop), linkish in sorted(wants_object.items(), key=lambda kv: (kv[0][0].normalized, kv[0][1].normalized)):
+    properties: dict[str, list[PropertyDef]] = {}
+    for (etype, prop), linkish in sorted(wants_object.items()):
         key = compound_key(etype, prop)
         override = overrides.get(key)
         if override is not None:
@@ -133,9 +132,7 @@ def build_etg_model(
         listed = "; ".join(str(v) for v in violations)
         raise ModelingError(f"modeled graph is invalid: {listed}")
 
-    etype_categories = {
-        e.normalized: _most_reusable(categories.get(e.normalized, [])) for e in etypes
-    }
+    etype_categories = {e: _most_reusable(categories.get(e, [])) for e in etypes}
     return ETGModel(etg=etg, provenance=provenance, etype_categories=etype_categories)
 
 

@@ -18,7 +18,7 @@ from itelos.model import (
     DatasetSchema,
     PropertyDef,
     ResourceMeta,
-    normalize_label,
+    normalize_text,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -41,28 +41,28 @@ def make_etg(
         defs = []
         for spec in specs:
             if isinstance(spec, str):
-                defs.append(PropertyDef(name=normalize_label(spec)))
+                defs.append(PropertyDef(name=normalize_text(spec)))
             else:
                 name, prop_kind, extra = spec
                 if prop_kind == "object":
                     defs.append(
                         PropertyDef(
-                            name=normalize_label(name),
+                            name=normalize_text(name),
                             kind="object",
-                            range=normalize_label(extra),
+                            range=normalize_text(extra),
                         )
                     )
                 else:
                     defs.append(
-                        PropertyDef(name=normalize_label(name), datatype=extra)
+                        PropertyDef(name=normalize_text(name), datatype=extra)
                     )
-        props[normalize_label(etype)] = tuple(defs)
+        props[normalize_text(etype)] = tuple(defs)
     return ETG(
         id=graph_id,
-        etypes=frozenset(normalize_label(e) for e in etypes),
+        etypes=frozenset(normalize_text(e) for e in etypes),
         properties=props,
         subclass_edges=frozenset(
-            (normalize_label(c), normalize_label(p)) for c, p in subclass
+            (normalize_text(c), normalize_text(p)) for c, p in subclass
         ),
         meta=ResourceMeta(id=graph_id, kind=kind, category=category, popularity=popularity),
     )
@@ -72,9 +72,9 @@ def make_cq(cq_id, etypes, pairs=()):
     return CompetencyQuery(
         id=cq_id,
         sentence="",
-        etypes=frozenset(normalize_label(e) for e in etypes),
+        etypes=frozenset(normalize_text(e) for e in etypes),
         property_pairs=frozenset(
-            (normalize_label(e), normalize_label(p)) for e, p in pairs
+            (normalize_text(e), normalize_text(p)) for e, p in pairs
         ),
     )
 
@@ -85,19 +85,19 @@ def make_schema(dataset_id, etype, columns, category="core", popularity=0):
     cols = []
     for spec in columns:
         if isinstance(spec, str):
-            cols.append(Column(name=normalize_label(spec), mapped=normalize_label(spec)))
+            cols.append(Column(name=normalize_text(spec), mapped=normalize_text(spec)))
         else:
             name, mapped, role = spec
             cols.append(
                 Column(
-                    name=normalize_label(name),
-                    mapped=normalize_label(mapped) if mapped is not None else None,
+                    name=normalize_text(name),
+                    mapped=normalize_text(mapped) if mapped is not None else None,
                     role=role,
                 )
             )
     return DatasetSchema(
         dataset_id=dataset_id,
-        assigned_etype=normalize_label(etype),
+        assigned_etype=normalize_text(etype),
         columns=tuple(cols),
         meta=ResourceMeta(
             id=dataset_id, kind="dataset", category=category, popularity=popularity

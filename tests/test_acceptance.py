@@ -28,7 +28,7 @@ from itelos.integration import (
     integrate_dataset,
 )
 from itelos.metrics import coverage, extensiveness, sparsity
-from itelos.model import ElementSet, normalize_label
+from itelos.model import ElementSet, normalize_text
 from itelos.modeling import build_etg_model
 
 from helpers import (
@@ -165,13 +165,13 @@ def test_alignment_policy():
         popularity=5,
     )
     model = build_etg_model(cqs, schemas)
-    assert model.category_of(normalize_label("device")) == "common"
-    assert model.category_of(normalize_label("covid_restriction")) == "contextual"
+    assert model.category_of("device") == "common"
+    assert model.category_of("covid_restriction") == "contextual"
     policy = AlignmentPolicy()
     ranking = rank_ontologies(model, {"onto_ref": ontology})
     predictions = {"onto_ref": etr_predict(model, ontology, policy)}
     # the contextual etype does have a clearing candidate...
-    assert predictions["onto_ref"].best_for(normalize_label("covid_restriction")) is not None
+    assert predictions["onto_ref"].best_for("covid_restriction") is not None
     _, plan = generate_etg(model, predictions, ranking, {"onto_ref": ontology}, policy)
     # ...every common etype has a perfect match, so adoption is total
     assert plan.adoption_rates["common"] == Fraction(1)
@@ -260,7 +260,7 @@ def grid_etg():
 def run_keyed(state, dataset_id, etype, columns, rows):
     schema = make_schema(dataset_id, etype, columns)
     mapping = infer_mapping(schema, state.eg.schema)
-    header = [normalize_label(c[0]) for c in columns]
+    header = [normalize_text(c[0]) for c in columns]
     return integrate_dataset(state, mapping, header, rows)
 
 
@@ -281,7 +281,7 @@ def test_integration_case_grid():
     assert (report.case, report.entity_overlap) == ("shared_etype", "populates_both")
     assert report.merged_entities == 1
     assert report.conflicts == 1
-    assert ("ds_a/tn01", normalize_label("beds")) in state.eg.conflict_flags
+    assert ("ds_a/tn01", "beds") in state.eg.conflict_flags
     assert connected_components(state.eg) == bfs_component_count(state.eg)
 
     # shared etype, disjoint entities: nothing merges and the holes show

@@ -22,7 +22,6 @@ from itelos.modeling import build_etg_model
 from itelos.model import (
     compound_key,
     etg_to_doc,
-    normalize_label,
 )
 
 from helpers import make_cq, make_etg, make_schema
@@ -120,7 +119,7 @@ class TestEtrPredict:
         # name match 1, property Jaccard 2/5: score exactly 7/10
         model = hospital_model()
         vector = etr_predict(model, health_ontology(), AlignmentPolicy())
-        best = vector.best_for(normalize_label("hospital"))
+        best = vector.best_for("hospital")
         assert best is not None
         assert best.score == Fraction(7, 10)
         assert best.sharability == Fraction(2, 5)
@@ -130,7 +129,7 @@ class TestEtrPredict:
         vector = etr_predict(
             model, health_ontology(), AlignmentPolicy(match_threshold=Fraction(71, 100))
         )
-        assert vector.best_for(normalize_label("hospital")) is None
+        assert vector.best_for("hospital") is None
 
     def test_candidates_sorted_by_score(self):
         model = hospital_model()
@@ -141,7 +140,7 @@ class TestEtrPredict:
         )
         vector = etr_predict(model, onto, AlignmentPolicy(match_threshold=Fraction(1, 2)))
         ranked = vector.candidates["hospital"]
-        assert [c.label.normalized for c in ranked] == ["hospital", "hospitals"]
+        assert [c.label for c in ranked] == ["hospital", "hospitals"]
         assert ranked[0].score > ranked[1].score
 
 
@@ -187,12 +186,12 @@ def align(model, ontologies, policy=None):
 class TestGenerateEtg:
     def test_common_adopts_and_pulls_ancestors(self):
         final, plan = align(hospital_model("common"), {"onto_health": health_ontology()})
-        etypes = {e.normalized for e in final.etypes}
+        etypes = set(final.etypes)
         assert etypes == {"hospital", "facility"}
-        hospital_props = set(final.property_names(normalize_label("hospital")))
+        hospital_props = set(final.property_names("hospital"))
         assert hospital_props == {"code", "name", "beds", "municipality", "address"}
-        assert final.property_names(normalize_label("facility")) == frozenset({"operator"})
-        assert (normalize_label("hospital"), normalize_label("facility")) in final.subclass_edges
+        assert final.property_names("facility") == frozenset({"operator"})
+        assert ("hospital", "facility") in final.subclass_edges
         (decision,) = plan.decisions
         assert decision.action == "adopt"
         assert decision.adopted_properties == ("address",)
@@ -244,7 +243,7 @@ class TestGenerateEtg:
         )
         overrides = {
             "covid_case.hospitl": PropertyOverride(
-                kind="object", datatype=None, range=normalize_label("hospitl")
+                kind="object", datatype=None, range="hospitl"
             )
         }
         model = build_etg_model(cqs, [ds], overrides)
@@ -255,9 +254,9 @@ class TestGenerateEtg:
         )
         final, plan = align(model, {"o": onto})
         assert plan.rename_map == {"hospitl": "hospital"}
-        case_props = {p.name.normalized: p for p in final.props_of(normalize_label("covid_case"))}
-        assert case_props["hospitl"].range == normalize_label("hospital")
-        etypes = {e.normalized for e in final.etypes}
+        case_props = {p.name: p for p in final.props_of("covid_case")}
+        assert case_props["hospitl"].range == "hospital"
+        etypes = set(final.etypes)
         assert "hospitl" not in etypes and "hospital" in etypes
 
     def test_model_definition_wins_on_clash(self):
@@ -271,13 +270,13 @@ class TestGenerateEtg:
         )
         onto = make_etg("o", ["hospital"], {"hospital": [("beds", "data", "string"), "name"]})
         final, _ = align(model, {"o": onto})
-        props = {p.name.normalized: p for p in final.props_of(normalize_label("hospital"))}
+        props = {p.name: p for p in final.props_of("hospital")}
         assert props["beds"].datatype == "integer"
 
     def test_query_elements_survive_rename(self):
         model = hospital_model("common")
         final, plan = align(model, {"onto_health": health_ontology()})
-        final_etypes = {e.normalized for e in final.etypes}
+        final_etypes = set(final.etypes)
         final_pairs = {
             compound_key(e, p.name) for e in final.etypes for p in final.props_of(e)
         }

@@ -264,3 +264,53 @@ class TestDeterminism:
         assert main(fixture_argv("run", second)) == 0
         for name in ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def copied_datasets(tmp_path):
+    """A copy of the fixture's data directory, for use with --datasets."""
+    root = tmp_path / "datasets"
+    shutil.copytree(COVID / "data", root / "data")
+    return root
+
+
+class TestHostileInput:
+    def test_oversized_field_exits_one(self, tmp_path, capsys):
+        root = copied_datasets(tmp_path)
+        with (root / "data" / "covid_cases.csv").open("a", encoding="utf-8") as handle:
+            handle.write(f"C999,2020-03-09,TN01,1,{'x' * 131073}\n")
+        code = main(fixture_argv("run", tmp_path / "out", "--datasets", str(root)))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "covid_cases.csv: line 6: field larger than field limit" in err
+
+    def test_non_utf8_byte_after_first_chunk_exits_one(self, tmp_path, capsys):
+        root = copied_datasets(tmp_path)
+        rows = "".join(f"C{n:04d},2020-03-09,TN01,1,\n" for n in range(1000, 1400))
+        with (root / "data" / "covid_cases.csv").open("ab") as handle:
+            handle.write(rows.encode("utf-8") + b"C9999,2020-03-09,TN01,1,caf\xe9\n")
+        assert (root / "data" / "covid_cases.csv").stat().st_size > 8192
+        code = main(fixture_argv("run", tmp_path / "out", "--datasets", str(root)))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "covid_cases.csv: not valid UTF-8" in err
+
+    def test_bom_before_header_changes_nothing(self, tmp_path):
+        root = copied_datasets(tmp_path)
+        for name in ("covid_cases.csv", "hospitals.csv"):
+            path = root / "data" / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(fixture_argv("run", tmp_path / "bom", "--datasets", str(root))) == 0
+        assert main(fixture_argv("run", tmp_path / "plain")) == 0
+        assert (tmp_path / "bom" / "eg.nt").read_bytes() == (
+            tmp_path / "plain" / "eg.nt"
+        ).read_bytes()
+
+    def test_load_failure_shows_in_eval_a(self, tmp_path, capsys):
+        root = copied_datasets(tmp_path)
+        (root / "data" / "covid_cases.csv").write_bytes(b"case_id,case_d\xe9te\nC001,x\n")
+        out = tmp_path / "out"
+        main(fixture_argv("run", out, "--datasets", str(root)))
+        assert "load failure: ds_cases (" in (out / "eval_a.txt").read_text()
+        assert "load failure: ds_cases (" in capsys.readouterr().out
+        (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
+        assert error["id"] == "ds_cases"

@@ -15,10 +15,9 @@ from itelos.inception import (
     parse_purpose,
     ranking_from_json,
     ranking_to_json,
-    read_csv_header,
     sidecar_schema_path,
 )
-from itelos.model import DocumentError, ResourceMeta
+from itelos.model import DocumentError, ResourceMeta, read_csv
 
 from helpers import COVID, make_cq, make_etg, make_schema, write_csv
 
@@ -94,7 +93,7 @@ class TestLoadResources:
 
     def test_read_header(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["A", "B"], [["1", "2"]])
-        assert read_csv_header(path) == ["A", "B"]
+        assert next(read_csv(path)) == ["A", "B"]
 
     def test_load_schema(self, tmp_path):
         csv = write_csv(tmp_path / "d.csv", ["code", "name", "extra"], [])
@@ -108,11 +107,11 @@ class TestLoadResources:
         (tmp_path / "d.schema.json").write_text(json.dumps(sidecar))
         meta = ResourceMeta(id="d", kind="dataset", category="core", popularity=1)
         schema = load_dataset_schema(csv, meta)
-        assert schema.assigned_etype.normalized == "hospital"
-        roles = {c.name.normalized: c.role for c in schema.columns}
+        assert schema.assigned_etype == "hospital"
+        roles = {c.name: c.role for c in schema.columns}
         assert roles == {"code": "identity", "name": "attribute", "extra": "attribute"}
         # header columns without a sidecar entry stay unmapped
-        assert [c.mapped for c in schema.columns if c.name.normalized == "extra"] == [None]
+        assert [c.mapped for c in schema.columns if c.name == "extra"] == [None]
 
     def test_sidecar_column_must_exist(self, tmp_path):
         csv = write_csv(tmp_path / "d.csv", ["code"], [])

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from itelos.integration import (
     MappingError,
-    RowArityError,
     UnknownEtypeError,
     connected_components,
     eval_purpose,
@@ -21,7 +20,7 @@ from itelos.integration import (
     read_dataset_rows,
     resolve_pending,
 )
-from itelos.model import EG, Entity, normalize_label
+from itelos.model import EG, Entity, RowArityError, normalize_text
 
 from helpers import (
     bfs_component_count,
@@ -66,7 +65,7 @@ def mapping_for(dataset_id, etype, columns, etg=None, **kwargs):
 
 def run_dataset(state, dataset_id, etype, columns, rows):
     mapping = mapping_for(dataset_id, etype, columns, etg=state.eg.schema)
-    header = [normalize_label(name if isinstance(name, str) else name[0]) for name in columns]
+    header = [normalize_text(name if isinstance(name, str) else name[0]) for name in columns]
     return integrate_dataset(state, mapping, header, rows)
 
 
@@ -74,7 +73,7 @@ class TestReadRows:
     def test_reads_and_strips(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["Code", "Name"], [[" TN01 ", "Santa Chiara"]])
         header, rows = read_dataset_rows(path)
-        assert [h.normalized for h in header] == ["code", "name"]
+        assert header == ["code", "name"]
         assert rows == [["TN01", "Santa Chiara"]]
 
     def test_arity_error_names_line(self, tmp_path):
@@ -89,9 +88,9 @@ class TestReadRows:
 class TestInferMapping:
     def test_explicit_columns_pass_through(self):
         mapping = mapping_for("d", "hospital", hospital_columns())
-        assert mapping.etype == normalize_label("hospital")
-        assert [c.normalized for c in mapping.identity_columns] == ["code"]
-        assert mapping.property_of(normalize_label("beds")) == normalize_label("beds")
+        assert mapping.etype == "hospital"
+        assert list(mapping.identity_columns) == ["code"]
+        assert mapping.property_of("beds") == "beds"
         assert mapping.dropped == ()
 
     def test_unmapped_column_matched_by_similarity(self):
@@ -99,13 +98,13 @@ class TestInferMapping:
         mapping = mapping_for(
             "d", "hospital", [("code", "code", "identity"), ("nam", None, "attribute")]
         )
-        assert mapping.property_of(normalize_label("nam")) == normalize_label("name")
+        assert mapping.property_of("nam") == "name"
 
     def test_low_similarity_dropped(self):
         mapping = mapping_for(
             "d", "hospital", [("code", "code", "identity"), ("xyz", None, "attribute")]
         )
-        assert mapping.property_of(normalize_label("xyz")) is None
+        assert mapping.property_of("xyz") is None
         assert mapping.dropped == (("xyz", "no matching property"),)
 
     def test_taken_property_not_reused(self):
@@ -115,11 +114,11 @@ class TestInferMapping:
             "hospital",
             [("name", "name", "attribute"), ("nam", None, "attribute")],
         )
-        assert mapping.property_of(normalize_label("nam")) is None
+        assert mapping.property_of("nam") is None
 
     def test_inherited_properties_usable(self):
         mapping = mapping_for("d", "hospital", [("operator", "operator", "attribute")])
-        assert mapping.property_of(normalize_label("operator")) == normalize_label("operator")
+        assert mapping.property_of("operator") == "operator"
 
     def test_undeclared_explicit_mapping_rejected(self):
         with pytest.raises(MappingError):
@@ -132,7 +131,7 @@ class TestInferMapping:
             hospital_columns(),
             rename_map={"hospitl": "hospital"},
         )
-        assert mapping.etype == normalize_label("hospital")
+        assert mapping.etype == "hospital"
 
     def test_unknown_etype(self):
         with pytest.raises(UnknownEtypeError):
@@ -151,8 +150,8 @@ class TestInferMapping:
             }
         )
         mapping = mapping_for("d", "hospital", hospital_columns(), override=override)
-        assert mapping.property_of(normalize_label("name")) is None
-        assert mapping.property_of(normalize_label("beds")) == normalize_label("beds")
+        assert mapping.property_of("name") is None
+        assert mapping.property_of("beds") == "beds"
         assert ("name", "dropped by override") in mapping.dropped
 
     def test_override_wrong_dataset(self):
@@ -179,14 +178,14 @@ class TestGenerateEntities:
     def fragment(self, rows, columns=None):
         columns = columns or hospital_columns()
         mapping = mapping_for("ds_a", "hospital", columns)
-        header = [normalize_label(c[0]) for c in columns]
+        header = [normalize_text(c[0]) for c in columns]
         return generate_entities(mapping, header, rows, hospital_etg())
 
     def test_identity_key_normalized(self):
         fragment = self.fragment([["TN01", "Santa Chiara", "400"]])
         assert set(fragment.eg.entities) == {"ds_a/tn01"}
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert entity.value_texts(normalize_label("name")) == ["Santa Chiara"]
+        assert entity.value_texts("name") == ["Santa Chiara"]
 
     def test_missing_key_falls_back_to_ordinal(self):
         fragment = self.fragment([["", "NoCode", "1"], ["TN02", "Ok", "2"]])
@@ -201,22 +200,22 @@ class TestGenerateEntities:
     def test_empty_cells_skipped(self):
         fragment = self.fragment([["TN01", "", "400"]])
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert normalize_label("name") not in entity.data_values
+        assert "name" not in entity.data_values
         assert fragment.stats["data_cells"] == 2
 
     def test_duplicate_key_single_entity_with_conflict(self):
         fragment = self.fragment([["TN01", "Santa Chiara", "400"], ["TN01", "S. Chiara", "400"]])
         assert len(fragment.eg.entities) == 1
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert entity.value_texts(normalize_label("name")) == ["Santa Chiara", "S. Chiara"]
+        assert entity.value_texts("name") == ["Santa Chiara", "S. Chiara"]
         assert fragment.eg.conflict_flags == frozenset(
-            {("ds_a/tn01", normalize_label("name"))}
+            {("ds_a/tn01", "name")}
         )
 
     def test_duplicate_rows_do_not_conflict(self):
         fragment = self.fragment([["TN01", "Santa Chiara", "400"]] * 2)
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert entity.value_texts(normalize_label("name")) == ["Santa Chiara"]
+        assert entity.value_texts("name") == ["Santa Chiara"]
         assert fragment.eg.conflict_flags == frozenset()
 
     def test_case_variants_do_not_conflict(self):
@@ -229,7 +228,7 @@ class TestGenerateEntities:
             ("hospital", "hospital", "link"),
         ]
         mapping = mapping_for("ds_c", "covid_case", columns)
-        header = [normalize_label(c[0]) for c in columns]
+        header = [normalize_text(c[0]) for c in columns]
         fragment = generate_entities(mapping, header, [["C1", "TN01"]], hospital_etg())
         (link,) = fragment.pending_links
         assert link.source_id == "ds_c/c1"
@@ -256,7 +255,7 @@ class TestGenerateEntities:
             }
         )
         mapping = infer_mapping(schema, etg, override=override)
-        header = [normalize_label(c) for c in ("station", "day", "value")]
+        header = [normalize_text(c) for c in ("station", "day", "value")]
         fragment = generate_entities(mapping, header, [["S1", "Mon", "4"]], etg)
         assert set(fragment.eg.entities) == {"ds_r/s1_mon"}
 
@@ -264,12 +263,12 @@ class TestGenerateEntities:
 def entity(eid, etype, values=None, links=()):
     return Entity(
         id=eid,
-        etype=normalize_label(etype),
+        etype=normalize_text(etype),
         data_values={
-            normalize_label(p): tuple(pairs) for p, pairs in (values or {}).items()
+            normalize_text(p): tuple(pairs) for p, pairs in (values or {}).items()
         },
         object_links=frozenset(
-            (normalize_label(p), t, s) for p, t, s in links
+            (normalize_text(p), t, s) for p, t, s in links
         ),
     )
 
@@ -291,7 +290,7 @@ class TestMatchAndMerge:
         assert report.merged_entities == 1
         assert report.appended == 0
         merged = state.eg.entities["ds_a/tn01"]
-        assert set(merged.value_texts(normalize_label("name"))) == {"Santa Chiara", "S. Chiara"}
+        assert set(merged.value_texts("name")) == {"Santa Chiara", "S. Chiara"}
 
     def test_key_mismatch_appends(self):
         state = self.seed_state()
@@ -363,7 +362,7 @@ class TestMatchAndMerge:
             conflict_flags=frozenset(),
         )
         mapping = mapping_for("ds_a", "hospital", hospital_columns())
-        header = [normalize_label(c[0]) for c in hospital_columns()]
+        header = [normalize_text(c[0]) for c in hospital_columns()]
         fragment = generate_entities(
             mapping, header, [["TN01", "Santa Chiara", "400"]], schema
         )
@@ -373,7 +372,7 @@ class TestMatchAndMerge:
         assert remap == {"ds_b/tn01": "ds_a/tn01"}
         assert set(merged.entities) == {"ds_a/tn01", "ds_c/c1"}
         assert merged.entities["ds_c/c1"].object_links == frozenset(
-            {(normalize_label("hospital"), "ds_a/tn01", "ds_c")}
+            {("hospital", "ds_a/tn01", "ds_c")}
         )
 
     def test_cross_dataset_conflict_flagged(self):
@@ -381,7 +380,7 @@ class TestMatchAndMerge:
         state, report = run_dataset(
             state, "ds_b", "hospital", hospital_columns(), [["TN01", "Ospedale S.C.", "400"]]
         )
-        assert ( "ds_a/tn01", normalize_label("name")) in state.eg.conflict_flags
+        assert ( "ds_a/tn01", "name") in state.eg.conflict_flags
         assert report.conflicts == 1
 
 
@@ -407,7 +406,7 @@ class TestResolvePending:
         )
         case = state.eg.entities["ds_c/c1"]
         assert case.object_links == frozenset(
-            {(normalize_label("hospital"), "ds_h/tn01", "ds_c")}
+            {("hospital", "ds_h/tn01", "ds_c")}
         )
         assert report.unresolved_links == ()
 
@@ -418,7 +417,7 @@ class TestResolvePending:
         )
         case = state.eg.entities["ds_c/c1"]
         assert case.object_links == frozenset(
-            {(normalize_label("hospital"), "ds_h/tn02", "ds_c")}
+            {("hospital", "ds_h/tn02", "ds_c")}
         )
 
     def test_unresolved_stays_out_of_graph(self):
@@ -444,7 +443,7 @@ class TestResolvePending:
         assert report.unresolved_links == ()
         case = state.eg.entities["ds_c/c1"]
         assert case.object_links == frozenset(
-            {(normalize_label("hospital"), "ds_h/tn01", "ds_c")}
+            {("hospital", "ds_h/tn01", "ds_c")}
         )
 
     def test_range_conformance_includes_subclasses(self):
@@ -461,7 +460,7 @@ class TestResolvePending:
         state = initial_state(etg, "eg")
         schema = make_schema("ds_h", "hospital", [("code", "code", "identity")])
         mapping = infer_mapping(schema, etg)
-        state, _ = integrate_dataset(state, mapping, [normalize_label("code")], [["TN01"]])
+        state, _ = integrate_dataset(state, mapping, ["code"], [["TN01"]])
         case_schema = make_schema(
             "ds_c", "covid_case", [("case_id", "case_id", "identity"), ("hospital", "hospital", "link")]
         )
@@ -469,7 +468,7 @@ class TestResolvePending:
         state, report = integrate_dataset(
             state,
             case_mapping,
-            [normalize_label("case_id"), normalize_label("hospital")],
+            ["case_id", "hospital"],
             [["C1", "TN01"]],
         )
         assert report.unresolved_links == ()
@@ -490,7 +489,7 @@ class TestResolvePending:
         case = state.eg.entities["ds_d/c9"]
         # resolves to the hospital, not the same-suffix covid_case
         assert case.object_links == frozenset(
-            {(normalize_label("hospital"), "ds_h/tn01", "ds_d")}
+            {("hospital", "ds_h/tn01", "ds_d")}
         )
 
     def test_ambiguous_suffix_takes_min_id(self):
@@ -509,7 +508,7 @@ class TestResolvePending:
         )
         case = state.eg.entities["ds_c/c1"]
         assert case.object_links == frozenset(
-            {(normalize_label("hospital"), "ds_x/tn01", "ds_c")}
+            {("hospital", "ds_x/tn01", "ds_c")}
         )
 
     def test_resolve_pending_counts(self):
@@ -719,6 +718,18 @@ class TestExport:
         assert "not a valid integer" in warning
         assert '"many"' in (tmp_path / "eg.nt").read_text()
         assert "^^" not in (tmp_path / "eg.nt").read_text()
+
+    @pytest.mark.parametrize(
+        "text, typed",
+        [("2020-03-01", True), ("20200301", False), ("2020-W10-1", False), ("2020-02-30", False)],
+    )
+    def test_date_needs_xsd_lexical_form(self, tmp_path, text, typed):
+        e = entity("d/c", "covid_case", {"case_date": [(text, "a")]})
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/c": e}, conflict_flags=frozenset())
+        warnings = export_eg(eg, tmp_path / "eg.nt")
+        typed_literal = f'"{text}"^^<http://www.w3.org/2001/XMLSchema#date>'
+        assert (typed_literal in (tmp_path / "eg.nt").read_text()) == typed
+        assert len(warnings) == (0 if typed else 1)
 
     def test_escaping(self, tmp_path):
         e = entity("d/x", "hospital", {"name": [('He said "hi"\n', "a")]})

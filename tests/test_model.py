@@ -19,7 +19,6 @@ from itelos.model import (
     etg_to_doc,
     etype_elements,
     load_etg,
-    normalize_label,
     normalize_text,
     normalize_value,
     property_elements,
@@ -63,18 +62,9 @@ class TestNormalization:
             return
         assert normalize_text(once) == once
 
-    @given(texts)
-    def test_label_matches_text(self, raw):
-        try:
-            label = normalize_label(raw)
-        except EmptyLabelError:
-            return
-        assert label.normalized == normalize_text(raw)
-        assert normalize_label(label) is label
-
     def test_label_equality_ignores_raw(self):
-        assert normalize_label("Covid Case") == normalize_label("covid__case")
-        assert len({normalize_label("A B"), normalize_label("a_b")}) == 1
+        assert normalize_text("Covid Case") == normalize_text("covid__case")
+        assert len({normalize_text("A B"), normalize_text("a_b")}) == 1
 
     @given(texts)
     def test_value_total_and_idempotent(self, raw):
@@ -88,35 +78,35 @@ class TestNormalization:
         assert normalize_value("--") == "--"
 
     def test_compound_key(self):
-        key = compound_key(normalize_label("Hospital"), normalize_label("Bed Count"))
+        key = compound_key(normalize_text("Hospital"), normalize_text("Bed Count"))
         assert key == "hospital.bed_count"
 
 
 class TestPropertyDef:
     def test_data_defaults(self):
-        p = PropertyDef(name=normalize_label("name"))
+        p = PropertyDef(name="name")
         assert p.kind == "data"
         assert p.datatype == "string"
         assert p.range is None
 
     def test_object_requires_range(self):
         with pytest.raises(ModelError):
-            PropertyDef(name=normalize_label("hospital"), kind="object")
+            PropertyDef(name="hospital", kind="object")
 
     def test_object_rejects_datatype(self):
         with pytest.raises(ModelError):
             PropertyDef(
-                name=normalize_label("hospital"),
+                name="hospital",
                 kind="object",
-                range=normalize_label("hospital"),
+                range="hospital",
                 datatype="string",
             )
 
     def test_unknown_kind_and_datatype(self):
         with pytest.raises(ModelError):
-            PropertyDef(name=normalize_label("x"), kind="weird")
+            PropertyDef(name="x", kind="weird")
         with pytest.raises(ModelError):
-            PropertyDef(name=normalize_label("x"), datatype="float64")
+            PropertyDef(name="x", datatype="float64")
 
 
 class TestResourceMeta:
@@ -160,7 +150,7 @@ class TestDatasetSchema:
 
     def test_column_role_checked(self):
         with pytest.raises(ModelError):
-            Column(name=normalize_label("x"), role="key")
+            Column(name="x", role="key")
 
     def test_accessors(self):
         s = make_schema(
@@ -168,8 +158,8 @@ class TestDatasetSchema:
             "hospital",
             [("code", "code", "identity"), ("name", "name", "attribute"), ("notes", None, "attribute")],
         )
-        assert [c.name.normalized for c in s.identity_columns()] == ["code"]
-        assert [c.name.normalized for c in s.mapped_columns()] == ["code", "name"]
+        assert [c.name for c in s.identity_columns()] == ["code"]
+        assert [c.name for c in s.mapped_columns()] == ["code", "name"]
 
 
 class TestEtgHelpers:
@@ -183,23 +173,23 @@ class TestEtgHelpers:
 
     def test_ancestors_bfs_order(self):
         g = self.make_chain()
-        assert [x.normalized for x in g.ancestors_of(normalize_label("c"))] == ["b", "a"]
-        assert g.ancestors_of(normalize_label("a")) == []
+        assert g.ancestors_of("c") == ["b", "a"]
+        assert g.ancestors_of("a") == []
 
     def test_declared_properties_nearest_wins(self):
         g = self.make_chain()
-        declared = g.declared_properties(normalize_label("c"))
+        declared = g.declared_properties("c")
         assert set(declared) == {"p", "q", "r", "s"}
         # "q" resolves to b's declaration, not a's
-        assert declared["q"] is g.props_of(normalize_label("b"))[0]
+        assert declared["q"] is g.props_of("b")[0]
 
     def test_ancestors_tolerate_cycle(self):
         g = make_etg("g", ["a", "b"], subclass=[("a", "b"), ("b", "a")])
-        assert [x.normalized for x in g.ancestors_of(normalize_label("a"))] == ["b"]
+        assert g.ancestors_of("a") == ["b"]
 
     def test_sorted_etypes(self):
         g = make_etg("g", ["zebra", "ant"])
-        assert [e.normalized for e in g.sorted_etypes()] == ["ant", "zebra"]
+        assert g.sorted_etypes() == ["ant", "zebra"]
 
 
 class TestElementSets:
@@ -257,13 +247,13 @@ class TestValidateEtg:
 
     def test_unknown_property_etype(self):
         g = clean_etg()
-        broken = ETGReplace(g, properties={**g.properties, normalize_label("ghost"): (PropertyDef(name=normalize_label("x")),)})
+        broken = ETGReplace(g, properties={**g.properties, "ghost": (PropertyDef(name="x"),)})
         assert "unknown_property_etype" in self.codes(broken)
 
     def test_duplicate_property(self):
         g = clean_etg()
-        dup = (PropertyDef(name=normalize_label("name")),) * 2
-        broken = ETGReplace(g, properties={**g.properties, normalize_label("facility"): dup})
+        dup = (PropertyDef(name="name"),) * 2
+        broken = ETGReplace(g, properties={**g.properties, "facility": dup})
         assert "duplicate_property" in self.codes(broken)
 
     def test_dangling_range(self):
@@ -273,7 +263,7 @@ class TestValidateEtg:
     def test_dangling_subclass(self):
         g = clean_etg()
         broken = ETGReplace(
-            g, subclass_edges=frozenset({(normalize_label("hospital"), normalize_label("ghost"))})
+            g, subclass_edges=frozenset({("hospital", "ghost")})
         )
         assert "dangling_subclass" in self.codes(broken)
 
@@ -295,14 +285,14 @@ def ETGReplace(g, **changes):
 
 def small_eg():
     schema = clean_etg()
-    hospital = normalize_label("hospital")
+    hospital = "hospital"
     e1 = Entity(
         id="d/x",
         etype=hospital,
-        data_values={normalize_label("name"): (("Santa Chiara", "d"),)},
-        object_links=frozenset({(normalize_label("partner"), "d/y", "d")}),
+        data_values={"name": (("Santa Chiara", "d"),)},
+        object_links=frozenset({("partner", "d/y", "d")}),
     )
-    e2 = Entity(id="d/y", etype=normalize_label("facility"), data_values={}, object_links=frozenset())
+    e2 = Entity(id="d/y", etype="facility", data_values={}, object_links=frozenset())
     return EG(id="eg", schema=schema, entities={"d/x": e1, "d/y": e2}, conflict_flags=frozenset())
 
 
@@ -315,7 +305,7 @@ class TestValidateEg:
 
     def test_unknown_etype(self):
         eg = small_eg()
-        bad = Entity(id="d/z", etype=normalize_label("ghost"), data_values={}, object_links=frozenset())
+        bad = Entity(id="d/z", etype="ghost", data_values={}, object_links=frozenset())
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad}, conflict_flags=frozenset())
         assert "unknown_etype" in self.codes(broken)
 
@@ -323,8 +313,8 @@ class TestValidateEg:
         eg = small_eg()
         bad = Entity(
             id="d/z",
-            etype=normalize_label("facility"),
-            data_values={normalize_label("operator"): ()},
+            etype="facility",
+            data_values={"operator": ()},
             object_links=frozenset(),
         )
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad}, conflict_flags=frozenset())
@@ -334,8 +324,8 @@ class TestValidateEg:
         eg = small_eg()
         bad = Entity(
             id="d/z",
-            etype=normalize_label("facility"),
-            data_values={normalize_label("nickname"): (("x", "d"),)},
+            etype="facility",
+            data_values={"nickname": (("x", "d"),)},
             object_links=frozenset(),
         )
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad}, conflict_flags=frozenset())
@@ -345,9 +335,9 @@ class TestValidateEg:
         eg = small_eg()
         bad = Entity(
             id="d/z",
-            etype=normalize_label("hospital"),
+            etype="hospital",
             data_values={},
-            object_links=frozenset({(normalize_label("name"), "d/y", "d")}),
+            object_links=frozenset({("name", "d/y", "d")}),
         )
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad}, conflict_flags=frozenset())
         assert "undeclared_property" in self.codes(broken)
@@ -356,8 +346,8 @@ class TestValidateEg:
         eg = small_eg()
         ok = Entity(
             id="d/z",
-            etype=normalize_label("hospital"),
-            data_values={normalize_label("operator"): (("APSS", "d"),)},
+            etype="hospital",
+            data_values={"operator": (("APSS", "d"),)},
             object_links=frozenset(),
         )
         fine = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": ok}, conflict_flags=frozenset())
@@ -367,9 +357,9 @@ class TestValidateEg:
         eg = small_eg()
         bad = Entity(
             id="d/z",
-            etype=normalize_label("hospital"),
+            etype="hospital",
             data_values={},
-            object_links=frozenset({(normalize_label("partner"), "d/nowhere", "d")}),
+            object_links=frozenset({("partner", "d/nowhere", "d")}),
         )
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad}, conflict_flags=frozenset())
         assert "dangling_link" in self.codes(broken)
@@ -380,7 +370,7 @@ class TestValidateEg:
             id=eg.id,
             schema=eg.schema,
             entities=eg.entities,
-            conflict_flags=frozenset({("d/x", normalize_label("name"))}),
+            conflict_flags=frozenset({("d/x", "name")}),
         )
         assert "stale_conflict_flag" in self.codes(flagged)
 
@@ -388,15 +378,15 @@ class TestValidateEg:
         eg = small_eg()
         both = Entity(
             id="d/x",
-            etype=normalize_label("hospital"),
-            data_values={normalize_label("name"): (("Santa Chiara", "d"), ("S. Chiara", "e"))},
+            etype="hospital",
+            data_values={"name": (("Santa Chiara", "d"), ("S. Chiara", "e"))},
             object_links=frozenset(),
         )
         flagged = EG(
             id=eg.id,
             schema=eg.schema,
             entities={**eg.entities, "d/x": both},
-            conflict_flags=frozenset({("d/x", normalize_label("name"))}),
+            conflict_flags=frozenset({("d/x", "name")}),
         )
         assert self.codes(flagged) == []
 

@@ -20,7 +20,7 @@ from itelos.modeling import (
 from itelos.model import (
     etg_to_doc,
     etype_elements,
-    normalize_label,
+    normalize_text,
     property_elements,
 )
 
@@ -33,7 +33,7 @@ def override(kind="data", datatype="string", range_=None):
     return PropertyOverride(
         kind=kind,
         datatype=datatype if kind == "data" else None,
-        range=normalize_label(range_) if range_ else None,
+        range=normalize_text(range_) if range_ else None,
     )
 
 
@@ -60,13 +60,13 @@ class TestBuildModel:
 
     def test_properties_default_to_string(self):
         model = build_etg_model([make_cq("q", ["h"], [("h", "p")])], [])
-        (prop,) = model.etg.props_of(normalize_label("h"))
+        (prop,) = model.etg.props_of("h")
         assert prop.kind == "data" and prop.datatype == "string"
 
     def test_override_retypes(self):
         cqs = [make_cq("q", ["h"], [("h", "beds")])]
         model = build_etg_model(cqs, [], {"h.beds": override(datatype="integer")})
-        (prop,) = model.etg.props_of(normalize_label("h"))
+        (prop,) = model.etg.props_of("h")
         assert prop.datatype == "integer"
 
     def test_link_column_needs_override(self):
@@ -89,9 +89,9 @@ class TestBuildModel:
             [ds],
             {"covid_case.hospital": override(kind="object", range_="hospital")},
         )
-        props = {p.name.normalized: p for p in model.etg.props_of(normalize_label("covid_case"))}
+        props = {p.name: p for p in model.etg.props_of("covid_case")}
         assert props["hospital"].kind == "object"
-        assert props["hospital"].range == normalize_label("hospital")
+        assert props["hospital"].range == "hospital"
 
     def test_data_override_on_link_column_conflicts(self):
         ds = make_schema("d", "covid_case", [("hospital", "hospital", "link")])
@@ -111,10 +111,10 @@ class TestBuildModel:
         common = make_schema("d1", "hospital", ["name"], category="common")
         core = make_schema("d2", "hospital", ["beds"], category="core")
         model = build_etg_model([make_cq("q", ["hospital", "region"])], [common, core])
-        assert model.category_of(normalize_label("hospital")) == "common"
+        assert model.category_of("hospital") == "common"
         # query-only etypes have no dataset to borrow a category from
-        assert model.category_of(normalize_label("region")) == "contextual"
-        assert model.category_of(normalize_label("unknown")) == "contextual"
+        assert model.category_of("region") == "contextual"
+        assert model.category_of("unknown") == "contextual"
 
     @given(
         st.lists(
