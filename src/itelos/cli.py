@@ -370,7 +370,10 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     cases = []
     for dataset_id in selection:
         if dataset_id not in datasets:
-            raise PhaseError(f"selected dataset {dataset_id!r} is not loadable")
+            cause = "".join(
+                f": {e.message}" for e in catalog.errors if e.resource_id == dataset_id
+            )
+            raise PhaseError(f"selected dataset {dataset_id!r} is not loadable{cause}")
         ref = purpose.ref_for(dataset_id)
         if ref is None:
             raise PhaseError(f"selected dataset {dataset_id!r} is not in the purpose")

@@ -42,7 +42,7 @@ from .model import (
 REUSE_HINT = "below the coverage gate: revise the competency queries or drop this dataset"
 
 
-class PurposeParseError(ValueError):
+class PurposeParseError(ModelError):
     """The purpose file is missing, malformed, or violates an invariant."""
 
 
@@ -251,7 +251,9 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
 
     header = [normalize_text(h) for h in next(read_csv(csv_path))]
     columns: dict[str, Column] = {}
-    for raw in doc.get("columns", []):
+    for position, raw in enumerate(doc.get("columns", []), start=1):
+        if not isinstance(raw, dict) or "name" not in raw:
+            raise DocumentError(f"{schema_path}: column {position} has no 'name'")
         name = normalize_text(str(raw["name"]))
         if name not in header:
             raise DocumentError(

@@ -387,19 +387,36 @@ def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
     """Pair each fragment entity with the first existing entity it denotes.
 
     An id collision is always a match; otherwise candidates of the same etype
-    are tried in id order.
+    are tried in id order. `_same_entity` accepts a pair only when the two
+    share a property with equal non-empty value sets, so the existing
+    entities of the fragment's etypes are indexed by (etype, property, value
+    set) and only the ones sharing such a value set with the candidate are
+    compared. The result equals trying every same-etype entity in id order.
     """
-    by_etype: dict[str, list[Entity]] = {}
+    etypes = {entity.etype for entity in fragment.eg.entities.values()}
+    index: dict[tuple[str, str, frozenset[str]], list[str]] = {}
     for entity in eg.sorted_entities():
-        by_etype.setdefault(entity.etype, []).append(entity)
+        if entity.etype not in etypes:
+            continue
+        for prop in entity.data_values:
+            values = _value_set(entity, prop)
+            if values:
+                index.setdefault((entity.etype, prop, values), []).append(entity.id)
+    indexed: dict[str, set[str]] = {}
+    for etype, prop, _values in index:
+        indexed.setdefault(etype, set()).add(prop)
     matches: dict[str, str] = {}
     for candidate in fragment.eg.sorted_entities():
         if candidate.id in eg.entities:
             matches[candidate.id] = candidate.id
             continue
-        for existing in by_etype.get(candidate.etype, ()):
-            if _same_entity(existing, candidate, fragment.identity_properties):
-                matches[candidate.id] = existing.id
+        hits: set[str] = set()
+        for prop in indexed.get(candidate.etype, ()):
+            values = _value_set(candidate, prop)
+            hits.update(index.get((candidate.etype, prop, values), ()))
+        for existing_id in sorted(hits):
+            if _same_entity(eg.entities[existing_id], candidate, fragment.identity_properties):
+                matches[candidate.id] = existing_id
                 break
     return matches
 
@@ -509,13 +526,16 @@ def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
 
     A link resolves to an exact entity id, or else to the entity of the
     declared range etype whose id suffix equals the normalized target text;
-    ties go to the smallest id. Unresolved links stay pending and are never
-    written into the graph.
+    ties go to the smallest id. Suffix lookups go through an index of id
+    suffix -> ids in sorted order, built once per call and only when some link
+    needs it; the first conforming id in that list is the smallest one.
+    Unresolved links stay pending and are never written into the graph.
     """
     eg = state.eg
     added: dict[str, set[tuple[str, str, str]]] = {}
     still: list[PendingLink] = []
     resolved = 0
+    by_suffix: dict[str, list[str]] | None = None
     for link in sorted(state.pending, key=PendingLink.sort_key):
         source = eg.entities.get(link.source_id)
         declared = (
@@ -537,14 +557,14 @@ def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
             except EmptyLabelError:
                 key = None
             if key is not None:
-                candidates = [
-                    entity_id
-                    for entity_id, entity in eg.entities.items()
-                    if _conforms(eg.schema, entity.etype, range_etype)
-                    and entity_id.rpartition("/")[2] == key
-                ]
-                if candidates:
-                    target_id = min(candidates)
+                if by_suffix is None:
+                    by_suffix = {}
+                    for entity_id in sorted(eg.entities):
+                        by_suffix.setdefault(entity_id.rpartition("/")[2], []).append(entity_id)
+                for entity_id in by_suffix.get(key, ()):
+                    if _conforms(eg.schema, eg.entities[entity_id].etype, range_etype):
+                        target_id = entity_id
+                        break
         if target_id is None:
             still.append(link)
             continue

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -139,20 +141,39 @@ class ETG:
     def property_names(self, etype: str) -> frozenset[str]:
         return frozenset(p.name for p in self.props_of(etype))
 
+    # The two caches below live in the instance __dict__, outside the
+    # dataclass fields, so equality, repr and replace() never see them.
+    @cached_property
+    def _parents(self) -> dict[str, list[str]]:
+        parents: dict[str, list[str]] = {}
+        for child, parent in sorted(self.subclass_edges):
+            parents.setdefault(child, []).append(parent)
+        return parents
+
+    @cached_property
+    def _ancestors(self) -> dict[str, tuple[str, ...]]:
+        return {}
+
     def parents_of(self, etype: str) -> list[str]:
-        return sorted(p for c, p in self.subclass_edges if c == etype)
+        return list(self._parents.get(etype, ()))
 
     def ancestors_of(self, etype: str) -> list[str]:
-        """All transitive parents in deterministic (BFS, name-sorted) order."""
-        seen: list[str] = []
-        queue = self.parents_of(etype)
-        while queue:
-            node = queue.pop(0)
-            if node in seen or node == etype:
-                continue
-            seen.append(node)
-            queue.extend(self.parents_of(node))
-        return seen
+        """All transitive parents in deterministic (BFS, name-sorted) order.
+
+        The closure is computed once per etype; every call returns a new list.
+        """
+        closure = self._ancestors.get(etype)
+        if closure is None:
+            seen: dict[str, None] = {}
+            queue = deque(self._parents.get(etype, ()))
+            while queue:
+                node = queue.popleft()
+                if node in seen or node == etype:
+                    continue
+                seen[node] = None
+                queue.extend(self._parents.get(node, ()))
+            closure = self._ancestors[etype] = tuple(seen)
+        return list(closure)
 
     def declared_properties(self, etype: str) -> dict[str, PropertyDef]:
         """Properties usable by entities of `etype`: own ones plus inherited.

@@ -11,11 +11,13 @@ from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
+from itelos.integration import _same_entity
 from itelos.model import (
     ETG,
     CompetencyQuery,
     Column,
     DatasetSchema,
+    EmptyLabelError,
     PropertyDef,
     ResourceMeta,
     normalize_text,
@@ -164,3 +166,62 @@ def occurrence_count(eg) -> int:
         for entity in eg.entities.values()
         for pairs in entity.data_values.values()
     )
+
+
+def scan_ancestors(etg, etype) -> list[str]:
+    """Transitive parents by breadth-first search that rescans every subclass
+    edge at each step, with no cache."""
+    seen: list[str] = []
+    queue = sorted(p for c, p in etg.subclass_edges if c == etype)
+    while queue:
+        node = queue.pop(0)
+        if node in seen or node == etype:
+            continue
+        seen.append(node)
+        queue.extend(sorted(p for c, p in etg.subclass_edges if c == node))
+    return seen
+
+
+def scan_match_entities(eg, fragment) -> dict[str, str]:
+    """match_entities without an index: every candidate is compared with
+    every existing entity of its etype, in id order."""
+    matches = {}
+    for candidate in fragment.eg.sorted_entities():
+        if candidate.id in eg.entities:
+            matches[candidate.id] = candidate.id
+            continue
+        for existing in eg.sorted_entities():
+            if existing.etype == candidate.etype and _same_entity(
+                existing, candidate, fragment.identity_properties
+            ):
+                matches[candidate.id] = existing.id
+                break
+    return matches
+
+
+def scan_link_target(eg, link):
+    """The entity id resolve_pending should link `link` to, or None, found by
+    scanning every entity of the graph."""
+    source = eg.entities.get(link.source_id)
+    if source is None:
+        return None
+    declared = eg.schema.declared_properties(source.etype).get(link.property)
+    if declared is None or declared.kind != "object":
+        return None
+
+    def conforms(etype):
+        return etype == declared.range or declared.range in scan_ancestors(eg.schema, etype)
+
+    exact = eg.entities.get(link.target_text)
+    if exact is not None and conforms(exact.etype):
+        return exact.id
+    try:
+        key = normalize_text(link.target_text)
+    except EmptyLabelError:
+        return None
+    candidates = [
+        entity_id
+        for entity_id, entity in eg.entities.items()
+        if conforms(entity.etype) and entity_id.rpartition("/")[2] == key
+    ]
+    return min(candidates) if candidates else None

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import itelos
 from itelos.cli import main
 
 from helpers import COVID
@@ -314,3 +319,55 @@ class TestHostileInput:
         assert "load failure: ds_cases (" in capsys.readouterr().out
         (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
         assert error["id"] == "ds_cases"
+
+    def test_malformed_purpose_exits_one_without_traceback(self, tmp_path):
+        purpose = tmp_path / "p.json"
+        purpose.write_text(json.dumps({"title": "x"}), encoding="utf-8")
+        src = str(Path(itelos.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "itelos.cli", "run", "--purpose", str(purpose),
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert str(purpose) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_sidecar_column_without_name_is_a_load_failure(self, tmp_path, capsys):
+        root = copied_datasets(tmp_path)
+        sidecar = root / "data" / "hospitals.schema.json"
+        doc = json.loads(sidecar.read_text(encoding="utf-8"))
+        del doc["columns"][0]["name"]
+        sidecar.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        main(fixture_argv("inception", out, "--datasets", str(root)))
+        (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
+        assert error["id"] == "ds_hospitals"
+        assert "hospitals.schema.json: column 1 has no 'name'" in error["message"]
+        assert "load failure: ds_hospitals (" in (out / "eval_a.txt").read_text()
+        assert "load failure: ds_hospitals (" in capsys.readouterr().out
+
+    def test_unloadable_dataset_error_gives_the_cause(self, tmp_path, capsys):
+        pipeline_out = tmp_path / "pipeline"
+        assert main(fixture_argv("run", pipeline_out)) == 0
+        root = copied_datasets(tmp_path)
+        (root / "data" / "covid_cases.csv").write_bytes(b"case_id,case_d\xe9te\nC001,x\n")
+        capsys.readouterr()
+        code = main(
+            fixture_argv(
+                "integrate",
+                tmp_path / "solo",
+                "--etg",
+                str(pipeline_out / "etg_final.json"),
+                "--datasets",
+                str(root),
+            )
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "selected dataset 'ds_cases' is not loadable" in err
+        assert "not valid UTF-8" in err

@@ -121,6 +121,15 @@ class TestLoadResources:
         with pytest.raises(DocumentError):
             load_dataset_schema(csv, meta)
 
+    @pytest.mark.parametrize("column", [{"property": "x"}, "code"])
+    def test_sidecar_column_needs_a_name(self, tmp_path, column):
+        csv = write_csv(tmp_path / "d.csv", ["code"], [])
+        sidecar = {"etype": "h", "columns": [{"name": "code"}, column]}
+        (tmp_path / "d.schema.json").write_text(json.dumps(sidecar))
+        meta = ResourceMeta(id="d", kind="dataset", category="core", popularity=1)
+        with pytest.raises(DocumentError, match=r"d\.schema\.json: column 2 has no 'name'"):
+            load_dataset_schema(csv, meta)
+
     def test_collect_reports_failures(self, covid_purpose, tmp_path):
         purpose = parse_purpose(covid_purpose)
         refs = list(purpose.dataset_refs) + list(purpose.ontology_refs)

@@ -3,8 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itelos import integration
 from itelos.integration import (
+    Fragment,
+    IntegrationState,
     MappingError,
+    PendingLink,
     UnknownEtypeError,
     connected_components,
     eval_purpose,
@@ -28,6 +32,8 @@ from helpers import (
     make_etg,
     make_schema,
     occurrence_count,
+    scan_link_target,
+    scan_match_entities,
     write_csv,
 )
 
@@ -382,6 +388,167 @@ class TestMatchAndMerge:
         )
         assert ( "ds_a/tn01", "name") in state.eg.conflict_flags
         assert report.conflicts == 1
+
+
+# Small pools so that random entities often share, miss or contradict values.
+MATCH_VALUES = ["", " ", "a", "A", "a  b", "A B", "b"]
+MATCH_PROPS = ["code", "name", "beds"]
+
+
+@st.composite
+def random_entity(draw, dataset_ids):
+    values = {}
+    for prop in draw(st.lists(st.sampled_from(MATCH_PROPS), unique=True)):
+        texts = draw(st.lists(st.sampled_from(MATCH_VALUES), min_size=1, max_size=2, unique=True))
+        values[prop] = [(text, "src") for text in texts]
+    return entity(
+        f"{draw(st.sampled_from(dataset_ids))}/e{draw(st.integers(0, 9))}",
+        draw(st.sampled_from(["hospital", "facility"])),
+        values,
+    )
+
+
+def graph_of(entities):
+    return EG(
+        id="eg",
+        schema=hospital_etg(),
+        entities={e.id: e for e in entities},
+        conflict_flags=frozenset(),
+    )
+
+
+def fragment_of(entities, identity_properties):
+    return Fragment(
+        eg=graph_of(entities),
+        pending_links=(),
+        identity_properties=identity_properties,
+        stats={},
+    )
+
+
+def keyed_entities(dataset_id, codes):
+    return [
+        entity(f"{dataset_id}/h{i}", "hospital", {"code": [(code, dataset_id)]})
+        for i, code in enumerate(codes)
+    ]
+
+
+class TestMatchIndex:
+    @settings(max_examples=200)
+    @given(
+        st.lists(random_entity(["ds_a"]), max_size=12),
+        st.lists(random_entity(["ds_a", "ds_b", "ds_c"]), max_size=12),
+        st.sampled_from([(), ("code",), ("code", "name")]),
+    )
+    def test_match_equals_scan_oracle(self, existing, candidates, keys):
+        eg = graph_of(existing)
+        fragment = fragment_of(candidates, keys)
+        assert match_entities(eg, fragment) == scan_match_entities(eg, fragment)
+
+    @pytest.mark.parametrize("prefix, calls", [("L", 0), ("K", 200)])
+    def test_same_entity_calls_are_counted_hits(self, monkeypatch, prefix, calls):
+        made = []
+        original = integration._same_entity
+
+        def counted(existing, candidate, key_props):
+            made.append(existing.id)
+            return original(existing, candidate, key_props)
+
+        monkeypatch.setattr(integration, "_same_entity", counted)
+        eg = graph_of(keyed_entities("ds_a", [f"K{i}" for i in range(200)]))
+        candidates = keyed_entities("ds_b", [f"{prefix}{i}" for i in range(200)])
+        fragment = fragment_of(candidates, ("code",))
+        matches = match_entities(eg, fragment)
+        assert len(made) == calls
+        assert len(matches) == calls
+
+
+def link_etg():
+    """clinic is a hospital is a facility; a case links to one of each."""
+    return make_etg(
+        "g",
+        ["facility", "hospital", "clinic", "case"],
+        {
+            "facility": ["code"],
+            "case": [
+                ("at", "object", "facility"),
+                ("in", "object", "hospital"),
+                ("of", "object", "clinic"),
+                "note",
+            ],
+        },
+        subclass=[("hospital", "facility"), ("clinic", "hospital")],
+    )
+
+
+RESOLVE_SUFFIXES = ["tn01", "tn_01", "row_1", "c1", "ds_a"]
+RESOLVE_TEXTS = [
+    "TN01", "tn 01", "Tn-01", "Row 1", "C1", "ds_a/tn01", "ds_b/c1", "!!", "zz", "DS A",
+]
+
+
+@st.composite
+def random_link_graph(draw):
+    """Targets of every etype under colliding id suffixes, plus `case`
+    entities whose links point at them by id or by suffix text."""
+    target_ids = draw(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    "{}/{}".format,
+                    st.sampled_from(["ds_a", "ds_b", "ds_c"]),
+                    st.sampled_from(RESOLVE_SUFFIXES),
+                ),
+                st.sampled_from(RESOLVE_SUFFIXES),
+            ),
+            unique=True,
+            max_size=12,
+        )
+    )
+    entities = [
+        entity(entity_id, draw(st.sampled_from(sorted(link_etg().etypes))))
+        for entity_id in target_ids
+    ]
+    source_ids = [f"ds_s/s{i}" for i in range(3)]
+    entities += [entity(entity_id, "case") for entity_id in source_ids]
+    links = draw(
+        st.lists(
+            st.builds(
+                PendingLink,
+                source_id=st.sampled_from(source_ids + target_ids[:2] + ["ds_z/gone"]),
+                property=st.sampled_from(["at", "in", "of", "note"]),
+                target_text=st.sampled_from(RESOLVE_TEXTS),
+                dataset_id=st.sampled_from(["ds_a", "ds_l"]),
+            ),
+            max_size=15,
+        )
+    )
+    return entities, links
+
+
+class TestResolveIndex:
+    @settings(max_examples=200)
+    @given(random_link_graph())
+    def test_resolve_equals_scan_oracle(self, graph):
+        entities, links = graph
+        eg = EG(
+            id="eg",
+            schema=link_etg(),
+            entities={e.id: e for e in entities},
+            conflict_flags=frozenset(),
+        )
+        state, count = resolve_pending(IntegrationState(eg=eg, pending=tuple(links)))
+        expected = {e.id: set(e.object_links) for e in entities}
+        unresolved = []
+        for link in links:
+            target = scan_link_target(eg, link)
+            if target is None:
+                unresolved.append(link)
+            else:
+                expected[link.source_id].add((link.property, target, link.dataset_id))
+        assert {e.id: set(e.object_links) for e in state.eg.entities.values()} == expected
+        assert state.pending == tuple(sorted(unresolved, key=PendingLink.sort_key))
+        assert count == len(links) - len(unresolved)
 
 
 class TestResolvePending:

@@ -26,7 +26,7 @@ from itelos.model import (
     validate_etg,
 )
 
-from helpers import make_cq, make_etg, make_schema
+from helpers import make_cq, make_etg, make_schema, scan_ancestors
 
 texts = st.text(min_size=0, max_size=40)
 
@@ -186,6 +186,30 @@ class TestEtgHelpers:
     def test_ancestors_tolerate_cycle(self):
         g = make_etg("g", ["a", "b"], subclass=[("a", "b"), ("b", "a")])
         assert g.ancestors_of("a") == ["b"]
+
+    def test_returned_lists_do_not_share_the_cache(self):
+        g = self.make_chain()
+        g.ancestors_of("c").append("zzz")
+        g.parents_of("c").append("zzz")
+        assert g.ancestors_of("c") == ["b", "a"]
+        assert g.parents_of("c") == ["b"]
+
+    def test_cached_closure_leaves_equality_alone(self):
+        cached, fresh = self.make_chain(), self.make_chain()
+        cached.ancestors_of("c")
+        assert cached == fresh
+        assert repr(cached) == repr(fresh)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=15
+        )
+    )
+    def test_ancestors_match_scan_oracle(self, edges):
+        g = make_etg("g", list("abcdef"), subclass=edges)
+        for etype in "abcdef":
+            assert g.ancestors_of(etype) == scan_ancestors(g, etype)
+            assert g.ancestors_of(etype) == scan_ancestors(g, etype)
 
     def test_sorted_etypes(self):
         g = make_etg("g", ["zebra", "ant"])
