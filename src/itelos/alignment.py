@@ -41,7 +41,7 @@ class AlignmentError(ModelError):
 
 
 class InvalidPolicyError(AlignmentError):
-    """A policy knob is outside [0, 1] or the thresholds are inconsistent."""
+    """A policy knob is outside [0, 1]."""
 
 
 class NoOntologiesError(AlignmentError):
@@ -145,19 +145,39 @@ class PredictionVector:
 
 
 def etr_predict(model: ETGModel, ontology: ETG, policy: AlignmentPolicy) -> PredictionVector:
-    """Score every (model etype, ontology etype) pair and keep the candidates
-    at or above the match threshold.
+    """Keep the (model etype, ontology etype) pairs whose score is at or above
+    the match threshold.
 
     The score blends name similarity with property sharability; sharability
     compares each etype's own property names, not inherited ones.
+
+    A length-gap bound is applied first: the edit distance of two names is at
+    least the difference of their lengths, so name similarity is at most
+    ``min(len) / max(len)``, and the score never falls as similarity grows.
+    A pair whose score stays below the threshold even at that bound is pruned
+    and never scored; the rest are scored exactly. The candidates therefore
+    equal those of scoring every pair.
     """
+    weight_num, weight_den = policy.etr_name_weight.as_integer_ratio()
+    threshold_num, threshold_den = policy.match_threshold.as_integer_ratio()
+    onto_props = [(e, ontology.property_names(e)) for e in ontology.sorted_etypes()]
     by_etype: dict[str, tuple[Candidate, ...]] = {}
     for etype in model.etg.sorted_etypes():
         model_props = model.etg.property_names(etype)
         candidates = []
-        for onto_etype in ontology.sorted_etypes():
+        for onto_etype, props in onto_props:
+            shared = len(model_props & props)
+            union = len(model_props) + len(props) - shared or 1
+            sim_num = min(len(etype), len(onto_etype))
+            sim_den = max(len(etype), len(onto_etype))
+            # weight*sim + (1-weight)*shared/union < threshold, multiplied by
+            # every denominator so a pruned pair builds no Fraction (two empty
+            # names give 0 < 0 and are never pruned)
+            bound = weight_num * sim_num * union + (weight_den - weight_num) * shared * sim_den
+            if bound * threshold_den < threshold_num * weight_den * sim_den * union:
+                continue
             similarity = name_similarity(etype, onto_etype)
-            sharability = property_sharability(model_props, ontology.property_names(onto_etype))
+            sharability = property_sharability(model_props, props)
             score = _blend(similarity, sharability, policy)
             if score >= policy.match_threshold:
                 candidates.append(

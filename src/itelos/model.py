@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 PROPERTY_KINDS = ("data", "object")
@@ -141,8 +142,8 @@ class ETG:
     def property_names(self, etype: str) -> frozenset[str]:
         return frozenset(p.name for p in self.props_of(etype))
 
-    # The two caches below live in the instance __dict__, outside the
-    # dataclass fields, so equality, repr and replace() never see them.
+    # The caches below live in the instance __dict__, outside the dataclass
+    # fields, so equality, repr and replace() never see them.
     @cached_property
     def _parents(self) -> dict[str, list[str]]:
         parents: dict[str, list[str]] = {}
@@ -152,6 +153,10 @@ class ETG:
 
     @cached_property
     def _ancestors(self) -> dict[str, tuple[str, ...]]:
+        return {}
+
+    @cached_property
+    def _declared(self) -> dict[str, Mapping[str, PropertyDef]]:
         return {}
 
     def parents_of(self, etype: str) -> list[str]:
@@ -175,15 +180,19 @@ class ETG:
             closure = self._ancestors[etype] = tuple(seen)
         return list(closure)
 
-    def declared_properties(self, etype: str) -> dict[str, PropertyDef]:
+    def declared_properties(self, etype: str) -> Mapping[str, PropertyDef]:
         """Properties usable by entities of `etype`: own ones plus inherited.
 
         On a name clash the nearest declaration wins (own before ancestors).
+        The mapping is built once per etype and is read-only.
         """
-        declared: dict[str, PropertyDef] = {}
-        for holder in [etype, *self.ancestors_of(etype)]:
-            for prop in self.props_of(holder):
-                declared.setdefault(prop.name, prop)
+        declared = self._declared.get(etype)
+        if declared is None:
+            props: dict[str, PropertyDef] = {}
+            for holder in [etype, *self.ancestors_of(etype)]:
+                for prop in self.props_of(holder):
+                    props.setdefault(prop.name, prop)
+            declared = self._declared[etype] = MappingProxyType(props)
         return declared
 
 

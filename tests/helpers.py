@@ -11,6 +11,13 @@ from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
+from itelos.alignment import (
+    Candidate,
+    PredictionVector,
+    _blend,
+    name_similarity,
+    property_sharability,
+)
 from itelos.integration import _same_entity
 from itelos.model import (
     ETG,
@@ -180,6 +187,42 @@ def scan_ancestors(etg, etype) -> list[str]:
         seen.append(node)
         queue.extend(sorted(p for c, p in etg.subclass_edges if c == node))
     return seen
+
+
+def scan_declared_properties(etg, etype) -> dict:
+    """Own plus inherited properties, nearest declaration first, found by
+    walking scan_ancestors with no cache."""
+    declared = {}
+    for holder in [etype, *scan_ancestors(etg, etype)]:
+        for prop in etg.props_of(holder):
+            declared.setdefault(prop.name, prop)
+    return declared
+
+
+def scan_etr_predict(model, ontology, policy) -> PredictionVector:
+    """etr_predict without pruning: every (model etype, ontology etype) pair
+    is scored and kept when it reaches the match threshold."""
+    by_etype = {}
+    for etype in model.etg.sorted_etypes():
+        model_props = model.etg.property_names(etype)
+        candidates = []
+        for onto_etype in ontology.sorted_etypes():
+            similarity = name_similarity(etype, onto_etype)
+            sharability = property_sharability(model_props, ontology.property_names(onto_etype))
+            score = _blend(similarity, sharability, policy)
+            if score >= policy.match_threshold:
+                candidates.append(
+                    Candidate(
+                        label=onto_etype,
+                        score=score,
+                        name_similarity=similarity,
+                        sharability=sharability,
+                    )
+                )
+        candidates.sort(key=lambda c: (-c.score, -c.sharability, c.label))
+        if candidates:
+            by_etype[etype] = tuple(candidates)
+    return PredictionVector(ontology_id=ontology.meta.id, candidates=by_etype)
 
 
 def scan_match_entities(eg, fragment) -> dict[str, str]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from itelos import alignment
 from itelos.alignment import (
     AlignmentPolicy,
     InvalidPolicyError,
@@ -18,13 +19,13 @@ from itelos.alignment import (
     rank_ontologies,
     ranking_to_json,
 )
-from itelos.modeling import build_etg_model
+from itelos.modeling import ETGModel, build_etg_model
 from itelos.model import (
     compound_key,
     etg_to_doc,
 )
 
-from helpers import make_cq, make_etg, make_schema
+from helpers import make_cq, make_etg, make_schema, scan_etr_predict
 
 names = st.text(alphabet="abcdefgh", min_size=0, max_size=8)
 prop_sets = st.frozensets(st.sampled_from(["p", "q", "r", "s"]), max_size=4)
@@ -142,6 +143,59 @@ class TestEtrPredict:
         ranked = vector.candidates["hospital"]
         assert [c.label for c in ranked] == ["hospital", "hospitals"]
         assert ranked[0].score > ranked[1].score
+
+
+def bare_model(properties):
+    """ETGModel over one ETG whose etypes are the keys of `properties`."""
+    return ETGModel(
+        etg=make_etg("m", list(properties), properties), provenance={}, etype_categories={}
+    )
+
+
+# identical names, a one-letter gap and a wide length gap all occur
+etype_names = st.one_of(
+    st.sampled_from(["a", "ab", "hospital", "hospitals", "hospitalhospitalhospital"]),
+    st.text(alphabet="abh", min_size=1, max_size=12),
+)
+etype_graphs = st.dictionaries(etype_names, prop_sets, min_size=1, max_size=5)
+policy_values = st.sampled_from(
+    [Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
+)
+
+
+class TestEtrPruning:
+    @given(etype_graphs, etype_graphs, policy_values, policy_values)
+    def test_candidates_equal_scan_oracle(self, model_props, onto_props, threshold, weight):
+        model = bare_model(model_props)
+        onto = make_etg("o", list(onto_props), onto_props)
+        policy = AlignmentPolicy(match_threshold=threshold, etr_name_weight=weight)
+        expected = scan_etr_predict(model, onto, policy)
+        assert etr_predict(model, onto, policy).candidates == expected.candidates
+
+    def count_similarity_calls(self, monkeypatch, policy):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return name_similarity(a, b)
+
+        monkeypatch.setattr(alignment, "name_similarity", counting)
+        model = bare_model({"hospital": ["name", "beds"], "person": ["age"], "site": []})
+        onto = make_etg(
+            "o",
+            ["hospital", "hospitals", "facility", "place"],
+            {"hospital": ["operator"], "facility": ["address"], "place": ["geo"]},
+        )
+        etr_predict(model, onto, policy)
+        return len(calls)
+
+    def test_disjoint_properties_are_never_scored(self, monkeypatch):
+        # with no shared property the best reachable score is 1/2 < 7/10
+        assert self.count_similarity_calls(monkeypatch, AlignmentPolicy()) == 0
+
+    def test_threshold_zero_scores_every_pair(self, monkeypatch):
+        policy = AlignmentPolicy(match_threshold=Fraction(0))
+        assert self.count_similarity_calls(monkeypatch, policy) == 3 * 4
 
 
 class TestRankOntologies:

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from itelos.model import (
+    DATATYPES,
     EG,
     CompetencyQuery,
     Column,
@@ -26,7 +28,13 @@ from itelos.model import (
     validate_etg,
 )
 
-from helpers import make_cq, make_etg, make_schema, scan_ancestors
+from helpers import (
+    make_cq,
+    make_etg,
+    make_schema,
+    scan_ancestors,
+    scan_declared_properties,
+)
 
 texts = st.text(min_size=0, max_size=40)
 
@@ -210,6 +218,40 @@ class TestEtgHelpers:
         for etype in "abcdef":
             assert g.ancestors_of(etype) == scan_ancestors(g, etype)
             assert g.ancestors_of(etype) == scan_ancestors(g, etype)
+
+    def test_cached_declared_properties_leave_equality_alone(self):
+        cached, fresh = self.make_chain(), self.make_chain()
+        cached.declared_properties("c")
+        assert cached == fresh
+        assert repr(cached) == repr(fresh)
+        assert replace(cached, id="h") == replace(fresh, id="h")
+        assert "_declared" not in vars(replace(cached, id="h"))
+
+    def test_declared_properties_are_read_only(self):
+        g = self.make_chain()
+        declared = g.declared_properties("c")
+        with pytest.raises(TypeError):
+            declared["zzz"] = PropertyDef(name="zzz")
+        assert set(g.declared_properties("c")) == {"p", "q", "r", "s"}
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=15
+        ),
+        st.dictionaries(
+            st.sampled_from("abcdef"),
+            st.lists(
+                st.tuples(st.sampled_from("pqr"), st.just("data"), st.sampled_from(DATATYPES)),
+                max_size=3,
+            ),
+        ),
+    )
+    def test_declared_properties_match_scan_oracle(self, edges, properties):
+        g = make_etg("g", list("abcdef"), properties, subclass=edges)
+        for etype in "abcdef":
+            expected = list(scan_declared_properties(g, etype).items())
+            assert list(g.declared_properties(etype).items()) == expected
+            assert list(g.declared_properties(etype).items()) == expected
 
     def test_sorted_etypes(self):
         g = make_etg("g", ["zebra", "ant"])
