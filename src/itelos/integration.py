@@ -2,15 +2,17 @@
 entities row by row, merge duplicates, resolve cross-dataset links, and gate
 on query coverage (eval_d).
 
-Merging is order independent: the surviving id of a merged entity is the
-lexicographically smallest one, and unresolved links are retried after every
-merge, so integrating datasets in a different order yields the same graph.
+A merged entity keeps the lexicographically smallest of its ids, and
+unresolved links are retried after every merge, so keyed datasets whose
+entities all match on identity keys give the same graph in any order. Where
+no key decides, entities match greedily on property agreement, and which ones
+merge can depend on the dataset order (see `merge_entities`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +38,6 @@ from .model import (
     DocumentError,
     ModelError,
     normalize_text,
-    normalize_value,
     read_csv,
 )
 
@@ -345,21 +346,16 @@ def generate_entities(
 
 
 def _conflict_flags(entities: Mapping[str, Entity]) -> frozenset[tuple[str, str]]:
-    flags = set()
-    for entity in entities.values():
-        for prop, pairs in entity.data_values.items():
-            distinct = {normalize_value(v) for v, _src in pairs if v.strip()}
-            if len(distinct) >= 2:
-                flags.add((entity.id, prop))
-    return frozenset(flags)
+    return frozenset(
+        (entity.id, prop)
+        for entity in entities.values()
+        for prop in entity.data_values
+        if len(entity.value_set(prop)) >= 2
+    )
 
 
 # ---------------------------------------------------------------------------
 # Matching and merging
-
-
-def _value_set(entity: Entity, prop: str) -> frozenset[str]:
-    return frozenset(normalize_value(v) for v in entity.value_texts(prop) if v.strip())
 
 
 def _same_entity(existing: Entity, candidate: Entity, key_props: Sequence[str]) -> bool:
@@ -367,20 +363,14 @@ def _same_entity(existing: Entity, candidate: Entity, key_props: Sequence[str]) 
 
     When both sides carry every key property the keys alone decide; otherwise
     the entities must agree on every property they share, and share at least
-    one.
+    one. Only non-blank values count (`Entity.value_set`).
     """
-    if key_props and all(
-        _value_set(existing, p) and _value_set(candidate, p) for p in key_props
-    ):
-        return all(_value_set(existing, p) == _value_set(candidate, p) for p in key_props)
-    shared = [
-        p
-        for p in sorted(set(existing.data_values) & set(candidate.data_values))
-        if _value_set(existing, p) and _value_set(candidate, p)
-    ]
-    if not shared:
-        return False
-    return all(_value_set(existing, p) == _value_set(candidate, p) for p in shared)
+    pairs = [(existing.value_set(p), candidate.value_set(p)) for p in key_props]
+    if not pairs or not all(mine and theirs for mine, theirs in pairs):
+        shared = existing.data_values.keys() & candidate.data_values.keys()
+        pairs = [(existing.value_set(p), candidate.value_set(p)) for p in shared]
+        pairs = [(mine, theirs) for mine, theirs in pairs if mine and theirs]
+    return bool(pairs) and all(mine == theirs for mine, theirs in pairs)
 
 
 def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
@@ -389,31 +379,32 @@ def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
     An id collision is always a match; otherwise candidates of the same etype
     are tried in id order. `_same_entity` accepts a pair only when the two
     share a property with equal non-empty value sets, so the existing
-    entities of the fragment's etypes are indexed by (etype, property, value
-    set) and only the ones sharing such a value set with the candidate are
-    compared. The result equals trying every same-etype entity in id order.
+    entities of the fragment's etypes are indexed by (etype, property) and
+    then by value set. Each candidate probes the index with the value set of
+    each of its own properties that the index holds, and only the existing
+    entities it hits are compared. The result equals trying every same-etype
+    entity in id order.
     """
     etypes = {entity.etype for entity in fragment.eg.entities.values()}
-    index: dict[tuple[str, str, frozenset[str]], list[str]] = {}
+    index: dict[tuple[str, str], dict[frozenset[str], list[str]]] = {}
     for entity in eg.sorted_entities():
         if entity.etype not in etypes:
             continue
         for prop in entity.data_values:
-            values = _value_set(entity, prop)
+            values = entity.value_set(prop)
             if values:
-                index.setdefault((entity.etype, prop, values), []).append(entity.id)
-    indexed: dict[str, set[str]] = {}
-    for etype, prop, _values in index:
-        indexed.setdefault(etype, set()).add(prop)
+                by_values = index.setdefault((entity.etype, prop), {})
+                by_values.setdefault(values, []).append(entity.id)
     matches: dict[str, str] = {}
     for candidate in fragment.eg.sorted_entities():
         if candidate.id in eg.entities:
             matches[candidate.id] = candidate.id
             continue
         hits: set[str] = set()
-        for prop in indexed.get(candidate.etype, ()):
-            values = _value_set(candidate, prop)
-            hits.update(index.get((candidate.etype, prop, values), ()))
+        for prop in candidate.data_values:
+            by_values = index.get((candidate.etype, prop))
+            if by_values:
+                hits.update(by_values.get(candidate.value_set(prop), ()))
         for existing_id in sorted(hits):
             if _same_entity(eg.entities[existing_id], candidate, fragment.identity_properties):
                 matches[candidate.id] = existing_id
@@ -441,7 +432,16 @@ def merge_entities(
 
     The merged entity keeps the lexicographically smallest of the two ids;
     the returned remap records every id that changed, so callers can rewrite
-    references they hold outside the graph.
+    references they hold outside the graph. The graph's entities and then
+    the fragment's are folded in id order: values of a merged entity keep
+    that order, and its etype is the first one's. An entity that is not
+    merged, renamed or re-linked is kept as the same object.
+
+    The remap holds one target per id, the last one written in fragment id
+    order. So when several fragment entities match one existing entity, the
+    existing entity folds into the largest of their ids that sorts below its
+    own, if any; the ones sorting above it fold into its old id, and any
+    other matching fragment entity stays separate.
     """
     remap: dict[str, str] = {}
     for fragment_id, existing_id in matches.items():
@@ -451,52 +451,23 @@ def merge_entities(
         if fragment_id != merged_id:
             remap[fragment_id] = merged_id
 
-    def target(entity_id: str) -> str:
-        return remap.get(entity_id, entity_id)
-
-    combined: dict[str, Entity] = {}
-
-    def fold(entity: Entity) -> None:
-        new_id = target(entity.id)
-        present = combined.get(new_id)
-        if present is None:
-            combined[new_id] = Entity(
-                id=new_id,
-                etype=entity.etype,
-                data_values=dict(entity.data_values),
-                object_links=entity.object_links,
-            )
-        else:
-            combined[new_id] = Entity(
-                id=new_id,
-                etype=present.etype,
+    entities: dict[str, Entity] = {}
+    for entity in [*eg.sorted_entities(), *fragment.eg.sorted_entities()]:
+        new_id = remap.get(entity.id, entity.id)
+        links = entity.object_links
+        if remap and any(target in remap for _p, target, _s in links):
+            links = frozenset((p, remap.get(target, target), s) for p, target, s in links)
+        present = entities.get(new_id)
+        if present is not None:
+            entity = replace(
+                present,
                 data_values=_merge_values(present.data_values, entity.data_values),
-                object_links=present.object_links | entity.object_links,
+                object_links=present.object_links | links,
             )
-
-    for entity in eg.sorted_entities():
-        fold(entity)
-    for entity in fragment.eg.sorted_entities():
-        fold(entity)
-
-    entities = {
-        entity_id: Entity(
-            id=entity_id,
-            etype=entity.etype,
-            data_values=entity.data_values,
-            object_links=frozenset(
-                (prop, target(link_target), source)
-                for prop, link_target, source in entity.object_links
-            ),
-        )
-        for entity_id, entity in combined.items()
-    }
-    merged_eg = EG(
-        id=eg.id,
-        schema=eg.schema,
-        entities=entities,
-        conflict_flags=_conflict_flags(entities),
-    )
+        elif new_id != entity.id or links is not entity.object_links:
+            entity = replace(entity, id=new_id, object_links=links)
+        entities[new_id] = entity
+    merged_eg = replace(eg, entities=entities, conflict_flags=_conflict_flags(entities))
     return merged_eg, remap
 
 
@@ -577,16 +548,8 @@ def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
     entities = dict(eg.entities)
     for entity_id, links in added.items():
         entity = entities[entity_id]
-        entities[entity_id] = Entity(
-            id=entity.id,
-            etype=entity.etype,
-            data_values=entity.data_values,
-            object_links=entity.object_links | links,
-        )
-    new_eg = EG(
-        id=eg.id, schema=eg.schema, entities=entities, conflict_flags=eg.conflict_flags
-    )
-    return IntegrationState(eg=new_eg, pending=tuple(still)), resolved
+        entities[entity_id] = replace(entity, object_links=entity.object_links | links)
+    return IntegrationState(eg=replace(eg, entities=entities), pending=tuple(still)), resolved
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +627,23 @@ def connected_components(eg: EG) -> int:
     return len({find(node) for node in parent})
 
 
+def _populated(entity: Entity) -> set[str]:
+    """The properties of `entity` with a non-blank value or a link."""
+    populated = {
+        prop for prop, pairs in entity.data_values.items() if any(v.strip() for v, _s in pairs)
+    }
+    populated.update(prop for prop, _t, _s in entity.object_links)
+    return populated
+
+
 def missing_ratio(eg: EG) -> Fraction:
     """Share of (entity, declared property) pairs with no value or link."""
     total = 0
     missing = 0
-    for entity in eg.sorted_entities():
+    for entity in eg.entities.values():
         declared = eg.schema.declared_properties(entity.etype)
-        linked = {prop for prop, _t, _s in entity.object_links}
-        for prop_name, definition in sorted(declared.items()):
-            total += 1
-            if definition.kind == "object":
-                populated = prop_name in linked
-            else:
-                populated = any(v.strip() for v in entity.value_texts(prop_name))
-            if not populated:
-                missing += 1
+        total += len(declared)
+        missing += len(declared) - len(declared.keys() & _populated(entity))
     if total == 0:
         return Fraction(0)
     return Fraction(missing, total)
@@ -755,12 +720,7 @@ def _populated_elements(eg: EG) -> tuple[set[str], set[str]]:
     props: set[str] = set()
     for entity in eg.entities.values():
         lineage = [entity.etype, *eg.schema.ancestors_of(entity.etype)]
-        populated = {
-            prop
-            for prop, pairs in entity.data_values.items()
-            if any(v.strip() for v, _s in pairs)
-        }
-        populated |= {prop for prop, _t, _s in entity.object_links}
+        populated = _populated(entity)
         for holder in lineage:
             etypes.add(holder)
             for prop_name in populated:
@@ -823,17 +783,19 @@ _DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)\Z")
 # fromisoformat alone accepts 20200301 and 2020-W10-1 from Python 3.11 on
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 
-_LITERAL_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
+_LITERAL_ESCAPES = str.maketrans(
+    {
+        "\\": "\\\\",
+        '"': '\\"',
+        "\n": "\\n",
+        "\r": "\\r",
+        "\t": "\\t",
+    }
+)
 
 
 def _escape_literal(text: str) -> str:
-    return "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_LITERAL_ESCAPES)
 
 
 def _iri(text: str) -> str:

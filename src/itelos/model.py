@@ -217,6 +217,13 @@ class Entity:
     def value_texts(self, prop: str) -> list[str]:
         return [v for v, _src in self.data_values.get(prop, ())]
 
+    def value_set(self, prop: str) -> frozenset[str]:
+        """The non-blank values of `prop` in normalized form: the values that
+        identity and conflict decisions compare. Computed on every call."""
+        return frozenset(
+            normalize_value(v) for v, _src in self.data_values.get(prop, ()) if v.strip()
+        )
+
 
 @dataclass(frozen=True)
 class EG:
@@ -460,9 +467,7 @@ def validate_eg(eg: EG) -> list[Violation]:
                 out.append(Violation("dangling_link", f"entity {entity.id} links to missing entity {target!r} via {prop}"))
     for entity_id, prop in sorted(eg.conflict_flags):
         entity = eg.entities.get(entity_id)
-        values = entity.value_texts(prop) if entity is not None else []
-        distinct = {normalize_value(v) for v in values if v.strip()}
-        if len(distinct) < 2:
+        if entity is None or len(entity.value_set(prop)) < 2:
             out.append(
                 Violation("stale_conflict_flag", f"conflict flag ({entity_id}, {prop}) has fewer than two distinct values")
             )

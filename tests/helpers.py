@@ -18,16 +18,19 @@ from itelos.alignment import (
     name_similarity,
     property_sharability,
 )
-from itelos.integration import _same_entity
+from itelos.integration import _merge_values, _same_entity
 from itelos.model import (
+    EG,
     ETG,
     CompetencyQuery,
     Column,
     DatasetSchema,
     EmptyLabelError,
+    Entity,
     PropertyDef,
     ResourceMeta,
     normalize_text,
+    normalize_value,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -225,6 +228,26 @@ def scan_etr_predict(model, ontology, policy) -> PredictionVector:
     return PredictionVector(ontology_id=ontology.meta.id, candidates=by_etype)
 
 
+def scan_value_set(entity, prop) -> frozenset:
+    return frozenset(normalize_value(v) for v in entity.value_texts(prop) if v.strip())
+
+
+def scan_same_entity(existing, candidate, key_props) -> bool:
+    """_same_entity with every value set recomputed where it is needed."""
+    if key_props and all(
+        scan_value_set(existing, p) and scan_value_set(candidate, p) for p in key_props
+    ):
+        return all(scan_value_set(existing, p) == scan_value_set(candidate, p) for p in key_props)
+    shared = [
+        p
+        for p in sorted(set(existing.data_values) & set(candidate.data_values))
+        if scan_value_set(existing, p) and scan_value_set(candidate, p)
+    ]
+    if not shared:
+        return False
+    return all(scan_value_set(existing, p) == scan_value_set(candidate, p) for p in shared)
+
+
 def scan_match_entities(eg, fragment) -> dict[str, str]:
     """match_entities without an index: every candidate is compared with
     every existing entity of its etype, in id order."""
@@ -268,3 +291,97 @@ def scan_link_target(eg, link):
         if conforms(entity.etype) and entity_id.rpartition("/")[2] == key
     ]
     return min(candidates) if candidates else None
+
+
+def scan_conflict_flags(entities) -> frozenset:
+    """(entity id, property) pairs with two or more distinct non-blank
+    normalized values, by a plain loop over every value."""
+    flags = set()
+    for entity in entities.values():
+        for prop, pairs in entity.data_values.items():
+            distinct = {normalize_value(v) for v, _src in pairs if v.strip()}
+            if len(distinct) >= 2:
+                flags.add((entity.id, prop))
+    return frozenset(flags)
+
+
+def scan_merge_entities(eg, fragment, matches):
+    """merge_entities in two passes: fold every entity of the graph and then
+    of the fragment into new Entity objects, then rebuild every entity again
+    with its links rewritten through the remap."""
+    remap: dict[str, str] = {}
+    for fragment_id, existing_id in matches.items():
+        merged_id = min(fragment_id, existing_id)
+        if existing_id != merged_id:
+            remap[existing_id] = merged_id
+        if fragment_id != merged_id:
+            remap[fragment_id] = merged_id
+
+    def target(entity_id: str) -> str:
+        return remap.get(entity_id, entity_id)
+
+    combined: dict[str, Entity] = {}
+
+    def fold(entity: Entity) -> None:
+        new_id = target(entity.id)
+        present = combined.get(new_id)
+        if present is None:
+            combined[new_id] = Entity(
+                id=new_id,
+                etype=entity.etype,
+                data_values=dict(entity.data_values),
+                object_links=entity.object_links,
+            )
+        else:
+            combined[new_id] = Entity(
+                id=new_id,
+                etype=present.etype,
+                data_values=_merge_values(present.data_values, entity.data_values),
+                object_links=present.object_links | entity.object_links,
+            )
+
+    for entity in eg.sorted_entities():
+        fold(entity)
+    for entity in fragment.eg.sorted_entities():
+        fold(entity)
+
+    entities = {
+        entity_id: Entity(
+            id=entity_id,
+            etype=entity.etype,
+            data_values=entity.data_values,
+            object_links=frozenset(
+                (prop, target(link_target), source)
+                for prop, link_target, source in entity.object_links
+            ),
+        )
+        for entity_id, entity in combined.items()
+    }
+    merged_eg = EG(
+        id=eg.id,
+        schema=eg.schema,
+        entities=entities,
+        conflict_flags=scan_conflict_flags(entities),
+    )
+    return merged_eg, remap
+
+
+def scan_missing_ratio(eg) -> Fraction:
+    """missing_ratio by asking, for every (entity, declared property) pair,
+    whether that one property holds a link or a non-blank value."""
+    total = 0
+    missing = 0
+    for entity in eg.sorted_entities():
+        declared = eg.schema.declared_properties(entity.etype)
+        linked = {prop for prop, _t, _s in entity.object_links}
+        for prop_name, definition in sorted(declared.items()):
+            total += 1
+            if definition.kind == "object":
+                populated = prop_name in linked
+            else:
+                populated = any(v.strip() for v in entity.value_texts(prop_name))
+            if not populated:
+                missing += 1
+    if total == 0:
+        return Fraction(0)
+    return Fraction(missing, total)

@@ -24,7 +24,7 @@ from itelos.integration import (
     read_dataset_rows,
     resolve_pending,
 )
-from itelos.model import EG, Entity, RowArityError, normalize_text
+from itelos.model import EG, Entity, RowArityError, normalize_text, validate_eg
 
 from helpers import (
     bfs_component_count,
@@ -34,6 +34,9 @@ from helpers import (
     occurrence_count,
     scan_link_target,
     scan_match_entities,
+    scan_merge_entities,
+    scan_missing_ratio,
+    scan_same_entity,
     write_csv,
 )
 
@@ -445,6 +448,16 @@ class TestMatchIndex:
         fragment = fragment_of(candidates, keys)
         assert match_entities(eg, fragment) == scan_match_entities(eg, fragment)
 
+    @settings(max_examples=300)
+    @given(
+        random_entity(["ds_a"]),
+        random_entity(["ds_b"]),
+        st.sampled_from([(), ("code",), ("code", "name")]),
+    )
+    def test_same_entity_equals_scan_oracle(self, existing, candidate, keys):
+        expected = scan_same_entity(existing, candidate, keys)
+        assert integration._same_entity(existing, candidate, keys) == expected
+
     @pytest.mark.parametrize("prefix, calls", [("L", 0), ("K", 200)])
     def test_same_entity_calls_are_counted_hits(self, monkeypatch, prefix, calls):
         made = []
@@ -461,6 +474,106 @@ class TestMatchIndex:
         matches = match_entities(eg, fragment)
         assert len(made) == calls
         assert len(matches) == calls
+
+
+# Ids from several datasets, so fragment ids collide with existing ones or sort
+# on either side of them; the key of a hospital id starts with h, a case's with c.
+MERGE_IDS = [
+    "ds_a/h1", "ds_a/h2", "ds_b/h1", "ds_b/h2", "ds_c/h1", "ds_c/h2",
+    "ds_a/c1", "ds_b/c1", "ds_c/c1",
+]
+MERGE_HOSPITALS = [i for i in MERGE_IDS if "/h" in i]
+
+
+@st.composite
+def merge_case(draw):
+    """A graph, a fragment and matches as match_entities shapes them: data
+    values only on declared data properties and links only on the declared
+    object property; a fragment id equal to an existing id matches it, any
+    other fragment entity matches nothing or an existing entity of its etype,
+    so several fragment entities may match one existing entity, and links
+    may point at ids that the merge renames."""
+
+    def make(entity_id):
+        props = ["code", "name", "operator"] if "/h" in entity_id else ["case_id", "patient_count"]
+        values = {}
+        for prop in draw(st.lists(st.sampled_from(props), unique=True)):
+            texts = draw(st.lists(st.sampled_from(MATCH_VALUES), min_size=1, max_size=2, unique=True))
+            values[prop] = [(text, draw(st.sampled_from(["ds_a", "ds_b"]))) for text in texts]
+        if "/h" in entity_id:
+            return entity(entity_id, "hospital", values)
+        targets = draw(
+            st.lists(st.sampled_from(MERGE_HOSPITALS + ["ds_z/h9"]), unique=True, max_size=3)
+        )
+        links = [("hospital", target, draw(st.sampled_from(["ds_a", "ds_c"]))) for target in targets]
+        return entity(entity_id, "covid_case", values, links)
+
+    existing = [make(i) for i in draw(st.lists(st.sampled_from(MERGE_IDS), min_size=2, unique=True))]
+    candidates = [make(i) for i in draw(st.lists(st.sampled_from(MERGE_IDS), min_size=2, unique=True))]
+    existing_ids = sorted(e.id for e in existing)
+    matches = {}
+    for candidate in sorted(candidates, key=lambda e: e.id):
+        if candidate.id in existing_ids:
+            matches[candidate.id] = candidate.id
+            continue
+        same_etype = [i for i in existing_ids if ("/h" in i) == ("/h" in candidate.id)]
+        target = draw(st.sampled_from([None, *same_etype]))
+        if target is not None:
+            matches[candidate.id] = target
+    return graph_of(existing), fragment_of(candidates, ()), matches
+
+
+class TestMergeOnePass:
+    @settings(max_examples=300)
+    @given(merge_case())
+    def test_merge_equals_scan_oracle(self, case):
+        eg, fragment, matches = case
+        for graph in (eg, fragment.eg):
+            assert [v for v in validate_eg(graph) if v.code != "dangling_link"] == []
+        merged, remap = merge_entities(eg, fragment, matches)
+        expected, expected_remap = scan_merge_entities(eg, fragment, matches)
+        assert remap == expected_remap
+        assert merged == expected
+        assert list(merged.entities) == list(expected.entities)
+        for graph in (eg, fragment.eg, merged):
+            assert missing_ratio(graph) == scan_missing_ratio(graph)
+
+    def test_untouched_entities_are_the_same_objects(self):
+        kept = entity("ds_z/h9", "hospital", {"code": [("Z9", "ds_z")]})
+        old = entity("ds_b/h1", "hospital", {"code": [("TN01", "ds_b")]})
+        linked_to_kept = entity("ds_c/c1", "covid_case", links=[("hospital", "ds_z/h9", "ds_c")])
+        linked_to_old = entity("ds_c/c2", "covid_case", links=[("hospital", "ds_b/h1", "ds_c")])
+        new = entity("ds_a/h1", "hospital", {"code": [("TN01", "ds_a")]})
+        added = entity("ds_a/h2", "hospital", {"code": [("TN02", "ds_a")]})
+        eg = graph_of([kept, old, linked_to_kept, linked_to_old])
+        fragment = fragment_of([new, added], ("code",))
+        merged, remap = merge_entities(eg, fragment, {"ds_a/h1": "ds_b/h1"})
+        assert remap == {"ds_b/h1": "ds_a/h1"}
+        assert merged.entities["ds_z/h9"] is kept
+        assert merged.entities["ds_c/c1"] is linked_to_kept
+        assert merged.entities["ds_a/h2"] is added
+        assert merged.entities["ds_c/c2"].object_links == frozenset(
+            {("hospital", "ds_a/h1", "ds_c")}
+        )
+
+    def test_several_matches_of_one_existing_entity(self):
+        """The existing entity folds into the largest matching fragment id
+        below its own; a larger matching fragment id takes over its old id."""
+        old = entity("ds_b/h5", "hospital", {"code": [("X", "ds_b")]})
+        case = entity("ds_b/c1", "covid_case", links=[("hospital", "ds_b/h5", "ds_b")])
+        below = [entity(i, "hospital", {"code": [("X", "ds_a")]}) for i in ("ds_a/h1", "ds_a/h2")]
+        above = entity("ds_c/h9", "hospital", {"code": [("X", "ds_c")]})
+        matches = {"ds_a/h1": "ds_b/h5", "ds_a/h2": "ds_b/h5", "ds_c/h9": "ds_b/h5"}
+        merged, remap = merge_entities(
+            graph_of([old, case]), fragment_of([*below, above], ("code",)), matches
+        )
+        assert remap == {"ds_b/h5": "ds_a/h2", "ds_c/h9": "ds_b/h5"}
+        assert merged.entities["ds_a/h1"] == below[0]
+        assert merged.entities["ds_a/h2"].data_values == {"code": (("X", "ds_b"), ("X", "ds_a"))}
+        assert merged.entities["ds_b/h5"].data_values == {"code": (("X", "ds_c"),)}
+        assert merged.entities["ds_b/c1"].object_links == frozenset(
+            {("hospital", "ds_a/h2", "ds_b")}
+        )
 
 
 def link_etg():
@@ -904,6 +1017,18 @@ class TestExport:
         export_eg(eg, tmp_path / "eg.nt")
         text = (tmp_path / "eg.nt").read_text()
         assert '"He said \\"hi\\"\\n"' in text
+
+    @pytest.mark.parametrize(
+        "text, escaped",
+        [
+            ('\\ " \n \r \t', '\\\\ \\" \\n \\r \\t'),
+            ("Città di Trento – 病院 ü", "Città di Trento – 病院 ü"),
+            ("plain text, 'quoted' / <b>", "plain text, 'quoted' / <b>"),
+            ("", ""),
+        ],
+    )
+    def test_escape_literal(self, text, escaped):
+        assert integration._escape_literal(text) == escaped
 
     def test_type_and_link_triples(self, tmp_path):
         h = entity("d/h", "hospital", {"code": [("TN01", "a")]})

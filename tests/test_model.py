@@ -456,6 +456,46 @@ class TestValidateEg:
         )
         assert self.codes(flagged) == []
 
+    @pytest.mark.parametrize(
+        "entity_id, values",
+        [
+            ("d/x", (("Santa  Chiara", "d"), ("santa chiara", "e"), ("  ", "f"))),
+            ("d/gone", (("A", "d"), ("B", "e"))),
+        ],
+    )
+    def test_flag_without_two_normalized_values_is_stale(self, entity_id, values):
+        eg = small_eg()
+        variants = replace(eg.entities["d/x"], data_values={"name": values})
+        flagged = replace(
+            eg,
+            entities={**eg.entities, "d/x": variants},
+            conflict_flags=frozenset({(entity_id, "name")}),
+        )
+        assert "stale_conflict_flag" in self.codes(flagged)
+
+
+class TestEntity:
+    def test_value_set_drops_blanks_and_folds_case_and_whitespace(self):
+        entity = Entity(
+            id="d/x",
+            etype="hospital",
+            data_values={
+                "name": (
+                    ("", "a"),
+                    ("   ", "a"),
+                    ("\t\n", "b"),
+                    ("Santa  Chiara", "a"),
+                    (" santa\tCHIARA ", "b"),
+                    ("S. Chiara", "c"),
+                ),
+                "code": (("", "a"), (" ", "b")),
+            },
+            object_links=frozenset(),
+        )
+        assert entity.value_set("name") == frozenset({"santa chiara", "s. chiara"})
+        assert entity.value_set("code") == frozenset()
+        assert entity.value_set("beds") == frozenset()
+
 
 class TestEtgDocuments:
     def test_round_trip(self):
