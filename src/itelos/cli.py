@@ -54,7 +54,7 @@ from .integration import (
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import ModelError, dump_etg, load_etg, validate_eg
+from .model import ModelError, dump_etg, expect_json, load_etg, validate_eg
 from .modeling import (
     build_etg_model,
     eval_modeling,
@@ -91,20 +91,13 @@ class PipelineConfig:
         return self.purpose.parent
 
 
+# The JSON type of each config key that is neither a threshold (those go
+# through as_fraction) nor "mappings"; null leaves a key unset.
+_CONFIG_TYPES = {"out": str, "max_per_category": int, "fail_fast": bool, "etg": str, "datasets": str}
 _CONFIG_KEYS = {
-    "out",
-    "cov_min",
-    "ext_floor",
-    "spr_band_min",
-    "spr_band_max",
-    "match_threshold",
-    "core_adopt_threshold",
-    "etr_name_weight",
-    "max_per_category",
-    "fail_fast",
-    "mappings",
-    "etg",
-    "datasets",
+    *_CONFIG_TYPES,
+    *("cov_min", "ext_floor", "spr_band_min", "spr_band_max"),
+    *("match_threshold", "core_adopt_threshold", "etr_name_weight", "mappings"),
 }
 
 
@@ -125,11 +118,19 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError(
                 f"{config_path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
             ) from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"{config_path}: config root must be an object")
+        expect_json(file_cfg, dict, f"{config_path}: config root", ConfigError)
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
+        for key, kind in _CONFIG_TYPES.items():
+            if file_cfg.get(key) is not None:
+                expect_json(file_cfg[key], kind, f"{config_path}: {key}", ConfigError)
+        listed = file_cfg.get("mappings")
+        if isinstance(listed, list):
+            for index, item in enumerate(listed):
+                expect_json(item, str, f"{config_path}: mappings[{index}]", ConfigError)
+        elif listed is not None:
+            expect_json(listed, str, f"{config_path}: mappings", ConfigError)
 
     def pick(flag_value, key):
         return flag_value if flag_value is not None else file_cfg.get(key)
@@ -177,13 +178,9 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(str(exc)) from exc
 
     max_per_category = pick(args.max_per_category, "max_per_category")
-    if max_per_category is not None:
-        max_per_category = int(max_per_category)
-        if max_per_category < 1:
-            raise ConfigError("max_per_category must be a positive integer")
+    if max_per_category is not None and max_per_category < 1:
+        raise ConfigError("max_per_category must be a positive integer")
     fail_fast = pick(args.fail_fast, "fail_fast")
-    if fail_fast is None:
-        fail_fast = True
     mappings = [Path(m) for m in args.mapping or []]
     # --mappings (or a string-valued "mappings" config key) names a directory
     # of override files; a list-valued config key names them one by one.
@@ -205,7 +202,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         thresholds=thresholds,
         policy=policy,
         max_per_category=max_per_category,
-        fail_fast=bool(fail_fast),
+        fail_fast=True if fail_fast is None else fail_fast,
         mappings=tuple(mappings),
         etg=Path(etg) if etg is not None else None,
         datasets_dir=Path(datasets_dir).absolute() if datasets_dir is not None else None,
@@ -359,7 +356,10 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
             raise PhaseError(
                 f"{mapping_path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
             ) from exc
-        override = override_from_doc(doc)
+        try:
+            override = override_from_doc(doc)
+        except ModelError as exc:
+            raise PhaseError(f"{mapping_path}: {exc}") from exc
         overrides[override.dataset_id] = override
 
     graph_id = etg.id

@@ -31,6 +31,7 @@ from .model import (
     ModelError,
     ResourceMeta,
     etype_elements,
+    expect_json,
     load_etg,
     normalize_text,
     property_elements,
@@ -91,33 +92,36 @@ class Purpose:
         return None
 
 
-def _parse_cq(raw: Mapping, index: int) -> CompetencyQuery:
+def _parse_cq(raw, index: int) -> CompetencyQuery:
     where = f"cqs[{index}]"
-    if "id" not in raw:
+    if "id" not in expect_json(raw, dict, where):
         raise PurposeParseError(f"{where}: missing 'id'")
     cq_id = str(raw["id"])
-    etypes = frozenset(normalize_text(str(e)) for e in raw.get("etypes", []))
-    pairs = frozenset(
-        (normalize_text(str(etype)), normalize_text(str(prop)))
-        for etype, prop in raw.get("properties", [])
+    etypes = frozenset(
+        normalize_text(str(e)) for e in expect_json(raw.get("etypes", []), list, f"{where}.etypes")
     )
+    pairs = set()
+    for pair in expect_json(raw.get("properties", []), list, f"{where}.properties"):
+        if type(pair) is not list or len(pair) != 2:
+            raise PurposeParseError(f"{where}.properties: {pair!r} is not an [etype, property] pair")
+        pairs.add((normalize_text(str(pair[0])), normalize_text(str(pair[1]))))
     try:
         return CompetencyQuery(
             id=cq_id,
             sentence=str(raw.get("sentence", "")),
             etypes=etypes,
-            property_pairs=pairs,
+            property_pairs=frozenset(pairs),
         )
     except ModelError as exc:
         raise PurposeParseError(f"{where}: {exc}") from exc
 
 
-def _parse_refs(raw_list: Sequence, kind: str, where: str) -> tuple[ResourceRef, ...]:
+def _parse_refs(raw_list, kind: str, where: str) -> tuple[ResourceRef, ...]:
     refs = []
-    for index, raw in enumerate(raw_list):
+    for index, raw in enumerate(expect_json(raw_list, list, where)):
         spot = f"{where}[{index}]"
         for key in ("id", "path", "category"):
-            if key not in raw:
+            if key not in expect_json(raw, dict, spot):
                 raise PurposeParseError(f"{spot}: missing {key!r}")
         try:
             meta = ResourceMeta(
@@ -127,22 +131,25 @@ def _parse_refs(raw_list: Sequence, kind: str, where: str) -> tuple[ResourceRef,
                 popularity=int(raw.get("popularity", 0)),
                 origin=str(raw.get("origin", "")),
             )
-        except (ModelError, ValueError) as exc:
+        except (ModelError, TypeError, ValueError) as exc:
             raise PurposeParseError(f"{spot}: {exc}") from exc
+        # "/" separates the dataset id from the key in every minted entity id
+        if kind == "dataset" and "/" in meta.id:
+            raise PurposeParseError(f"{spot}: dataset id {meta.id!r} must not contain '/'")
         refs.append(ResourceRef(path=str(raw["path"]), meta=meta))
     return tuple(refs)
 
 
-def _parse_overrides(raw: Mapping) -> dict[str, PropertyOverride]:
+def _parse_overrides(raw) -> dict[str, PropertyOverride]:
     overrides: dict[str, PropertyOverride] = {}
-    for raw_key, spec in sorted(raw.items()):
+    for raw_key, spec in sorted(expect_json(raw, dict, "property_overrides").items()):
         where = f"property_overrides[{raw_key!r}]"
         try:
             etype_part, _, prop_part = raw_key.partition(".")
             key = f"{normalize_text(etype_part)}.{normalize_text(prop_part)}"
         except ModelError as exc:
             raise PurposeParseError(f"{where}: {exc}") from exc
-        kind = str(spec.get("kind", "data"))
+        kind = str(expect_json(spec, dict, where).get("kind", "data"))
         if kind not in ("data", "object"):
             raise PurposeParseError(f"{where}: unknown kind {kind!r}")
         if kind == "object" and spec.get("range") is None:
@@ -159,7 +166,8 @@ def parse_purpose(path: Path) -> Purpose:
     """Parse and validate a purpose file.
 
     Labels are normalized on the way in; competency queries must be non-empty
-    and ids unique across queries and across resources.
+    and ids unique across queries and across resources. Every error names the
+    file.
     """
     try:
         text = path.read_text(encoding="utf-8")
@@ -169,14 +177,20 @@ def parse_purpose(path: Path) -> Purpose:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PurposeParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise PurposeParseError(f"{path}: purpose root must be an object")
-    if not str(doc.get("title", "")).strip():
-        raise PurposeParseError(f"{path}: missing or empty 'title'")
+    try:
+        return _purpose_from_doc(doc)
+    except ModelError as exc:
+        kind = type(exc) if isinstance(exc, PurposeParseError) else PurposeParseError
+        raise kind(f"{path}: {exc}") from exc
 
-    raw_cqs = doc.get("cqs", [])
+
+def _purpose_from_doc(doc) -> Purpose:
+    if not str(expect_json(doc, dict, "purpose root").get("title", "")).strip():
+        raise PurposeParseError("missing or empty 'title'")
+
+    raw_cqs = expect_json(doc.get("cqs", []), list, "cqs")
     if not raw_cqs:
-        raise PurposeParseError(f"{path}: purpose must state at least one competency query")
+        raise PurposeParseError("purpose must state at least one competency query")
     cqs = tuple(_parse_cq(raw, i) for i, raw in enumerate(raw_cqs))
     seen: set[str] = set()
     for cq in cqs:
@@ -246,12 +260,13 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
         raise DocumentError(f"cannot read schema sidecar {schema_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{schema_path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if "etype" not in doc:
+    if "etype" not in expect_json(doc, dict, f"{schema_path}: document root"):
         raise DocumentError(f"{schema_path}: missing 'etype'")
 
     header = [normalize_text(h) for h in next(read_csv(csv_path))]
     columns: dict[str, Column] = {}
-    for position, raw in enumerate(doc.get("columns", []), start=1):
+    raw_columns = expect_json(doc.get("columns", []), list, f"{schema_path}: columns")
+    for position, raw in enumerate(raw_columns, start=1):
         if not isinstance(raw, dict) or "name" not in raw:
             raise DocumentError(f"{schema_path}: column {position} has no 'name'")
         name = normalize_text(str(raw["name"]))
@@ -402,14 +417,13 @@ def eval_inception(
 
 def ranking_to_json(ranking: CandidateRanking) -> dict:
     def entry_json(e: RankedResource) -> dict:
-        out = {
+        return {
             "id": e.resource_id,
             "kind": e.kind,
             "popularity": e.popularity,
             "etype_coverage": e.etype_coverage.to_json(),
             "property_coverage": e.property_coverage.to_json() if e.property_coverage else None,
         }
-        return out
 
     return {
         "categories": {

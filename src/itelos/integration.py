@@ -12,7 +12,7 @@ merge can depend on the dataset order (see `merge_entities`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +37,7 @@ from .model import (
     DatasetSchema,
     DocumentError,
     ModelError,
+    expect_json,
     normalize_text,
     read_csv,
 )
@@ -79,11 +80,12 @@ class MappingOverride:
     identity_key: tuple[str, ...]
 
 
-def override_from_doc(doc: Mapping) -> MappingOverride:
-    if "dataset_id" not in doc:
+def override_from_doc(doc) -> MappingOverride:
+    if "dataset_id" not in expect_json(doc, dict, "mapping override"):
         raise DocumentError("mapping override: missing 'dataset_id'")
     columns: dict[str, tuple[str, str] | None] = {}
-    for raw_name, spec in doc.get("columns", {}).items():
+    raw_columns = expect_json(doc.get("columns", {}), dict, "mapping override: columns")
+    for raw_name, spec in raw_columns.items():
         name = normalize_text(str(raw_name))
         if spec == "drop":
             columns[name] = None
@@ -96,7 +98,8 @@ def override_from_doc(doc: Mapping) -> MappingOverride:
                     f"[etype, property] or \"drop\""
                 ) from None
             columns[name] = (normalize_text(str(etype)), normalize_text(str(prop)))
-    identity = tuple(normalize_text(str(c)) for c in doc.get("identity_key", []))
+    raw_identity = expect_json(doc.get("identity_key", []), list, "mapping override: identity_key")
+    identity = tuple(normalize_text(str(c)) for c in raw_identity)
     return MappingOverride(
         dataset_id=str(doc["dataset_id"]), columns=columns, identity_key=identity
     )
@@ -322,13 +325,7 @@ def generate_entities(
         )
         for entity_id, bucket in values.items()
     }
-    flags = _conflict_flags(entities)
-    fragment_eg = EG(
-        id=f"{mapping.dataset_id}-fragment",
-        schema=schema_graph,
-        entities=entities,
-        conflict_flags=flags,
-    )
+    fragment_eg = EG(id=f"{mapping.dataset_id}-fragment", schema=schema_graph, entities=entities)
     identity_props = tuple(mapping.property_of(c) for c in mapping.identity_columns)
     stats = {
         "rows": len(rows),
@@ -342,15 +339,6 @@ def generate_entities(
         pending_links=tuple(sorted(pending.values(), key=PendingLink.sort_key)),
         identity_properties=identity_props,
         stats=stats,
-    )
-
-
-def _conflict_flags(entities: Mapping[str, Entity]) -> frozenset[tuple[str, str]]:
-    return frozenset(
-        (entity.id, prop)
-        for entity in entities.values()
-        for prop in entity.data_values
-        if len(entity.value_set(prop)) >= 2
     )
 
 
@@ -467,8 +455,7 @@ def merge_entities(
         elif new_id != entity.id or links is not entity.object_links:
             entity = replace(entity, id=new_id, object_links=links)
         entities[new_id] = entity
-    merged_eg = replace(eg, entities=entities, conflict_flags=_conflict_flags(entities))
-    return merged_eg, remap
+    return replace(eg, entities=entities), remap
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +471,7 @@ class IntegrationState:
 
 
 def initial_state(schema_graph: ETG, graph_id: str) -> IntegrationState:
-    empty = EG(id=graph_id, schema=schema_graph, entities={}, conflict_flags=frozenset())
-    return IntegrationState(eg=empty, pending=())
+    return IntegrationState(eg=EG(id=graph_id, schema=schema_graph, entities={}), pending=())
 
 
 def _conforms(schema_graph: ETG, etype: str, range_etype: str) -> bool:
@@ -580,30 +566,20 @@ class IntegrationCaseReport:
     stats: Mapping[str, int]
 
     def to_json(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "etype": self.etype,
-            "case": self.case,
-            "entity_overlap": self.entity_overlap,
-            "entities_before": self.entities_before,
-            "entities_after": self.entities_after,
-            "appended": self.appended,
-            "merged_entities": self.merged_entities,
-            "conflicts": self.conflicts,
-            "components_before": self.components_before,
-            "connected_components": self.connected_components,
-            "missing_link_ratio": fraction_json(self.missing_link_ratio),
-            "unresolved_links": [
-                {
-                    "source": link.source_id,
-                    "property": link.property,
-                    "target": link.target_text,
-                    "dataset": link.dataset_id,
-                }
-                for link in self.unresolved_links
-            ],
-            "stats": dict(sorted(self.stats.items())),
-        }
+        """Every field under its own name; the last three in JSON form."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["missing_link_ratio"] = fraction_json(self.missing_link_ratio)
+        doc["unresolved_links"] = [
+            {
+                "source": link.source_id,
+                "property": link.property,
+                "target": link.target_text,
+                "dataset": link.dataset_id,
+            }
+            for link in self.unresolved_links
+        ]
+        doc["stats"] = dict(sorted(self.stats.items()))
+        return doc
 
 
 def connected_components(eg: EG) -> int:

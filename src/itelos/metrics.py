@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .model import ElementSet
 
-METRICS = ("coverage", "extensiveness", "sparsity")
 GATES = ("eval_a", "eval_b", "eval_c", "eval_d")
-VERDICTS = ("pass", "warn", "fail")
 
 
 class MetricError(ValueError):
@@ -141,16 +139,6 @@ class Thresholds:
                 raise MetricError(f"threshold {name} must be in [0, 1], got {value}")
         if self.spr_band_min > self.spr_band_max:
             raise MetricError("spr_band_min must not exceed spr_band_max")
-
-    @classmethod
-    def from_mapping(cls, raw: Mapping) -> "Thresholds":
-        defaults = cls()
-        return cls(
-            cov_min=as_fraction(raw.get("cov_min", defaults.cov_min)),
-            ext_floor=as_fraction(raw.get("ext_floor", defaults.ext_floor)),
-            spr_band_min=as_fraction(raw.get("spr_band_min", defaults.spr_band_min)),
-            spr_band_max=as_fraction(raw.get("spr_band_max", defaults.spr_band_max)),
-        )
 
     def for_gate(self, gate: str) -> dict[str, Fraction]:
         if gate == "eval_a":

@@ -159,9 +159,6 @@ class ETG:
     def _declared(self) -> dict[str, Mapping[str, PropertyDef]]:
         return {}
 
-    def parents_of(self, etype: str) -> list[str]:
-        return list(self._parents.get(etype, ()))
-
     def ancestors_of(self, etype: str) -> list[str]:
         """All transitive parents in deterministic (BFS, name-sorted) order.
 
@@ -214,9 +211,6 @@ class Entity:
     data_values: Mapping[str, tuple[tuple[str, str], ...]]
     object_links: frozenset[tuple[str, str, str]]
 
-    def value_texts(self, prop: str) -> list[str]:
-        return [v for v, _src in self.data_values.get(prop, ())]
-
     def value_set(self, prop: str) -> frozenset[str]:
         """The non-blank values of `prop` in normalized form: the values that
         identity and conflict decisions compare. Computed on every call."""
@@ -227,15 +221,31 @@ class Entity:
 
 @dataclass(frozen=True)
 class EG:
-    """Entity Graph: entities conforming to a schema ETG, keyed by id."""
+    """Entity Graph: entities conforming to a schema ETG, keyed by id.
+
+    `entities` must not change after construction; every step that changes
+    the graph builds a new EG. So `conflict_flags` is derived from the
+    entities on first read instead of being stored.
+    """
 
     id: str
     schema: ETG
     entities: Mapping[str, Entity]
-    conflict_flags: frozenset[tuple[str, str]]
 
     def sorted_entities(self) -> list[Entity]:
         return [self.entities[k] for k in sorted(self.entities)]
+
+    # Kept in the instance __dict__ outside the fields, like the ETG caches.
+    @cached_property
+    def conflict_flags(self) -> frozenset[tuple[str, str]]:
+        """The (entity id, property) pairs whose values disagree: two or more
+        members in `Entity.value_set`. Computed on first read."""
+        return frozenset(
+            (entity.id, prop)
+            for entity in self.entities.values()
+            for prop in entity.data_values
+            if len(entity.value_set(prop)) >= 2
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +455,8 @@ def validate_etg(g: ETG) -> list[Violation]:
 
 
 def validate_eg(eg: EG) -> list[Violation]:
-    """Check every EG invariant against its schema; empty report means valid."""
+    """Check every EG invariant against its schema; empty report means valid.
+    Conflict flags need no check: they are derived from the values."""
     out: list[Violation] = []
     for entity in eg.sorted_entities():
         if entity.etype not in eg.schema.etypes:
@@ -465,17 +476,26 @@ def validate_eg(eg: EG) -> list[Violation]:
                 out.append(Violation("undeclared_property", f"entity {entity.id} uses undeclared link property {prop}"))
             if target not in eg.entities:
                 out.append(Violation("dangling_link", f"entity {entity.id} links to missing entity {target!r} via {prop}"))
-    for entity_id, prop in sorted(eg.conflict_flags):
-        entity = eg.entities.get(entity_id)
-        if entity is None or len(entity.value_set(prop)) < 2:
-            out.append(
-                Violation("stale_conflict_flag", f"conflict flag ({entity_id}, {prop}) has fewer than two distinct values")
-            )
     return out
 
 
 # ---------------------------------------------------------------------------
 # Schema-graph documents (JSON)
+
+
+_JSON_NAMES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    float: "a number", bool: "true or false", type(None): "null",
+}
+
+
+def expect_json(value, kind: type, where: str, error: type[Exception] = DocumentError):
+    """Return `value` if the JSON decoder gave it type `kind`; raise `error`
+    saying what `where` must be otherwise."""
+    if type(value) is not kind:
+        found = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise error(f"{where} must be {_JSON_NAMES[kind]}, not {found}")
+    return value
 
 
 def _require(doc: Mapping, key: str, where: str):

@@ -229,7 +229,7 @@ def scan_etr_predict(model, ontology, policy) -> PredictionVector:
 
 
 def scan_value_set(entity, prop) -> frozenset:
-    return frozenset(normalize_value(v) for v in entity.value_texts(prop) if v.strip())
+    return frozenset(normalize_value(v) for v, _src in entity.data_values.get(prop, ()) if v.strip())
 
 
 def scan_same_entity(existing, candidate, key_props) -> bool:
@@ -357,13 +357,7 @@ def scan_merge_entities(eg, fragment, matches):
         )
         for entity_id, entity in combined.items()
     }
-    merged_eg = EG(
-        id=eg.id,
-        schema=eg.schema,
-        entities=entities,
-        conflict_flags=scan_conflict_flags(entities),
-    )
-    return merged_eg, remap
+    return EG(id=eg.id, schema=eg.schema, entities=entities), remap
 
 
 def scan_missing_ratio(eg) -> Fraction:
@@ -379,7 +373,7 @@ def scan_missing_ratio(eg) -> Fraction:
             if definition.kind == "object":
                 populated = prop_name in linked
             else:
-                populated = any(v.strip() for v in entity.value_texts(prop_name))
+                populated = any(v.strip() for v, _src in entity.data_values.get(prop_name, ()))
             if not populated:
                 missing += 1
     if total == 0:

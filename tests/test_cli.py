@@ -177,6 +177,13 @@ class TestConfigMerging:
         assert code == 0
         assert (out / "eval_a.json").is_file()
 
+    def test_config_fail_fast_false_runs_every_phase(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"fail_fast": False, "cov_min": 0.99}))
+        out = tmp_path / "out"
+        assert main(fixture_argv("run", out, "--config", str(config))) == 1
+        assert (out / "eval_d.json").is_file()
+
     def test_max_per_category_validated(self, tmp_path, capsys):
         code = main(fixture_argv("run", tmp_path / "out", "--max-per-category", "0"))
         assert code == 2
@@ -271,6 +278,19 @@ class TestDeterminism:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(itelos.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "itelos.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 def copied_datasets(tmp_path):
     """A copy of the fixture's data directory, for use with --datasets."""
     root = tmp_path / "datasets"
@@ -323,16 +343,7 @@ class TestHostileInput:
     def test_malformed_purpose_exits_one_without_traceback(self, tmp_path):
         purpose = tmp_path / "p.json"
         purpose.write_text(json.dumps({"title": "x"}), encoding="utf-8")
-        src = str(Path(itelos.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-m", "itelos.cli", "run", "--purpose", str(purpose),
-             "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = run_cli("run", "--purpose", purpose, "--out", tmp_path / "out")
         assert done.returncode == 1
         assert str(purpose) in done.stderr
         assert "Traceback" not in done.stderr
@@ -371,3 +382,59 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert "selected dataset 'ds_cases' is not loadable" in err
         assert "not valid UTF-8" in err
+
+
+def set_in(doc, path, value):
+    """`doc` with the value at `path` (a list of keys and indexes) replaced."""
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return doc
+
+
+# (name of the file to write, path inside it or None for the whole
+# document, the value written there, the exit code expected)
+WRONG_SHAPES = {
+    "sidecar_number": ("data/hospitals.schema.json", None, 5, 1),
+    "sidecar_list": ("data/hospitals.schema.json", None, ["etype"], 1),
+    "cq_number": ("purpose.json", ["cqs", 0], 5, 1),
+    "overrides_list": ("purpose.json", ["property_overrides"], [], 1),
+    "override_spec_string": ("purpose.json", ["property_overrides", "hospital.beds"], "integer", 1),
+    "cq_pair_of_one": ("purpose.json", ["cqs", 0, "properties", 0], ["a"], 1),
+    "dataset_id_with_slash": ("purpose.json", ["datasets", 0, "id"], "a/b", 1),
+    "mapping_number": ("mapping.json", None, 5, 1),
+    "mapping_list": ("mapping.json", None, ["dataset_id"], 1),
+    "config_count_text": ("config.json", None, {"max_per_category": "two"}, 2),
+    "config_flag_text": ("config.json", None, {"fail_fast": "false"}, 2),
+    "config_out_number": ("config.json", None, {"out": 5}, 2),
+    "config_mapping_number": ("config.json", None, {"mappings": ["a.json", 5]}, 2),
+}
+
+
+class TestWrongShapes:
+    @pytest.fixture(scope="class")
+    def final_etg(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pipeline")
+        assert main(fixture_argv("run", out)) == 0
+        return out / "etg_final.json"
+
+    @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+    def test_wrong_shape_names_the_file(self, case, final_etg, tmp_path):
+        name, path, value, code = WRONG_SHAPES[case]
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        target = root / name
+        doc = json.loads(target.read_text(encoding="utf-8")) if target.exists() else None
+        target.write_text(json.dumps(value if path is None else set_in(doc, path, value)))
+        argv = ["integrate", "--purpose", root / "purpose.json", "--out", tmp_path / "out"]
+        argv += ["--etg", final_etg]
+        if name == "mapping.json":
+            argv += ["--mapping", target]
+        if name == "config.json":
+            argv += ["--config", target]
+        done = run_cli(*argv)
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        assert str(target) in done.stderr

@@ -81,6 +81,39 @@ class TestParsePurpose:
         with pytest.raises(PurposeParseError):
             parse_purpose(write_purpose(tmp_path / "p.json", doc))
 
+    def test_slash_in_dataset_id_rejected(self, tmp_path):
+        # "a/b" would mint a/b/<key>, which dataset "a" can mint too
+        ds = {"id": "a/b", "path": "a.csv", "category": "core"}
+        path = write_purpose(tmp_path / "p.json", minimal_purpose(datasets=[ds]))
+        with pytest.raises(PurposeParseError, match=r"datasets\[0\]: dataset id 'a/b' must not contain '/'"):
+            parse_purpose(path)
+        onto = {"id": "a/b", "path": "a.json", "category": "core"}
+        assert parse_purpose(write_purpose(path, minimal_purpose(ontologies=[onto])))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"cqs": [{"etypes": ["x"]}]}, "cqs[0]: missing 'id'"),
+            ({"cqs": [{"id": "q", "etypes": "x"}]}, "cqs[0].etypes must be a list, not a string"),
+            (
+                {"cqs": [{"id": "q", "etypes": ["x"], "properties": [["y", "p"]]}]},
+                "cqs[0]: competency query 'q': property p names etype y",
+            ),
+            (
+                {"datasets": [{"id": "d", "path": "d.csv", "category": "core", "popularity": [1]}]},
+                "datasets[0]: ",
+            ),
+            ({"ontologies": {}}, "ontologies must be a list, not an object"),
+            ({"cqs": [{"id": "q", "etypes": ["x"]}] * 2}, "duplicate competency query id 'q'"),
+        ],
+        ids=["cq_without_id", "etypes_string", "cq_invariant", "popularity_list", "ontologies_object", "duplicate"],
+    )
+    def test_errors_name_the_file(self, tmp_path, entry, message):
+        path = write_purpose(tmp_path / "p.json", minimal_purpose(**entry))
+        with pytest.raises(PurposeParseError) as err:
+            parse_purpose(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
     def test_ref_for(self, covid_purpose):
         purpose = parse_purpose(covid_purpose)
         assert purpose.ref_for("ds_cases").meta.category == "core"
@@ -129,6 +162,22 @@ class TestLoadResources:
         meta = ResourceMeta(id="d", kind="dataset", category="core", popularity=1)
         with pytest.raises(DocumentError, match=r"d\.schema\.json: column 2 has no 'name'"):
             load_dataset_schema(csv, meta)
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            (["etype"], "document root must be an object, not a list"),
+            ({"etype": "h", "columns": {"name": "code"}}, "columns must be a list, not an object"),
+        ],
+        ids=["root_list", "columns_object"],
+    )
+    def test_sidecar_shape_checked(self, tmp_path, sidecar, message):
+        csv = write_csv(tmp_path / "d.csv", ["code"], [])
+        (tmp_path / "d.schema.json").write_text(json.dumps(sidecar))
+        meta = ResourceMeta(id="d", kind="dataset", category="core", popularity=1)
+        with pytest.raises(DocumentError) as err:
+            load_dataset_schema(csv, meta)
+        assert str(err.value) == f"{tmp_path / 'd.schema.json'}: {message}"
 
     def test_collect_reports_failures(self, covid_purpose, tmp_path):
         purpose = parse_purpose(covid_purpose)

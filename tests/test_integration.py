@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from itelos.integration import (
     read_dataset_rows,
     resolve_pending,
 )
-from itelos.model import EG, Entity, RowArityError, normalize_text, validate_eg
+from itelos.model import EG, DocumentError, Entity, RowArityError, normalize_text, validate_eg
 
 from helpers import (
     bfs_component_count,
@@ -35,6 +36,7 @@ from helpers import (
     scan_link_target,
     scan_match_entities,
     scan_merge_entities,
+    scan_conflict_flags,
     scan_missing_ratio,
     scan_same_entity,
     write_csv,
@@ -183,6 +185,21 @@ class TestInferMapping:
             mapping_for("d", "hospital", hospital_columns(), override=override)
 
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (5, "mapping override must be an object, not an integer"),
+            (["dataset_id"], "mapping override must be an object, not a list"),
+            ({"dataset_id": "d", "columns": []}, "mapping override: columns must be an object"),
+            ({"dataset_id": "d", "identity_key": "code"}, "mapping override: identity_key must be a list"),
+        ],
+        ids=["root_number", "root_list", "columns_list", "identity_key_string"],
+    )
+    def test_override_shape_checked(self, doc, message):
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            override_from_doc(doc)
+
+
 class TestGenerateEntities:
     def fragment(self, rows, columns=None):
         columns = columns or hospital_columns()
@@ -194,7 +211,7 @@ class TestGenerateEntities:
         fragment = self.fragment([["TN01", "Santa Chiara", "400"]])
         assert set(fragment.eg.entities) == {"ds_a/tn01"}
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert entity.value_texts("name") == ["Santa Chiara"]
+        assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara"]
 
     def test_missing_key_falls_back_to_ordinal(self):
         fragment = self.fragment([["", "NoCode", "1"], ["TN02", "Ok", "2"]])
@@ -216,7 +233,7 @@ class TestGenerateEntities:
         fragment = self.fragment([["TN01", "Santa Chiara", "400"], ["TN01", "S. Chiara", "400"]])
         assert len(fragment.eg.entities) == 1
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert entity.value_texts("name") == ["Santa Chiara", "S. Chiara"]
+        assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara", "S. Chiara"]
         assert fragment.eg.conflict_flags == frozenset(
             {("ds_a/tn01", "name")}
         )
@@ -224,7 +241,7 @@ class TestGenerateEntities:
     def test_duplicate_rows_do_not_conflict(self):
         fragment = self.fragment([["TN01", "Santa Chiara", "400"]] * 2)
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert entity.value_texts("name") == ["Santa Chiara"]
+        assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara"]
         assert fragment.eg.conflict_flags == frozenset()
 
     def test_case_variants_do_not_conflict(self):
@@ -299,7 +316,7 @@ class TestMatchAndMerge:
         assert report.merged_entities == 1
         assert report.appended == 0
         merged = state.eg.entities["ds_a/tn01"]
-        assert set(merged.value_texts("name")) == {"Santa Chiara", "S. Chiara"}
+        assert {v for v, _src in merged.data_values["name"]} == {"Santa Chiara", "S. Chiara"}
 
     def test_key_mismatch_appends(self):
         state = self.seed_state()
@@ -368,7 +385,6 @@ class TestMatchAndMerge:
             id="eg",
             schema=schema,
             entities={e.id: e for e in (old, case)},
-            conflict_flags=frozenset(),
         )
         mapping = mapping_for("ds_a", "hospital", hospital_columns())
         header = [normalize_text(c[0]) for c in hospital_columns()]
@@ -416,7 +432,6 @@ def graph_of(entities):
         id="eg",
         schema=hospital_etg(),
         entities={e.id: e for e in entities},
-        conflict_flags=frozenset(),
     )
 
 
@@ -534,6 +549,7 @@ class TestMergeOnePass:
         expected, expected_remap = scan_merge_entities(eg, fragment, matches)
         assert remap == expected_remap
         assert merged == expected
+        assert merged.conflict_flags == scan_conflict_flags(expected.entities)
         assert list(merged.entities) == list(expected.entities)
         for graph in (eg, fragment.eg, merged):
             assert missing_ratio(graph) == scan_missing_ratio(graph)
@@ -648,7 +664,6 @@ class TestResolveIndex:
             id="eg",
             schema=link_etg(),
             entities={e.id: e for e in entities},
-            conflict_flags=frozenset(),
         )
         state, count = resolve_pending(IntegrationState(eg=eg, pending=tuple(links)))
         expected = {e.id: set(e.object_links) for e in entities}
@@ -838,7 +853,7 @@ class TestComponentsAndMissing:
             )
             for i in range(n)
         }
-        eg = EG(id="eg", schema=etg, entities=entities, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=etg, entities=entities)
         assert connected_components(eg) == bfs_component_count(eg)
 
     def test_missing_ratio_hand_computed(self):
@@ -912,6 +927,31 @@ class TestCaseReports:
         assert occurrence_count(state.eg) == non_empty_cells
         assert report.stats["data_cells"] == non_empty_cells
 
+    def test_flags_are_derived_once_per_graph(self, monkeypatch):
+        calls = []
+        value_set = Entity.value_set
+        monkeypatch.setattr(
+            Entity, "value_set", lambda self, prop: calls.append(prop) or value_set(self, prop)
+        )
+        rows = [[f"TN{n:02d}", f"Hospital {n}", str(n)] for n in range(50)]
+        state = initial_state(hospital_etg(), "eg")
+        state, report = run_dataset(state, "ds_a", "hospital", hospital_columns(), rows)
+        # one value set per (entity, property) of the integrated graph, read
+        # by the report; the CLI summary then reads the cached flags
+        assert len(calls) == 150
+        assert report.conflicts == 0
+        assert state.eg.conflict_flags == frozenset()
+        assert len(calls) == 150
+        # a later dataset builds a new graph and leaves the cached one valid
+        first, entities = state.eg, dict(state.eg.entities)
+        state, report = run_dataset(
+            state, "ds_b", "hospital", hospital_columns(), [["TN01", "Other name", "7"]]
+        )
+        assert first.entities == entities
+        assert first.conflict_flags == scan_conflict_flags(first.entities) == frozenset()
+        assert state.eg.conflict_flags == {("ds_a/tn01", "name"), ("ds_a/tn01", "beds")}
+        assert report.conflicts == 2
+
 
 class TestEvalPurpose:
     def populated_state(self):
@@ -968,7 +1008,7 @@ class TestExport:
             "hospital",
             {"name": [("Santa Chiara", "a"), ("Santa Chiara", "b")]},
         )
-        eg = EG(id="eg", schema=schema, entities={"d/x": e}, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=schema, entities={"d/x": e})
         path = tmp_path / "eg.nt"
         warnings = export_eg(eg, path)
         assert warnings == []
@@ -983,7 +1023,7 @@ class TestExport:
             "hospital",
             {"beds": [("400", "a")], "name": [("A", "a")]},
         )
-        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e}, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e})
         path = tmp_path / "eg.nt"
         export_eg(eg, path)
         text = path.read_text()
@@ -992,7 +1032,7 @@ class TestExport:
 
     def test_invalid_typed_value_warns(self, tmp_path):
         e = entity("d/x", "hospital", {"beds": [("many", "a")]})
-        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e}, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e})
         warnings = export_eg(eg, tmp_path / "eg.nt")
         (warning,) = warnings
         assert "not a valid integer" in warning
@@ -1005,7 +1045,7 @@ class TestExport:
     )
     def test_date_needs_xsd_lexical_form(self, tmp_path, text, typed):
         e = entity("d/c", "covid_case", {"case_date": [(text, "a")]})
-        eg = EG(id="eg", schema=hospital_etg(), entities={"d/c": e}, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/c": e})
         warnings = export_eg(eg, tmp_path / "eg.nt")
         typed_literal = f'"{text}"^^<http://www.w3.org/2001/XMLSchema#date>'
         assert (typed_literal in (tmp_path / "eg.nt").read_text()) == typed
@@ -1013,7 +1053,7 @@ class TestExport:
 
     def test_escaping(self, tmp_path):
         e = entity("d/x", "hospital", {"name": [('He said "hi"\n', "a")]})
-        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e}, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e})
         export_eg(eg, tmp_path / "eg.nt")
         text = (tmp_path / "eg.nt").read_text()
         assert '"He said \\"hi\\"\\n"' in text
@@ -1033,9 +1073,7 @@ class TestExport:
     def test_type_and_link_triples(self, tmp_path):
         h = entity("d/h", "hospital", {"code": [("TN01", "a")]})
         c = entity("d/c", "covid_case", links=[("hospital", "d/h", "a")])
-        eg = EG(
-            id="eg", schema=hospital_etg(), entities={"d/h": h, "d/c": c}, conflict_flags=frozenset()
-        )
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/h": h, "d/c": c})
         export_eg(eg, tmp_path / "eg.nt")
         text = (tmp_path / "eg.nt").read_text()
         assert (
@@ -1046,13 +1084,13 @@ class TestExport:
         assert "<urn:itelos:eg:d/c> <urn:itelos:etg:hospital> <urn:itelos:eg:d/h> ." in text
 
     def test_empty_graph_empty_file(self, tmp_path):
-        eg = EG(id="eg", schema=hospital_etg(), entities={}, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=hospital_etg(), entities={})
         export_eg(eg, tmp_path / "eg.nt")
         assert (tmp_path / "eg.nt").read_text() == ""
 
     def test_trailing_newline(self, tmp_path):
         e = entity("d/x", "hospital", {})
-        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e}, conflict_flags=frozenset())
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e})
         export_eg(eg, tmp_path / "eg.nt")
         assert (tmp_path / "eg.nt").read_text().endswith(".\n")
 

@@ -1,9 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from itelos.cli import build_parser, resolve_config
 from itelos.metrics import (
     EmptyAlphaError,
     KindMismatchError,
@@ -20,7 +22,7 @@ from itelos.metrics import (
 )
 from itelos.model import ElementSet
 
-from helpers import oracle_coverage, oracle_extensiveness, oracle_sparsity
+from helpers import COVID, oracle_coverage, oracle_extensiveness, oracle_sparsity
 
 
 def eset(members, kind="etypes"):
@@ -130,10 +132,16 @@ class TestThresholds:
         assert t.ext_floor == 0
         assert t.spr_band_max == Fraction(3, 5)
 
-    def test_from_mapping(self):
-        t = Thresholds.from_mapping({"cov_min": 0.75, "ext_floor": "1/10"})
-        assert t.cov_min == Fraction(3, 4)
-        assert t.ext_floor == Fraction(1, 10)
+    def test_from_mapping(self, tmp_path):
+        # a config file's threshold values go through as_fraction
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cov_min": 0.75, "ext_floor": "1/10"}))
+        args = build_parser().parse_args(
+            ["inception", "--purpose", str(COVID / "purpose.json"), "--config", str(config)]
+        )
+        t = resolve_config(args).thresholds
+        assert t.cov_min == as_fraction(0.75) == Fraction(3, 4)
+        assert t.ext_floor == as_fraction("1/10") == Fraction(1, 10)
 
     def test_range_checked(self):
         with pytest.raises(MetricError):
