@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,7 +54,7 @@ from .integration import (
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import ModelError, dump_etg, expect_json, load_etg, validate_eg
+from .model import ModelError, dump_etg, expect_json, load_etg, read_json, require_key, validate_eg
 from .modeling import (
     build_etg_model,
     eval_modeling,
@@ -91,14 +91,11 @@ class PipelineConfig:
         return self.purpose.parent
 
 
-# The JSON type of each config key that is neither a threshold (those go
-# through as_fraction) nor "mappings"; null leaves a key unset.
+# The JSON type of each config key that is neither a threshold or policy
+# field (those go through as_fraction) nor "mappings"; null leaves a key unset.
 _CONFIG_TYPES = {"out": str, "max_per_category": int, "fail_fast": bool, "etg": str, "datasets": str}
-_CONFIG_KEYS = {
-    *_CONFIG_TYPES,
-    *("cov_min", "ext_floor", "spr_band_min", "spr_band_max"),
-    *("match_threshold", "core_adopt_threshold", "etr_name_weight", "mappings"),
-}
+_FRACTION_KEYS = [f.name for cls in (Thresholds, AlignmentPolicy) for f in fields(cls)]
+_CONFIG_KEYS = {*_CONFIG_TYPES, *_FRACTION_KEYS, "mappings"}
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -108,17 +105,9 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     directory only, after both.
     """
     file_cfg = {}
-    if args.config is not None:
-        config_path = Path(args.config)
-        try:
-            file_cfg = json.loads(config_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{config_path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
-        expect_json(file_cfg, dict, f"{config_path}: config root", ConfigError)
+    config_path = Path(args.config) if args.config is not None else None
+    if config_path is not None:
+        file_cfg = read_json(config_path, "config file", error=ConfigError)
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
@@ -140,42 +129,27 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(f"purpose file {purpose} does not exist")
     out = pick(args.out, "out") or os.environ.get("ITELOS_OUT") or "out"
 
-    def fraction_or(flag_value, key, fallback):
-        value = pick(flag_value, key)
-        if value is None:
-            return fallback
+    def with_fractions(defaults):
+        """`defaults` with every field that its flag or config key (both named
+        after the field) sets replaced; a bad value from the file names it."""
+        values = {}
+        for field in fields(defaults):
+            flag_value = getattr(args, field.name)
+            value = pick(flag_value, field.name)
+            if value is None:
+                continue
+            try:
+                values[field.name] = as_fraction(value)
+            except (MetricError, ValueError, ZeroDivisionError) as exc:
+                origin = "" if flag_value is not None else f"{config_path}: "
+                raise ConfigError(f"{origin}bad value for {field.name}: {exc}") from exc
         try:
-            return as_fraction(value)
-        except (MetricError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
+            return replace(defaults, **values)
+        except (MetricError, InvalidPolicyError) as exc:
+            raise ConfigError(str(exc)) from exc
 
-    defaults = Thresholds()
-    try:
-        thresholds = Thresholds(
-            cov_min=fraction_or(args.cov_min, "cov_min", defaults.cov_min),
-            ext_floor=fraction_or(args.ext_floor, "ext_floor", defaults.ext_floor),
-            spr_band_min=fraction_or(args.spr_band_min, "spr_band_min", defaults.spr_band_min),
-            spr_band_max=fraction_or(args.spr_band_max, "spr_band_max", defaults.spr_band_max),
-        )
-    except MetricError as exc:
-        raise ConfigError(str(exc)) from exc
-    default_policy = AlignmentPolicy()
-    try:
-        policy = AlignmentPolicy(
-            match_threshold=fraction_or(
-                args.match_threshold, "match_threshold", default_policy.match_threshold
-            ),
-            core_adopt_threshold=fraction_or(
-                args.core_adopt_threshold,
-                "core_adopt_threshold",
-                default_policy.core_adopt_threshold,
-            ),
-            etr_name_weight=fraction_or(
-                args.etr_name_weight, "etr_name_weight", default_policy.etr_name_weight
-            ),
-        )
-    except InvalidPolicyError as exc:
-        raise ConfigError(str(exc)) from exc
+    thresholds = with_fractions(Thresholds())
+    policy = with_fractions(AlignmentPolicy())
 
     max_per_category = pick(args.max_per_category, "max_per_category")
     if max_per_category is not None and max_per_category < 1:
@@ -220,16 +194,23 @@ def _write_gate(out: Path, report: GateReport) -> None:
     (out / f"{report.gate}.txt").write_text(report.to_text(), encoding="utf-8")
 
 
-def _read_artifact(out: Path, name: str) -> dict:
+def _parse_file(path: Path, what: str, parse):
+    """`parse` applied to the JSON object in `path`; every error names the file."""
+    doc = read_json(path, what, error=PhaseError)
+    try:
+        return parse(doc)
+    except ModelError as exc:
+        raise PhaseError(f"{path}: {exc}") from exc
+
+
+def _read_artifact(out: Path, name: str, parse):
+    """`parse` applied to the artifact an earlier phase wrote to `out / name`."""
     path = out / name
     if not path.is_file():
         raise PhaseError(
             f"missing artifact {path}; run the earlier phases into this output directory first"
         )
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PhaseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    return _parse_file(path, "artifact", parse)
 
 
 def _out_dirs(config: PipelineConfig) -> tuple[Path, Path]:
@@ -287,7 +268,11 @@ def phase_model(config: PipelineConfig) -> GateReport:
     purpose, catalog = _load_catalog(config)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
-    ranking = ranking_from_json(_read_artifact(out, "inception.json")["ranking"], catalog)
+    ranking = _read_artifact(
+        out,
+        "inception.json",
+        lambda doc: ranking_from_json(require_key(doc, "ranking", "document", dict), catalog),
+    )
     selection = select_datasets(ranking, config.max_per_category)
     schemas = [catalog.datasets()[dataset_id] for dataset_id in selection]
     model = build_etg_model(
@@ -306,7 +291,7 @@ def phase_align(config: PipelineConfig) -> GateReport:
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     etg = load_etg(out / "etg_model.json")
-    model = model_from_docs(etg, _read_artifact(out, "etg_model_provenance.json"))
+    model = _read_artifact(out, "etg_model_provenance.json", lambda doc: model_from_docs(etg, doc))
     ontologies = catalog.ontologies()
     ranking = rank_ontologies(model, ontologies)
     predictions = {
@@ -337,29 +322,22 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     etg = load_etg(etg_path)
     # standalone use (--etg without earlier phases): no renames, purpose order
     if (out / "rename_map.json").is_file():
-        rename_map = {
-            str(k): str(v) for k, v in _read_artifact(out, "rename_map.json").items()
-        }
+        rename_map = _read_artifact(
+            out, "rename_map.json", lambda doc: {str(k): str(v) for k, v in doc.items()}
+        )
     else:
         rename_map = {}
     if (out / "selection.json").is_file():
-        selection = [str(d) for d in _read_artifact(out, "selection.json")["datasets"]]
+        selection = _read_artifact(
+            out,
+            "selection.json",
+            lambda doc: [str(d) for d in require_key(doc, "datasets", "document", list)],
+        )
     else:
         selection = [ref.meta.id for ref in purpose.dataset_refs]
     overrides = {}
     for mapping_path in config.mappings:
-        try:
-            doc = json.loads(mapping_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise PhaseError(f"cannot read mapping override {mapping_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise PhaseError(
-                f"{mapping_path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
-        try:
-            override = override_from_doc(doc)
-        except ModelError as exc:
-            raise PhaseError(f"{mapping_path}: {exc}") from exc
+        override = _parse_file(mapping_path, "mapping override", override_from_doc)
         overrides[override.dataset_id] = override
 
     graph_id = etg.id

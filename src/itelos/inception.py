@@ -8,7 +8,6 @@ second.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -32,10 +31,13 @@ from .model import (
     ResourceMeta,
     etype_elements,
     expect_json,
+    label_pair,
     load_etg,
     normalize_text,
     property_elements,
     read_csv,
+    read_json,
+    require_key,
     validate_etg,
 )
 
@@ -100,11 +102,8 @@ def _parse_cq(raw, index: int) -> CompetencyQuery:
     etypes = frozenset(
         normalize_text(str(e)) for e in expect_json(raw.get("etypes", []), list, f"{where}.etypes")
     )
-    pairs = set()
-    for pair in expect_json(raw.get("properties", []), list, f"{where}.properties"):
-        if type(pair) is not list or len(pair) != 2:
-            raise PurposeParseError(f"{where}.properties: {pair!r} is not an [etype, property] pair")
-        pairs.add((normalize_text(str(pair[0])), normalize_text(str(pair[1]))))
+    raw_pairs = expect_json(raw.get("properties", []), list, f"{where}.properties")
+    pairs = {label_pair(pair, f"{where}.properties[{i}]") for i, pair in enumerate(raw_pairs)}
     try:
         return CompetencyQuery(
             id=cq_id,
@@ -169,14 +168,7 @@ def parse_purpose(path: Path) -> Purpose:
     and ids unique across queries and across resources. Every error names the
     file.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PurposeParseError(f"cannot read purpose file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PurposeParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    doc = read_json(path, "purpose file", error=PurposeParseError)
     try:
         return _purpose_from_doc(doc)
     except ModelError as exc:
@@ -184,8 +176,8 @@ def parse_purpose(path: Path) -> Purpose:
         raise kind(f"{path}: {exc}") from exc
 
 
-def _purpose_from_doc(doc) -> Purpose:
-    if not str(expect_json(doc, dict, "purpose root").get("title", "")).strip():
+def _purpose_from_doc(doc: Mapping) -> Purpose:
+    if not str(doc.get("title", "")).strip():
         raise PurposeParseError("missing or empty 'title'")
 
     raw_cqs = expect_json(doc.get("cqs", []), list, "cqs")
@@ -254,13 +246,8 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     columns it does not mention are kept as unmapped attributes.
     """
     schema_path = sidecar_schema_path(csv_path)
-    try:
-        doc = json.loads(schema_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DocumentError(f"cannot read schema sidecar {schema_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{schema_path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if "etype" not in expect_json(doc, dict, f"{schema_path}: document root"):
+    doc = read_json(schema_path, "schema sidecar")
+    if "etype" not in doc:
         raise DocumentError(f"{schema_path}: missing 'etype'")
 
     header = [normalize_text(h) for h in next(read_csv(csv_path))]
@@ -438,38 +425,50 @@ def ranking_from_json(doc: Mapping, catalog: ResourceCatalog) -> CandidateRankin
     """Rebuild a ranking from its report form (used by later subcommands).
 
     Coverage results are reconstructed from the serialized fractions; entries
-    whose resources are no longer in the catalog are dropped.
+    whose resources are no longer in the catalog are dropped. A missing key
+    or a value of the wrong JSON type raises DocumentError.
     """
+    categories = expect_json(doc.get("categories", {}), dict, "categories")
     by_category: dict[str, tuple[RankedResource, ...]] = {}
     for category in CATEGORIES:
         entries = []
-        for raw in doc.get("categories", {}).get(category, []):
-            if raw["id"] not in catalog.resources:
+        where = f"categories.{category}"
+        for index, raw in enumerate(expect_json(categories.get(category, []), list, where)):
+            spot = f"{where}[{index}]"
+            resource_id = require_key(expect_json(raw, dict, spot), "id", spot, str)
+            if resource_id not in catalog.resources:
                 continue
+            prop_cov = raw.get("property_coverage")
             entries.append(
                 RankedResource(
-                    resource_id=str(raw["id"]),
-                    kind=str(raw["kind"]),
+                    resource_id=resource_id,
+                    kind=require_key(raw, "kind", spot, str),
                     category=category,
-                    popularity=int(raw["popularity"]),
-                    etype_coverage=_result_from_json(raw["etype_coverage"]),
+                    popularity=require_key(raw, "popularity", spot, int),
+                    etype_coverage=_result_from_json(raw, "etype_coverage", spot),
                     property_coverage=(
-                        _result_from_json(raw["property_coverage"])
-                        if raw.get("property_coverage") is not None
+                        _result_from_json(raw, "property_coverage", spot)
+                        if prop_cov is not None
                         else None
                     ),
                 )
             )
         by_category[category] = tuple(entries)
-    excluded = tuple((str(e["id"]), str(e["reason"])) for e in doc.get("excluded", []))
-    return CandidateRanking(by_category=by_category, excluded=excluded)
+    excluded = []
+    for index, raw in enumerate(expect_json(doc.get("excluded", []), list, "excluded")):
+        spot = f"excluded[{index}]"
+        reason = str(require_key(expect_json(raw, dict, spot), "reason", spot))
+        excluded.append((str(require_key(raw, "id", spot)), reason))
+    return CandidateRanking(by_category=by_category, excluded=tuple(excluded))
 
 
-def _result_from_json(raw: Mapping) -> MetricResult:
-    return MetricResult(
-        metric=str(raw["metric"]),
-        alpha_size=int(raw["alpha_size"]),
-        beta_size=int(raw["beta_size"]),
-        intersection_size=int(raw["intersection_size"]),
-        value=Fraction(int(raw["value"]["num"]), int(raw["value"]["den"])),
-    )
+def _result_from_json(entry: Mapping, key: str, where: str) -> MetricResult:
+    """The MetricResult stored under `entry[key]`."""
+    raw = require_key(entry, key, where, dict)
+    where = f"{where}.{key}"
+    sizes = [require_key(raw, k, where, int) for k in ("alpha_size", "beta_size", "intersection_size")]
+    value = require_key(raw, "value", where, dict)
+    num, den = (require_key(value, k, f"{where}.value", int) for k in ("num", "den"))
+    if den == 0:
+        raise DocumentError(f"{where}.value: den must not be 0")
+    return MetricResult(str(require_key(raw, "metric", where)), *sizes, Fraction(num, den))

@@ -38,6 +38,7 @@ from .model import (
     DocumentError,
     ModelError,
     expect_json,
+    label_pair,
     normalize_text,
     read_csv,
 )
@@ -86,18 +87,8 @@ def override_from_doc(doc) -> MappingOverride:
     columns: dict[str, tuple[str, str] | None] = {}
     raw_columns = expect_json(doc.get("columns", {}), dict, "mapping override: columns")
     for raw_name, spec in raw_columns.items():
-        name = normalize_text(str(raw_name))
-        if spec == "drop":
-            columns[name] = None
-        else:
-            try:
-                etype, prop = spec
-            except (TypeError, ValueError):
-                raise DocumentError(
-                    f"mapping override: column {raw_name!r} must map to "
-                    f"[etype, property] or \"drop\""
-                ) from None
-            columns[name] = (normalize_text(str(etype)), normalize_text(str(prop)))
+        where = f'mapping override: column {raw_name!r} (if not "drop")'
+        columns[normalize_text(str(raw_name))] = None if spec == "drop" else label_pair(spec, where)
     raw_identity = expect_json(doc.get("identity_key", []), list, "mapping override: identity_key")
     identity = tuple(normalize_text(str(c)) for c in raw_identity)
     return MappingOverride(

@@ -498,10 +498,37 @@ def expect_json(value, kind: type, where: str, error: type[Exception] = Document
     return value
 
 
-def _require(doc: Mapping, key: str, where: str):
+def require_key(doc: Mapping, key: str, where: str, kind: type | None = None):
+    """Return `doc[key]`; raise DocumentError if the key is missing or, when
+    `kind` is given, if the value is not of that JSON type."""
     if key not in doc:
         raise DocumentError(f"{where}: missing required key {key!r}")
-    return doc[key]
+    return doc[key] if kind is None else expect_json(doc[key], kind, f"{where}.{key}")
+
+
+def label_pair(value, where: str) -> tuple[str, str]:
+    """The two normalized labels of a JSON list such as [etype, property]."""
+    if type(value) is not list or len(value) != 2:
+        raise DocumentError(f"{where} must be a list of two labels, not {value!r}")
+    return normalize_text(str(value[0])), normalize_text(str(value[1]))
+
+
+def read_json(path: Path, what: str, kind: type = dict, error: type[Exception] = DocumentError):
+    """Return the root of the UTF-8 JSON file at `path` (a leading BOM is
+    skipped), which must have JSON type `kind`. Every failure raises `error`
+    naming the file; `what` says what the file is for."""
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8-sig"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: not valid UTF-8 at line {line}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: unreadable JSON: {exc}") from exc
+    return expect_json(doc, kind, f"{path}: document root", error)
 
 
 def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
@@ -510,23 +537,26 @@ def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
     `meta` overrides the document's own `meta` block; catalog metadata given in
     a purpose file wins over what the schema file says about itself.
     """
-    graph_id = str(_require(doc, "id", "document"))
+    graph_id = str(require_key(doc, "id", "document"))
     if meta is None:
-        raw_meta = _require(doc, "meta", graph_id)
+        raw_meta = require_key(doc, "meta", graph_id, dict)
         meta = ResourceMeta(
             id=graph_id,
             kind="ontology",
-            category=str(_require(raw_meta, "category", f"{graph_id}.meta")),
-            popularity=int(raw_meta.get("popularity", 0)),
+            category=str(require_key(raw_meta, "category", f"{graph_id}.meta")),
+            popularity=expect_json(raw_meta.get("popularity", 0), int, f"{graph_id}.meta.popularity"),
             origin=str(raw_meta.get("origin", "")),
         )
-    etypes = frozenset(normalize_text(str(e)) for e in _require(doc, "etypes", graph_id))
+    etypes = frozenset(normalize_text(str(e)) for e in require_key(doc, "etypes", graph_id, list))
     properties: dict[str, tuple[PropertyDef, ...]] = {}
-    for raw_etype, raw_props in sorted(dict(doc.get("properties", {})).items()):
+    raw_properties = expect_json(doc.get("properties", {}), dict, f"{graph_id}.properties")
+    for raw_etype, raw_props in sorted(raw_properties.items()):
         etype = normalize_text(str(raw_etype))
+        where = f"{graph_id}.properties.{raw_etype}"
+        entry = f"{where} entry"
         defs = []
-        for raw in raw_props:
-            name = normalize_text(str(_require(raw, "name", f"{graph_id}.properties.{raw_etype}")))
+        for raw in expect_json(raw_props, list, where):
+            name = normalize_text(str(require_key(expect_json(raw, dict, entry), "name", entry)))
             kind = str(raw.get("kind", "data"))
             rng = raw.get("range")
             defs.append(
@@ -538,10 +568,9 @@ def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
                 )
             )
         properties[etype] = tuple(sorted(defs, key=lambda p: p.name))
-    subclass = frozenset(
-        (normalize_text(str(child)), normalize_text(str(parent)))
-        for child, parent in doc.get("subclass", [])
-    )
+    raw_subclass = expect_json(doc.get("subclass", []), list, f"{graph_id}.subclass")
+    entry = f"{graph_id}.subclass entry"
+    subclass = frozenset(label_pair(pair, entry) for pair in raw_subclass)
     return ETG(id=graph_id, etypes=etypes, properties=properties, subclass_edges=subclass, meta=meta)
 
 
@@ -568,13 +597,11 @@ def etg_to_doc(g: ETG) -> dict:
 
 
 def load_etg(path: Path, *, meta: ResourceMeta | None = None) -> ETG:
+    doc = read_json(path, "schema graph")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: document root must be an object")
-    return etg_from_doc(doc, meta=meta)
+        return etg_from_doc(doc, meta=meta)
+    except ModelError as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
 
 
 def dump_etg(g: ETG, path: Path) -> None:

@@ -22,6 +22,7 @@ from .model import (
     ResourceMeta,
     compound_key,
     etype_elements,
+    expect_json,
     property_elements,
     validate_etg,
 )
@@ -178,10 +179,10 @@ def provenance_to_json(model: ETGModel) -> dict:
 
 
 def model_from_docs(etg: ETG, prov_doc: Mapping) -> ETGModel:
+    def table(key: str) -> dict[str, str]:
+        raw = expect_json(prov_doc.get(key, {}), dict, key)
+        return {str(k): str(v) for k, v in raw.items()}
+
     return ETGModel(
-        etg=etg,
-        provenance={str(k): str(v) for k, v in prov_doc.get("provenance", {}).items()},
-        etype_categories={
-            str(k): str(v) for k, v in prov_doc.get("etype_categories", {}).items()
-        },
+        etg=etg, provenance=table("provenance"), etype_categories=table("etype_categories")
     )

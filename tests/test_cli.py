@@ -320,15 +320,13 @@ class TestHostileInput:
         assert "covid_cases.csv: not valid UTF-8" in err
 
     def test_bom_before_header_changes_nothing(self, tmp_path):
-        root = copied_datasets(tmp_path)
-        for name in ("covid_cases.csv", "hospitals.csv"):
-            path = root / "data" / name
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        for path in [*root.glob("data/*"), *root.glob("ontologies/*"), root / "purpose.json"]:
             path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        assert main(fixture_argv("run", tmp_path / "bom", "--datasets", str(root))) == 0
-        assert main(fixture_argv("run", tmp_path / "plain")) == 0
-        assert (tmp_path / "bom" / "eg.nt").read_bytes() == (
-            tmp_path / "plain" / "eg.nt"
-        ).read_bytes()
+        out = tmp_path / "bom"
+        assert main(["run", "--purpose", str(root / "purpose.json"), "--out", str(out)]) == 0
+        assert (out / "eg.nt").read_bytes() == (COVID / "golden" / "eg.nt").read_bytes()
 
     def test_load_failure_shows_in_eval_a(self, tmp_path, capsys):
         root = copied_datasets(tmp_path)
@@ -394,42 +392,88 @@ def set_in(doc, path, value):
     return doc
 
 
-# (name of the file to write, path inside it or None for the whole
-# document, the value written there, the exit code expected)
+# A JSON document with a byte that is not UTF-8.
+NOT_UTF8 = b'{"name": "caf\xe9"}'
+
+# (phase to run, file to write: a fixture file or out/<artifact>, path inside
+# it or None for the whole document, the value written there (bytes are
+# written as they are), the exit code expected). The out directory starts as
+# a copy of a full run's artifacts.
 WRONG_SHAPES = {
-    "sidecar_number": ("data/hospitals.schema.json", None, 5, 1),
-    "sidecar_list": ("data/hospitals.schema.json", None, ["etype"], 1),
-    "cq_number": ("purpose.json", ["cqs", 0], 5, 1),
-    "overrides_list": ("purpose.json", ["property_overrides"], [], 1),
-    "override_spec_string": ("purpose.json", ["property_overrides", "hospital.beds"], "integer", 1),
-    "cq_pair_of_one": ("purpose.json", ["cqs", 0, "properties", 0], ["a"], 1),
-    "dataset_id_with_slash": ("purpose.json", ["datasets", 0, "id"], "a/b", 1),
-    "mapping_number": ("mapping.json", None, 5, 1),
-    "mapping_list": ("mapping.json", None, ["dataset_id"], 1),
-    "config_count_text": ("config.json", None, {"max_per_category": "two"}, 2),
-    "config_flag_text": ("config.json", None, {"fail_fast": "false"}, 2),
-    "config_out_number": ("config.json", None, {"out": 5}, 2),
-    "config_mapping_number": ("config.json", None, {"mappings": ["a.json", 5]}, 2),
+    "sidecar_number": ("integrate", "data/hospitals.schema.json", None, 5, 1),
+    "sidecar_list": ("integrate", "data/hospitals.schema.json", None, ["etype"], 1),
+    "sidecar_not_utf8": ("integrate", "data/hospitals.schema.json", None, NOT_UTF8, 1),
+    "cq_number": ("integrate", "purpose.json", ["cqs", 0], 5, 1),
+    "overrides_list": ("integrate", "purpose.json", ["property_overrides"], [], 1),
+    "override_spec_string": (
+        "integrate", "purpose.json", ["property_overrides", "hospital.beds"], "integer", 1
+    ),
+    "cq_pair_of_one": ("integrate", "purpose.json", ["cqs", 0, "properties", 0], ["a"], 1),
+    "dataset_id_with_slash": ("integrate", "purpose.json", ["datasets", 0, "id"], "a/b", 1),
+    "purpose_not_utf8": ("integrate", "purpose.json", None, NOT_UTF8, 1),
+    "mapping_number": ("integrate", "mapping.json", None, 5, 1),
+    "mapping_list": ("integrate", "mapping.json", None, ["dataset_id"], 1),
+    "mapping_not_utf8": ("integrate", "mapping.json", None, NOT_UTF8, 1),
+    "config_count_text": ("integrate", "config.json", None, {"max_per_category": "two"}, 2),
+    "config_flag_text": ("integrate", "config.json", None, {"fail_fast": "false"}, 2),
+    "config_out_number": ("integrate", "config.json", None, {"out": 5}, 2),
+    "config_mapping_number": ("integrate", "config.json", None, {"mappings": ["a.json", 5]}, 2),
+    "config_fraction_list": ("integrate", "config.json", None, {"cov_min": [1]}, 2),
+    "config_not_utf8": ("integrate", "config.json", None, NOT_UTF8, 2),
+    # an ontology that cannot be read is a load failure in the eval_a report
+    "ontology_etypes_number": ("inception", "ontologies/onto_health.json", ["etypes"], 5, 0),
+    "etg_not_utf8": ("integrate", "out/etg_final.json", None, NOT_UTF8, 1),
+    "etg_etypes_number": ("integrate", "out/etg_final.json", ["etypes"], 5, 1),
+    "etg_properties_list": ("integrate", "out/etg_final.json", ["properties"], [], 1),
+    "etg_property_number": ("integrate", "out/etg_final.json", ["properties", "hospital", 0], 5, 1),
+    "etg_property_list_number": ("integrate", "out/etg_final.json", ["properties", "hospital"], 5, 1),
+    "etg_subclass_of_one": ("integrate", "out/etg_final.json", ["subclass"], [[1]], 1),
+    "etg_model_meta_number": ("align", "out/etg_model.json", ["meta"], 5, 1),
+    "etg_popularity_text": ("integrate", "out/etg_final.json", ["meta", "popularity"], "x", 1),
+    "inception_not_utf8": ("model", "out/inception.json", None, NOT_UTF8, 1),
+    "inception_list": ("model", "out/inception.json", None, [], 1),
+    "ranking_number": ("model", "out/inception.json", ["ranking"], 5, 1),
+    "ranking_entry_without_kind": (
+        "model", "out/inception.json", ["ranking", "categories", "common", 0], {"id": "ds_hospitals"}, 1
+    ),
+    "ranking_zero_denominator": (
+        "model",
+        "out/inception.json",
+        ["ranking", "categories", "common", 0, "etype_coverage", "value", "den"],
+        0,
+        1,
+    ),
+    "ranking_excluded_number": ("model", "out/inception.json", ["ranking", "excluded"], [5], 1),
+    "provenance_list": ("align", "out/etg_model_provenance.json", None, [], 1),
+    "provenance_table_number": ("align", "out/etg_model_provenance.json", ["provenance"], 5, 1),
+    "rename_map_list": ("integrate", "out/rename_map.json", None, [], 1),
+    "selection_empty": ("integrate", "out/selection.json", None, {}, 1),
+    "selection_datasets_number": ("integrate", "out/selection.json", ["datasets"], 5, 1),
 }
 
 
 class TestWrongShapes:
     @pytest.fixture(scope="class")
-    def final_etg(self, tmp_path_factory):
+    def pipeline(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("pipeline")
         assert main(fixture_argv("run", out)) == 0
-        return out / "etg_final.json"
+        return out
 
     @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
-    def test_wrong_shape_names_the_file(self, case, final_etg, tmp_path):
-        name, path, value, code = WRONG_SHAPES[case]
+    def test_wrong_shape_names_the_file(self, case, pipeline, tmp_path):
+        phase, name, path, value, code = WRONG_SHAPES[case]
         root = tmp_path / "fixture"
         shutil.copytree(COVID, root)
+        shutil.copytree(pipeline, root / "out")
         target = root / name
-        doc = json.loads(target.read_text(encoding="utf-8")) if target.exists() else None
-        target.write_text(json.dumps(value if path is None else set_in(doc, path, value)))
-        argv = ["integrate", "--purpose", root / "purpose.json", "--out", tmp_path / "out"]
-        argv += ["--etg", final_etg]
+        if isinstance(value, bytes):
+            target.write_bytes(value)
+        else:
+            doc = json.loads(target.read_text(encoding="utf-8")) if target.exists() else None
+            target.write_text(json.dumps(value if path is None else set_in(doc, path, value)))
+        argv = [phase, "--purpose", root / "purpose.json", "--out", root / "out"]
+        if phase == "integrate":
+            argv += ["--etg", root / "out" / "etg_final.json"]
         if name == "mapping.json":
             argv += ["--mapping", target]
         if name == "config.json":
@@ -437,4 +481,5 @@ class TestWrongShapes:
         done = run_cli(*argv)
         assert done.returncode == code
         assert "Traceback" not in done.stderr
-        assert str(target) in done.stderr
+        # a failed phase says why on stderr; a load failure is a gate note
+        assert str(target) in (done.stderr if code else done.stdout)

@@ -105,8 +105,15 @@ class TestParsePurpose:
             ),
             ({"ontologies": {}}, "ontologies must be a list, not an object"),
             ({"cqs": [{"id": "q", "etypes": ["x"]}] * 2}, "duplicate competency query id 'q'"),
+            (
+                {"cqs": [{"id": "q", "etypes": ["x"], "properties": [["a"]]}]},
+                "cqs[0].properties[0] must be a list of two labels, not ['a']",
+            ),
         ],
-        ids=["cq_without_id", "etypes_string", "cq_invariant", "popularity_list", "ontologies_object", "duplicate"],
+        ids=[
+            "cq_without_id", "etypes_string", "cq_invariant", "popularity_list", "ontologies_object",
+            "duplicate", "pair_of_one",
+        ],
     )
     def test_errors_name_the_file(self, tmp_path, entry, message):
         path = write_purpose(tmp_path / "p.json", minimal_purpose(**entry))

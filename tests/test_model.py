@@ -1,9 +1,13 @@
+import ast
 import json
+import re
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import itelos
 from itelos.model import (
     DATATYPES,
     EG,
@@ -24,6 +28,7 @@ from itelos.model import (
     normalize_text,
     normalize_value,
     property_elements,
+    read_json,
     validate_eg,
     validate_etg,
 )
@@ -534,3 +539,49 @@ class TestEtgDocuments:
         assert json.loads(text)["id"] == "g"
         g = load_etg(path)
         assert etg_to_doc(g) == etg_to_doc(clean_etg())
+
+
+class CallerError(Exception):
+    """Stands in for the error class a caller of read_json passes."""
+
+
+class TestReadJson:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (None, "cannot read test file "),
+            (b'{"a": "caf\xe9"}', "not valid UTF-8 at line 1"),
+            (b'{\n  "a": }', "invalid JSON at line 2, column 8"),
+            (b"[]", "document root must be an object, not a list"),
+            (b"[" * 100_000, "unreadable JSON"),
+        ],
+        ids=["missing", "not_utf8", "invalid", "root_list", "too_deep"],
+    )
+    def test_every_failure_raises_the_given_error_naming_the_file(self, tmp_path, data, message):
+        path = tmp_path / "doc.json"
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(CallerError, match=re.escape(message)) as err:
+            read_json(path, "test file", dict, CallerError)
+        assert str(path) in str(err.value)
+
+    def test_leading_bom_is_skipped(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xef\xbb\xbf[1]")
+        assert read_json(path, "test file", list) == [1]
+
+    def test_no_other_module_parses_json(self):
+        """Every JSON document is read through read_json, the one reader."""
+        parsers = []
+        for path in sorted(Path(itelos.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module == "json":
+                    parsers.append(path.name)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                ):
+                    parsers.append(path.name)
+        assert parsers == ["model.py"]
