@@ -27,6 +27,7 @@ from .model import (
     DatasetSchema,
     DocumentError,
     ETG,
+    EmptyLabelError,
     ModelError,
     ResourceMeta,
     etype_elements,
@@ -122,15 +123,16 @@ def _parse_refs(raw_list, kind: str, where: str) -> tuple[ResourceRef, ...]:
         for key in ("id", "path", "category"):
             if key not in expect_json(raw, dict, spot):
                 raise PurposeParseError(f"{spot}: missing {key!r}")
+        popularity = expect_json(raw.get("popularity", 0), int, f"{spot}.popularity")
         try:
             meta = ResourceMeta(
                 id=str(raw["id"]),
                 kind=kind,
                 category=str(raw["category"]),
-                popularity=int(raw.get("popularity", 0)),
+                popularity=popularity,
                 origin=str(raw.get("origin", "")),
             )
-        except (ModelError, TypeError, ValueError) as exc:
+        except ModelError as exc:
             raise PurposeParseError(f"{spot}: {exc}") from exc
         # "/" separates the dataset id from the key in every minted entity id
         if kind == "dataset" and "/" in meta.id:
@@ -243,37 +245,39 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     """Load a dataset's sidecar schema and check it against the CSV header.
 
     The sidecar lives next to the data file as `<stem>.schema.json`; header
-    columns it does not mention are kept as unmapped attributes.
+    columns it does not mention are kept as unmapped attributes. Every error
+    names the file at fault once: the CSV for its header, else the sidecar.
     """
     schema_path = sidecar_schema_path(csv_path)
     doc = read_json(schema_path, "schema sidecar")
-    if "etype" not in doc:
-        raise DocumentError(f"{schema_path}: missing 'etype'")
-
-    header = [normalize_text(h) for h in next(read_csv(csv_path))]
-    columns: dict[str, Column] = {}
-    raw_columns = expect_json(doc.get("columns", []), list, f"{schema_path}: columns")
-    for position, raw in enumerate(raw_columns, start=1):
-        if not isinstance(raw, dict) or "name" not in raw:
-            raise DocumentError(f"{schema_path}: column {position} has no 'name'")
-        name = normalize_text(str(raw["name"]))
-        if name not in header:
-            raise DocumentError(
-                f"{schema_path}: column {name} is not present in the header of {csv_path.name}"
+    try:
+        header = [normalize_text(h) for h in next(read_csv(csv_path))]
+    except EmptyLabelError as exc:
+        raise DocumentError(f"{csv_path}: header: {exc}") from exc
+    try:
+        if "etype" not in doc:
+            raise DocumentError("missing 'etype'")
+        columns: dict[str, Column] = {}
+        for position, raw in enumerate(expect_json(doc.get("columns", []), list, "columns"), 1):
+            if not isinstance(raw, dict) or "name" not in raw:
+                raise DocumentError(f"column {position} has no 'name'")
+            name = normalize_text(str(raw["name"]))
+            if name not in header:
+                raise DocumentError(f"column {name} is not present in the header of {csv_path.name}")
+            mapped = raw.get("property")
+            columns[name] = Column(
+                name=name,
+                mapped=normalize_text(str(mapped)) if mapped is not None else None,
+                role=str(raw.get("role", "attribute")),
             )
-        mapped = raw.get("property")
-        columns[name] = Column(
-            name=name,
-            mapped=normalize_text(str(mapped)) if mapped is not None else None,
-            role=str(raw.get("role", "attribute")),
+        return DatasetSchema(
+            dataset_id=meta.id,
+            assigned_etype=normalize_text(str(doc["etype"])),
+            columns=tuple(columns.get(h, Column(name=h)) for h in header),
+            meta=meta,
         )
-    ordered = tuple(columns.get(h, Column(name=h)) for h in header)
-    return DatasetSchema(
-        dataset_id=meta.id,
-        assigned_etype=normalize_text(str(doc["etype"])),
-        columns=ordered,
-        meta=meta,
-    )
+    except ModelError as exc:
+        raise DocumentError(f"{schema_path}: {exc}") from exc
 
 
 def collect_resources(refs: Sequence[ResourceRef], base_dir: Path) -> ResourceCatalog:
@@ -294,7 +298,7 @@ def collect_resources(refs: Sequence[ResourceRef], base_dir: Path) -> ResourceCa
                 violations = validate_etg(etg)
                 if violations:
                     listed = "; ".join(str(v) for v in violations)
-                    raise DocumentError(f"invalid schema graph: {listed}")
+                    raise DocumentError(f"{path}: invalid schema graph: {listed}")
                 resources[ref.meta.id] = etg
         except (OSError, ModelError, ValueError) as exc:
             errors.append(LoadFailure(resource_id=ref.meta.id, path=str(path), message=str(exc)))
@@ -394,7 +398,7 @@ def eval_inception(
         items.append((entry.resource_id, "etypes", entry.etype_coverage, REUSE_HINT))
         if entry.property_coverage is not None:
             items.append((entry.resource_id, "properties", entry.property_coverage, REUSE_HINT))
-    notes = [f"load failure: {e.resource_id} ({e.path}): {e.message}" for e in load_errors]
+    notes = [f"load failure: {e.resource_id}: {e.message}" for e in load_errors]
     if not items:
         notes.append("no dataset overlaps the competency queries; nothing can be reused")
     if not any(cq.property_pairs for cq in cqs):

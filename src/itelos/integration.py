@@ -2,10 +2,12 @@
 entities row by row, merge duplicates, resolve cross-dataset links, and gate
 on query coverage (eval_d).
 
-A merged entity keeps the lexicographically smallest of its ids, and
-unresolved links are retried after every merge, so keyed datasets whose
-entities all match on identity keys give the same graph in any order. Where
-no key decides, entities match greedily on property agreement, and which ones
+Entities of one etype are compared by their `Entity.value_sets` maps: equal
+identity keys decide, else agreement on every property both populate, with
+at least one such property. A merged entity keeps the lexicographically
+smallest of its ids, and unresolved links are retried after every merge, so
+keyed datasets whose entities all match on identity keys give the same graph
+in any order. Where no key decides, entities match greedily, and which ones
 merge can depend on the dataset order (see `merge_entities`).
 """
 
@@ -221,7 +223,7 @@ def infer_mapping(
 # Entity generation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PendingLink:
     """An object-property cell whose target entity has not appeared yet."""
 
@@ -229,9 +231,6 @@ class PendingLink:
     property: str
     target_text: str
     dataset_id: str
-
-    def sort_key(self):
-        return (self.source_id, self.property, self.target_text, self.dataset_id)
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def generate_entities(
     key_indexes = [index_of[c] for c in mapping.identity_columns]
 
     values: dict[str, dict[str, list[tuple[str, str]]]] = {}
-    pending: dict[tuple[str, str, str, str], PendingLink] = {}
+    pending: set[PendingLink] = set()
     data_cells = 0
     skipped = 0
     for ordinal, row in enumerate(rows, start=1):
@@ -293,13 +292,7 @@ def generate_entities(
                 continue
             definition = declared[prop]
             if definition.kind == "object":
-                link = PendingLink(
-                    source_id=entity_id,
-                    property=prop,
-                    target_text=cell,
-                    dataset_id=mapping.dataset_id,
-                )
-                pending.setdefault(link.sort_key(), link)
+                pending.add(PendingLink(entity_id, prop, cell, mapping.dataset_id))
             else:
                 pair = (cell, mapping.dataset_id)
                 series = bucket.setdefault(prop, [])
@@ -327,7 +320,7 @@ def generate_entities(
     }
     return Fragment(
         eg=fragment_eg,
-        pending_links=tuple(sorted(pending.values(), key=PendingLink.sort_key)),
+        pending_links=tuple(sorted(pending)),
         identity_properties=identity_props,
         stats=stats,
     )
@@ -337,19 +330,21 @@ def generate_entities(
 # Matching and merging
 
 
-def _same_entity(existing: Entity, candidate: Entity, key_props: Sequence[str]) -> bool:
-    """Identity decision for two same-etype entities.
+def _same_entity(
+    existing_sets: Mapping[str, frozenset[str]],
+    candidate_sets: Mapping[str, frozenset[str]],
+    key_props: Sequence[str],
+) -> bool:
+    """Identity decision for two same-etype entities, given by their
+    `Entity.value_sets` maps.
 
-    When both sides carry every key property the keys alone decide; otherwise
-    the entities must agree on every property they share, and share at least
-    one. Only non-blank values count (`Entity.value_set`).
+    When both sides populate every key property the keys alone decide;
+    otherwise the two must have equal value sets on every property both
+    populate, and populate at least one in common.
     """
-    pairs = [(existing.value_set(p), candidate.value_set(p)) for p in key_props]
-    if not pairs or not all(mine and theirs for mine, theirs in pairs):
-        shared = existing.data_values.keys() & candidate.data_values.keys()
-        pairs = [(existing.value_set(p), candidate.value_set(p)) for p in shared]
-        pairs = [(mine, theirs) for mine, theirs in pairs if mine and theirs]
-    return bool(pairs) and all(mine == theirs for mine, theirs in pairs)
+    shared = existing_sets.keys() & candidate_sets.keys()
+    props = key_props if key_props and shared.issuperset(key_props) else shared
+    return bool(props) and all(existing_sets[p] == candidate_sets[p] for p in props)
 
 
 def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
@@ -357,35 +352,33 @@ def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
 
     An id collision is always a match; otherwise candidates of the same etype
     are tried in id order. `_same_entity` accepts a pair only when the two
-    share a property with equal non-empty value sets, so the existing
-    entities of the fragment's etypes are indexed by (etype, property) and
-    then by value set. Each candidate probes the index with the value set of
-    each of its own properties that the index holds, and only the existing
-    entities it hits are compared. The result equals trying every same-etype
-    entity in id order.
+    have an equal value set on some property, so the `Entity.value_sets` map
+    of each existing entity of the fragment's etypes is built once and
+    indexed by (etype, property, value set). A candidate's map is built only
+    when its etype has indexed entities; the candidate probes the index with
+    each of its entries, and only the existing entities it hits are compared.
+    The result equals trying every same-etype entity in id order.
     """
     etypes = {entity.etype for entity in fragment.eg.entities.values()}
-    index: dict[tuple[str, str], dict[frozenset[str], list[str]]] = {}
+    sets_of: dict[str, dict[str, frozenset[str]]] = {}
+    index: dict[str, dict[tuple[str, frozenset[str]], list[str]]] = {}
     for entity in eg.sorted_entities():
-        if entity.etype not in etypes:
-            continue
-        for prop in entity.data_values:
-            values = entity.value_set(prop)
-            if values:
-                by_values = index.setdefault((entity.etype, prop), {})
-                by_values.setdefault(values, []).append(entity.id)
+        if entity.etype in etypes:
+            sets_of[entity.id] = entity.value_sets()
+            for entry in sets_of[entity.id].items():
+                index.setdefault(entity.etype, {}).setdefault(entry, []).append(entity.id)
     matches: dict[str, str] = {}
     for candidate in fragment.eg.sorted_entities():
         if candidate.id in eg.entities:
             matches[candidate.id] = candidate.id
             continue
-        hits: set[str] = set()
-        for prop in candidate.data_values:
-            by_values = index.get((candidate.etype, prop))
-            if by_values:
-                hits.update(by_values.get(candidate.value_set(prop), ()))
+        by_entry = index.get(candidate.etype)
+        if by_entry is None:
+            continue
+        candidate_sets = candidate.value_sets()
+        hits = {i for entry in candidate_sets.items() for i in by_entry.get(entry, ())}
         for existing_id in sorted(hits):
-            if _same_entity(eg.entities[existing_id], candidate, fragment.identity_properties):
+            if _same_entity(sets_of[existing_id], candidate_sets, fragment.identity_properties):
                 matches[candidate.id] = existing_id
                 break
     return matches
@@ -477,14 +470,14 @@ def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
     ties go to the smallest id. Suffix lookups go through an index of id
     suffix -> ids in sorted order, built once per call and only when some link
     needs it; the first conforming id in that list is the smallest one.
-    Unresolved links stay pending and are never written into the graph.
+    Unresolved links stay pending, sorted, and are never written into the graph.
     """
     eg = state.eg
     added: dict[str, set[tuple[str, str, str]]] = {}
     still: list[PendingLink] = []
     resolved = 0
     by_suffix: dict[str, list[str]] | None = None
-    for link in sorted(state.pending, key=PendingLink.sort_key):
+    for link in sorted(state.pending):
         source = eg.entities.get(link.source_id)
         declared = (
             eg.schema.declared_properties(source.etype).get(link.property)
@@ -627,18 +620,12 @@ def integrate_dataset(
     fragment = generate_entities(mapping, header, rows, before.schema)
     matches = match_entities(before, fragment)
     merged_eg, remap = merge_entities(before, fragment, matches)
-    carried = [
-        PendingLink(
-            source_id=remap.get(link.source_id, link.source_id),
-            property=link.property,
-            target_text=link.target_text,
-            dataset_id=link.dataset_id,
-        )
+    carried = {
+        replace(link, source_id=remap[link.source_id]) if link.source_id in remap else link
         for link in state.pending + fragment.pending_links
-    ]
-    deduped = {link.sort_key(): link for link in carried}
+    }
     resolved_state, _count = resolve_pending(
-        IntegrationState(eg=merged_eg, pending=tuple(deduped.values()))
+        IntegrationState(eg=merged_eg, pending=tuple(carried))
     )
     after = resolved_state.eg
 
@@ -672,7 +659,7 @@ def integrate_dataset(
         components_before=connected_components(before),
         connected_components=connected_components(after),
         missing_link_ratio=missing_ratio(after),
-        unresolved_links=tuple(sorted(resolved_state.pending, key=PendingLink.sort_key)),
+        unresolved_links=resolved_state.pending,
         stats=fragment.stats,
     )
     return resolved_state, report

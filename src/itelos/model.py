@@ -211,12 +211,17 @@ class Entity:
     data_values: Mapping[str, tuple[tuple[str, str], ...]]
     object_links: frozenset[tuple[str, str, str]]
 
-    def value_set(self, prop: str) -> frozenset[str]:
-        """The non-blank values of `prop` in normalized form: the values that
-        identity and conflict decisions compare. Computed on every call."""
-        return frozenset(
-            normalize_value(v) for v, _src in self.data_values.get(prop, ()) if v.strip()
-        )
+    def value_sets(self) -> dict[str, frozenset[str]]:
+        """Each populated data property mapped to its non-blank values in
+        normalized form: the values that identity and conflict decisions
+        compare. A property with only blank values is left out. Computed on
+        every call."""
+        sets = {}
+        for prop, pairs in self.data_values.items():
+            values = frozenset(normalize_value(v) for v, _src in pairs if v.strip())
+            if values:
+                sets[prop] = values
+        return sets
 
 
 @dataclass(frozen=True)
@@ -239,12 +244,13 @@ class EG:
     @cached_property
     def conflict_flags(self) -> frozenset[tuple[str, str]]:
         """The (entity id, property) pairs whose values disagree: two or more
-        members in `Entity.value_set`. Computed on first read."""
+        members in the property's `Entity.value_sets` entry. Computed on first
+        read."""
         return frozenset(
             (entity.id, prop)
             for entity in self.entities.values()
-            for prop in entity.data_values
-            if len(entity.value_set(prop)) >= 2
+            for prop, values in entity.value_sets().items()
+            if len(values) >= 2
         )
 
 
@@ -520,7 +526,7 @@ def read_json(path: Path, what: str, kind: type = dict, error: type[Exception] =
     try:
         doc = json.loads(path.read_bytes().decode("utf-8-sig"))
     except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: not valid UTF-8 at line {line}") from exc

@@ -18,7 +18,7 @@ from itelos.alignment import (
     name_similarity,
     property_sharability,
 )
-from itelos.integration import _merge_values, _same_entity
+from itelos.integration import _merge_values
 from itelos.model import (
     EG,
     ETG,
@@ -257,7 +257,7 @@ def scan_match_entities(eg, fragment) -> dict[str, str]:
             matches[candidate.id] = candidate.id
             continue
         for existing in eg.sorted_entities():
-            if existing.etype == candidate.etype and _same_entity(
+            if existing.etype == candidate.etype and scan_same_entity(
                 existing, candidate, fragment.identity_properties
             ):
                 matches[candidate.id] = existing.id

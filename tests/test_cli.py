@@ -333,8 +333,8 @@ class TestHostileInput:
         (root / "data" / "covid_cases.csv").write_bytes(b"case_id,case_d\xe9te\nC001,x\n")
         out = tmp_path / "out"
         main(fixture_argv("run", out, "--datasets", str(root)))
-        assert "load failure: ds_cases (" in (out / "eval_a.txt").read_text()
-        assert "load failure: ds_cases (" in capsys.readouterr().out
+        assert "load failure: ds_cases: " in (out / "eval_a.txt").read_text()
+        assert "load failure: ds_cases: " in capsys.readouterr().out
         (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
         assert error["id"] == "ds_cases"
 
@@ -357,8 +357,8 @@ class TestHostileInput:
         (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
         assert error["id"] == "ds_hospitals"
         assert "hospitals.schema.json: column 1 has no 'name'" in error["message"]
-        assert "load failure: ds_hospitals (" in (out / "eval_a.txt").read_text()
-        assert "load failure: ds_hospitals (" in capsys.readouterr().out
+        assert "load failure: ds_hospitals: " in (out / "eval_a.txt").read_text()
+        assert "load failure: ds_hospitals: " in capsys.readouterr().out
 
     def test_unloadable_dataset_error_gives_the_cause(self, tmp_path, capsys):
         pipeline_out = tmp_path / "pipeline"
@@ -380,6 +380,48 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert "selected dataset 'ds_cases' is not loadable" in err
         assert "not valid UTF-8" in err
+
+
+# (file to break, path inside its JSON document or None to write the value as
+# it is, the value or None to delete the file, the resource that fails to
+# load). The message of every load failure names the file at fault once.
+LOAD_FAILURES = {
+    "csv_not_utf8": ("data/covid_cases.csv", None, b"case_id,case_d\xe9te\nC001,x\n", "ds_cases"),
+    "csv_header_blank": ("data/hospitals.csv", None, b"code,,beds,municipality\n", "ds_hospitals"),
+    "sidecar_missing": ("data/covid_cases.schema.json", None, None, "ds_cases"),
+    "sidecar_column_without_name": (
+        "data/hospitals.schema.json", ["columns", 0], {"property": "code"}, "ds_hospitals"
+    ),
+    "sidecar_two_identities": (
+        "data/hospitals.schema.json", ["columns", 1, "role"], "identity", "ds_hospitals"
+    ),
+    "ontology_etypes_number": ("ontologies/onto_health.json", ["etypes"], 5, "onto_health"),
+    "ontology_dangling_subclass": (
+        "ontologies/onto_health.json", ["subclass"], [["hospital", "nowhere"]], "onto_health"
+    ),
+}
+
+
+class TestLoadFailureNotes:
+    @pytest.mark.parametrize("case", sorted(LOAD_FAILURES))
+    def test_note_names_the_file_once(self, case, tmp_path):
+        name, path, value, resource_id = LOAD_FAILURES[case]
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        target = root / name
+        if value is None:
+            target.unlink()
+        elif path is None:
+            target.write_bytes(value)
+        else:
+            doc = json.loads(target.read_text(encoding="utf-8"))
+            target.write_text(json.dumps(set_in(doc, path, value)), encoding="utf-8")
+        out = tmp_path / "out"
+        main(["inception", "--purpose", str(root / "purpose.json"), "--out", str(out)])
+        notes = json.loads((out / "eval_a.json").read_text())["notes"]
+        (note,) = [n for n in notes if n.startswith("load failure: ")]
+        assert note.startswith(f"load failure: {resource_id}: ")
+        assert note.count(str(target)) == 1
 
 
 def set_in(doc, path, value):

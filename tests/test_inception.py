@@ -36,6 +36,11 @@ def minimal_purpose(**extra):
     return doc
 
 
+def popular(popularity):
+    """Purpose fields with one dataset of the given popularity."""
+    return {"datasets": [{"id": "d", "path": "d.csv", "category": "core", "popularity": popularity}]}
+
+
 class TestParsePurpose:
     def test_fixture_parses(self, covid_purpose):
         purpose = parse_purpose(covid_purpose)
@@ -99,10 +104,10 @@ class TestParsePurpose:
                 {"cqs": [{"id": "q", "etypes": ["x"], "properties": [["y", "p"]]}]},
                 "cqs[0]: competency query 'q': property p names etype y",
             ),
-            (
-                {"datasets": [{"id": "d", "path": "d.csv", "category": "core", "popularity": [1]}]},
-                "datasets[0]: ",
-            ),
+            (popular([1]), "datasets[0].popularity must be an integer, not a list"),
+            (popular(3.7), "datasets[0].popularity must be an integer, not a number"),
+            (popular("12"), "datasets[0].popularity must be an integer, not a string"),
+            (popular(True), "datasets[0].popularity must be an integer, not true or false"),
             ({"ontologies": {}}, "ontologies must be a list, not an object"),
             ({"cqs": [{"id": "q", "etypes": ["x"]}] * 2}, "duplicate competency query id 'q'"),
             (
@@ -111,8 +116,8 @@ class TestParsePurpose:
             ),
         ],
         ids=[
-            "cq_without_id", "etypes_string", "cq_invariant", "popularity_list", "ontologies_object",
-            "duplicate", "pair_of_one",
+            "cq_without_id", "etypes_string", "cq_invariant", "popularity_list", "popularity_fraction",
+            "popularity_text", "popularity_bool", "ontologies_object", "duplicate", "pair_of_one",
         ],
     )
     def test_errors_name_the_file(self, tmp_path, entry, message):

@@ -412,6 +412,8 @@ class TestMatchAndMerge:
 # Small pools so that random entities often share, miss or contradict values.
 MATCH_VALUES = ["", " ", "a", "A", "a  b", "A B", "b"]
 MATCH_PROPS = ["code", "name", "beds"]
+# One property with few values, so that one value-set block holds many entities.
+BLOCK_VALUES = ["Trento", "Arco", "Rovereto"]
 
 
 @st.composite
@@ -420,8 +422,10 @@ def random_entity(draw, dataset_ids):
     for prop in draw(st.lists(st.sampled_from(MATCH_PROPS), unique=True)):
         texts = draw(st.lists(st.sampled_from(MATCH_VALUES), min_size=1, max_size=2, unique=True))
         values[prop] = [(text, "src") for text in texts]
+    if draw(st.booleans()):
+        values["municipality"] = [(draw(st.sampled_from(BLOCK_VALUES)), "src")]
     return entity(
-        f"{draw(st.sampled_from(dataset_ids))}/e{draw(st.integers(0, 9))}",
+        f"{draw(st.sampled_from(dataset_ids))}/e{draw(st.integers(0, 39))}",
         draw(st.sampled_from(["hospital", "facility"])),
         values,
     )
@@ -454,8 +458,8 @@ def keyed_entities(dataset_id, codes):
 class TestMatchIndex:
     @settings(max_examples=200)
     @given(
-        st.lists(random_entity(["ds_a"]), max_size=12),
-        st.lists(random_entity(["ds_a", "ds_b", "ds_c"]), max_size=12),
+        st.lists(random_entity(["ds_a"]), max_size=40),
+        st.lists(random_entity(["ds_a", "ds_b", "ds_c"]), max_size=40),
         st.sampled_from([(), ("code",), ("code", "name")]),
     )
     def test_match_equals_scan_oracle(self, existing, candidates, keys):
@@ -471,16 +475,17 @@ class TestMatchIndex:
     )
     def test_same_entity_equals_scan_oracle(self, existing, candidate, keys):
         expected = scan_same_entity(existing, candidate, keys)
-        assert integration._same_entity(existing, candidate, keys) == expected
+        sets = existing.value_sets(), candidate.value_sets()
+        assert integration._same_entity(*sets, keys) == expected
 
     @pytest.mark.parametrize("prefix, calls", [("L", 0), ("K", 200)])
     def test_same_entity_calls_are_counted_hits(self, monkeypatch, prefix, calls):
         made = []
         original = integration._same_entity
 
-        def counted(existing, candidate, key_props):
-            made.append(existing.id)
-            return original(existing, candidate, key_props)
+        def counted(existing_sets, candidate_sets, key_props):
+            made.append(existing_sets)
+            return original(existing_sets, candidate_sets, key_props)
 
         monkeypatch.setattr(integration, "_same_entity", counted)
         eg = graph_of(keyed_entities("ds_a", [f"K{i}" for i in range(200)]))
@@ -489,6 +494,33 @@ class TestMatchIndex:
         matches = match_entities(eg, fragment)
         assert len(made) == calls
         assert len(matches) == calls
+
+    def test_value_sets_built_once_per_entity(self, monkeypatch):
+        calls = []
+        value_sets = Entity.value_sets
+        monkeypatch.setattr(
+            Entity, "value_sets", lambda self: calls.append(self.id) or value_sets(self)
+        )
+        compared = []
+        original = integration._same_entity
+        monkeypatch.setattr(
+            integration, "_same_entity", lambda *args: compared.append(args) or original(*args)
+        )
+        n = 30
+
+        def town_entities(dataset_id, etype):
+            values = {"name": [(dataset_id, "src")], "municipality": [("Trento", "src")]}
+            return [entity(f"{dataset_id}/e{i}", etype, values) for i in range(n)]
+
+        existing = town_entities("ds_a", "hospital")
+        candidates = town_entities("ds_b", "hospital")
+        eg = graph_of(existing + town_entities("ds_c", "facility"))
+        matches = match_entities(eg, fragment_of(candidates, ()))
+        # every candidate shares the municipality block with every existing
+        # hospital and agrees with none of them on the name
+        assert matches == {}
+        assert len(compared) == n * n
+        assert sorted(calls) == sorted(e.id for e in existing + candidates)
 
 
 # Ids from several datasets, so fragment ids collide with existing ones or sort
@@ -675,7 +707,7 @@ class TestResolveIndex:
             else:
                 expected[link.source_id].add((link.property, target, link.dataset_id))
         assert {e.id: set(e.object_links) for e in state.eg.entities.values()} == expected
-        assert state.pending == tuple(sorted(unresolved, key=PendingLink.sort_key))
+        assert state.pending == tuple(sorted(unresolved))
         assert count == len(links) - len(unresolved)
 
 
@@ -929,19 +961,19 @@ class TestCaseReports:
 
     def test_flags_are_derived_once_per_graph(self, monkeypatch):
         calls = []
-        value_set = Entity.value_set
+        value_sets = Entity.value_sets
         monkeypatch.setattr(
-            Entity, "value_set", lambda self, prop: calls.append(prop) or value_set(self, prop)
+            Entity, "value_sets", lambda self: calls.append(self.id) or value_sets(self)
         )
         rows = [[f"TN{n:02d}", f"Hospital {n}", str(n)] for n in range(50)]
         state = initial_state(hospital_etg(), "eg")
         state, report = run_dataset(state, "ds_a", "hospital", hospital_columns(), rows)
-        # one value set per (entity, property) of the integrated graph, read
-        # by the report; the CLI summary then reads the cached flags
-        assert len(calls) == 150
+        # one value-set map per entity of the integrated graph, read by the
+        # report; the CLI summary then reads the cached flags
+        assert len(calls) == 50
         assert report.conflicts == 0
         assert state.eg.conflict_flags == frozenset()
-        assert len(calls) == 150
+        assert len(calls) == 50
         # a later dataset builds a new graph and leaves the cached one valid
         first, entities = state.eg, dict(state.eg.entities)
         state, report = run_dataset(

@@ -498,9 +498,8 @@ class TestEntity:
             },
             object_links=frozenset(),
         )
-        assert entity.value_set("name") == frozenset({"santa chiara", "s. chiara"})
-        assert entity.value_set("code") == frozenset()
-        assert entity.value_set("beds") == frozenset()
+        # "code" has only blank values and "beds" none: neither is populated
+        assert entity.value_sets() == {"name": frozenset({"santa chiara", "s. chiara"})}
 
 
 class TestEtgDocuments:
