@@ -43,7 +43,7 @@ from .inception import (
     ranking_to_json,
     sidecar_schema_path,
 )
-from .integration import (
+from .integration import (  # connected_components: perfbench/tracing.py wraps this name
     connected_components,
     eval_purpose,
     export_eg,
@@ -378,8 +378,8 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
             "export_warnings": warnings,
             "summary": {
                 "entities": len(state.eg.entities),
-                "conflicts": len(state.eg.conflict_flags),
-                "connected_components": connected_components(state.eg),
+                "conflicts": state.totals.flagged,
+                "connected_components": state.totals.components,
                 "unresolved_links": len(state.pending),
             },
         },

@@ -218,10 +218,24 @@ class Entity:
         every call."""
         sets = {}
         for prop, pairs in self.data_values.items():
-            values = frozenset(normalize_value(v) for v, _src in pairs if v.strip())
+            values = _value_set(pairs)
             if values:
                 sets[prop] = values
         return sets
+
+    def conflicting_properties(self) -> list[str]:
+        """The data properties whose values disagree: two or more members in
+        the property's `value_sets` entry. A property holding one pair cannot
+        disagree, so only properties holding two or more are normalized."""
+        return [
+            prop
+            for prop, pairs in self.data_values.items()
+            if len(pairs) >= 2 and len(_value_set(pairs)) >= 2
+        ]
+
+
+def _value_set(pairs: Iterable[tuple[str, str]]) -> frozenset[str]:
+    return frozenset(normalize_value(v) for v, _src in pairs if v.strip())
 
 
 @dataclass(frozen=True)
@@ -243,14 +257,12 @@ class EG:
     # Kept in the instance __dict__ outside the fields, like the ETG caches.
     @cached_property
     def conflict_flags(self) -> frozenset[tuple[str, str]]:
-        """The (entity id, property) pairs whose values disagree: two or more
-        members in the property's `Entity.value_sets` entry. Computed on first
-        read."""
+        """The (entity id, property) pairs whose values disagree, one per
+        `Entity.conflicting_properties` entry. Computed on first read."""
         return frozenset(
             (entity.id, prop)
             for entity in self.entities.values()
-            for prop, values in entity.value_sets().items()
-            if len(values) >= 2
+            for prop in entity.conflicting_properties()
         )
 
 

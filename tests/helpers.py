@@ -379,3 +379,24 @@ def scan_missing_ratio(eg) -> Fraction:
     if total == 0:
         return Fraction(0)
     return Fraction(missing, total)
+
+
+def scan_case_counts(before, after, dataset_id, etype) -> dict:
+    """The count fields of a dataset's case report, by scanning every entity
+    of the graphs before and after it; the dataset touched the entities that
+    hold one of its values or links."""
+    touched = sum(
+        1
+        for entity in after.entities.values()
+        if any(source == dataset_id for pairs in entity.data_values.values() for _v, source in pairs)
+        or any(source == dataset_id for _p, _t, source in entity.object_links)
+    )
+    appended = len(after.entities) - len(before.entities)
+    shared = any(entity.etype == etype for entity in before.entities.values())
+    return {
+        "case": "shared_etype" if shared else "new_etype",
+        "entities_before": len(before.entities),
+        "entities_after": len(after.entities),
+        "appended": appended,
+        "merged_entities": touched - appended,
+    }

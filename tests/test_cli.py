@@ -277,6 +277,29 @@ class TestDeterminism:
         for name in ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_fixture_reproduces_golden_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(fixture_argv("run", out)) == 0
+        golden = COVID / "golden" / "integration_report.json"
+        assert (out / "integration_report.json").read_bytes() == golden.read_bytes()
+
+    def test_summary_counts_conflicts_and_components(self, tmp_path):
+        root = copied_datasets(tmp_path)
+        with (root / "data" / "hospitals.csv").open("a", encoding="utf-8") as handle:
+            handle.write("TN01,S. Chiara,410,Trento\nTN04,Ospedale di Arco,90,Arco\n")
+        out = tmp_path / "out"
+        assert main(fixture_argv("run", out, "--datasets", str(root))) == 0
+        report = json.loads((out / "integration_report.json").read_text(encoding="utf-8"))
+        # tn01 holds two names and two bed counts; tn04 has no cases
+        assert report["summary"] == {
+            "entities": 8,
+            "conflicts": 2,
+            "connected_components": 4,
+            "unresolved_links": 0,
+        }
+        assert [case["conflicts"] for case in report["cases"]] == [2, 0]
+        assert [case["components_before"] for case in report["cases"]] == [0, 4]
+
 
 def run_cli(*argv):
     """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""

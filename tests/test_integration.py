@@ -33,6 +33,7 @@ from helpers import (
     make_etg,
     make_schema,
     occurrence_count,
+    scan_case_counts,
     scan_link_target,
     scan_match_entities,
     scan_merge_entities,
@@ -960,29 +961,110 @@ class TestCaseReports:
         assert report.stats["data_cells"] == non_empty_cells
 
     def test_flags_are_derived_once_per_graph(self, monkeypatch):
-        calls = []
-        value_sets = Entity.value_sets
+        flagged, populated, value_sets = [], [], []
+        conflicting = Entity.conflicting_properties
         monkeypatch.setattr(
-            Entity, "value_sets", lambda self: calls.append(self.id) or value_sets(self)
+            Entity,
+            "conflicting_properties",
+            lambda self: flagged.append(self.id) or conflicting(self),
+        )
+        sets = Entity.value_sets
+        monkeypatch.setattr(Entity, "value_sets", lambda self: value_sets.append(self.id) or sets(self))
+        original = integration._populated
+        monkeypatch.setattr(
+            integration, "_populated", lambda entity: populated.append(entity.id) or original(entity)
         )
         rows = [[f"TN{n:02d}", f"Hospital {n}", str(n)] for n in range(50)]
         state = initial_state(hospital_etg(), "eg")
         state, report = run_dataset(state, "ds_a", "hospital", hospital_columns(), rows)
-        # one value-set map per entity of the integrated graph, read by the
-        # report; the CLI summary then reads the cached flags
-        assert len(calls) == 50
+        # flag and populated work once per new entity, and no value-set map:
+        # no property holds two values
+        assert len(flagged) == len(populated) == 50
+        assert value_sets == []
         assert report.conflicts == 0
+        # the graph's own flags are derived on first read, then cached
         assert state.eg.conflict_flags == frozenset()
-        assert len(calls) == 50
-        # a later dataset builds a new graph and leaves the cached one valid
+        assert state.eg.conflict_flags == frozenset()
+        assert len(flagged) == 100
+        # a 1-row dataset merging into one of the 50 entities does that work
+        # for the old and new versions of that entity alone, not for all 51
+        flagged.clear()
+        populated.clear()
         first, entities = state.eg, dict(state.eg.entities)
         state, report = run_dataset(
             state, "ds_b", "hospital", hospital_columns(), [["TN01", "Other name", "7"]]
         )
+        assert sorted(flagged) == sorted(populated) == ["ds_a/tn01", "ds_a/tn01"]
+        assert report.conflicts == 2
+        # the new graph leaves the first one and its cached flags valid
         assert first.entities == entities
         assert first.conflict_flags == scan_conflict_flags(first.entities) == frozenset()
         assert state.eg.conflict_flags == {("ds_a/tn01", "name"), ("ds_a/tn01", "beds")}
-        assert report.conflicts == 2
+
+
+def report_etg():
+    """sites that link to sites, and cases that link to sites."""
+    return make_etg(
+        "g",
+        ["site", "case"],
+        {
+            "site": ["code", "name", "town", ("near", "object", "site")],
+            "case": ["case_id", ("at", "object", "site")],
+        },
+    )
+
+
+REPORT_CELLS = {
+    "code": ["S1", " s1", "S2", ""],
+    "name": ["A", "a ", "B", ""],
+    "town": ["T", "U", ""],
+    "near": ["S1", "S2", "ds_a/s1", "Row 1", "zz", ""],
+    "case_id": ["C1", "C2", ""],
+    "at": ["S2", "row_2", ""],
+}
+
+
+@st.composite
+def dataset_sequence(draw):
+    """2-4 datasets with distinct ids, integrated in a drawn order so that
+    later ids may sort below earlier ones and rename their entities; mostly
+    sites, keyed on `code` or keyless, whose small value pools make rows
+    overlap, merge, conflict and link to each other. Each dataset may start
+    from a state rebuilt around the graph, without its totals."""
+    order = draw(st.permutations(["ds_a", "ds_b", "ds_c", "ds_d"]))
+    datasets = []
+    for dataset_id in order[: draw(st.integers(2, 4))]:
+        etype = draw(st.sampled_from(["site", "site", "case"]))
+        props = ["code", "name", "town", "near"] if etype == "site" else ["case_id", "at"]
+        keyed = draw(st.booleans())
+        columns = [(p, p, "identity" if keyed and i == 0 else "attribute") for i, p in enumerate(props)]
+        rows = draw(
+            st.lists(st.tuples(*(st.sampled_from(REPORT_CELLS[p]) for p in props)), max_size=6)
+        )
+        datasets.append((dataset_id, etype, columns, [list(row) for row in rows], draw(st.booleans())))
+    return datasets
+
+
+class TestCaseReportOracle:
+    @settings(max_examples=300)
+    @given(dataset_sequence())
+    def test_report_equals_full_scan(self, datasets):
+        state = initial_state(report_etg(), "eg")
+        for dataset_id, etype, columns, rows, rebuilt in datasets:
+            if rebuilt:
+                state = IntegrationState(eg=state.eg, pending=state.pending)
+            before = state.eg
+            state, report = run_dataset(state, dataset_id, etype, columns, rows)
+            after = state.eg
+            flags_before = scan_conflict_flags(before.entities)
+            assert report.conflicts == len(scan_conflict_flags(after.entities)) - len(flags_before)
+            assert report.missing_link_ratio == scan_missing_ratio(after)
+            assert report.components_before == bfs_component_count(before)
+            assert report.connected_components == bfs_component_count(after)
+            counts = scan_case_counts(before, after, dataset_id, etype)
+            assert {name: getattr(report, name) for name in counts} == counts
+            overlap = "populates_both" if counts["merged_entities"] >= 1 else "only_one"
+            assert report.entity_overlap == overlap
 
 
 class TestEvalPurpose:
@@ -1114,6 +1196,24 @@ class TestExport:
             "<urn:itelos:etg:covid_case> ." in text
         )
         assert "<urn:itelos:eg:d/c> <urn:itelos:etg:hospital> <urn:itelos:eg:d/h> ." in text
+
+    def test_each_iri_is_quoted_once(self, tmp_path, monkeypatch):
+        quoted = []
+        original = integration.quote
+        monkeypatch.setattr(
+            integration, "quote", lambda text, safe: quoted.append(text) or original(text, safe=safe)
+        )
+        hospitals = [entity(f"d/h{i}", "hospital", {"code": [(f"H{i}", "a")]}) for i in range(3)]
+        cases = [
+            entity(f"d/c{i}", "covid_case", {"case_id": [(f"C{i}", "a")]}, [("hospital", f"d/h{i % 3}", "a")])
+            for i in range(6)
+        ]
+        eg = EG(id="eg", schema=hospital_etg(), entities={e.id: e for e in hospitals + cases})
+        export_eg(eg, tmp_path / "eg.nt")
+        # 9 entity ids; hospital, covid_case, code and case_id (the link
+        # property `hospital` has the etype's IRI)
+        assert len(quoted) == len(set(quoted)) == 9 + 4
+        assert len((tmp_path / "eg.nt").read_text().splitlines()) == 9 + 9 + 6
 
     def test_empty_graph_empty_file(self, tmp_path):
         eg = EG(id="eg", schema=hospital_etg(), entities={})
