@@ -335,10 +335,10 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         )
     else:
         selection = [ref.meta.id for ref in purpose.dataset_refs]
-    overrides = {}
+    overrides = {}  # dataset id -> (override file, override)
     for mapping_path in config.mappings:
         override = _parse_file(mapping_path, "mapping override", override_from_doc)
-        overrides[override.dataset_id] = override
+        overrides[override.dataset_id] = (mapping_path, override)
 
     graph_id = etg.id
     if graph_id.endswith("-etg"):
@@ -356,12 +356,15 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         if ref is None:
             raise PhaseError(f"selected dataset {dataset_id!r} is not in the purpose")
         header, rows = read_dataset_rows(_dataset_path(config, ref))
-        mapping = infer_mapping(
-            datasets[dataset_id],
-            etg,
-            rename_map=rename_map,
-            override=overrides.get(dataset_id),
-        )
+        mapping_path, override = overrides.get(dataset_id, (None, None))
+        try:
+            mapping = infer_mapping(
+                datasets[dataset_id], etg, rename_map=rename_map, override=override
+            )
+        except ModelError as exc:
+            if mapping_path is None:
+                raise
+            raise PhaseError(f"{mapping_path}: {exc}") from exc
         state, case = integrate_dataset(state, mapping, header, rows)
         cases.append(case)
 

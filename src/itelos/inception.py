@@ -29,6 +29,7 @@ from .model import (
     ETG,
     EmptyLabelError,
     ModelError,
+    PropertyDef,
     ResourceMeta,
     etype_elements,
     expect_json,
@@ -63,16 +64,6 @@ class ResourceRef:
 
 
 @dataclass(frozen=True)
-class PropertyOverride:
-    """Purpose-level typing for a property that would otherwise default to a
-    string-valued data property."""
-
-    kind: str = "data"
-    datatype: str | None = None
-    range: str | None = None
-
-
-@dataclass(frozen=True)
 class Purpose:
     """The full input specification: narrative, competency queries, and the
     candidate resources with their catalog metadata."""
@@ -82,7 +73,7 @@ class Purpose:
     cqs: tuple[CompetencyQuery, ...]
     dataset_refs: tuple[ResourceRef, ...]
     ontology_refs: tuple[ResourceRef, ...]
-    property_overrides: Mapping[str, PropertyOverride] = field(default_factory=dict)
+    property_overrides: Mapping[str, PropertyDef] = field(default_factory=dict)
 
     @property
     def slug(self) -> str:
@@ -141,25 +132,25 @@ def _parse_refs(raw_list, kind: str, where: str) -> tuple[ResourceRef, ...]:
     return tuple(refs)
 
 
-def _parse_overrides(raw) -> dict[str, PropertyOverride]:
-    overrides: dict[str, PropertyOverride] = {}
+def _parse_overrides(raw) -> dict[str, PropertyDef]:
+    """The purpose's property overrides, keyed "etype.property", each parsed
+    into the definition it puts in the model; `PropertyDef` checks the kind,
+    the datatype and the range."""
+    overrides: dict[str, PropertyDef] = {}
     for raw_key, spec in sorted(expect_json(raw, dict, "property_overrides").items()):
         where = f"property_overrides[{raw_key!r}]"
+        expect_json(spec, dict, where)
         try:
             etype_part, _, prop_part = raw_key.partition(".")
-            key = f"{normalize_text(etype_part)}.{normalize_text(prop_part)}"
+            name = normalize_text(prop_part)
+            overrides[f"{normalize_text(etype_part)}.{name}"] = PropertyDef(
+                name=name,
+                kind=str(spec.get("kind", "data")),
+                datatype=str(spec["datatype"]) if spec.get("datatype") is not None else None,
+                range=normalize_text(str(spec["range"])) if spec.get("range") is not None else None,
+            )
         except ModelError as exc:
             raise PurposeParseError(f"{where}: {exc}") from exc
-        kind = str(expect_json(spec, dict, where).get("kind", "data"))
-        if kind not in ("data", "object"):
-            raise PurposeParseError(f"{where}: unknown kind {kind!r}")
-        if kind == "object" and spec.get("range") is None:
-            raise PurposeParseError(f"{where}: object override needs a 'range'")
-        overrides[key] = PropertyOverride(
-            kind=kind,
-            datatype=str(spec["datatype"]) if spec.get("datatype") is not None else None,
-            range=normalize_text(str(spec["range"])) if spec.get("range") is not None else None,
-        )
     return overrides
 
 

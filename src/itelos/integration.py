@@ -131,9 +131,12 @@ def infer_mapping(
 ) -> SchemaMapping:
     """Resolve every dataset column to a property of the final graph.
 
-    Columns the sidecar schema maps explicitly are taken as-is; the rest are
-    matched to declared property names by similarity, or dropped. An override
-    file replaces the whole mapping, including the identity key.
+    The sidecar schema, or an override file in its place, gives the explicit
+    column mappings and the identity key; every identity column must be
+    mapped, and explicit mappings must name properties declared for the
+    dataset's etype. The other columns are matched by name similarity to the
+    declared properties no column claims, or dropped; an override drops them
+    all. An override may name only header columns.
     """
     rename_map = rename_map or {}
     etype = normalize_text(rename_map.get(schema.assigned_etype, schema.assigned_etype))
@@ -142,85 +145,64 @@ def infer_mapping(
             f"dataset {schema.dataset_id!r}: etype {etype} is not part of the final graph"
         )
     declared = etg.declared_properties(etype)
-
+    where = f"dataset {schema.dataset_id!r}"
+    # column -> property, or None for a column the override drops
+    specs: dict[str, str | None] = {c.name: c.mapped for c in schema.mapped_columns()}
+    identity = tuple(c.name for c in schema.identity_columns())
     if override is not None:
         if override.dataset_id != schema.dataset_id:
             raise MappingError(
-                f"override is for dataset {override.dataset_id!r}, "
-                f"not {schema.dataset_id!r}"
+                f"override is for dataset {override.dataset_id!r}, not {schema.dataset_id!r}"
             )
-        columns = []
-        dropped = []
-        for column in schema.columns:
-            spec = override.columns.get(column.name)
-            if spec is None:
-                reason = (
-                    "dropped by override"
-                    if column.name in override.columns
-                    else "not mentioned by override"
-                )
-                columns.append((column.name, None))
-                dropped.append((column.name, reason))
-                continue
-            target_etype, prop = spec
-            if rename_map.get(target_etype, target_etype) != etype:
+        header = {c.name for c in schema.columns}
+        specs = {}
+        for name, spec in override.columns.items():
+            if name not in header:
+                raise MappingError(f"{where}: override column {name} is not in the header")
+            if spec is not None and rename_map.get(spec[0], spec[0]) != etype:
                 raise MappingError(
-                    f"dataset {schema.dataset_id!r}: column {column.name} mapped "
-                    f"into etype {target_etype}, which is not this dataset's etype"
+                    f"{where}: column {name} mapped into etype {spec[0]}, "
+                    f"which is not this dataset's etype"
                 )
-            if prop not in declared:
-                raise MappingError(
-                    f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
-                    f"undeclared property {etype}.{prop}"
-                )
-            columns.append((column.name, prop))
-        by_name = dict(columns)
-        for key_column in override.identity_key:
-            if by_name.get(key_column) is None:
-                raise MappingError(
-                    f"dataset {schema.dataset_id!r}: identity column {key_column} "
-                    f"is not mapped to a property"
-                )
-        return SchemaMapping(
-            dataset_id=schema.dataset_id,
-            etype=etype,
-            columns=tuple(columns),
-            identity_columns=override.identity_key,
-            dropped=tuple(dropped),
-        )
+            specs[name] = None if spec is None else spec[1]
+        identity = override.identity_key
+    for name in identity:
+        if specs.get(name) is None:
+            raise MappingError(f"{where}: identity column {name} is not mapped to a property")
 
-    taken = set()
-    for column in schema.mapped_columns():
-        if column.mapped not in declared:
-            raise MappingError(
-                f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
-                f"undeclared property {etype}.{column.mapped}"
-            )
-        taken.add(column.mapped)
+    taken = set(specs.values())
     columns = []
     dropped = []
     for column in schema.columns:
-        if column.mapped is not None:
-            columns.append((column.name, column.mapped))
-            continue
-        best: tuple[str, Fraction] | None = None
-        for prop_name in sorted(declared):
-            if prop_name in taken:
-                continue
-            similarity = name_similarity(column.name, prop_name)
-            if similarity >= INFER_THRESHOLD and (best is None or similarity > best[1]):
-                best = (prop_name, similarity)
-        if best is not None:
-            taken.add(best[0])
-            columns.append((column.name, best[0]))
+        prop = specs.get(column.name)
+        if prop is not None and prop not in declared:
+            raise MappingError(
+                f"{where}: column {column.name} mapped to undeclared property {etype}.{prop}"
+            )
+        if column.name in specs:
+            reason = "dropped by override"
+        elif override is not None:
+            reason = "not mentioned by override"
         else:
-            columns.append((column.name, None))
-            dropped.append((column.name, "no matching property"))
+            best: tuple[str, Fraction] | None = None
+            for prop_name in sorted(declared):
+                if prop_name in taken:
+                    continue
+                similarity = name_similarity(column.name, prop_name)
+                if similarity >= INFER_THRESHOLD and (best is None or similarity > best[1]):
+                    best = (prop_name, similarity)
+            if best is not None:
+                prop = best[0]
+                taken.add(prop)
+            reason = "no matching property"
+        columns.append((column.name, prop))
+        if prop is None:
+            dropped.append((column.name, reason))
     return SchemaMapping(
         dataset_id=schema.dataset_id,
         etype=etype,
         columns=tuple(columns),
-        identity_columns=tuple(c.name for c in schema.identity_columns()),
+        identity_columns=identity,
         dropped=tuple(dropped),
     )
 
@@ -680,10 +662,11 @@ def integrate_dataset(
     comparison per entity and one `connected_components` pass. Merging and
     resolution keep every entity they leave alone as the same object, so
     identity finds the entities the dataset changed or removed; only they
-    update the state's totals, and `touched` counts those that hold a value
-    or link of this dataset. `conflicts` is the net change in flagged
-    (entity, property) pairs, and `components_before` is the count the
-    previous dataset left.
+    update the state's totals. `merged_entities` counts those that hold a
+    value or link of this dataset, less `appended`, to which a new entity
+    holding none (a row whose only cells are links still pending) adds
+    nothing. `conflicts` is the net change in flagged (entity, property)
+    pairs, and `components_before` is the count the previous dataset left.
     """
     before = state.eg
     totals = state.totals
@@ -705,18 +688,18 @@ def integrate_dataset(
     added = [e for entity_id, e in after.entities.items() if before.entities.get(entity_id) is not e]
     after_totals = _updated(totals, after.schema, removed, added, connected_components(after))
 
-    touched = sum(
-        1
-        for entity in added
+    touched = bare = 0  # bare: new entities that hold nothing of this dataset
+    for entity in added:
         if any(
             source == mapping.dataset_id
             for pairs in entity.data_values.values()
             for _v, source in pairs
-        )
-        or any(source == mapping.dataset_id for _p, _t, source in entity.object_links)
-    )
+        ) or any(source == mapping.dataset_id for _p, _t, source in entity.object_links):
+            touched += 1
+        elif entity.id not in before.entities:
+            bare += 1
     appended = len(after.entities) - len(before.entities)
-    merged_count = touched - appended
+    merged_count = touched - (appended - bare)
     report = IntegrationCaseReport(
         dataset_id=mapping.dataset_id,
         etype=mapping.etype,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .inception import CandidateRanking, PropertyOverride
+from .inception import CandidateRanking
 from .metrics import GateReport, Thresholds, evaluate_gate
 from .model import (
     CATEGORIES,
@@ -66,14 +66,14 @@ def _most_reusable(categories: Sequence[str]) -> str:
 def build_etg_model(
     cqs: Sequence[CompetencyQuery],
     schemas: Sequence[DatasetSchema],
-    overrides: Mapping[str, PropertyOverride] | None = None,
+    overrides: Mapping[str, PropertyDef] | None = None,
     base_id: str = "purpose",
 ) -> ETGModel:
     """Union the query elements with the dataset schemas into one model.
 
-    Every property defaults to a string-valued data property unless a purpose
-    override retypes it. Link columns must carry an object override naming
-    the range etype, and the range must itself be part of the model.
+    Every property is a string-valued data property unless the overrides map
+    its "etype.property" key to a definition, which is used as it is. A link
+    column needs an object override whose range etype is in the model.
     """
     overrides = overrides or {}
     etypes: set[str] = set()
@@ -102,21 +102,15 @@ def build_etg_model(
     properties: dict[str, list[PropertyDef]] = {}
     for (etype, prop), linkish in sorted(wants_object.items()):
         key = compound_key(etype, prop)
-        override = overrides.get(key)
-        if override is not None:
-            if override.kind == "data" and linkish:
+        definition = overrides.get(key, PropertyDef(name=prop))
+        if linkish and definition.kind == "data":
+            if key in overrides:
                 raise ConflictingPropertyKindError(
                     f"{key}: declared data-valued but a dataset links through it"
                 )
-            definition = PropertyDef(
-                name=prop, kind=override.kind, datatype=override.datatype, range=override.range
-            )
-        elif linkish:
             raise MissingRangeError(
                 f"{key}: link column needs an object property override with a range"
             )
-        else:
-            definition = PropertyDef(name=prop)
         if definition.kind == "object" and definition.range not in etypes:
             raise ModelingError(f"{key}: range etype {definition.range} is not in the model")
         properties.setdefault(etype, []).append(definition)

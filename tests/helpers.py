@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping
 
 from itelos.alignment import (
     Candidate,
@@ -18,7 +19,14 @@ from itelos.alignment import (
     name_similarity,
     property_sharability,
 )
-from itelos.integration import _merge_values
+from itelos.integration import (
+    INFER_THRESHOLD,
+    MappingError,
+    MappingOverride,
+    SchemaMapping,
+    UnknownEtypeError,
+    _merge_values,
+)
 from itelos.model import (
     EG,
     ETG,
@@ -384,12 +392,19 @@ def scan_missing_ratio(eg) -> Fraction:
 def scan_case_counts(before, after, dataset_id, etype) -> dict:
     """The count fields of a dataset's case report, by scanning every entity
     of the graphs before and after it; the dataset touched the entities that
-    hold one of its values or links."""
-    touched = sum(
+    hold one of its values or links, and an entity new after it that it did
+    not touch is not subtracted from `merged_entities`."""
+
+    def holds(entity):
+        return any(
+            source == dataset_id for pairs in entity.data_values.values() for _v, source in pairs
+        ) or any(source == dataset_id for _p, _t, source in entity.object_links)
+
+    touched = sum(1 for entity in after.entities.values() if holds(entity))
+    bare = sum(
         1
-        for entity in after.entities.values()
-        if any(source == dataset_id for pairs in entity.data_values.values() for _v, source in pairs)
-        or any(source == dataset_id for _p, _t, source in entity.object_links)
+        for entity_id, entity in after.entities.items()
+        if entity_id not in before.entities and not holds(entity)
     )
     appended = len(after.entities) - len(before.entities)
     shared = any(entity.etype == etype for entity in before.entities.values())
@@ -398,5 +413,109 @@ def scan_case_counts(before, after, dataset_id, etype) -> dict:
         "entities_before": len(before.entities),
         "entities_after": len(after.entities),
         "appended": appended,
-        "merged_entities": touched - appended,
+        "merged_entities": touched - (appended - bare),
     }
+
+
+def scan_infer_mapping(
+    schema: DatasetSchema,
+    etg: ETG,
+    *,
+    rename_map: Mapping[str, str] | None = None,
+    override: MappingOverride | None = None,
+) -> SchemaMapping:
+    """infer_mapping with a separate branch for override files, the reference
+    that the single-loop infer_mapping is checked against.
+
+    Columns the sidecar schema maps explicitly are taken as-is; the rest are
+    matched to declared property names by similarity, or dropped. An override
+    file replaces the whole mapping, including the identity key.
+    """
+    rename_map = rename_map or {}
+    etype = normalize_text(rename_map.get(schema.assigned_etype, schema.assigned_etype))
+    if etype not in etg.etypes:
+        raise UnknownEtypeError(
+            f"dataset {schema.dataset_id!r}: etype {etype} is not part of the final graph"
+        )
+    declared = etg.declared_properties(etype)
+
+    if override is not None:
+        if override.dataset_id != schema.dataset_id:
+            raise MappingError(
+                f"override is for dataset {override.dataset_id!r}, "
+                f"not {schema.dataset_id!r}"
+            )
+        columns = []
+        dropped = []
+        for column in schema.columns:
+            spec = override.columns.get(column.name)
+            if spec is None:
+                reason = (
+                    "dropped by override"
+                    if column.name in override.columns
+                    else "not mentioned by override"
+                )
+                columns.append((column.name, None))
+                dropped.append((column.name, reason))
+                continue
+            target_etype, prop = spec
+            if rename_map.get(target_etype, target_etype) != etype:
+                raise MappingError(
+                    f"dataset {schema.dataset_id!r}: column {column.name} mapped "
+                    f"into etype {target_etype}, which is not this dataset's etype"
+                )
+            if prop not in declared:
+                raise MappingError(
+                    f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
+                    f"undeclared property {etype}.{prop}"
+                )
+            columns.append((column.name, prop))
+        by_name = dict(columns)
+        for key_column in override.identity_key:
+            if by_name.get(key_column) is None:
+                raise MappingError(
+                    f"dataset {schema.dataset_id!r}: identity column {key_column} "
+                    f"is not mapped to a property"
+                )
+        return SchemaMapping(
+            dataset_id=schema.dataset_id,
+            etype=etype,
+            columns=tuple(columns),
+            identity_columns=override.identity_key,
+            dropped=tuple(dropped),
+        )
+
+    taken = set()
+    for column in schema.mapped_columns():
+        if column.mapped not in declared:
+            raise MappingError(
+                f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
+                f"undeclared property {etype}.{column.mapped}"
+            )
+        taken.add(column.mapped)
+    columns = []
+    dropped = []
+    for column in schema.columns:
+        if column.mapped is not None:
+            columns.append((column.name, column.mapped))
+            continue
+        best: tuple[str, Fraction] | None = None
+        for prop_name in sorted(declared):
+            if prop_name in taken:
+                continue
+            similarity = name_similarity(column.name, prop_name)
+            if similarity >= INFER_THRESHOLD and (best is None or similarity > best[1]):
+                best = (prop_name, similarity)
+        if best is not None:
+            taken.add(best[0])
+            columns.append((column.name, best[0]))
+        else:
+            columns.append((column.name, None))
+            dropped.append((column.name, "no matching property"))
+    return SchemaMapping(
+        dataset_id=schema.dataset_id,
+        etype=etype,
+        columns=tuple(columns),
+        identity_columns=tuple(c.name for c in schema.identity_columns()),
+        dropped=tuple(dropped),
+    )

@@ -21,6 +21,7 @@ from itelos.alignment import (
 )
 from itelos.modeling import ETGModel, build_etg_model
 from itelos.model import (
+    PropertyDef,
     compound_key,
     etg_to_doc,
 )
@@ -284,8 +285,6 @@ class TestGenerateEtg:
         assert plan.rename_map == {}
 
     def test_rename_rewrites_object_ranges(self):
-        from itelos.inception import PropertyOverride
-
         cqs = [
             make_cq("q", ["covid_case", "hospitl"], [("covid_case", "hospitl")]),
         ]
@@ -296,9 +295,7 @@ class TestGenerateEtg:
             category="common",
         )
         overrides = {
-            "covid_case.hospitl": PropertyOverride(
-                kind="object", datatype=None, range="hospitl"
-            )
+            "covid_case.hospitl": PropertyDef(name="hospitl", kind="object", range="hospitl")
         }
         model = build_etg_model(cqs, [ds], overrides)
         # covid_case shared by name keeps the ontology in the ranking;
@@ -315,12 +312,10 @@ class TestGenerateEtg:
 
     def test_model_definition_wins_on_clash(self):
         # model declares beds as integer-typed; ontology's string-typed beds must not replace it
-        from itelos.inception import PropertyOverride
-
         cqs = [make_cq("q", ["hospital"], [("hospital", "beds"), ("hospital", "name")])]
         ds = make_schema("d", "hospital", [("name", "name", "attribute"), ("beds", "beds", "attribute")], category="common")
         model = build_etg_model(
-            cqs, [ds], {"hospital.beds": PropertyOverride(kind="data", datatype="integer", range=None)}
+            cqs, [ds], {"hospital.beds": PropertyDef(name="beds", datatype="integer")}
         )
         onto = make_etg("o", ["hospital"], {"hospital": [("beds", "data", "string"), "name"]})
         final, _ = align(model, {"o": onto})

@@ -17,6 +17,19 @@ def fixture_argv(command, out, *extra):
     return [command, "--purpose", str(COVID / "purpose.json"), "--out", str(out), *extra]
 
 
+# A mapping override for ds_cases that mirrors its sidecar schema.
+CASES_OVERRIDE = {
+    "dataset_id": "ds_cases",
+    "columns": {
+        "case_id": ["covid_case", "case_id"],
+        "case_date": ["covid_case", "case_date"],
+        "hospital": ["covid_case", "hospital"],
+        "patient_count": ["covid_case", "patient_count"],
+        "notes": "drop",
+    },
+    "identity_key": ["case_id"],
+}
+
 ARTIFACTS = [
     "inception.json",
     "eval_a.json",
@@ -245,27 +258,32 @@ class TestStandaloneIntegrate:
         out = tmp_path / "out"
         overrides = tmp_path / "maps"
         overrides.mkdir()
-        (overrides / "ds_cases.json").write_text(
-            json.dumps(
-                {
-                    "dataset_id": "ds_cases",
-                    "columns": {
-                        "case_id": ["covid_case", "case_id"],
-                        "case_date": ["covid_case", "case_date"],
-                        "hospital": ["covid_case", "hospital"],
-                        "patient_count": ["covid_case", "patient_count"],
-                        "notes": "drop",
-                    },
-                    "identity_key": ["case_id"],
-                }
-            )
-        )
+        (overrides / "ds_cases.json").write_text(json.dumps(CASES_OVERRIDE))
         code = main(fixture_argv("run", out, "--mappings", str(overrides)))
         assert code == 0
         baseline = tmp_path / "baseline"
         assert main(fixture_argv("run", baseline)) == 0
         # the override mirrors the sidecar, so the export is unchanged
         assert (out / "eg.nt").read_bytes() == (baseline / "eg.nt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            # a typo must not silently drop the real column as unmentioned
+            ({"hospitl": ["covid_case", "hospital"]}, "override column hospitl is not in the header"),
+            ({"notes": ["hospital", "name"]}, "column notes mapped into etype hospital"),
+            ({"notes": ["covid_case", "notes"]}, "column notes mapped to undeclared property"),
+            ({"case_id": "drop"}, "identity column case_id is not mapped to a property"),
+        ],
+        ids=["column_not_in_header", "wrong_etype", "undeclared_property", "identity_not_mapped"],
+    )
+    def test_bad_override_names_its_file(self, tmp_path, capsys, columns, message):
+        path = tmp_path / "ds_cases.json"
+        doc = {**CASES_OVERRIDE, "columns": {**CASES_OVERRIDE["columns"], **columns}}
+        path.write_text(json.dumps(doc))
+        assert main(fixture_argv("run", tmp_path / "out", "--mapping", str(path))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"run error: {path}: dataset 'ds_cases': {message}")
 
 
 class TestDeterminism:

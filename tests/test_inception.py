@@ -1,9 +1,11 @@
 import json
+import shutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from itelos.cli import main
 from itelos.inception import (
     DuplicateIdError,
     PurposeParseError,
@@ -85,6 +87,32 @@ class TestParsePurpose:
         )
         with pytest.raises(PurposeParseError):
             parse_purpose(write_purpose(tmp_path / "p.json", doc))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"datatype": "integr"}, "unknown datatype 'integr' on beds"),
+            ({"range": "hospital"}, "data property beds must not declare a range"),
+            (
+                {"kind": "object", "range": "hospital", "datatype": "integer"},
+                "object property beds must not declare a datatype",
+            ),
+        ],
+        ids=["bad_datatype", "data_with_range", "object_with_datatype"],
+    )
+    def test_bad_override_rejected_at_parse(self, tmp_path, capsys, spec, message):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        path = root / "purpose.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["property_overrides"]["hospital.beds"] = spec
+        write_purpose(path, doc)
+        expected = f"{path}: property_overrides['hospital.beds']: {message}"
+        with pytest.raises(PurposeParseError) as err:
+            parse_purpose(path)
+        assert str(err.value) == expected
+        assert main(["inception", "--purpose", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"inception error: {expected}\n"
 
     def test_slash_in_dataset_id_rejected(self, tmp_path):
         # "a/b" would mint a/b/<key>, which dataset "a" can mint too

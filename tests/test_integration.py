@@ -25,7 +25,15 @@ from itelos.integration import (
     read_dataset_rows,
     resolve_pending,
 )
-from itelos.model import EG, DocumentError, Entity, RowArityError, normalize_text, validate_eg
+from itelos.model import (
+    EG,
+    DocumentError,
+    Entity,
+    ModelError,
+    RowArityError,
+    normalize_text,
+    validate_eg,
+)
 
 from helpers import (
     bfs_component_count,
@@ -38,6 +46,7 @@ from helpers import (
     scan_match_entities,
     scan_merge_entities,
     scan_conflict_flags,
+    scan_infer_mapping,
     scan_missing_ratio,
     scan_same_entity,
     write_csv,
@@ -199,6 +208,87 @@ class TestInferMapping:
     def test_override_shape_checked(self, doc, message):
         with pytest.raises(DocumentError, match=re.escape(message)):
             override_from_doc(doc)
+
+
+def oracle_etg():
+    """sites are places; shops share `code` with sites. Column "rode" is as
+    similar to `code` as to `node`."""
+    return make_etg(
+        "g",
+        ["place", "site", "shop"],
+        {"place": ["label"], "site": ["code", "name", "node", "town"], "shop": ["code", "owner"]},
+        subclass=[("site", "place")],
+    )
+
+
+MAPPING_COLUMNS = ["code", "name", "nam", "rode", "town", "label", "owner", "xyz"]
+MAPPING_PROPS = ["code", "name", "town", "label", "owner", "helipad"]
+MAPPING_ETYPES = ["place", "site", "shop", "sight", "clinic"]
+
+
+@st.composite
+def mapping_case(draw):
+    """A dataset schema over oracle_etg, a rename map, and either no override
+    or one with at most one fault: another dataset's id, a column mapped into
+    another etype or to an undeclared property, or an unmapped identity
+    column. Sidecar mappings may name undeclared properties; "sight" and
+    "clinic" are in the graph only when renamed."""
+    header = draw(st.lists(st.sampled_from(MAPPING_COLUMNS), min_size=1, max_size=5, unique=True))
+    mapped = [draw(st.sampled_from([None, None, None, *MAPPING_PROPS])) for _ in header]
+    columns = [(name, prop, "attribute") for name, prop in zip(header, mapped)]
+    keyed = [i for i, prop in enumerate(mapped) if prop is not None]
+    if keyed and draw(st.booleans()):
+        i = draw(st.sampled_from(keyed))
+        columns[i] = (header[i], mapped[i], "identity")
+    assigned = draw(st.sampled_from(["site", "site", "shop", "shop", "sight", "clinic"]))
+    rename_map = draw(
+        st.dictionaries(st.sampled_from(["sight", "site", "shop"]), st.sampled_from(["place", "site", "shop"]))
+    )
+    schema = make_schema("d", assigned, columns)
+    if not draw(st.booleans()):
+        return schema, rename_map, None
+    etype = rename_map.get(assigned, assigned)
+    declared = sorted(oracle_etg().declared_properties(etype)) or ["code"]
+    own_etypes = [e for e in MAPPING_ETYPES if rename_map.get(e, e) == etype]
+    spec = {}
+    for name in header:
+        action = draw(st.sampled_from(["map", "drop", "omit"]))
+        if action == "map":
+            spec[name] = [draw(st.sampled_from(own_etypes)), draw(st.sampled_from(declared))]
+        elif action == "drop":
+            spec[name] = "drop"
+    targets = [name for name, value in spec.items() if value != "drop"]
+    identity = draw(st.lists(st.sampled_from(targets), max_size=2, unique=True)) if targets else []
+    fault = draw(st.sampled_from([None, "dataset", "etype", "property", "identity"]))
+    dataset_id = "other" if fault == "dataset" else "d"
+    if fault == "etype" and targets:
+        spec[draw(st.sampled_from(targets))][0] = draw(
+            st.sampled_from([e for e in MAPPING_ETYPES if e not in own_etypes])
+        )
+    if fault == "property" and targets:
+        spec[draw(st.sampled_from(targets))][1] = draw(
+            st.sampled_from([p for p in MAPPING_PROPS if p not in declared])
+        )
+    unmapped = [name for name in MAPPING_COLUMNS if name not in targets]
+    if fault == "identity":
+        identity.append(draw(st.sampled_from(unmapped)))
+    override = override_from_doc({"dataset_id": dataset_id, "columns": spec, "identity_key": identity})
+    return schema, rename_map, override
+
+
+def mapping_outcome(infer, schema, rename_map, override):
+    """The mapping `infer` returns, or the class and message of its error."""
+    try:
+        return infer(schema, oracle_etg(), rename_map=rename_map, override=override)
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+class TestInferMappingOracle:
+    @settings(max_examples=400)
+    @given(mapping_case())
+    def test_one_path_equals_two_branches(self, case):
+        assert mapping_outcome(infer_mapping, *case) == mapping_outcome(scan_infer_mapping, *case)
 
 
 class TestGenerateEntities:
@@ -1063,8 +1153,18 @@ class TestCaseReportOracle:
             assert report.connected_components == bfs_component_count(after)
             counts = scan_case_counts(before, after, dataset_id, etype)
             assert {name: getattr(report, name) for name in counts} == counts
+            assert report.merged_entities >= 0
             overlap = "populates_both" if counts["merged_entities"] >= 1 else "only_one"
             assert report.entity_overlap == overlap
+
+    def test_new_entity_holding_nothing_of_the_dataset_is_not_merged(self):
+        # the one row's only cell is a link to a site that is not there yet
+        columns = [("case_id", "case_id", "attribute"), ("at", "at", "attribute")]
+        state = initial_state(report_etg(), "eg")
+        state, report = run_dataset(state, "ds_a", "case", columns, [["", "S2"]])
+        assert (report.appended, report.merged_entities) == (1, 0)
+        assert report.entity_overlap == "only_one"
+        assert len(state.pending) == 1
 
 
 class TestEvalPurpose:

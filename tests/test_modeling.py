@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from itelos.inception import PropertyOverride, match_resources
+from itelos.inception import match_resources
 from itelos.metrics import Thresholds, coverage
 from itelos.modeling import (
     ConflictingPropertyKindError,
@@ -18,6 +18,7 @@ from itelos.modeling import (
     select_datasets,
 )
 from itelos.model import (
+    PropertyDef,
     etg_to_doc,
     etype_elements,
     normalize_text,
@@ -29,8 +30,9 @@ from helpers import make_cq, make_schema
 from test_inception import catalog_of
 
 
-def override(kind="data", datatype="string", range_=None):
-    return PropertyOverride(
+def override(name, kind="data", datatype="string", range_=None):
+    return PropertyDef(
+        name=name,
         kind=kind,
         datatype=datatype if kind == "data" else None,
         range=normalize_text(range_) if range_ else None,
@@ -65,7 +67,7 @@ class TestBuildModel:
 
     def test_override_retypes(self):
         cqs = [make_cq("q", ["h"], [("h", "beds")])]
-        model = build_etg_model(cqs, [], {"h.beds": override(datatype="integer")})
+        model = build_etg_model(cqs, [], {"h.beds": override("beds", datatype="integer")})
         (prop,) = model.etg.props_of("h")
         assert prop.datatype == "integer"
 
@@ -87,7 +89,7 @@ class TestBuildModel:
         model = build_etg_model(
             [make_cq("q", ["covid_case", "hospital"])],
             [ds],
-            {"covid_case.hospital": override(kind="object", range_="hospital")},
+            {"covid_case.hospital": override("hospital", kind="object", range_="hospital")},
         )
         props = {p.name: p for p in model.etg.props_of("covid_case")}
         assert props["hospital"].kind == "object"
@@ -99,13 +101,13 @@ class TestBuildModel:
             build_etg_model(
                 [make_cq("q", ["covid_case"])],
                 [ds],
-                {"covid_case.hospital": override(kind="data")},
+                {"covid_case.hospital": override("hospital", kind="data")},
             )
 
     def test_object_range_must_be_modeled(self):
         cqs = [make_cq("q", ["covid_case"], [("covid_case", "hospital")])]
         with pytest.raises(ModelingError):
-            build_etg_model(cqs, [], {"covid_case.hospital": override(kind="object", range_="hospital")})
+            build_etg_model(cqs, [], {"covid_case.hospital": override("hospital", kind="object", range_="hospital")})
 
     def test_category_most_reusable_dataset_wins(self):
         common = make_schema("d1", "hospital", ["name"], category="common")
