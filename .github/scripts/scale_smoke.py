@@ -1,0 +1,80 @@
+"""Check that the peak memory of `itelos run` grows by at most 5.5 KiB per row.
+
+Usage, from the repository root (Linux only: the peak is read from
+/proc/self/status):
+
+    python3 .github/scripts/scale_smoke.py
+
+Writes the bulk_append corpus (corpus seed 7) at 8000 and 32000 rows with
+`perfbench/corpus.generate`, runs `itelos run` on each in a child process that
+records its peak resident set (VmHWM) on exit, and fails when a run fails or
+the peak grows by more than BOUND_KIB_PER_ROW per added row. Measuring the
+growth between two sizes leaves out the interpreter's and the modules' fixed
+memory, so the bound holds what each row costs.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import corpus  # noqa: E402
+
+FIXTURE = ROOT / "tests" / "fixtures" / "covid_trentino"
+SIZES = (8000, 32000)
+SEED = 7
+BOUND_KIB_PER_ROW = 5.5
+# `itelos.cli:main` in the child, which then writes its VmHWM (KiB) to the
+# file named by its first argument.
+CHILD = """
+import sys
+from itelos.cli import main
+peak_file = sys.argv.pop(1)
+try:
+    code = main()
+finally:
+    with open("/proc/self/status") as status, open(peak_file, "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+sys.exit(code)
+"""
+
+
+def peak_kib(work: Path, size: int) -> int:
+    """Peak resident KiB of one `itelos run` on the bulk_append corpus of `size` rows."""
+    corpus_dir = work / f"corpus_{size}"
+    corpus.generate(FIXTURE, "bulk_append", SEED, corpus_dir, size)
+    peak_file = work / f"peak_{size}"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    args = corpus.cli_args(corpus_dir, work / f"out_{size}")
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD, str(peak_file), *args],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    if result.returncode != 0:
+        raise SystemExit(f"itelos run at {size} rows exited {result.returncode}:\n{result.stderr}")
+    return int(peak_file.read_text())
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        peaks = {size: peak_kib(Path(tmp), size) for size in SIZES}
+    for size, peak in peaks.items():
+        print(f"bulk_append {size} rows: peak {peak / 1024:.1f} MiB")
+    (small, large) = SIZES
+    slope = (peaks[large] - peaks[small]) / (large - small)
+    print(f"growth {slope:.2f} KiB/row, bound {BOUND_KIB_PER_ROW}")
+    if slope > BOUND_KIB_PER_ROW:
+        print(f"peak memory grows by more than {BOUND_KIB_PER_ROW} KiB per row", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -159,7 +159,7 @@ def infer_mapping(
         for name, spec in override.columns.items():
             if name not in header:
                 raise MappingError(f"{where}: override column {name} is not in the header")
-            if spec is not None and rename_map.get(spec[0], spec[0]) != etype:
+            if spec is not None and normalize_text(rename_map.get(spec[0], spec[0])) != etype:
                 raise MappingError(
                     f"{where}: column {name} mapped into etype {spec[0]}, "
                     f"which is not this dataset's etype"
@@ -243,6 +243,10 @@ def generate_entities(
     with underscores); rows without a usable key get their ordinal instead.
     Rows that are entirely empty are skipped. The same (value, source) pair
     is never stored twice on a property.
+
+    Values are gathered in per-entity buckets of lists. Each entity is built
+    as its bucket is popped, so the lists are freed as the entity's tuples
+    are made, and at most one bucket lives beside the finished entities.
     """
     index_of = {name: i for i, name in enumerate(header)}
     for column, _prop in mapping.columns:
@@ -291,15 +295,15 @@ def generate_entities(
                     series.append(pair)
                 data_cells += 1
 
-    entities = {
-        entity_id: Entity(
+    entities = {}
+    for entity_id in list(values):
+        bucket = values.pop(entity_id)
+        entities[entity_id] = Entity(
             id=entity_id,
             etype=mapping.etype,
             data_values={p: tuple(pairs) for p, pairs in bucket.items()},
             object_links=frozenset(),
         )
-        for entity_id, bucket in values.items()
-    }
     fragment_eg = EG(id=f"{mapping.dataset_id}-fragment", schema=schema_graph, entities=entities)
     identity_props = tuple(mapping.property_of(c) for c in mapping.identity_columns)
     stats = {
@@ -829,37 +833,49 @@ def _valid_for(datatype: str, text: str) -> bool:
 
 
 def export_eg(eg: EG, path: Path) -> list[str]:
-    """Write the graph as sorted N-Triples; returns warnings for values that
-    did not parse under their declared datatype and fell back to plain text."""
-    lines: set[str] = set()
-    warnings: list[str] = []
+    """Write the graph as deduplicated, sorted N-Triples, one entity at a time;
+    returns warnings, in entity-id order, for values that did not parse under
+    their declared datatype and fell back to plain text.
+
+    The file equals a sort of all the graph's lines, but only one entity's
+    lines are held at a time. Every line starts with its subject IRI and a
+    space, and a quoted IRI holds no `>` before its last character, so of two
+    lines with different subjects neither subject is a prefix of the other
+    and the lines compare as their subjects do. Entity ids are unique and
+    `quote` is injective, so each entity has its own subject. Writing the
+    entities in subject-IRI order, each with its own lines deduplicated and
+    sorted, therefore gives the global order.
+    """
+    warnings: list[tuple[str, str]] = []
     # each entity id, etype and property name is quoted once per export
-    iri = cache(_iri)
-    for entity in eg.sorted_entities():
-        subject = iri(f"urn:itelos:{eg.id}:{entity.id}")
-        etype_iri = iri(f"urn:itelos:etg:{entity.etype}")
-        lines.add(f"{subject} {_RDF_TYPE} {etype_iri} .")
-        declared = eg.schema.declared_properties(entity.etype)
-        for prop in sorted(entity.data_values):
-            predicate = iri(f"urn:itelos:etg:{prop}")
-            definition = declared.get(prop)
-            datatype = definition.datatype if definition and definition.kind == "data" else "string"
-            for value, _source in entity.data_values[prop]:
-                literal = f'"{_escape_literal(value)}"'
-                if datatype != "string":
-                    if _valid_for(datatype, value):
-                        literal = f"{literal}^^<{_XSD}{datatype}>"
-                    else:
-                        warnings.append(
-                            f"{entity.id}: value {value!r} for {prop} is not a valid "
-                            f"{datatype}; exported as a plain string"
-                        )
-                lines.add(f"{subject} {predicate} {literal} .")
-        for prop, target, _source in sorted(entity.object_links):
-            predicate = iri(f"urn:itelos:etg:{prop}")
-            target_iri = iri(f"urn:itelos:{eg.id}:{target}")
-            lines.add(f"{subject} {predicate} {target_iri} .")
-    # line by line: one joined string would be the run's peak memory
+    term = cache(_iri)
+    node = cache(lambda entity_id: _iri(f"urn:itelos:{eg.id}:{entity_id}"))
+    subjects = sorted((node(entity_id), entity_id) for entity_id in eg.entities)
     with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(f"{line}\n" for line in sorted(lines))
-    return warnings
+        for subject, entity_id in subjects:
+            entity = eg.entities[entity_id]
+            etype_iri = term(f"urn:itelos:etg:{entity.etype}")
+            lines = {f"{subject} {_RDF_TYPE} {etype_iri} ."}
+            declared = eg.schema.declared_properties(entity.etype)
+            for prop in sorted(entity.data_values):
+                predicate = term(f"urn:itelos:etg:{prop}")
+                definition = declared.get(prop)
+                datatype = (
+                    definition.datatype if definition and definition.kind == "data" else "string"
+                )
+                for value, _source in entity.data_values[prop]:
+                    literal = f'"{_escape_literal(value)}"'
+                    if datatype != "string":
+                        if _valid_for(datatype, value):
+                            literal = f"{literal}^^<{_XSD}{datatype}>"
+                        else:
+                            message = (
+                                f"{entity_id}: value {value!r} for {prop} is not a valid "
+                                f"{datatype}; exported as a plain string"
+                            )
+                            warnings.append((entity_id, message))
+                    lines.add(f"{subject} {predicate} {literal} .")
+            for prop, target, _source in entity.object_links:
+                lines.add(f"{subject} {term(f'urn:itelos:etg:{prop}')} {node(target)} .")
+            handle.writelines(f"{line}\n" for line in sorted(lines))
+    return [message for _id, message in sorted(warnings, key=lambda w: w[0])]

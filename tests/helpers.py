@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Mapping
 
@@ -21,11 +22,16 @@ from itelos.alignment import (
 )
 from itelos.integration import (
     INFER_THRESHOLD,
+    _RDF_TYPE,
+    _XSD,
     MappingError,
     MappingOverride,
     SchemaMapping,
     UnknownEtypeError,
+    _escape_literal,
+    _iri,
     _merge_values,
+    _valid_for,
 )
 from itelos.model import (
     EG,
@@ -519,3 +525,43 @@ def scan_infer_mapping(
         identity_columns=tuple(c.name for c in schema.identity_columns()),
         dropped=tuple(dropped),
     )
+
+
+def scan_export_eg(eg: EG, path: Path) -> list[str]:
+    """export_eg that collects every line of the graph and sorts them all, the
+    reference that the entity-at-a-time export_eg is checked against.
+
+    Write the graph as sorted N-Triples; returns warnings for values that
+    did not parse under their declared datatype and fell back to plain text."""
+    lines: set[str] = set()
+    warnings: list[str] = []
+    # each entity id, etype and property name is quoted once per export
+    iri = cache(_iri)
+    for entity in eg.sorted_entities():
+        subject = iri(f"urn:itelos:{eg.id}:{entity.id}")
+        etype_iri = iri(f"urn:itelos:etg:{entity.etype}")
+        lines.add(f"{subject} {_RDF_TYPE} {etype_iri} .")
+        declared = eg.schema.declared_properties(entity.etype)
+        for prop in sorted(entity.data_values):
+            predicate = iri(f"urn:itelos:etg:{prop}")
+            definition = declared.get(prop)
+            datatype = definition.datatype if definition and definition.kind == "data" else "string"
+            for value, _source in entity.data_values[prop]:
+                literal = f'"{_escape_literal(value)}"'
+                if datatype != "string":
+                    if _valid_for(datatype, value):
+                        literal = f"{literal}^^<{_XSD}{datatype}>"
+                    else:
+                        warnings.append(
+                            f"{entity.id}: value {value!r} for {prop} is not a valid "
+                            f"{datatype}; exported as a plain string"
+                        )
+                lines.add(f"{subject} {predicate} {literal} .")
+        for prop, target, _source in sorted(entity.object_links):
+            predicate = iri(f"urn:itelos:etg:{prop}")
+            target_iri = iri(f"urn:itelos:{eg.id}:{target}")
+            lines.add(f"{subject} {predicate} {target_iri} .")
+    # line by line: one joined string would be the run's peak memory
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(f"{line}\n" for line in sorted(lines))
+    return warnings
