@@ -12,13 +12,24 @@ errored, 2 the invocation or configuration was unusable.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+# CPython's built-in SHA-256 gives the same digests as hashlib's without
+# loading OpenSSL's libcrypto, a few MiB of every run's peak RSS; the module
+# is _sha2 from 3.12 on and _sha256 before. hashlib stays the fallback for a
+# build without either.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .alignment import (
@@ -85,6 +96,7 @@ class PipelineConfig:
     mappings: tuple[Path, ...] = ()
     etg: Path | None = None
     datasets_dir: Path | None = None
+    config_file: Path | None = None
 
     @property
     def base_dir(self) -> Path:
@@ -180,6 +192,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         mappings=tuple(mappings),
         etg=Path(etg) if etg is not None else None,
         datasets_dir=Path(datasets_dir).absolute() if datasets_dir is not None else None,
+        config_file=config_path,
     )
 
 
@@ -401,12 +414,15 @@ _PHASE_FUNCTIONS = {
 
 def _sha256(path: Path) -> str | None:
     try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return sha256(path.read_bytes()).hexdigest()
     except OSError:
         return None
 
 
 def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
+    """SHA-256 of every file the run read: the purpose, the config file, each
+    dataset with its sidecar schema, each ontology, each mapping override and
+    the --etg schema graph, keyed by the path as the run resolved it."""
     digests = {str(config.purpose): _sha256(config.purpose)}
     purpose = parse_purpose(config.purpose)
     for ref in purpose.dataset_refs + purpose.ontology_refs:
@@ -415,8 +431,9 @@ def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
         if ref.meta.kind == "dataset":
             sidecar = sidecar_schema_path(path)
             digests[str(sidecar)] = _sha256(sidecar)
-    for mapping_path in config.mappings:
-        digests[str(mapping_path)] = _sha256(mapping_path)
+    for path in (config.config_file, *config.mappings, config.etg):
+        if path is not None:
+            digests[str(path)] = _sha256(path)
     return digests
 
 

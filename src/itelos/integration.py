@@ -804,9 +804,13 @@ _LITERAL_ESCAPES = str.maketrans(
         "\t": "\\t",
     }
 )
+# Most literals hold none of the escaped characters; one search skips translate.
+_NEEDS_ESCAPE = re.compile("[" + re.escape("".join(map(chr, _LITERAL_ESCAPES))) + "]")
 
 
 def _escape_literal(text: str) -> str:
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
     return text.translate(_LITERAL_ESCAPES)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -51,6 +53,38 @@ ARTIFACTS = [
 ]
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports this checkout's itelos."""
+    src = str(Path(itelos.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+# Runs the fixture in a fresh interpreter, optionally with the built-in SHA-256
+# modules made unimportable, and prints the manifest's inputs and which of the
+# OpenSSL-backed modules the run loaded.
+RUN_AND_LIST_MODULES = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from itelos.cli import main
+main(["run", "--purpose", sys.argv[2], "--out", sys.argv[3]])
+manifest = json.load(open(sys.argv[3] + "/run_manifest.json"))
+loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+print(json.dumps({"inputs": manifest["inputs"], "loaded": loaded}))
+"""
+
+
 class TestRun:
     def test_full_run_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -71,8 +105,10 @@ class TestRun:
             assert (run_out / name).read_bytes() == (step_out / name).read_bytes(), name
 
     def test_manifest_shape(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cov_min": 0.5}))
         out = tmp_path / "out"
-        main(fixture_argv("run", out))
+        assert main(fixture_argv("run", out, "--config", str(config))) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["tool"].startswith("itelos ")
         assert manifest["phases"] == {
@@ -81,9 +117,44 @@ class TestRun:
             "align": "pass",
             "integrate": "pass",
         }
-        digests = manifest["inputs"]
-        assert str(COVID / "purpose.json") in digests
-        assert all(v is not None for v in digests.values())
+        files = [
+            COVID / "purpose.json",
+            config,
+            COVID / "data" / "hospitals.csv",
+            COVID / "data" / "hospitals.schema.json",
+            COVID / "data" / "covid_cases.csv",
+            COVID / "data" / "covid_cases.schema.json",
+            COVID / "ontologies" / "onto_upper.json",
+            COVID / "ontologies" / "onto_health.json",
+        ]
+        assert manifest["inputs"] == {str(path): sha256_of(path) for path in files}
+
+    def test_etg_and_mapping_files_are_hashed(self, tmp_path):
+        first = tmp_path / "first"
+        assert main(fixture_argv("run", first)) == 0
+        override = tmp_path / "ds_cases.json"
+        override.write_text(json.dumps(CASES_OVERRIDE))
+        etg = first / "etg_final.json"
+        out = tmp_path / "out"
+        argv = fixture_argv("run", out, "--etg", str(etg), "--mapping", str(override))
+        assert main(argv) == 0
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        assert inputs[str(etg)] == sha256_of(etg)
+        assert inputs[str(override)] == sha256_of(override)
+
+    @pytest.mark.parametrize("sha_modules", ["builtin", "blocked"])
+    def test_openssl_loaded_only_without_builtin_sha256(self, sha_modules, tmp_path):
+        builtin = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+        if sha_modules == "builtin" and not builtin:
+            pytest.skip("this interpreter has no built-in SHA-256 module")
+        out = tmp_path / "out"
+        result = run_python("-c", RUN_AND_LIST_MODULES, sha_modules, COVID / "purpose.json", out)
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen["loaded"] == ([] if sha_modules == "builtin" else ["_hashlib", "hashlib"])
+        assert seen["inputs"] and all(
+            digest == sha256_of(path) for path, digest in seen["inputs"].items()
+        )
 
     def test_gate_fail_exits_one_and_fail_fast_stops(self, tmp_path):
         out = tmp_path / "out"
@@ -321,15 +392,7 @@ class TestDeterminism:
 
 def run_cli(*argv):
     """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
-    src = str(Path(itelos.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, "-m", "itelos.cli", *map(str, argv)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    return run_python("-m", "itelos.cli", *argv)
 
 
 def copied_datasets(tmp_path):

@@ -1332,6 +1332,12 @@ class TestExport:
         "text, escaped",
         [
             ('\\ " \n \r \t', '\\\\ \\" \\n \\r \\t'),
+            # each escaped character alone, in otherwise plain text
+            ("a\\b", "a\\\\b"),
+            ('a"b', 'a\\"b'),
+            ("a\nb", "a\\nb"),
+            ("a\rb", "a\\rb"),
+            ("a\tb", "a\\tb"),
             ("Città di Trento – 病院 ü", "Città di Trento – 病院 ü"),
             ("plain text, 'quoted' / <b>", "plain text, 'quoted' / <b>"),
             ("", ""),
