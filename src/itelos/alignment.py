@@ -105,22 +105,6 @@ def _blend(similarity: Fraction, sharability: Fraction, policy: AlignmentPolicy)
     return policy.etr_name_weight * similarity + (1 - policy.etr_name_weight) * sharability
 
 
-def etr_score(
-    name_a: str,
-    props_a: Iterable[str],
-    name_b: str,
-    props_b: Iterable[str],
-    policy: AlignmentPolicy | None = None,
-) -> Fraction:
-    """Match score of two etypes: weighted blend of name similarity and
-    property sharability. Symmetric, since both terms are."""
-    return _blend(
-        name_similarity(name_a, name_b),
-        property_sharability(props_a, props_b),
-        policy or AlignmentPolicy(),
-    )
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One ontology etype proposed for a model etype, with its score parts."""

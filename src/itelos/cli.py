@@ -12,7 +12,6 @@ errored, 2 the invocation or configuration was unusable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -55,6 +54,7 @@ from .inception import (
     sidecar_schema_path,
 )
 from .integration import (  # connected_components: perfbench/tracing.py wraps this name
+    IntegrationError,
     connected_components,
     eval_purpose,
     export_eg,
@@ -65,7 +65,7 @@ from .integration import (  # connected_components: perfbench/tracing.py wraps t
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import ModelError, dump_etg, expect_json, load_etg, read_json, require_key, validate_eg
+from .model import ModelError, dump_etg, expect_json, load_etg, read_json, require_key, validate_eg, write_json
 from .modeling import (
     build_etg_model,
     eval_modeling,
@@ -196,14 +196,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def _write_gate(out: Path, report: GateReport) -> None:
-    _write_json(out / f"{report.gate}.json", report.to_json())
+    write_json(out / f"{report.gate}.json", report.to_json())
     (out / f"{report.gate}.txt").write_text(report.to_text(), encoding="utf-8")
 
 
@@ -258,7 +252,7 @@ def phase_inception(config: PipelineConfig) -> GateReport:
     report = eval_inception(purpose.cqs, ranking, config.thresholds, catalog.errors)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    write_json(
         out / "inception.json",
         {
             "purpose": {
@@ -292,8 +286,8 @@ def phase_model(config: PipelineConfig) -> GateReport:
         purpose.cqs, schemas, purpose.property_overrides, base_id=purpose.slug
     )
     dump_etg(model.etg, out / "etg_model.json")
-    _write_json(out / "etg_model_provenance.json", provenance_to_json(model))
-    _write_json(out / "selection.json", {"datasets": selection})
+    write_json(out / "etg_model_provenance.json", provenance_to_json(model))
+    write_json(out / "selection.json", {"datasets": selection})
     report = eval_modeling(purpose.cqs, model, config.thresholds)
     _write_gate(out, report)
     return report
@@ -313,11 +307,11 @@ def phase_align(config: PipelineConfig) -> GateReport:
     }
     final, plan = generate_etg(model, predictions, ranking, ontologies, config.policy)
     dump_etg(final, out / "etg_final.json")
-    _write_json(
+    write_json(
         out / "merge_plan.json",
         {"ontology_ranking": ontology_ranking_to_json(ranking), **plan_to_json(plan)},
     )
-    _write_json(out / "rename_map.json", dict(sorted(plan.rename_map.items())))
+    write_json(out / "rename_map.json", dict(sorted(plan.rename_map.items())))
     report = eval_alignment(final, ranking, ontologies, config.thresholds)
     _write_gate(out, report)
     return report
@@ -378,7 +372,10 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
             if mapping_path is None:
                 raise
             raise PhaseError(f"{mapping_path}: {exc}") from exc
-        state, case = integrate_dataset(state, mapping, header, rows)
+        try:
+            state, case = integrate_dataset(state, mapping, header, rows)
+        except IntegrationError as exc:
+            raise PhaseError(f"{_dataset_path(config, ref)}: {exc}") from exc
         cases.append(case)
 
     violations = validate_eg(state.eg)
@@ -387,7 +384,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         raise PhaseError(f"integrated graph is invalid: {listed}")
     warnings = export_eg(state.eg, triples_path)
     report = eval_purpose(state.eg, purpose.cqs, rename_map, config.thresholds)
-    _write_json(
+    write_json(
         out / "integration_report.json",
         {
             "cases": [case.to_json() for case in cases],
@@ -452,7 +449,7 @@ def phase_run(config: PipelineConfig) -> int:
                 break
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    write_json(
         out / "run_manifest.json",
         {
             "tool": f"itelos {__version__}",

@@ -241,6 +241,8 @@ def generate_entities(
 
     The key is the normalized identity-column value (composite keys joined
     with underscores); rows without a usable key get their ordinal instead.
+    Two rows whose ids agree although their normalized keys differ, or one of
+    them has no usable key, raise an IntegrationError naming both data rows.
     Rows that are entirely empty are skipped. The same (value, source) pair
     is never stored twice on a property.
 
@@ -263,24 +265,31 @@ def generate_entities(
     ]
     key_indexes = [index_of[c] for c in mapping.identity_columns]
 
+    def mint(ordinal: int, row: Sequence[str]) -> tuple[str, tuple[str, ...] | None]:
+        """The row's entity id and key parts, or None where it takes the ordinal."""
+        parts = None
+        if key_indexes and all(row[i] for i in key_indexes):
+            try:
+                parts = tuple(normalize_text(row[i]) for i in key_indexes)
+            except EmptyLabelError:
+                pass
+        return f"{mapping.dataset_id}/{'_'.join(parts) if parts else f'row_{ordinal}'}", parts
+
     values: dict[str, dict[str, list[tuple[str, str]]]] = {}
     pending: set[PendingLink] = set()
+    # the key parts of each id that a keyed row's ordinal or composite key made
+    minted: dict[str, tuple[str, ...] | None] = {}
     data_cells = 0
     skipped = 0
     for ordinal, row in enumerate(rows, start=1):
         if not any(row):
             skipped += 1
             continue
-        key = None
-        key_cells = [row[i] for i in key_indexes]
-        if key_cells and all(cell for cell in key_cells):
-            try:
-                key = "_".join(normalize_text(cell) for cell in key_cells)
-            except EmptyLabelError:
-                key = None
-        if key is None:
-            key = f"row_{ordinal}"
-        entity_id = f"{mapping.dataset_id}/{key}"
+        entity_id, parts = mint(ordinal, row)
+        if key_indexes and (parts is None or len(parts) > 1 or entity_id in minted):
+            if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in values):
+                first = next(n for n, r in enumerate(rows, 1) if any(r) and mint(n, r)[0] == entity_id)
+                raise IntegrationError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
         bucket = values.setdefault(entity_id, {})
         for index, prop, is_object in cells:
             cell = row[index]
@@ -449,7 +458,7 @@ class GraphTotals:
 
     declared: int = 0  # (entity, declared property) pairs
     missing: int = 0  # of those, the pairs with no value or link
-    flagged: int = 0  # len(eg.conflict_flags)
+    flagged: int = 0  # (entity, conflicting property) pairs
     etypes: Mapping[str, int] = field(default_factory=dict)  # entities per etype
     components: int = 0  # connected_components(eg)
 
@@ -461,12 +470,11 @@ class GraphTotals:
 @dataclass(frozen=True)
 class IntegrationState:
     """The growing graph, the links still waiting for their targets, and the
-    graph's totals, or None where they are not counted yet (a state built by
-    hand around an existing graph)."""
+    graph's totals."""
 
     eg: EG
     pending: tuple[PendingLink, ...]
-    totals: GraphTotals | None = None
+    totals: GraphTotals
 
 
 def initial_state(schema_graph: ETG, graph_id: str) -> IntegrationState:
@@ -479,7 +487,7 @@ def _conforms(schema_graph: ETG, etype: str, range_etype: str) -> bool:
     return etype == range_etype or range_etype in schema_graph.ancestors_of(etype)
 
 
-def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
+def resolve_pending(state: IntegrationState) -> IntegrationState:
     """Retry every pending link against the current graph.
 
     A link resolves to an exact entity id, or else to the entity of the
@@ -488,11 +496,11 @@ def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
     suffix -> ids in sorted order, built once per call and only when some link
     needs it; the first conforming id in that list is the smallest one.
     Unresolved links stay pending, sorted, and are never written into the graph.
+    The state's totals are passed through as they are.
     """
     eg = state.eg
     added: dict[str, set[tuple[str, str, str]]] = {}
     still: list[PendingLink] = []
-    resolved = 0
     by_suffix: dict[str, list[str]] | None = None
     for link in sorted(state.pending):
         source = eg.entities.get(link.source_id)
@@ -529,14 +537,13 @@ def resolve_pending(state: IntegrationState) -> tuple[IntegrationState, int]:
         added.setdefault(link.source_id, set()).add(
             (link.property, target_id, link.dataset_id)
         )
-        resolved += 1
     if not added:
-        return IntegrationState(eg=eg, pending=tuple(still)), 0
+        return replace(state, pending=tuple(still))
     entities = dict(eg.entities)
     for entity_id, links in added.items():
         entity = entities[entity_id]
         entities[entity_id] = replace(entity, object_links=entity.object_links | links)
-    return IntegrationState(eg=replace(eg, entities=entities), pending=tuple(still)), resolved
+    return replace(state, eg=replace(eg, entities=entities), pending=tuple(still))
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +681,6 @@ def integrate_dataset(
     """
     before = state.eg
     totals = state.totals
-    if totals is None:  # a state built around an existing graph: count it once
-        totals = _updated(
-            GraphTotals(), before.schema, (), before.entities.values(), connected_components(before)
-        )
     fragment = generate_entities(mapping, header, rows, before.schema)
     matches = match_entities(before, fragment)
     merged_eg, remap = merge_entities(before, fragment, matches)
@@ -685,7 +688,7 @@ def integrate_dataset(
         replace(link, source_id=remap[link.source_id]) if link.source_id in remap else link
         for link in state.pending + fragment.pending_links
     }
-    resolved, _count = resolve_pending(IntegrationState(eg=merged_eg, pending=tuple(carried)))
+    resolved = resolve_pending(replace(state, eg=merged_eg, pending=tuple(carried)))
     after = resolved.eg
     # the old versions of changed or removed entities, and the changed or new ones
     removed = [e for entity_id, e in before.entities.items() if after.entities.get(entity_id) is not e]

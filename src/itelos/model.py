@@ -243,8 +243,7 @@ class EG:
     """Entity Graph: entities conforming to a schema ETG, keyed by id.
 
     `entities` must not change after construction; every step that changes
-    the graph builds a new EG. So `conflict_flags` is derived from the
-    entities on first read instead of being stored.
+    the graph builds a new EG.
     """
 
     id: str
@@ -253,17 +252,6 @@ class EG:
 
     def sorted_entities(self) -> list[Entity]:
         return [self.entities[k] for k in sorted(self.entities)]
-
-    # Kept in the instance __dict__ outside the fields, like the ETG caches.
-    @cached_property
-    def conflict_flags(self) -> frozenset[tuple[str, str]]:
-        """The (entity id, property) pairs whose values disagree, one per
-        `Entity.conflicting_properties` entry. Computed on first read."""
-        return frozenset(
-            (entity.id, prop)
-            for entity in self.entities.values()
-            for prop in entity.conflicting_properties()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +462,8 @@ def validate_etg(g: ETG) -> list[Violation]:
 
 def validate_eg(eg: EG) -> list[Violation]:
     """Check every EG invariant against its schema; empty report means valid.
-    Conflict flags need no check: they are derived from the values."""
+    Conflicts need no check: `Entity.conflicting_properties` derives them
+    from the values."""
     out: list[Violation] = []
     for entity in eg.sorted_entities():
         if entity.etype not in eg.schema.etypes:
@@ -547,6 +536,12 @@ def read_json(path: Path, what: str, kind: type = dict, error: type[Exception] =
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: unreadable JSON: {exc}") from exc
     return expect_json(doc, kind, f"{path}: document root", error)
+
+
+def write_json(path: Path, doc) -> None:
+    """Write `doc` to `path` as UTF-8 JSON with sorted keys, indented by two
+    spaces and ending in a newline: the form of every JSON artifact."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
@@ -623,7 +618,7 @@ def load_etg(path: Path, *, meta: ResourceMeta | None = None) -> ETG:
 
 
 def dump_etg(g: ETG, path: Path) -> None:
-    path.write_text(json.dumps(etg_to_doc(g), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, etg_to_doc(g))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from pathlib import Path
 from typing import Mapping
 
 from itelos.alignment import (
+    AlignmentPolicy,
     Candidate,
     PredictionVector,
     _blend,
+    etr_predict,
     name_similarity,
     property_sharability,
 )
@@ -33,6 +35,7 @@ from itelos.integration import (
     _merge_values,
     _valid_for,
 )
+from itelos.modeling import ETGModel
 from itelos.model import (
     EG,
     ETG,
@@ -242,6 +245,30 @@ def scan_etr_predict(model, ontology, policy) -> PredictionVector:
     return PredictionVector(ontology_id=ontology.meta.id, candidates=by_etype)
 
 
+def etr_pair_score(name_a, props_a, name_b, props_b, policy=None) -> Fraction:
+    """The score etr_predict gives etype `name_a` of a one-etype model against
+    etype `name_b` of a one-etype ontology, each owning the given property
+    names; a match threshold of 0 keeps the pair whatever its score."""
+
+    def one_etype(graph_id, name, props, kind):
+        return ETG(
+            id=graph_id,
+            etypes=frozenset({name}),
+            properties={name: tuple(PropertyDef(name=p) for p in sorted(props))},
+            subclass_edges=frozenset(),
+            meta=ResourceMeta(id=graph_id, kind=kind, category="core"),
+        )
+
+    model = ETGModel(
+        etg=one_etype("model", name_a, props_a, "dataset"), provenance={}, etype_categories={}
+    )
+    weight = (policy or AlignmentPolicy()).etr_name_weight
+    policy = AlignmentPolicy(match_threshold=Fraction(0), etr_name_weight=weight)
+    vector = etr_predict(model, one_etype("onto", name_b, props_b, "ontology"), policy)
+    (candidate,) = vector.candidates[name_a]
+    return candidate.score
+
+
 def scan_value_set(entity, prop) -> frozenset:
     return frozenset(normalize_value(v) for v, _src in entity.data_values.get(prop, ()) if v.strip())
 
@@ -305,6 +332,14 @@ def scan_link_target(eg, link):
         if conforms(entity.etype) and entity_id.rpartition("/")[2] == key
     ]
     return min(candidates) if candidates else None
+
+
+def flagged_pairs(eg) -> frozenset:
+    """The (entity id, property) pairs that `Entity.conflicting_properties`
+    lists for the entities of `eg`."""
+    return frozenset(
+        (entity.id, prop) for entity in eg.entities.values() for prop in entity.conflicting_properties()
+    )
 
 
 def scan_conflict_flags(entities) -> frozenset:

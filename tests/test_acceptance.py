@@ -15,7 +15,6 @@ from fractions import Fraction
 from itelos.alignment import (
     AlignmentPolicy,
     etr_predict,
-    etr_score,
     generate_etg,
     rank_ontologies,
 )
@@ -34,6 +33,8 @@ from itelos.modeling import build_etg_model
 from helpers import (
     COVID,
     bfs_component_count,
+    etr_pair_score,
+    flagged_pairs,
     make_cq,
     make_etg,
     make_schema,
@@ -126,12 +127,12 @@ def test_etr_determinism_and_bounds():
         ("x", {"p", "q", "r"}, "xy", {"q", "r", "s"}),
     ]
     for name_a, props_a, name_b, props_b in cases:
-        score = etr_score(name_a, props_a, name_b, props_b)
+        score = etr_pair_score(name_a, props_a, name_b, props_b)
         assert 0 <= score <= 1
-        assert score == etr_score(name_b, props_b, name_a, props_a)
-        assert score == etr_score(name_a, props_a, name_b, props_b)
-    assert etr_score("hospital", {"name", "beds"}, "hospital", {"name", "beds"}) == 1
-    assert etr_score("person", {"age"}, "persons", {"count"}) == Fraction(3, 7)
+        assert score == etr_pair_score(name_b, props_b, name_a, props_a)
+        assert score == etr_pair_score(name_a, props_a, name_b, props_b)
+    assert etr_pair_score("hospital", {"name", "beds"}, "hospital", {"name", "beds"}) == 1
+    assert etr_pair_score("person", {"age"}, "persons", {"count"}) == Fraction(3, 7)
 
 
 @criterion(4, "alignment policy")
@@ -281,7 +282,7 @@ def test_integration_case_grid():
     assert (report.case, report.entity_overlap) == ("shared_etype", "populates_both")
     assert report.merged_entities == 1
     assert report.conflicts == 1
-    assert ("ds_a/tn01", "beds") in state.eg.conflict_flags
+    assert ("ds_a/tn01", "beds") in flagged_pairs(state.eg)
     assert connected_components(state.eg) == bfs_component_count(state.eg)
 
     # shared etype, disjoint entities: nothing merges and the holes show

@@ -9,7 +9,6 @@ from itelos.alignment import (
     InvalidPolicyError,
     NoOntologiesError,
     etr_predict,
-    etr_score,
     eval_alignment,
     generate_etg,
     levenshtein,
@@ -26,7 +25,7 @@ from itelos.model import (
     etg_to_doc,
 )
 
-from helpers import make_cq, make_etg, make_schema, scan_etr_predict
+from helpers import etr_pair_score, make_cq, make_etg, make_schema, scan_etr_predict
 
 names = st.text(alphabet="abcdefgh", min_size=0, max_size=8)
 prop_sets = st.frozensets(st.sampled_from(["p", "q", "r", "s"]), max_size=4)
@@ -62,24 +61,28 @@ class TestStringSimilarity:
 
 
 class TestEtrScore:
+    """The pair score of etr_predict, read through `etr_pair_score`: one model
+    etype against one ontology etype, at a match threshold of 0."""
+
     def test_hand_computed_case(self):
         # person vs persons, disjoint property sets
-        assert etr_score("person", {"age"}, "persons", {"count"}) == Fraction(3, 7)
+        assert etr_pair_score("person", {"age"}, "persons", {"count"}) == Fraction(3, 7)
 
     def test_identical_is_one(self):
-        assert etr_score("hospital", {"name", "beds"}, "hospital", {"name", "beds"}) == 1
+        assert etr_pair_score("hospital", {"name", "beds"}, "hospital", {"name", "beds"}) == 1
 
     @given(names, prop_sets, names, prop_sets)
     def test_symmetric_and_bounded(self, a, pa, b, pb):
-        forward = etr_score(a, pa, b, pb)
-        assert forward == etr_score(b, pb, a, pa)
+        # symmetric: swapping the model and ontology roles gives the same score
+        forward = etr_pair_score(a, pa, b, pb)
+        assert forward == etr_pair_score(b, pb, a, pa)
         assert 0 <= forward <= 1
 
     def test_weight_shifts_blend(self):
         heavy_name = AlignmentPolicy(etr_name_weight=Fraction(1))
-        assert etr_score("person", {"age"}, "persons", {"count"}, heavy_name) == Fraction(6, 7)
+        assert etr_pair_score("person", {"age"}, "persons", {"count"}, heavy_name) == Fraction(6, 7)
         heavy_props = AlignmentPolicy(etr_name_weight=Fraction(0))
-        assert etr_score("person", {"age"}, "persons", {"age"}, heavy_props) == 1
+        assert etr_pair_score("person", {"age"}, "persons", {"age"}, heavy_props) == 1
 
     def test_policy_range_checked(self):
         with pytest.raises(InvalidPolicyError):

@@ -485,6 +485,34 @@ class TestHostileInput:
         assert "selected dataset 'ds_cases' is not loadable" in err
         assert "not valid UTF-8" in err
 
+    @pytest.mark.parametrize(
+        "rows, identity, message",
+        [
+            (
+                ["TN01,Alpha,1,Trento", ",Beta,2,Trento", "Row 2,Gamma,3,Trento"],
+                ["code"],
+                "data rows 2 and 3 both mint ds_hospitals/row_2 from different keys",
+            ),
+            (
+                ["TN01,San Marco,1,Via Roma", "TN02,San,2,Marco Via Roma"],
+                ["name", "municipality"],
+                "data rows 1 and 2 both mint ds_hospitals/san_marco_via_roma from different keys",
+            ),
+        ],
+        ids=["blank_key_and_key", "composite_parts"],
+    )
+    def test_two_rows_minting_one_id_exit_one(self, tmp_path, capsys, rows, identity, message):
+        root = copied_datasets(tmp_path)
+        csv_path = root / "data" / "hospitals.csv"
+        csv_path.write_text("code,name,beds,municipality\n" + "".join(f"{row}\n" for row in rows))
+        override = tmp_path / "ds_hospitals.json"
+        columns = {name: ["hospital", name] for name in ("code", "name", "beds", "municipality")}
+        doc = {"dataset_id": "ds_hospitals", "columns": columns, "identity_key": identity}
+        override.write_text(json.dumps(doc))
+        argv = fixture_argv("run", tmp_path / "out", "--datasets", str(root), "--mapping", str(override))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"run error: {csv_path}: {message}\n"
+
 
 # (file to break, path inside its JSON document or None to write the value as
 # it is, the value or None to delete the file, the resource that fails to

@@ -1,6 +1,10 @@
+import itertools
 import re
+import tempfile
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from itelos import integration
 from itelos.integration import (
     Fragment,
-    IntegrationState,
+    IntegrationError,
     MappingError,
     PendingLink,
     UnknownEtypeError,
@@ -38,6 +42,7 @@ from itelos.model import (
 
 from helpers import (
     bfs_component_count,
+    flagged_pairs,
     make_cq,
     make_etg,
     make_schema,
@@ -336,6 +341,49 @@ class TestGenerateEntities:
         assert set(fragment.eg.entities) == {"ds_a/tn01", "ds_a/row_3"}
         assert fragment.stats["skipped_empty_rows"] == 1
 
+    @pytest.mark.parametrize(
+        "rows, first, second",
+        [
+            # a blank key takes the ordinal that another row's key spells
+            ([["TN01", "Alpha", "1"], ["", "Beta", "2"], ["Row 2", "Gamma", "3"]], 2, 3),
+            ([["row-2", "Gamma", "3"], ["", "Beta", "2"]], 1, 2),
+            ([["TN01", "Alpha", "1"], ["--", "Beta", "2"], ["ROW_2", "Gamma", "3"]], 2, 3),
+        ],
+        ids=["key_after_ordinal", "key_before_ordinal", "unusable_key"],
+    )
+    def test_key_and_ordinal_minting_one_id_raise(self, rows, first, second):
+        with pytest.raises(IntegrationError, match=f"data rows {first} and {second} both mint ds_a/row_2 "):
+            self.fragment(rows)
+
+    def composite(self, rows):
+        override = override_from_doc(
+            {
+                "dataset_id": "ds_a",
+                "columns": {"name": ["hospital", "name"], "municipality": ["hospital", "municipality"]},
+                "identity_key": ["name", "municipality"],
+            }
+        )
+        schema = make_schema("ds_a", "hospital", ["name", "municipality"])
+        mapping = infer_mapping(schema, hospital_etg(), override=override)
+        return generate_entities(mapping, ["name", "municipality"], rows, hospital_etg())
+
+    @pytest.mark.parametrize(
+        "rows, first, second, entity_id",
+        [
+            ([["San Marco", "Via Roma"], ["San", "Marco Via Roma"]], 1, 2, "ds_a/san_marco_via_roma"),
+            ([["A", "B"], ["San Marco", "Via Roma"], ["San Marco Via", "Roma"]], 2, 3, "ds_a/san_marco_via_roma"),
+            ([["", "Via Roma"], ["Row", "1"]], 1, 2, "ds_a/row_1"),
+        ],
+        ids=["parts_split_apart", "later_rows", "ordinal_then_composite"],
+    )
+    def test_composite_keys_minting_one_id_raise(self, rows, first, second, entity_id):
+        with pytest.raises(IntegrationError, match=f"data rows {first} and {second} both mint {entity_id} "):
+            self.composite(rows)
+
+    def test_equal_composite_keys_still_merge(self):
+        fragment = self.composite([["San Marco", "Via Roma"], ["SAN  MARCO", " via-roma"], ["", "x"]])
+        assert set(fragment.eg.entities) == {"ds_a/san_marco_via_roma", "ds_a/row_3"}
+
     def test_empty_cells_skipped(self):
         fragment = self.fragment([["TN01", "", "400"]])
         entity = fragment.eg.entities["ds_a/tn01"]
@@ -347,7 +395,7 @@ class TestGenerateEntities:
         assert len(fragment.eg.entities) == 1
         entity = fragment.eg.entities["ds_a/tn01"]
         assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara", "S. Chiara"]
-        assert fragment.eg.conflict_flags == frozenset(
+        assert flagged_pairs(fragment.eg) == frozenset(
             {("ds_a/tn01", "name")}
         )
 
@@ -355,11 +403,11 @@ class TestGenerateEntities:
         fragment = self.fragment([["TN01", "Santa Chiara", "400"]] * 2)
         entity = fragment.eg.entities["ds_a/tn01"]
         assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara"]
-        assert fragment.eg.conflict_flags == frozenset()
+        assert flagged_pairs(fragment.eg) == frozenset()
 
     def test_case_variants_do_not_conflict(self):
         fragment = self.fragment([["TN01", "Santa Chiara", ""], ["TN01", "SANTA  CHIARA", ""]])
-        assert fragment.eg.conflict_flags == frozenset()
+        assert flagged_pairs(fragment.eg) == frozenset()
 
     def test_object_cells_become_pending_links(self):
         columns = [
@@ -552,7 +600,7 @@ class TestMatchAndMerge:
         state, report = run_dataset(
             state, "ds_b", "hospital", hospital_columns(), [["TN01", "Ospedale S.C.", "400"]]
         )
-        assert ( "ds_a/tn01", "name") in state.eg.conflict_flags
+        assert ("ds_a/tn01", "name") in flagged_pairs(state.eg)
         assert report.conflicts == 1
 
 
@@ -728,7 +776,7 @@ class TestMergeOnePass:
         expected, expected_remap = scan_merge_entities(eg, fragment, matches)
         assert remap == expected_remap
         assert merged == expected
-        assert merged.conflict_flags == scan_conflict_flags(expected.entities)
+        assert flagged_pairs(merged) == scan_conflict_flags(expected.entities)
         assert list(merged.entities) == list(expected.entities)
         for graph in (eg, fragment.eg, merged):
             assert missing_ratio(graph) == scan_missing_ratio(graph)
@@ -844,7 +892,8 @@ class TestResolveIndex:
             schema=link_etg(),
             entities={e.id: e for e in entities},
         )
-        state, count = resolve_pending(IntegrationState(eg=eg, pending=tuple(links)))
+        start = replace(initial_state(eg.schema, eg.id), eg=eg, pending=tuple(links))
+        state = resolve_pending(start)
         expected = {e.id: set(e.object_links) for e in entities}
         unresolved = []
         for link in links:
@@ -855,7 +904,8 @@ class TestResolveIndex:
                 expected[link.source_id].add((link.property, target, link.dataset_id))
         assert {e.id: set(e.object_links) for e in state.eg.entities.values()} == expected
         assert state.pending == tuple(sorted(unresolved))
-        assert count == len(links) - len(unresolved)
+        assert len(start.pending) - len(state.pending) == len(links) - len(unresolved)
+        assert state.totals is start.totals
 
 
 class TestResolvePending:
@@ -989,9 +1039,10 @@ class TestResolvePending:
         state = self.state_with_hospitals()
         pending = state.pending
         assert pending == ()
-        resolved_state, count = resolve_pending(state)
-        assert count == 0
+        resolved_state = resolve_pending(state)
+        assert len(state.pending) - len(resolved_state.pending) == 0
         assert resolved_state.eg is state.eg
+        assert resolved_state.totals is state.totals
 
 
 class TestComponentsAndMissing:
@@ -1128,10 +1179,6 @@ class TestCaseReports:
         assert len(flagged) == len(populated) == 50
         assert value_sets == []
         assert report.conflicts == 0
-        # the graph's own flags are derived on first read, then cached
-        assert state.eg.conflict_flags == frozenset()
-        assert state.eg.conflict_flags == frozenset()
-        assert len(flagged) == 100
         # a 1-row dataset merging into one of the 50 entities does that work
         # for the old and new versions of that entity alone, not for all 51
         flagged.clear()
@@ -1142,10 +1189,10 @@ class TestCaseReports:
         )
         assert sorted(flagged) == sorted(populated) == ["ds_a/tn01", "ds_a/tn01"]
         assert report.conflicts == 2
-        # the new graph leaves the first one and its cached flags valid
+        # the new graph leaves the first one and its flags as they were
         assert first.entities == entities
-        assert first.conflict_flags == scan_conflict_flags(first.entities) == frozenset()
-        assert state.eg.conflict_flags == {("ds_a/tn01", "name"), ("ds_a/tn01", "beds")}
+        assert flagged_pairs(first) == scan_conflict_flags(first.entities) == frozenset()
+        assert flagged_pairs(state.eg) == {("ds_a/tn01", "name"), ("ds_a/tn01", "beds")}
 
 
 def report_etg():
@@ -1175,8 +1222,7 @@ def dataset_sequence(draw):
     """2-4 datasets with distinct ids, integrated in a drawn order so that
     later ids may sort below earlier ones and rename their entities; mostly
     sites, keyed on `code` or keyless, whose small value pools make rows
-    overlap, merge, conflict and link to each other. Each dataset may start
-    from a state rebuilt around the graph, without its totals."""
+    overlap, merge, conflict and link to each other."""
     order = draw(st.permutations(["ds_a", "ds_b", "ds_c", "ds_d"]))
     datasets = []
     for dataset_id in order[: draw(st.integers(2, 4))]:
@@ -1187,7 +1233,7 @@ def dataset_sequence(draw):
         rows = draw(
             st.lists(st.tuples(*(st.sampled_from(REPORT_CELLS[p]) for p in props)), max_size=6)
         )
-        datasets.append((dataset_id, etype, columns, [list(row) for row in rows], draw(st.booleans())))
+        datasets.append((dataset_id, etype, columns, [list(row) for row in rows]))
     return datasets
 
 
@@ -1196,9 +1242,7 @@ class TestCaseReportOracle:
     @given(dataset_sequence())
     def test_report_equals_full_scan(self, datasets):
         state = initial_state(report_etg(), "eg")
-        for dataset_id, etype, columns, rows, rebuilt in datasets:
-            if rebuilt:
-                state = IntegrationState(eg=state.eg, pending=state.pending)
+        for dataset_id, etype, columns, rows in datasets:
             before = state.eg
             state, report = run_dataset(state, dataset_id, etype, columns, rows)
             after = state.eg
@@ -1480,3 +1524,94 @@ class TestOrderIndependence:
         forward = self.export_for(specs, tmp_path, "fwd.nt")
         backward = self.export_for(list(reversed(specs)), tmp_path, "bwd.nt")
         assert forward == backward
+
+
+def exported(state) -> bytes:
+    """The bytes export_eg writes for the state's graph."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "eg.nt"
+        export_eg(state.eg, path)
+        return path.read_bytes()
+
+
+def integrated(datasets):
+    state = initial_state(report_etg(), "eg")
+    for spec in datasets:
+        state, _ = run_dataset(state, *spec)
+    return state
+
+
+# Key pools of case variants and no blank key; link pools with targets that
+# are the row's own key, arrive in a later dataset, or never arrive (zz).
+KEYED_CELLS = {
+    "code": ["S1", "s1", " S1 ", "S2", "s2", "S3"],
+    "name": ["A", "a ", "B", ""],
+    "near": ["S1", "s2", "S3", "zz", ""],
+    "case_id": ["C1", "c1", "C2"],
+    "at": ["S1", "S2", "s3", "zz", ""],
+}
+
+
+@st.composite
+def keyed_dataset(draw, dataset_id, etype=None):
+    """A dataset of sites keyed on `code`, or of cases keyed on `case_id`."""
+    etype = etype or draw(st.sampled_from(["site", "case"]))
+    props = ["code", "name", "near"] if etype == "site" else ["case_id", "at"]
+    columns = [(p, p, "identity" if i == 0 else "attribute") for i, p in enumerate(props)]
+    rows = draw(
+        st.lists(st.tuples(*(st.sampled_from(KEYED_CELLS[p]) for p in props)), min_size=1, max_size=5)
+    )
+    return dataset_id, etype, columns, [list(row) for row in rows]
+
+
+KEYED_DATASETS = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(*(keyed_dataset(f"ds_{c}") for c in "abcd"[:n]))
+)
+
+
+class TestMetamorphic:
+    """Relations between runs that the module docstring and README promise,
+    checked on the exported bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(KEYED_DATASETS)
+    def test_keyed_datasets_export_the_same_in_every_order(self, datasets):
+        expected = exported(integrated(datasets))
+        for order in itertools.permutations(datasets):
+            assert exported(integrated(order)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), keyed_dataset("ds_a", "site"), keyed_dataset("ds_b"))
+    def test_row_order_within_a_keyed_dataset_leaves_the_export_alone(self, data, sites, other):
+        dataset_id, etype, columns, rows = sites
+        shuffled = (dataset_id, etype, columns, data.draw(st.permutations(rows)))
+        for datasets in ([sites, other], [other, sites]):
+            expected = exported(integrated(datasets))
+            assert exported(integrated([shuffled if d is sites else d for d in datasets])) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.lists(st.text("abcxyz019", min_size=1, max_size=4), min_size=1, max_size=3))
+    def test_key_variants_mint_one_entity(self, data, words):
+        def variant(separators):
+            """`words` in random letter case, joined by runs of `separators`
+            and wrapped in runs of them or of whitespace."""
+            runs = st.text(separators, min_size=1, max_size=3)
+            cased = [
+                "".join(c.upper() if data.draw(st.booleans()) else c for c in word) for word in words
+            ]
+            around = st.text(" \t", max_size=2) | runs
+            return data.draw(around) + "".join(
+                word if i == 0 else data.draw(runs) + word for i, word in enumerate(cased)
+            ) + data.draw(around)
+
+        columns = [("code", "code", "identity"), ("name", "name", "attribute"), ("near", "near", "attribute")]
+        label = "_".join(words)
+        keys = [variant(" -_./") for _ in range(data.draw(st.integers(2, 4)))]
+        rows = [[key, f"n{n}", ""] for n, key in enumerate(keys)]
+        state = integrated([("ds_a", "site", columns, rows)])
+        assert list(state.eg.entities) == [f"ds_a/{label}"]
+        # across datasets the keys are compared by value, so only letter case
+        # and whitespace may vary there
+        keys = [variant(" ") for _ in range(2)]
+        split = [("ds_b", "site", columns, [[keys[0], "n0", ""]]), ("ds_a", "site", columns, [[keys[1], "n1", ""]])]
+        assert list(integrated(split).eg.entities) == [f"ds_a/{label}"]

@@ -1,7 +1,7 @@
 import ast
 import json
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,6 +34,7 @@ from itelos.model import (
 )
 
 from helpers import (
+    flagged_pairs,
     make_cq,
     make_etg,
     make_schema,
@@ -444,7 +445,7 @@ class TestValidateEg:
             object_links=frozenset(),
         )
         flagged = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/x": both})
-        assert flagged.conflict_flags == frozenset({("d/x", "name")})
+        assert flagged_pairs(flagged) == frozenset({("d/x", "name")})
         assert self.codes(flagged) == []
 
     @pytest.mark.parametrize(
@@ -456,28 +457,8 @@ class TestValidateEg:
         eg = small_eg()
         variants = replace(eg.entities[entity_id], data_values={"name": values})
         unflagged = replace(eg, entities={**eg.entities, entity_id: variants})
-        assert unflagged.conflict_flags == frozenset()
+        assert flagged_pairs(unflagged) == frozenset()
         assert self.codes(unflagged) == []
-
-
-class TestEgConflictFlags:
-    def test_cached_flags_leave_equality_repr_and_replace_alone(self):
-        cached, fresh = small_eg(), small_eg()
-        assert cached.conflict_flags == frozenset()
-        assert cached == fresh
-        assert repr(cached) == repr(fresh)
-        # replace() builds a new graph whose flags come from its own entities
-        names = (("Santa Chiara", "d"), ("S. Chiara", "e"))
-        both = replace(cached.entities["d/x"], data_values={"name": names})
-        changed = replace(cached, entities={**cached.entities, "d/x": both})
-        assert changed.conflict_flags == frozenset({("d/x", "name")})
-        assert cached.conflict_flags == frozenset()
-
-    def test_flags_are_not_a_field_and_cannot_be_assigned(self):
-        eg = small_eg()
-        assert "conflict_flags" not in {f.name for f in fields(EG)}
-        with pytest.raises(FrozenInstanceError):
-            eg.conflict_flags = frozenset({("d/x", "name")})
 
 
 class TestEntity:
