@@ -23,6 +23,7 @@ from .inception import (
     eval_inception,
     match_resources,
     parse_purpose,
+    select_datasets,
 )
 from .integration import (
     connected_components,
@@ -55,7 +56,7 @@ from .model import (
     validate_eg,
     validate_etg,
 )
-from .modeling import ETGModel, build_etg_model, eval_modeling, select_datasets
+from .modeling import ETGModel, build_etg_model, eval_modeling
 
 __all__ = [
     "__version__",

@@ -256,6 +256,9 @@ class Decision:
 
 @dataclass(frozen=True)
 class MergePlan:
+    """The ontology ranking alignment followed and what it did per etype."""
+
+    ranking: OntologyRanking
     decisions: tuple[Decision, ...]
     adoption_rates: Mapping[str, Fraction | None]
     rename_map: Mapping[str, str]
@@ -395,7 +398,9 @@ def generate_etg(
         category: Fraction(adopted_count.get(category, 0), total) if total else None
         for category, total in sorted(category_count.items())
     }
-    plan = MergePlan(decisions=tuple(decisions), adoption_rates=rates, rename_map=rename_map)
+    plan = MergePlan(
+        ranking=ranking, decisions=tuple(decisions), adoption_rates=rates, rename_map=rename_map
+    )
     return final, plan
 
 
@@ -440,23 +445,21 @@ def eval_alignment(
     )
 
 
-def ranking_to_json(ranking: OntologyRanking) -> dict:
-    return {
-        "included": [
-            {
-                "id": entry.ontology_id,
-                "popularity": entry.popularity,
-                "etype_coverage": entry.etype_coverage.to_json(),
-                "mean_sharability": fraction_json(entry.mean_sharability),
-            }
-            for entry in ranking.included
-        ],
-        "excluded": [{"id": oid, "reason": reason} for oid, reason in ranking.excluded],
-    }
-
-
 def plan_to_json(plan: MergePlan) -> dict:
+    """The document form of `plan`, written to `merge_plan.json`."""
     return {
+        "ontology_ranking": {
+            "included": [
+                {
+                    "id": entry.ontology_id,
+                    "popularity": entry.popularity,
+                    "etype_coverage": entry.etype_coverage.to_json(),
+                    "mean_sharability": fraction_json(entry.mean_sharability),
+                }
+                for entry in plan.ranking.included
+            ],
+            "excluded": [{"id": oid, "reason": reason} for oid, reason in plan.ranking.excluded],
+        },
         "decisions": [
             {
                 "etype": d.etype,

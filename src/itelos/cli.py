@@ -40,7 +40,6 @@ from .alignment import (
     plan_to_json,
     rank_ontologies,
 )
-from .alignment import ranking_to_json as ontology_ranking_to_json
 from .inception import (
     Purpose,
     ResourceCatalog,
@@ -49,8 +48,8 @@ from .inception import (
     eval_inception,
     match_resources,
     parse_purpose,
-    ranking_from_json,
     ranking_to_json,
+    select_datasets,
     sidecar_schema_path,
 )
 from .integration import (  # connected_components: perfbench/tracing.py wraps this name
@@ -65,14 +64,8 @@ from .integration import (  # connected_components: perfbench/tracing.py wraps t
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import ModelError, dump_etg, expect_json, load_etg, read_json, require_key, validate_eg, write_json
-from .modeling import (
-    build_etg_model,
-    eval_modeling,
-    model_from_docs,
-    provenance_to_json,
-    select_datasets,
-)
+from .model import DatasetSchema, ModelError, dump_etg, expect_json, load_etg, read_json, require_key, validate_eg, write_json
+from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
 
@@ -220,6 +213,29 @@ def _read_artifact(out: Path, name: str, parse):
     return _parse_file(path, "artifact", parse)
 
 
+def _read_selection(out: Path) -> list[str]:
+    """The dataset ids in integration order, as the inception phase wrote
+    them to `out / selection.json`."""
+
+    def parse(doc) -> list[str]:
+        listed = require_key(doc, "datasets", "document", list)
+        return [expect_json(d, str, f"datasets[{i}]") for i, d in enumerate(listed)]
+
+    return _read_artifact(out, "selection.json", parse)
+
+
+def _selected_schemas(selection: list[str], catalog: ResourceCatalog) -> list[DatasetSchema]:
+    """The loaded schema of each selected dataset, in selection order. A
+    selected dataset that no longer loads stops the phase with the cause, so
+    no phase drops a dataset that inception selected."""
+    datasets = catalog.datasets()
+    for dataset_id in selection:
+        if dataset_id not in datasets:
+            cause = "".join(f": {e.message}" for e in catalog.errors if e.resource_id == dataset_id)
+            raise PhaseError(f"selected dataset {dataset_id!r} is not loadable{cause}")
+    return [datasets[dataset_id] for dataset_id in selection]
+
+
 def _out_dirs(config: PipelineConfig) -> tuple[Path, Path]:
     """Artifact directory and triples path; --out may name eg.nt directly."""
     if config.out.suffix == ".nt":
@@ -247,6 +263,8 @@ def _load_catalog(config: PipelineConfig) -> tuple[Purpose, ResourceCatalog]:
 
 
 def phase_inception(config: PipelineConfig) -> GateReport:
+    """Rank the resources and gate on coverage (eval_a); write `inception.json`
+    and `selection.json`, the datasets to integrate in order."""
     purpose, catalog = _load_catalog(config)
     ranking = match_resources(purpose.cqs, catalog)
     report = eval_inception(purpose.cqs, ranking, config.thresholds, catalog.errors)
@@ -267,33 +285,30 @@ def phase_inception(config: PipelineConfig) -> GateReport:
             ],
         },
     )
+    write_json(out / "selection.json", {"datasets": select_datasets(ranking, config.max_per_category)})
     _write_gate(out, report)
     return report
 
 
 def phase_model(config: PipelineConfig) -> GateReport:
+    """Model the queries and the datasets in `selection.json` and gate on
+    extensiveness (eval_b); write `etg_model.json` and its provenance."""
     purpose, catalog = _load_catalog(config)
     out, _ = _out_dirs(config)
-    out.mkdir(parents=True, exist_ok=True)
-    ranking = _read_artifact(
-        out,
-        "inception.json",
-        lambda doc: ranking_from_json(require_key(doc, "ranking", "document", dict), catalog),
-    )
-    selection = select_datasets(ranking, config.max_per_category)
-    schemas = [catalog.datasets()[dataset_id] for dataset_id in selection]
+    schemas = _selected_schemas(_read_selection(out), catalog)
     model = build_etg_model(
         purpose.cqs, schemas, purpose.property_overrides, base_id=purpose.slug
     )
     dump_etg(model.etg, out / "etg_model.json")
     write_json(out / "etg_model_provenance.json", provenance_to_json(model))
-    write_json(out / "selection.json", {"datasets": selection})
     report = eval_modeling(purpose.cqs, model, config.thresholds)
     _write_gate(out, report)
     return report
 
 
 def phase_align(config: PipelineConfig) -> GateReport:
+    """Align the model with the ontologies and gate on sparsity (eval_c); write
+    `etg_final.json`, `merge_plan.json` and `rename_map.json`."""
     purpose, catalog = _load_catalog(config)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
@@ -307,10 +322,7 @@ def phase_align(config: PipelineConfig) -> GateReport:
     }
     final, plan = generate_etg(model, predictions, ranking, ontologies, config.policy)
     dump_etg(final, out / "etg_final.json")
-    write_json(
-        out / "merge_plan.json",
-        {"ontology_ranking": ontology_ranking_to_json(ranking), **plan_to_json(plan)},
-    )
+    write_json(out / "merge_plan.json", plan_to_json(plan))
     write_json(out / "rename_map.json", dict(sorted(plan.rename_map.items())))
     report = eval_alignment(final, ranking, ontologies, config.thresholds)
     _write_gate(out, report)
@@ -318,6 +330,8 @@ def phase_align(config: PipelineConfig) -> GateReport:
 
 
 def phase_integrate(config: PipelineConfig) -> GateReport:
+    """Integrate the datasets in `selection.json` order (purpose order without
+    it) into `eg.nt` and gate on coverage (eval_d) with `integration_report.json`."""
     purpose, catalog = _load_catalog(config)
     out, triples_path = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
@@ -335,11 +349,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     else:
         rename_map = {}
     if (out / "selection.json").is_file():
-        selection = _read_artifact(
-            out,
-            "selection.json",
-            lambda doc: [str(d) for d in require_key(doc, "datasets", "document", list)],
-        )
+        selection = _read_selection(out)
     else:
         selection = [ref.meta.id for ref in purpose.dataset_refs]
     overrides = {}  # dataset id -> (override file, override)
@@ -351,23 +361,14 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     if graph_id.endswith("-etg"):
         graph_id = graph_id[: -len("-etg")]
     state = initial_state(etg, f"{graph_id}-eg")
-    datasets = catalog.datasets()
     cases = []
-    for dataset_id in selection:
-        if dataset_id not in datasets:
-            cause = "".join(
-                f": {e.message}" for e in catalog.errors if e.resource_id == dataset_id
-            )
-            raise PhaseError(f"selected dataset {dataset_id!r} is not loadable{cause}")
-        ref = purpose.ref_for(dataset_id)
-        if ref is None:
-            raise PhaseError(f"selected dataset {dataset_id!r} is not in the purpose")
+    for schema in _selected_schemas(selection, catalog):
+        # every loaded dataset has its ref in the purpose
+        ref = purpose.ref_for(schema.dataset_id)
         header, rows = read_dataset_rows(_dataset_path(config, ref))
-        mapping_path, override = overrides.get(dataset_id, (None, None))
+        mapping_path, override = overrides.get(schema.dataset_id, (None, None))
         try:
-            mapping = infer_mapping(
-                datasets[dataset_id], etg, rename_map=rename_map, override=override
-            )
+            mapping = infer_mapping(schema, etg, rename_map=rename_map, override=override)
         except ModelError as exc:
             if mapping_path is None:
                 raise

@@ -39,7 +39,6 @@ from .model import (
     property_elements,
     read_csv,
     read_json,
-    require_key,
     validate_etg,
 )
 
@@ -333,6 +332,21 @@ class CandidateRanking:
         return [e for e in self.all_entries() if e.kind == "dataset"]
 
 
+def select_datasets(ranking: CandidateRanking, max_per_category: int | None = None) -> list[str]:
+    """Order the shortlisted datasets for integration, as inception writes them
+    to `selection.json`: most reusable category first, ranking order inside
+    each category, at most `max_per_category` from each."""
+    selected: list[str] = []
+    for category in CATEGORIES:
+        in_category = [
+            e.resource_id for e in ranking.by_category.get(category, ()) if e.kind == "dataset"
+        ]
+        if max_per_category is not None:
+            in_category = in_category[:max_per_category]
+        selected.extend(in_category)
+    return selected
+
+
 def match_resources(cqs: Sequence[CompetencyQuery], catalog: ResourceCatalog) -> CandidateRanking:
     """Score every loaded resource against the queries and rank per category.
 
@@ -394,7 +408,7 @@ def eval_inception(
         notes.append("no dataset overlaps the competency queries; nothing can be reused")
     if not any(cq.property_pairs for cq in cqs):
         notes.append("competency queries declare no property pairs; property coverage not gated")
-    return gate_from_results("eval_a", items, thresholds, notes=tuple(notes), empty_verdict="fail")
+    return gate_from_results("eval_a", items, thresholds, notes=tuple(notes))
 
 
 def ranking_to_json(ranking: CandidateRanking) -> dict:
@@ -414,56 +428,3 @@ def ranking_to_json(ranking: CandidateRanking) -> dict:
         },
         "excluded": [{"id": rid, "reason": reason} for rid, reason in ranking.excluded],
     }
-
-
-def ranking_from_json(doc: Mapping, catalog: ResourceCatalog) -> CandidateRanking:
-    """Rebuild a ranking from its report form (used by later subcommands).
-
-    Coverage results are reconstructed from the serialized fractions; entries
-    whose resources are no longer in the catalog are dropped. A missing key
-    or a value of the wrong JSON type raises DocumentError.
-    """
-    categories = expect_json(doc.get("categories", {}), dict, "categories")
-    by_category: dict[str, tuple[RankedResource, ...]] = {}
-    for category in CATEGORIES:
-        entries = []
-        where = f"categories.{category}"
-        for index, raw in enumerate(expect_json(categories.get(category, []), list, where)):
-            spot = f"{where}[{index}]"
-            resource_id = require_key(expect_json(raw, dict, spot), "id", spot, str)
-            if resource_id not in catalog.resources:
-                continue
-            prop_cov = raw.get("property_coverage")
-            entries.append(
-                RankedResource(
-                    resource_id=resource_id,
-                    kind=require_key(raw, "kind", spot, str),
-                    category=category,
-                    popularity=require_key(raw, "popularity", spot, int),
-                    etype_coverage=_result_from_json(raw, "etype_coverage", spot),
-                    property_coverage=(
-                        _result_from_json(raw, "property_coverage", spot)
-                        if prop_cov is not None
-                        else None
-                    ),
-                )
-            )
-        by_category[category] = tuple(entries)
-    excluded = []
-    for index, raw in enumerate(expect_json(doc.get("excluded", []), list, "excluded")):
-        spot = f"excluded[{index}]"
-        reason = str(require_key(expect_json(raw, dict, spot), "reason", spot))
-        excluded.append((str(require_key(raw, "id", spot)), reason))
-    return CandidateRanking(by_category=by_category, excluded=tuple(excluded))
-
-
-def _result_from_json(entry: Mapping, key: str, where: str) -> MetricResult:
-    """The MetricResult stored under `entry[key]`."""
-    raw = require_key(entry, key, where, dict)
-    where = f"{where}.{key}"
-    sizes = [require_key(raw, k, where, int) for k in ("alpha_size", "beta_size", "intersection_size")]
-    value = require_key(raw, "value", where, dict)
-    num, den = (require_key(value, k, f"{where}.value", int) for k in ("num", "den"))
-    if den == 0:
-        raise DocumentError(f"{where}.value: den must not be 0")
-    return MetricResult(str(require_key(raw, "metric", where)), *sizes, Fraction(num, den))

@@ -784,7 +784,7 @@ def eval_purpose(
             missing = sorted(alpha_pairs - populated_props)
             note = f"missing: {', '.join(missing)}" if missing else MISSING_HINT
             items.append((cq.id, "properties", result, note))
-    return gate_from_results("eval_d", items, thresholds, empty_verdict="fail")
+    return gate_from_results("eval_d", items, thresholds)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,10 @@ GATE_METRIC = {
     "eval_d": "coverage",
 }
 
+# The verdict of a gate with no entries: eval_a (no dataset to reuse) and eval_d
+# (no query checked) fail; eval_b and eval_c have nothing to warn about.
+EMPTY_VERDICT = {"eval_a": "fail", "eval_b": "pass", "eval_c": "pass", "eval_d": "fail"}
+
 FULL_COVERAGE = Fraction(1)
 
 
@@ -231,7 +235,6 @@ def gate_from_results(
     thresholds: Thresholds,
     *,
     notes: Iterable[str] = (),
-    empty_verdict: str = "pass",
 ) -> GateReport:
     """Assemble a gate report from precomputed metric results.
 
@@ -253,7 +256,7 @@ def gate_from_results(
             )
         )
     if not entries:
-        verdict = empty_verdict
+        verdict = EMPTY_VERDICT[gate]
     elif any(e.status == "fail" for e in entries):
         verdict = "fail"
     elif any(e.status == "warn" for e in entries):
@@ -275,7 +278,6 @@ def evaluate_gate(
     thresholds: Thresholds,
     *,
     notes: Iterable[str] = (),
-    empty_verdict: str = "pass",
     default_note: str | None = None,
 ) -> GateReport:
     """Compute the gate's metric for every (resource, alpha, beta) pair and
@@ -294,4 +296,4 @@ def evaluate_gate(
         except MetricError as exc:
             raise type(exc)(f"{resource}: {exc}") from exc
         items.append((resource, alpha.kind, result, default_note))
-    return gate_from_results(gate, items, thresholds, notes=notes, empty_verdict=empty_verdict)
+    return gate_from_results(gate, items, thresholds, notes=notes)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .inception import CandidateRanking
 from .metrics import GateReport, Thresholds, evaluate_gate
 from .model import (
     CATEGORIES,
@@ -129,20 +128,6 @@ def build_etg_model(
 
     etype_categories = {e: _most_reusable(categories.get(e, [])) for e in etypes}
     return ETGModel(etg=etg, provenance=provenance, etype_categories=etype_categories)
-
-
-def select_datasets(ranking: CandidateRanking, max_per_category: int | None = None) -> list[str]:
-    """Order the shortlisted datasets for integration: most reusable category
-    first, ranking order inside each category."""
-    selected: list[str] = []
-    for category in CATEGORIES:
-        in_category = [
-            e.resource_id for e in ranking.by_category.get(category, ()) if e.kind == "dataset"
-        ]
-        if max_per_category is not None:
-            in_category = in_category[:max_per_category]
-        selected.extend(in_category)
-    return selected
 
 
 def eval_modeling(

@@ -7,6 +7,7 @@ against a second, simpler implementation.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 from functools import cache
@@ -600,3 +601,147 @@ def scan_export_eg(eg: EG, path: Path) -> list[str]:
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(f"{line}\n" for line in sorted(lines))
     return warnings
+
+
+# ---------------------------------------------------------------------------
+# An N-Triples reader for what export_eg writes, after W3C RDF 1.1 N-Triples
+# (https://www.w3.org/TR/n-triples/): IRIREF subjects and predicates, and
+# objects that are an IRIREF or a STRING_LITERAL_QUOTE with an optional
+# '^^' IRIREF datatype. Blank nodes and language tags are not read.
+
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_HEX = frozenset("0123456789abcdefABCDEF")
+
+
+class NTriplesSyntaxError(ValueError):
+    """A line is not a triple of the productions this reader accepts."""
+
+
+def _uchar(line: str, at: int) -> tuple[str, int]:
+    """The character of the UCHAR at `line[at]` (just past the backslash,
+    on `u` or `U`) and the index after it."""
+    width = 4 if line[at] == "u" else 8
+    digits = line[at + 1 : at + 1 + width]
+    if len(digits) != width or not set(digits) <= _HEX:
+        raise NTriplesSyntaxError(f"bad UCHAR at {at}: {line!r}")
+    return chr(int(digits, 16)), at + 1 + width
+
+
+def _iriref(line: str, at: int) -> tuple[str, int]:
+    """IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\\] | UCHAR)* '>'"""
+    if line[at : at + 1] != "<":
+        raise NTriplesSyntaxError(f"expected '<' at {at}: {line!r}")
+    at += 1
+    chars = []
+    while True:
+        if at >= len(line):
+            raise NTriplesSyntaxError(f"unterminated IRIREF: {line!r}")
+        char = line[at]
+        if char == ">":
+            return "".join(chars), at + 1
+        if char == "\\":
+            if line[at + 1 : at + 2] not in ("u", "U"):
+                raise NTriplesSyntaxError(f"bad escape in IRIREF at {at}: {line!r}")
+            char, at = _uchar(line, at + 1)
+            chars.append(char)
+            continue
+        if ord(char) <= 0x20 or char in '<"{}|^`':
+            raise NTriplesSyntaxError(f"{char!r} not allowed in IRIREF at {at}: {line!r}")
+        chars.append(char)
+        at += 1
+
+
+def _string_literal_quote(line: str, at: int) -> tuple[str, int]:
+    """STRING_LITERAL_QUOTE ::= '"' ([^#x22#x5C#xA#xD] | ECHAR | UCHAR)* '"'"""
+    at += 1
+    chars = []
+    while True:
+        if at >= len(line):
+            raise NTriplesSyntaxError(f"unterminated literal: {line!r}")
+        char = line[at]
+        if char == '"':
+            return "".join(chars), at + 1
+        if char in "\n\r":
+            raise NTriplesSyntaxError(f"raw line break in literal at {at}: {line!r}")
+        if char == "\\":
+            escaped = line[at + 1 : at + 2]
+            if escaped in ("u", "U"):
+                char, at = _uchar(line, at + 1)
+            elif escaped and escaped in _ECHAR:
+                char, at = _ECHAR[escaped], at + 2
+            else:
+                raise NTriplesSyntaxError(f"bad ECHAR at {at}: {line!r}")
+            chars.append(char)
+            continue
+        chars.append(char)
+        at += 1
+
+
+def _skip_ws(line: str, at: int) -> int:
+    while at < len(line) and line[at] in " \t":
+        at += 1
+    return at
+
+
+def read_ntriple(line: str):
+    """(subject IRI, predicate IRI, object) of one N-Triples line without its
+    end of line; the object is ("iri", IRI) or ("literal", lexical form,
+    datatype IRI or None). Raises NTriplesSyntaxError otherwise."""
+    at = _skip_ws(line, 0)
+    subject, at = _iriref(line, at)
+    predicate, at = _iriref(line, _skip_ws(line, at))
+    at = _skip_ws(line, at)
+    if line[at : at + 1] == '"':
+        lexical, at = _string_literal_quote(line, at)
+        datatype = None
+        if line[at : at + 2] == "^^":
+            datatype, at = _iriref(line, at + 2)
+        obj = ("literal", lexical, datatype)
+    else:
+        iri, at = _iriref(line, at)
+        obj = ("iri", iri)
+    at = _skip_ws(line, at)
+    if line[at : at + 1] != ".":
+        raise NTriplesSyntaxError(f"expected '.' at {at}: {line!r}")
+    if _skip_ws(line, at + 1) != len(line):
+        raise NTriplesSyntaxError(f"text after '.': {line!r}")
+    return subject, predicate, obj
+
+
+def read_ntriples(data: bytes) -> list:
+    """Every triple of an N-Triples document, in file order: UTF-8, each line
+    ended by LF."""
+    text = data.decode("utf-8")
+    if not text:
+        return []
+    if not text.endswith("\n"):
+        raise NTriplesSyntaxError("the last line has no end of line")
+    return [read_ntriple(line) for line in text[:-1].split("\n")]
+
+
+# Lexical spaces of the XSD 1.1 datatypes export_eg types literals with
+# (https://www.w3.org/TR/xmlschema11-2/), written out independently of the
+# exporter's own checks.
+_XSD_LEXICAL = {
+    "integer": r"[\-+]?[0-9]+",
+    "decimal": r"(\+|-)?([0-9]+(\.[0-9]*)?|\.[0-9]+)",
+    "boolean": r"true|false|1|0",
+    "date": (
+        r"-?([1-9][0-9]{3,}|0[0-9]{3})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])"
+        r"(Z|(\+|-)((0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+    ),
+}
+
+
+def xsd_valid(datatype: str, text: str) -> bool:
+    """Whether `text` is in the lexical space of xsd:`datatype`; a date's day
+    must exist in its month (XSD years are proleptic Gregorian, 0000 a leap
+    year)."""
+    if re.fullmatch(_XSD_LEXICAL[datatype], text, re.ASCII) is None:
+        return False
+    if datatype != "date":
+        return True
+    year, month, day = (int(part) for part in re.match(r"-?([0-9]+)-([0-9]+)-([0-9]+)", text).groups())
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    days = [31, 29 if leap else 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31][month - 1]
+    return day <= days

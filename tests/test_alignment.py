@@ -16,7 +16,6 @@ from itelos.alignment import (
     plan_to_json,
     property_sharability,
     rank_ontologies,
-    ranking_to_json,
 )
 from itelos.modeling import ETGModel, build_etg_model
 from itelos.model import (
@@ -406,6 +405,7 @@ class TestEvalAlignment:
     def test_ranking_json_shape(self):
         model = hospital_model()
         ontologies = {"onto_health": health_ontology()}
-        doc = ranking_to_json(rank_ontologies(model, ontologies))
+        _, plan = align(model, ontologies)
+        doc = plan_to_json(plan)["ontology_ranking"]
         assert doc["included"][0]["id"] == "onto_health"
         assert doc["excluded"] == []

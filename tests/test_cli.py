@@ -272,6 +272,20 @@ class TestConfigMerging:
         code = main(fixture_argv("run", tmp_path / "out", "--max-per-category", "0"))
         assert code == 2
 
+    def test_max_per_category_caps_the_selection_of_inception(self, tmp_path):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        purpose = json.loads((root / "purpose.json").read_text(encoding="utf-8"))
+        purpose["datasets"][1]["category"] = "common"
+        (root / "purpose.json").write_text(json.dumps(purpose), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["inception", "--purpose", str(root / "purpose.json"), "--out", str(out)]
+        assert main(argv + ["--max-per-category", "1"]) == 0
+        common = json.loads((out / "inception.json").read_text())["ranking"]["categories"]["common"]
+        ranked = [e["id"] for e in common if e["kind"] == "dataset"]
+        assert ranked == ["ds_hospitals", "ds_cases"]
+        assert json.loads((out / "selection.json").read_text()) == {"datasets": ["ds_hospitals"]}
+
 
 class TestStandaloneIntegrate:
     def test_integrate_with_explicit_etg(self, tmp_path):
@@ -485,6 +499,18 @@ class TestHostileInput:
         assert "selected dataset 'ds_cases' is not loadable" in err
         assert "not valid UTF-8" in err
 
+    def test_dataset_broken_after_inception_stops_model(self, tmp_path, capsys):
+        root = copied_datasets(tmp_path)
+        out = tmp_path / "out"
+        assert main(fixture_argv("inception", out, "--datasets", str(root))) == 0
+        (root / "data" / "hospitals.csv").write_bytes(b"code,n\xe9me\nTN01,x\n")
+        capsys.readouterr()
+        assert main(fixture_argv("model", out, "--datasets", str(root))) == 1
+        err = capsys.readouterr().err
+        assert "selected dataset 'ds_hospitals' is not loadable: " in err
+        assert "not valid UTF-8" in err
+        assert not (out / "etg_model.json").exists()
+
     @pytest.mark.parametrize(
         "rows, identity, message",
         [
@@ -604,25 +630,17 @@ WRONG_SHAPES = {
     "etg_subclass_of_one": ("integrate", "out/etg_final.json", ["subclass"], [[1]], 1),
     "etg_model_meta_number": ("align", "out/etg_model.json", ["meta"], 5, 1),
     "etg_popularity_text": ("integrate", "out/etg_final.json", ["meta", "popularity"], "x", 1),
-    "inception_not_utf8": ("model", "out/inception.json", None, NOT_UTF8, 1),
-    "inception_list": ("model", "out/inception.json", None, [], 1),
-    "ranking_number": ("model", "out/inception.json", ["ranking"], 5, 1),
-    "ranking_entry_without_kind": (
-        "model", "out/inception.json", ["ranking", "categories", "common", 0], {"id": "ds_hospitals"}, 1
-    ),
-    "ranking_zero_denominator": (
-        "model",
-        "out/inception.json",
-        ["ranking", "categories", "common", 0, "etype_coverage", "value", "den"],
-        0,
-        1,
-    ),
-    "ranking_excluded_number": ("model", "out/inception.json", ["ranking", "excluded"], [5], 1),
+    "model_selection_not_utf8": ("model", "out/selection.json", None, NOT_UTF8, 1),
+    "model_selection_list": ("model", "out/selection.json", None, [], 1),
+    "model_selection_empty": ("model", "out/selection.json", None, {}, 1),
+    "model_selection_datasets_number": ("model", "out/selection.json", ["datasets"], 5, 1),
+    "model_selection_entry_number": ("model", "out/selection.json", ["datasets", 0], 5, 1),
     "provenance_list": ("align", "out/etg_model_provenance.json", None, [], 1),
     "provenance_table_number": ("align", "out/etg_model_provenance.json", ["provenance"], 5, 1),
     "rename_map_list": ("integrate", "out/rename_map.json", None, [], 1),
     "selection_empty": ("integrate", "out/selection.json", None, {}, 1),
     "selection_datasets_number": ("integrate", "out/selection.json", ["datasets"], 5, 1),
+    "selection_entry_number": ("integrate", "out/selection.json", ["datasets", 0], 5, 1),
 }
 
 

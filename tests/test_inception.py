@@ -1,6 +1,5 @@
 import json
 import shutil
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +14,6 @@ from itelos.inception import (
     load_dataset_schema,
     match_resources,
     parse_purpose,
-    ranking_from_json,
     ranking_to_json,
     sidecar_schema_path,
 )
@@ -343,24 +341,3 @@ class TestEvalInception:
         cqs2 = [make_cq("q", ["hospital"])]
         report = eval_inception(cqs2, match_resources(cqs2, catalog_of(ds, onto)))
         assert {e.resource for e in report.entries} == {"ds"}
-
-
-class TestRankingRoundTrip:
-    def test_json_round_trip(self):
-        cqs = [make_cq("q", ["hospital"], [("hospital", "name")])]
-        ds = make_schema("ds", "hospital", [("name", "name", "attribute")], category="common")
-        onto = make_etg("onto", ["hospital"], {"hospital": ["name"]}, category="core")
-        catalog = catalog_of(ds, onto)
-        ranking = match_resources(cqs, catalog)
-        doc = json.loads(json.dumps(ranking_to_json(ranking)))
-        again = ranking_from_json(doc, catalog)
-        assert ranking_to_json(again) == ranking_to_json(ranking)
-        assert again.all_entries()[0].etype_coverage.value == Fraction(1)
-
-    def test_round_trip_drops_missing_resources(self):
-        cqs = [make_cq("q", ["hospital"])]
-        ds = make_schema("ds", "hospital", ["name"])
-        ranking = match_resources(cqs, catalog_of(ds))
-        doc = ranking_to_json(ranking)
-        again = ranking_from_json(doc, catalog_of())
-        assert again.all_entries() == []

@@ -5,6 +5,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,6 +48,7 @@ from helpers import (
     make_etg,
     make_schema,
     occurrence_count,
+    read_ntriples,
     scan_case_counts,
     scan_link_target,
     scan_match_entities,
@@ -57,6 +59,7 @@ from helpers import (
     scan_missing_ratio,
     scan_same_entity,
     write_csv,
+    xsd_valid,
 )
 
 
@@ -1496,6 +1499,178 @@ class TestExportOracle:
         warnings = export_eg(eg, out / "eg.nt")
         assert warnings == scan_export_eg(eg, out / "scan.nt")
         assert (out / "eg.nt").read_bytes() == (out / "scan.nt").read_bytes()
+
+
+def typed_etg():
+    """A site etype with a data property of every datatype, a key and a link,
+    and a clinic subclass that inherits them."""
+    return make_etg(
+        "schema",
+        ["site", "clinic"],
+        {
+            "site": [
+                "code",
+                "name",
+                ("beds", "data", "integer"),
+                ("share", "data", "decimal"),
+                ("open", "data", "boolean"),
+                ("opened", "data", "date"),
+                ("near", "object", "site"),
+            ],
+            "clinic": ["ward"],
+        },
+        subclass=[("clinic", "site")],
+    )
+
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
+RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+# No surrogates: every text the pipeline holds was decoded from UTF-8.
+ANY_CHAR = st.characters(blacklist_categories=("Cs",))
+# Every character N-Triples escapes, tab, and non-ASCII text, among any other.
+LITERAL_TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\\r\n\t é–病'), ANY_CHAR), max_size=8)
+# Forms valid, or nearly so, under some datatype.
+LEXICAL_FORMS = st.sampled_from(
+    [
+        "400", "-7", "+3", "007", "1_000", "1.5", ".5", "5.", "1e3", " 4", "\u0663",
+        "true", "false", "1", "0", "TRUE", "yes",
+        "2020-03-01", "2020-02-29", "2021-02-29", "2020-02-30", "0000-01-01",
+        "12345-01-01", "2020-3-1", "2020-03-01Z", "20200301",
+    ]
+)
+CELL_TEXT = st.one_of(LITERAL_TEXT, LEXICAL_FORMS)
+# Dataset ids with characters outside quote's safe set; "/" separates the key.
+DATASET_IDS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(' %<>"#?\\{}|^`\n\té'), st.characters(blacklist_categories=("Cs",), blacklist_characters="/")
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def round_trip_graph(draw):
+    """A valid graph of typed_etg: ids `<dataset id>/<key>`, drawn text in
+    every data property, the same value from several sources, and links
+    between the graph's entities."""
+    dataset_ids = draw(st.lists(DATASET_IDS, min_size=1, max_size=3, unique=True))
+    sources = st.sampled_from(dataset_ids)
+    id_of = st.builds("{}/{}".format, sources, st.sampled_from(["x", "1", "a_b", "é"]))
+    ids = draw(st.lists(id_of, min_size=1, max_size=6, unique=True))
+    schema = typed_etg()
+    entities = []
+    for entity_id in ids:
+        etype = draw(st.sampled_from(["site", "clinic"]))
+        declared = schema.declared_properties(etype)
+        data_props = sorted(p for p, d in declared.items() if d.kind == "data")
+        pairs = st.lists(st.tuples(CELL_TEXT, sources), min_size=1, max_size=3, unique=True)
+        values = {p: draw(pairs) for p in draw(st.lists(st.sampled_from(data_props), unique=True))}
+        links = draw(st.lists(st.tuples(st.just("near"), st.sampled_from(ids), sources), max_size=3))
+        entities.append(entity(entity_id, etype, values, links))
+    graph_id = draw(st.text(alphabet=ANY_CHAR, min_size=1, max_size=5))
+    return EG(id=graph_id, schema=schema, entities={e.id: e for e in entities})
+
+
+def assert_round_trip(eg, path):
+    """Read back what export_eg writes for `eg` with the test-side N-Triples
+    reader and check it against the graph."""
+    warnings = export_eg(eg, path)
+    triples = read_ntriples(path.read_bytes())
+    prefix = f"urn:itelos:{eg.id}:"
+
+    def entity_id(iri):
+        text = unquote(iri, errors="strict")
+        assert text.startswith(prefix) and text[len(prefix):] in eg.entities, iri
+        return text[len(prefix):]
+
+    def etg_term(iri):
+        text = unquote(iri, errors="strict")
+        assert text.startswith("urn:itelos:etg:"), iri
+        return text[len("urn:itelos:etg:"):]
+
+    types, values, links, fallbacks = set(), set(), set(), set()
+    for subject, predicate, obj in triples:
+        subject_id = entity_id(subject)
+        if predicate == RDF_TYPE:
+            assert obj[0] == "iri"
+            types.add((subject_id, etg_term(obj[1])))
+            continue
+        prop = etg_term(predicate)
+        if obj[0] == "iri":
+            links.add((subject_id, prop, entity_id(obj[1])))
+            continue
+        _, lexical, datatype = obj
+        values.add((subject_id, prop, lexical))
+        declared = eg.schema.declared_properties(eg.entities[subject_id].etype)[prop].datatype
+        if datatype is not None:
+            assert datatype == f"{XSD}{declared}"
+            assert xsd_valid(declared, lexical), (declared, lexical)
+        elif declared != "string":
+            fallbacks.add(
+                f"{subject_id}: value {lexical!r} for {prop} is not a valid {declared}; "
+                "exported as a plain string"
+            )
+    graph = eg.entities.values()
+    assert types == {(e.id, e.etype) for e in graph}
+    assert values == {(e.id, p, v) for e in graph for p, pairs in e.data_values.items() for v, _ in pairs}
+    assert links == {(e.id, p, t) for e in graph for p, t, _ in e.object_links}
+    assert fallbacks == set(warnings)
+
+
+class TestNTriplesRoundTrip:
+    @settings(max_examples=200)
+    @given(round_trip_graph())
+    @example(
+        EG(
+            id="g é",
+            schema=typed_etg(),
+            entities={
+                'd "<%41>/x': entity(
+                    'd "<%41>/x',
+                    "clinic",
+                    {
+                        "name": [('say "hi"\\\r\n\t–病', "d")],
+                        "beds": [("400", "d"), ("many", "d"), ("many", "e")],
+                        "opened": [("2020-02-29", "d"), ("2021-02-29", "d")],
+                        "open": [("true", "d"), ("1", "d")],
+                    },
+                    [("near", 'd "<%41>/x', "d")],
+                )
+            },
+        )
+    )
+    def test_export_reads_back_as_the_graph(self, tmp_path_factory, eg):
+        assert validate_eg(eg) == []
+        assert_round_trip(eg, tmp_path_factory.mktemp("export") / "eg.nt")
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(
+                DATASET_IDS,
+                st.lists(
+                    st.tuples(st.sampled_from(["S1", "s1", "S2", "", "é"]), CELL_TEXT, CELL_TEXT, CELL_TEXT),
+                    min_size=1,
+                    max_size=4,
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda dataset: dataset[0],
+        )
+    )
+    def test_integrated_graph_reads_back(self, tmp_path_factory, datasets):
+        columns = [
+            ("code", "code", "identity"),
+            ("beds", "beds", "attribute"),
+            ("opened", "opened", "attribute"),
+            ("near", "near", "link"),
+        ]
+        state = initial_state(typed_etg(), "eg")
+        for dataset_id, rows in datasets:
+            state, _ = run_dataset(state, dataset_id, "site", columns, [list(row) for row in rows])
+        assert_round_trip(state.eg, tmp_path_factory.mktemp("export") / "eg.nt")
 
 
 class TestOrderIndependence:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from itelos.cli import build_parser, resolve_config
 from itelos.metrics import (
+    GATES,
     EmptyAlphaError,
     KindMismatchError,
     MetricError,
@@ -206,8 +207,9 @@ class TestGateReports:
         assert by_resource == {"good": None, "bad": "try more data"}
 
     def test_empty_verdict(self):
-        assert evaluate_gate("eval_a", [], Thresholds()).verdict == "pass"
-        assert evaluate_gate("eval_a", [], Thresholds(), empty_verdict="fail").verdict == "fail"
+        verdicts = {gate: evaluate_gate(gate, [], Thresholds()).verdict for gate in GATES}
+        assert verdicts == {"eval_a": "fail", "eval_b": "pass", "eval_c": "pass", "eval_d": "fail"}
+        assert gate_from_results("eval_d", [], Thresholds()).verdict == "fail"
 
     def test_unknown_gate(self):
         with pytest.raises(MetricError):

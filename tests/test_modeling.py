@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from itelos.inception import match_resources
+from itelos.inception import match_resources, select_datasets
 from itelos.metrics import Thresholds, coverage
 from itelos.modeling import (
     ConflictingPropertyKindError,
@@ -15,7 +15,6 @@ from itelos.modeling import (
     eval_modeling,
     model_from_docs,
     provenance_to_json,
-    select_datasets,
 )
 from itelos.model import (
     PropertyDef,
