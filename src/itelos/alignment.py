@@ -9,9 +9,8 @@ tail of the graph intact while the reusable head converges on shared terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .metrics import (
     GateReport,
@@ -86,27 +85,30 @@ def property_sharability(a_names: Iterable[str], b_names: Iterable[str]) -> Frac
     return Fraction(len(first & second), len(union))
 
 
-@dataclass(frozen=True)
-class AlignmentPolicy:
-    """Knobs for matching and adoption, all on a 0..1 scale."""
-
+class _AlignmentPolicy(NamedTuple):
     match_threshold: Fraction = Fraction(7, 10)
     core_adopt_threshold: Fraction = Fraction(3, 4)
     etr_name_weight: Fraction = Fraction(1, 2)
 
-    def __post_init__(self):
-        for name in ("match_threshold", "core_adopt_threshold", "etr_name_weight"):
-            value = getattr(self, name)
+
+class AlignmentPolicy(_AlignmentPolicy):
+    """Knobs for matching and adoption, all on a 0..1 scale."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0 <= value <= 1:
                 raise InvalidPolicyError(f"{name} must lie in [0, 1], got {value}")
+        return self
 
 
 def _blend(similarity: Fraction, sharability: Fraction, policy: AlignmentPolicy) -> Fraction:
     return policy.etr_name_weight * similarity + (1 - policy.etr_name_weight) * sharability
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One ontology etype proposed for a model etype, with its score parts."""
 
     label: str
@@ -115,8 +117,7 @@ class Candidate:
     sharability: Fraction
 
 
-@dataclass(frozen=True)
-class PredictionVector:
+class PredictionVector(NamedTuple):
     """Per model etype, the candidates from one ontology that cleared the
     match threshold, best first."""
 
@@ -178,8 +179,7 @@ def etr_predict(model: ETGModel, ontology: ETG, policy: AlignmentPolicy) -> Pred
     return PredictionVector(ontology_id=ontology.meta.id, candidates=by_etype)
 
 
-@dataclass(frozen=True)
-class RankedOntology:
+class RankedOntology(NamedTuple):
     ontology_id: str
     popularity: int
     etype_coverage: MetricResult
@@ -194,8 +194,7 @@ class RankedOntology:
         )
 
 
-@dataclass(frozen=True)
-class OntologyRanking:
+class OntologyRanking(NamedTuple):
     included: tuple[RankedOntology, ...]
     excluded: tuple[tuple[str, str], ...]
 
@@ -240,8 +239,7 @@ def rank_ontologies(model: ETGModel, ontologies: Mapping[str, ETG]) -> OntologyR
     return OntologyRanking(included=tuple(included), excluded=tuple(excluded))
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """What happened to one model etype during alignment."""
 
     etype: str
@@ -254,8 +252,7 @@ class Decision:
     adopted_parents: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class MergePlan:
+class MergePlan(NamedTuple):
     """The ontology ranking alignment followed and what it did per etype."""
 
     ranking: OntologyRanking

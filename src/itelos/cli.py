@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's without
 # loading OpenSSL's libcrypto, a few MiB of every run's peak RSS; the module
@@ -78,8 +78,7 @@ class PhaseError(RuntimeError):
     """A phase could not run to completion."""
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     purpose: Path
     out: Path
     thresholds: Thresholds
@@ -99,7 +98,7 @@ class PipelineConfig:
 # The JSON type of each config key that is neither a threshold or policy
 # field (those go through as_fraction) nor "mappings"; null leaves a key unset.
 _CONFIG_TYPES = {"out": str, "max_per_category": int, "fail_fast": bool, "etg": str, "datasets": str}
-_FRACTION_KEYS = [f.name for cls in (Thresholds, AlignmentPolicy) for f in fields(cls)]
+_FRACTION_KEYS = [*Thresholds._fields, *AlignmentPolicy._fields]
 _CONFIG_KEYS = {*_CONFIG_TYPES, *_FRACTION_KEYS, "mappings"}
 
 
@@ -134,27 +133,27 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(f"purpose file {purpose} does not exist")
     out = pick(args.out, "out") or os.environ.get("ITELOS_OUT") or "out"
 
-    def with_fractions(defaults):
-        """`defaults` with every field that its flag or config key (both named
-        after the field) sets replaced; a bad value from the file names it."""
+    def with_fractions(record):
+        """`record` with each field its flag or config key (both named after the
+        field) sets, built so that its checks run; a bad value from the file names it."""
         values = {}
-        for field in fields(defaults):
-            flag_value = getattr(args, field.name)
-            value = pick(flag_value, field.name)
+        for name in record._fields:
+            flag_value = getattr(args, name)
+            value = pick(flag_value, name)
             if value is None:
                 continue
             try:
-                values[field.name] = as_fraction(value)
+                values[name] = as_fraction(value)
             except (MetricError, ValueError, ZeroDivisionError) as exc:
                 origin = "" if flag_value is not None else f"{config_path}: "
-                raise ConfigError(f"{origin}bad value for {field.name}: {exc}") from exc
+                raise ConfigError(f"{origin}bad value for {name}: {exc}") from exc
         try:
-            return replace(defaults, **values)
+            return record(**values)
         except (MetricError, InvalidPolicyError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    thresholds = with_fractions(Thresholds())
-    policy = with_fractions(AlignmentPolicy())
+    thresholds = with_fractions(Thresholds)
+    policy = with_fractions(AlignmentPolicy)
 
     max_per_category = pick(args.max_per_category, "max_per_category")
     if max_per_category is not None and max_per_category < 1:

@@ -8,10 +8,10 @@ second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .metrics import (
     GateReport,
@@ -54,16 +54,14 @@ class DuplicateIdError(PurposeParseError):
     """Two competency queries or two resources share an id."""
 
 
-@dataclass(frozen=True)
-class ResourceRef:
+class ResourceRef(NamedTuple):
     """A purpose entry pointing at a dataset or schema file on disk."""
 
     path: str
     meta: ResourceMeta
 
 
-@dataclass(frozen=True)
-class Purpose:
+class Purpose(NamedTuple):
     """The full input specification: narrative, competency queries, and the
     candidate resources with their catalog metadata."""
 
@@ -72,7 +70,7 @@ class Purpose:
     cqs: tuple[CompetencyQuery, ...]
     dataset_refs: tuple[ResourceRef, ...]
     ontology_refs: tuple[ResourceRef, ...]
-    property_overrides: Mapping[str, PropertyDef] = field(default_factory=dict)
+    property_overrides: Mapping[str, PropertyDef] = MappingProxyType({})
 
     @property
     def slug(self) -> str:
@@ -204,8 +202,7 @@ def _purpose_from_doc(doc: Mapping) -> Purpose:
 # Resource collection
 
 
-@dataclass(frozen=True)
-class LoadFailure:
+class LoadFailure(NamedTuple):
     """One resource that could not be loaded; collection continues past it."""
 
     resource_id: str
@@ -213,8 +210,7 @@ class LoadFailure:
     message: str
 
 
-@dataclass(frozen=True)
-class ResourceCatalog:
+class ResourceCatalog(NamedTuple):
     """Loaded resources keyed by id, plus the failures encountered."""
 
     resources: Mapping[str, Union[ETG, DatasetSchema]]
@@ -299,8 +295,7 @@ def collect_resources(refs: Sequence[ResourceRef], base_dir: Path) -> ResourceCa
 # Matching and ranking
 
 
-@dataclass(frozen=True)
-class RankedResource:
+class RankedResource(NamedTuple):
     """One shortlisted resource with its coverage scores against the queries.
 
     `property_coverage` is None when the queries declare no property pairs
@@ -318,8 +313,7 @@ class RankedResource:
         return (-self.etype_coverage.value, -prop_cov, -self.popularity, self.resource_id)
 
 
-@dataclass(frozen=True)
-class CandidateRanking:
+class CandidateRanking(NamedTuple):
     """Per-category shortlists in ranking order, plus the excluded resources."""
 
     by_category: Mapping[str, tuple[RankedResource, ...]]

@@ -19,12 +19,12 @@ entities the dataset changed or removed update the running totals that the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .alignment import name_similarity
@@ -80,8 +80,7 @@ def read_dataset_rows(path: Path) -> tuple[list[str], list[list[str]]]:
 # Column mapping
 
 
-@dataclass(frozen=True)
-class MappingOverride:
+class MappingOverride(NamedTuple):
     """Author-supplied replacement for the inferred column mapping."""
 
     dataset_id: str
@@ -104,8 +103,7 @@ def override_from_doc(doc) -> MappingOverride:
     )
 
 
-@dataclass(frozen=True)
-class SchemaMapping:
+class SchemaMapping(NamedTuple):
     """Resolved column-to-property mapping of one dataset against the final
     graph. `columns` follows header order; None means the column is dropped."""
 
@@ -211,8 +209,7 @@ def infer_mapping(
 # Entity generation
 
 
-@dataclass(frozen=True, order=True)
-class PendingLink:
+class PendingLink(NamedTuple):
     """An object-property cell whose target entity has not appeared yet."""
 
     source_id: str
@@ -221,8 +218,7 @@ class PendingLink:
     dataset_id: str
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """The entities minted from one dataset, before merging."""
 
     eg: EG
@@ -435,23 +431,21 @@ def merge_entities(
             links = frozenset((p, remap.get(target, target), s) for p, target, s in links)
         present = entities.get(new_id)
         if present is not None:
-            entity = replace(
-                present,
+            entity = present._replace(
                 data_values=_merge_values(present.data_values, entity.data_values),
                 object_links=present.object_links | links,
             )
         elif new_id != entity.id or links is not entity.object_links:
-            entity = replace(entity, id=new_id, object_links=links)
+            entity = entity._replace(id=new_id, object_links=links)
         entities[new_id] = entity
-    return replace(eg, entities=entities), remap
+    return eg._replace(entities=entities), remap
 
 
 # ---------------------------------------------------------------------------
 # Link resolution
 
 
-@dataclass(frozen=True)
-class GraphTotals:
+class GraphTotals(NamedTuple):
     """Aggregates of an integrated graph that its case reports read. All but
     `components` are sums of per-entity contributions, so a dataset updates
     them from the entities it changed or removed."""
@@ -459,7 +453,7 @@ class GraphTotals:
     declared: int = 0  # (entity, declared property) pairs
     missing: int = 0  # of those, the pairs with no value or link
     flagged: int = 0  # (entity, conflicting property) pairs
-    etypes: Mapping[str, int] = field(default_factory=dict)  # entities per etype
+    etypes: Mapping[str, int] = MappingProxyType({})  # entities per etype
     components: int = 0  # connected_components(eg)
 
     @property
@@ -467,8 +461,7 @@ class GraphTotals:
         return Fraction(self.missing, self.declared) if self.declared else Fraction(0)
 
 
-@dataclass(frozen=True)
-class IntegrationState:
+class IntegrationState(NamedTuple):
     """The growing graph, the links still waiting for their targets, and the
     graph's totals."""
 
@@ -538,20 +531,19 @@ def resolve_pending(state: IntegrationState) -> IntegrationState:
             (link.property, target_id, link.dataset_id)
         )
     if not added:
-        return replace(state, pending=tuple(still))
+        return state._replace(pending=tuple(still))
     entities = dict(eg.entities)
     for entity_id, links in added.items():
         entity = entities[entity_id]
-        entities[entity_id] = replace(entity, object_links=entity.object_links | links)
-    return replace(state, eg=replace(eg, entities=entities), pending=tuple(still))
+        entities[entity_id] = entity._replace(object_links=entity.object_links | links)
+    return state._replace(eg=eg._replace(entities=entities), pending=tuple(still))
 
 
 # ---------------------------------------------------------------------------
 # One dataset, end to end
 
 
-@dataclass(frozen=True)
-class IntegrationCaseReport:
+class IntegrationCaseReport(NamedTuple):
     """Forensic summary of integrating one dataset into the graph.
 
     `case` says whether the dataset's etype was already populated;
@@ -575,7 +567,7 @@ class IntegrationCaseReport:
 
     def to_json(self) -> dict:
         """Every field under its own name; the last three in JSON form."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = self._asdict()
         doc["missing_link_ratio"] = fraction_json(self.missing_link_ratio)
         doc["unresolved_links"] = [
             {
@@ -685,10 +677,10 @@ def integrate_dataset(
     matches = match_entities(before, fragment)
     merged_eg, remap = merge_entities(before, fragment, matches)
     carried = {
-        replace(link, source_id=remap[link.source_id]) if link.source_id in remap else link
+        link._replace(source_id=remap[link.source_id]) if link.source_id in remap else link
         for link in state.pending + fragment.pending_links
     }
-    resolved = resolve_pending(replace(state, eg=merged_eg, pending=tuple(carried)))
+    resolved = resolve_pending(state._replace(eg=merged_eg, pending=tuple(carried)))
     after = resolved.eg
     # the old versions of changed or removed entities, and the changed or new ones
     removed = [e for entity_id, e in before.entities.items() if after.entities.get(entity_id) is not e]
@@ -723,7 +715,7 @@ def integrate_dataset(
         unresolved_links=resolved.pending,
         stats=fragment.stats,
     )
-    return replace(resolved, totals=after_totals), report
+    return resolved._replace(totals=after_totals), report
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +867,7 @@ def export_eg(eg: EG, path: Path) -> list[str]:
                     if datatype != "string":
                         if _valid_for(datatype, value):
                             literal = f"{literal}^^<{_XSD}{datatype}>"
-                        else:
+                        elif f"{subject} {predicate} {literal} ." not in lines:  # once per line
                             message = (
                                 f"{entity_id}: value {value!r} for {prop} is not a valid "
                                 f"{datatype}; exported as a plain string"

@@ -13,9 +13,8 @@ floating-point tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import ElementSet
 
@@ -55,8 +54,7 @@ def fraction_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator, "decimal": float(value)}
 
 
-@dataclass(frozen=True)
-class MetricResult:
+class MetricResult(NamedTuple):
     """One metric evaluation with the set sizes it was computed from."""
 
     metric: str
@@ -66,13 +64,7 @@ class MetricResult:
     value: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "metric": self.metric,
-            "alpha_size": self.alpha_size,
-            "beta_size": self.beta_size,
-            "intersection_size": self.intersection_size,
-            "value": fraction_json(self.value),
-        }
+        return {**self._asdict(), "value": fraction_json(self.value)}
 
 
 def _sizes(alpha: ElementSet, beta: ElementSet) -> tuple[int, int, int]:
@@ -127,22 +119,26 @@ EMPTY_VERDICT = {"eval_a": "fail", "eval_b": "pass", "eval_c": "pass", "eval_d":
 FULL_COVERAGE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Gate thresholds; all values are rationals in [0, 1]."""
-
+class _Thresholds(NamedTuple):
     cov_min: Fraction = Fraction(1, 2)
     ext_floor: Fraction = Fraction(0)
     spr_band_min: Fraction = Fraction(0)
     spr_band_max: Fraction = Fraction(3, 5)
 
-    def __post_init__(self) -> None:
-        for name in ("cov_min", "ext_floor", "spr_band_min", "spr_band_max"):
-            value = getattr(self, name)
+
+class Thresholds(_Thresholds):
+    """Gate thresholds; all values are rationals in [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0 <= value <= 1:
                 raise MetricError(f"threshold {name} must be in [0, 1], got {value}")
         if self.spr_band_min > self.spr_band_max:
             raise MetricError("spr_band_min must not exceed spr_band_max")
+        return self
 
     def for_gate(self, gate: str) -> dict[str, Fraction]:
         if gate == "eval_a":
@@ -171,8 +167,7 @@ def entry_status(gate: str, value: Fraction, thresholds: Thresholds) -> str:
     raise MetricError(f"unknown gate {gate!r}")
 
 
-@dataclass(frozen=True)
-class GateEntry:
+class GateEntry(NamedTuple):
     """One evaluated (resource, element kind) pair inside a gate report."""
 
     resource: str
@@ -193,8 +188,7 @@ class GateEntry:
         return out
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
     """Outcome of one phase gate; the verdict is a pure function of the entry
     values and the thresholds."""
 
@@ -202,7 +196,7 @@ class GateReport:
     entries: tuple[GateEntry, ...]
     thresholds: dict[str, Fraction]
     verdict: str
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {

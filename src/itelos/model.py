@@ -12,11 +12,10 @@ import csv
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 PROPERTY_KINDS = ("data", "object")
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -74,64 +73,74 @@ def compound_key(etype: str, prop: str) -> str:
 # Schema-level types
 
 
-@dataclass(frozen=True)
-class ResourceMeta:
-    """Catalog entry describing where a resource sits in the reuse hierarchy."""
-
+class _ResourceMeta(NamedTuple):
     id: str
     kind: str
     category: str
     popularity: int = 0
     origin: str = ""
 
-    def __post_init__(self) -> None:
+
+class ResourceMeta(_ResourceMeta):
+    """Catalog entry describing where a resource sits in the reuse hierarchy."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in RESOURCE_KINDS:
             raise ModelError(f"unknown resource kind {self.kind!r}")
         if self.category not in CATEGORIES:
             raise ModelError(f"unknown category {self.category!r}")
         if self.popularity < 0:
             raise ModelError("popularity must be a non-negative integer")
+        return self
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class _PropertyDef(NamedTuple):
+    name: str
+    kind: str = "data"
+    datatype: str | None = None
+    range: str | None = None
+
+
+class PropertyDef(_PropertyDef):
     """A data or object property attached to an etype.
 
     Data properties carry a datatype (default string); object properties carry
     the etype label of their target range instead.
     """
 
-    name: str
-    kind: str = "data"
-    datatype: str | None = None
-    range: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in PROPERTY_KINDS:
-            raise ModelError(f"unknown property kind {self.kind!r}")
-        if self.kind == "data":
-            if self.range is not None:
-                raise ModelError(f"data property {self.name} must not declare a range")
-            if self.datatype is None:
-                object.__setattr__(self, "datatype", "string")
-            if self.datatype not in DATATYPES:
-                raise ModelError(f"unknown datatype {self.datatype!r} on {self.name}")
+    def __new__(cls, name, kind="data", datatype=None, range=None):
+        if kind not in PROPERTY_KINDS:
+            raise ModelError(f"unknown property kind {kind!r}")
+        if kind == "data":
+            if range is not None:
+                raise ModelError(f"data property {name} must not declare a range")
+            if datatype is None:
+                datatype = "string"
+            if datatype not in DATATYPES:
+                raise ModelError(f"unknown datatype {datatype!r} on {name}")
         else:
-            if self.datatype is not None:
-                raise ModelError(f"object property {self.name} must not declare a datatype")
-            if self.range is None:
-                raise ModelError(f"object property {self.name} must declare a range etype")
+            if datatype is not None:
+                raise ModelError(f"object property {name} must not declare a datatype")
+            if range is None:
+                raise ModelError(f"object property {name} must declare a range etype")
+        return super().__new__(cls, name, kind, datatype, range)
 
 
-@dataclass(frozen=True)
-class ETG:
-    """Entity Type Graph: etypes, their properties, and subclass edges."""
-
+class _ETG(NamedTuple):
     id: str
     etypes: frozenset[str]
     properties: Mapping[str, tuple[PropertyDef, ...]]
     subclass_edges: frozenset[tuple[str, str]]
     meta: ResourceMeta
+
+
+class ETG(_ETG):
+    """Entity Type Graph: etypes, their properties, and subclass edges."""
 
     def sorted_etypes(self) -> list[str]:
         return sorted(self.etypes)
@@ -142,8 +151,8 @@ class ETG:
     def property_names(self, etype: str) -> frozenset[str]:
         return frozenset(p.name for p in self.props_of(etype))
 
-    # The caches below live in the instance __dict__, outside the dataclass
-    # fields, so equality, repr and replace() never see them.
+    # ETG declares no __slots__, so the caches below live in the instance
+    # __dict__, outside the tuple, where equality, repr and _replace never see them.
     @cached_property
     def _parents(self) -> dict[str, list[str]]:
         parents: dict[str, list[str]] = {}
@@ -197,8 +206,7 @@ class ETG:
 # Instance-level types
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     """An instance node: typed, with sourced data values and object links.
 
     `data_values` maps a property to (value, source_dataset) pairs; duplicates
@@ -238,8 +246,7 @@ def _value_set(pairs: Iterable[tuple[str, str]]) -> frozenset[str]:
     return frozenset(normalize_value(v) for v, _src in pairs if v.strip())
 
 
-@dataclass(frozen=True)
-class EG:
+class EG(NamedTuple):
     """Entity Graph: entities conforming to a schema ETG, keyed by id.
 
     `entities` must not change after construction; every step that changes
@@ -258,17 +265,21 @@ class EG:
 # Purpose-side types
 
 
-@dataclass(frozen=True)
-class CompetencyQuery:
-    """A formalized requirement: the etypes and (etype, property) pairs one
-    query needs the final graph to answer for."""
-
+class _CompetencyQuery(NamedTuple):
     id: str
     sentence: str
     etypes: frozenset[str]
     property_pairs: frozenset[tuple[str, str]]
 
-    def __post_init__(self) -> None:
+
+class CompetencyQuery(_CompetencyQuery):
+    """A formalized requirement: the etypes and (etype, property) pairs one
+    query needs the final graph to answer for."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.etypes:
             raise ModelError(f"competency query {self.id!r} lists no etypes")
         for etype, prop in self.property_pairs:
@@ -277,32 +288,42 @@ class CompetencyQuery:
                     f"competency query {self.id!r}: property {prop} names etype "
                     f"{etype} which is not in its etype list"
                 )
+        return self
 
 
-@dataclass(frozen=True)
-class Column:
-    """One CSV column of a dataset schema and its (optional) property mapping."""
-
+class _Column(NamedTuple):
     name: str
     mapped: str | None = None
     role: str = "attribute"
 
-    def __post_init__(self) -> None:
+
+class Column(_Column):
+    """One CSV column of a dataset schema and its (optional) property mapping."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.role not in COLUMN_ROLES:
             raise ModelError(f"unknown column role {self.role!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class DatasetSchema:
-    """Schema of one tabular dataset: the etype its rows instantiate plus the
-    column-to-property mapping declared by the catalog author."""
-
+class _DatasetSchema(NamedTuple):
     dataset_id: str
     assigned_etype: str
     columns: tuple[Column, ...]
     meta: ResourceMeta
 
-    def __post_init__(self) -> None:
+
+class DatasetSchema(_DatasetSchema):
+    """Schema of one tabular dataset: the etype its rows instantiate plus the
+    column-to-property mapping declared by the catalog author."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         identity = [c for c in self.columns if c.role == "identity"]
         if len(identity) > 1:
             raise ModelError(f"dataset {self.dataset_id!r} declares more than one identity column")
@@ -319,6 +340,7 @@ class DatasetSchema:
                 raise ModelError(
                     f"dataset {self.dataset_id!r}: link column {col.name} must map to a property"
                 )
+        return self
 
     def identity_columns(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.role == "identity")
@@ -335,17 +357,22 @@ ELEMENT_KINDS = ("etypes", "properties")
 ElementSource = Union[ETG, DatasetSchema, Iterable[CompetencyQuery]]
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A homogeneous set of normalized element keys (etype names, or
-    "etype.property" compound keys)."""
-
+class _ElementSet(NamedTuple):
     kind: str
     members: frozenset[str]
 
-    def __post_init__(self) -> None:
+
+class ElementSet(_ElementSet):
+    """A homogeneous set of normalized element keys (etype names, or
+    "etype.property" compound keys). len() counts members, so no `_replace`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ELEMENT_KINDS:
             raise ModelError(f"unknown element kind {self.kind!r}")
+        return self
 
     def __len__(self) -> int:
         return len(self.members)
@@ -391,8 +418,7 @@ def property_elements(source: ElementSource) -> ElementSet:
 # Validation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant violation found by a validator; violations are data, not
     exceptions, so reports can list all of them at once."""
 

@@ -7,8 +7,7 @@ each etype inherits from its datasets; both drive the alignment policy later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .metrics import GateReport, Thresholds, evaluate_gate
 from .model import (
@@ -44,8 +43,7 @@ class ConflictingPropertyKindError(ModelingError):
     """The same property is required to be both data- and object-valued."""
 
 
-@dataclass(frozen=True)
-class ETGModel:
+class ETGModel(NamedTuple):
     """The modeled graph plus provenance and per-etype category annotations."""
 
     etg: ETG

@@ -567,8 +567,8 @@ def scan_export_eg(eg: EG, path: Path) -> list[str]:
     """export_eg that collects every line of the graph and sorts them all, the
     reference that the entity-at-a-time export_eg is checked against.
 
-    Write the graph as sorted N-Triples; returns warnings for values that
-    did not parse under their declared datatype and fell back to plain text."""
+    Write the graph as sorted N-Triples; returns one warning per line whose
+    value did not parse under its declared datatype and fell back to plain text."""
     lines: set[str] = set()
     warnings: list[str] = []
     # each entity id, etype and property name is quoted once per export
@@ -587,7 +587,7 @@ def scan_export_eg(eg: EG, path: Path) -> list[str]:
                 if datatype != "string":
                     if _valid_for(datatype, value):
                         literal = f"{literal}^^<{_XSD}{datatype}>"
-                    else:
+                    elif f"{subject} {predicate} {literal} ." not in lines:
                         warnings.append(
                             f"{entity.id}: value {value!r} for {prop} is not a valid "
                             f"{datatype}; exported as a plain string"

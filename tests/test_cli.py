@@ -86,6 +86,14 @@ print(json.dumps({"inputs": manifest["inputs"], "loaded": loaded}))
 
 
 class TestRun:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # both cost every run tens of milliseconds of start-up; -S keeps any
+        # .pth hook of this interpreter's site-packages from importing them first
+        listing = "import sys, itelos.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        result = run_python("-S", "-c", listing)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_full_run_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(fixture_argv("run", out)) == 0
@@ -223,6 +231,19 @@ class TestConfigMerging:
         code = main(fixture_argv("run", tmp_path / "out", "--cov-min", "1.5"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, config, field",
+        [(["--match-threshold", "2"], None, "match_threshold"), ([], {"cov_min": 1.5}, "cov_min")],
+    )
+    def test_out_of_range_value_names_the_field(self, tmp_path, capsys, flags, config, field):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        assert main(fixture_argv("run", tmp_path / "out", *flags)) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
     def test_flag_beats_config(self, tmp_path):
         config = tmp_path / "cfg.json"

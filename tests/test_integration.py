@@ -1,8 +1,8 @@
 import itertools
+import random
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from urllib.parse import unquote
@@ -676,6 +676,31 @@ class TestMatchIndex:
         sets = existing.value_sets(), candidate.value_sets()
         assert integration._same_entity(*sets, keys) == expected
 
+    @pytest.mark.parametrize("seed, keys", [(1, ()), (2, ()), (3, ("p0",))])
+    def test_sparse_wide_equals_scan_oracle(self, seed, keys):
+        # 12 optional properties, each present with probability 1/2, give
+        # hundreds of distinct populated-property sets; the 8-valued town is
+        # always present, so every pair of one etype shares a property
+        rng = random.Random(seed)
+
+        def sparse(dataset_id, count):
+            entities = []
+            for i in range(count):
+                values = {"town": [(f"t{rng.randrange(8)}", dataset_id)]}
+                for p in range(12):
+                    if rng.random() < 0.5:
+                        values[f"p{p}"] = [(rng.choice(["x", "X ", "y"]), dataset_id)]
+                etype = "hospital" if rng.random() < 0.9 else "facility"
+                entities.append(entity(f"{dataset_id}/e{i}", etype, values))
+            return entities
+
+        existing, candidates = sparse("ds_a", 300), sparse("ds_b", 300)
+        assert len({frozenset(e.value_sets()) for e in existing}) >= 250
+        eg, fragment = graph_of(existing), fragment_of(candidates, keys)
+        matches = match_entities(eg, fragment)
+        assert matches == scan_match_entities(eg, fragment)
+        assert 0 < len(matches) < len(candidates)
+
     @pytest.mark.parametrize("prefix, calls", [("L", 0), ("K", 200)])
     def test_same_entity_calls_are_counted_hits(self, monkeypatch, prefix, calls):
         made = []
@@ -895,7 +920,7 @@ class TestResolveIndex:
             schema=link_etg(),
             entities={e.id: e for e in entities},
         )
-        start = replace(initial_state(eg.schema, eg.id), eg=eg, pending=tuple(links))
+        start = initial_state(eg.schema, eg.id)._replace(eg=eg, pending=tuple(links))
         state = resolve_pending(start)
         expected = {e.id: set(e.object_links) for e in entities}
         unresolved = []
@@ -1046,6 +1071,19 @@ class TestResolvePending:
         assert len(state.pending) - len(resolved_state.pending) == 0
         assert resolved_state.eg is state.eg
         assert resolved_state.totals is state.totals
+
+
+link_texts = st.text(alphabet="ab/_", max_size=3)
+
+
+class TestPendingLinkOrder:
+    @given(st.lists(st.builds(PendingLink, link_texts, link_texts, link_texts, link_texts)))
+    def test_links_sort_field_by_field(self, links):
+        # the order in which integration_report.json lists unresolved links
+        def by_fields(link):
+            return (link.source_id, link.property, link.target_text, link.dataset_id)
+
+        assert sorted(links) == sorted(links, key=by_fields)
 
 
 class TestComponentsAndMissing:
@@ -1355,6 +1393,14 @@ class TestExport:
         assert "not a valid integer" in warning
         assert '"many"' in (tmp_path / "eg.nt").read_text()
         assert "^^" not in (tmp_path / "eg.nt").read_text()
+
+    def test_invalid_value_from_two_datasets_warns_once(self, tmp_path):
+        e = entity("d/x", "hospital", {"beds": [("many", "d"), ("many", "e"), ("lots", "d")]})
+        eg = EG(id="eg", schema=hospital_etg(), entities={"d/x": e})
+        warnings = export_eg(eg, tmp_path / "eg.nt")
+        # one line per value, and one warning per line
+        assert [w.split()[2] for w in warnings] == ["'many'", "'lots'"]
+        assert len((tmp_path / "eg.nt").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize(
         "text, typed",

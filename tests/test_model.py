@@ -1,18 +1,20 @@
 import ast
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import itelos
+from itelos.alignment import AlignmentPolicy, InvalidPolicyError
+from itelos.metrics import MetricError, Thresholds
 from itelos.model import (
     DATATYPES,
     EG,
     CompetencyQuery,
     Column,
+    DatasetSchema,
     ElementSet,
     EmptyLabelError,
     Entity,
@@ -123,6 +125,55 @@ class TestPropertyDef:
             PropertyDef(name="x", datatype="float64")
 
 
+META = ResourceMeta("d", "dataset", "core")
+
+
+# Each record that checks its fields, built with a bad value by keyword and by
+# position: the checks run in the constructor, whichever form calls it.
+BAD_RECORDS = {
+    "meta_kind": (ModelError, lambda: ResourceMeta(id="d", kind="table", category="core")),
+    "meta_category": (ModelError, lambda: ResourceMeta("d", "dataset", "niche")),
+    "meta_popularity": (ModelError, lambda: ResourceMeta("d", "dataset", "core", -1)),
+    "property_kind": (ModelError, lambda: PropertyDef("x", "weird")),
+    "property_datatype": (ModelError, lambda: PropertyDef("x", datatype="float64")),
+    "data_property_range": (ModelError, lambda: PropertyDef("x", "data", None, "y")),
+    "object_property_no_range": (ModelError, lambda: PropertyDef(name="x", kind="object")),
+    "policy": (InvalidPolicyError, lambda: AlignmentPolicy(match_threshold=2)),
+    "policy_positional": (InvalidPolicyError, lambda: AlignmentPolicy(0, 0, -1)),
+    "thresholds": (MetricError, lambda: Thresholds(cov_min=1.5)),
+    "thresholds_band": (MetricError, lambda: Thresholds(0, 0, 0.5, 0.25)),
+    "query_no_etypes": (ModelError, lambda: CompetencyQuery("q", "s", frozenset(), frozenset())),
+    "query_pair": (
+        ModelError,
+        lambda: CompetencyQuery("q", "s", frozenset({"a"}), frozenset({("b", "p")})),
+    ),
+    "column_role": (ModelError, lambda: Column("c", role="key")),
+    "schema_two_identities": (
+        ModelError,
+        lambda: DatasetSchema("d", "e", (Column("a", "a", "identity"), Column("b", "b", "identity")), META),
+    ),
+    "schema_duplicate_column": (
+        ModelError,
+        lambda: DatasetSchema(dataset_id="d", assigned_etype="e", columns=(Column("a"), Column("a")), meta=META),
+    ),
+    "schema_link_unmapped": (ModelError, lambda: DatasetSchema("d", "e", (Column("a", role="link"),), META)),
+    "element_kind": (ModelError, lambda: ElementSet("columns", frozenset())),
+}
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_bad_value_raises(self, case):
+        error, build = BAD_RECORDS[case]
+        with pytest.raises(error):
+            build()
+
+    def test_data_property_defaults_to_string_in_every_form(self):
+        forms = [PropertyDef("x"), PropertyDef("x", "data"), PropertyDef(name="x", datatype=None)]
+        assert {p.datatype for p in forms} == {"string"}
+        assert PropertyDef("x", "object", range="y").datatype is None
+
+
 class TestResourceMeta:
     def test_popularity_non_negative(self):
         with pytest.raises(ModelError):
@@ -230,8 +281,8 @@ class TestEtgHelpers:
         cached.declared_properties("c")
         assert cached == fresh
         assert repr(cached) == repr(fresh)
-        assert replace(cached, id="h") == replace(fresh, id="h")
-        assert "_declared" not in vars(replace(cached, id="h"))
+        assert cached._replace(id="h") == fresh._replace(id="h")
+        assert "_declared" not in vars(cached._replace(id="h"))
 
     def test_declared_properties_are_read_only(self):
         g = self.make_chain()
@@ -268,6 +319,10 @@ class TestElementSets:
     def test_kind_checked(self):
         with pytest.raises(ModelError):
             ElementSet(kind="columns", members=frozenset())
+
+    def test_len_counts_members(self):
+        assert len(ElementSet("etypes", frozenset({"a", "b", "c"}))) == 3
+        assert not ElementSet(kind="properties", members=frozenset())
 
     def test_from_etg(self):
         g = make_etg("g", ["hospital"], {"hospital": ["name", "beds"]})
@@ -350,9 +405,7 @@ class TestValidateEtg:
 
 
 def ETGReplace(g, **changes):
-    from dataclasses import replace
-
-    return replace(g, **changes)
+    return g._replace(**changes)
 
 
 def small_eg():
@@ -455,8 +508,8 @@ class TestValidateEg:
     def test_flag_without_two_normalized_values_is_stale(self, entity_id, values):
         # values equal after normalization, plus a blank one, raise no flag
         eg = small_eg()
-        variants = replace(eg.entities[entity_id], data_values={"name": values})
-        unflagged = replace(eg, entities={**eg.entities, entity_id: variants})
+        variants = eg.entities[entity_id]._replace(data_values={"name": values})
+        unflagged = eg._replace(entities={**eg.entities, entity_id: variants})
         assert flagged_pairs(unflagged) == frozenset()
         assert self.codes(unflagged) == []
 
