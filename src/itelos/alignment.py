@@ -393,7 +393,7 @@ def generate_etg(
 
     rates = {
         category: Fraction(adopted_count.get(category, 0), total) if total else None
-        for category, total in sorted(category_count.items())
+        for category, total in category_count.items()
     }
     plan = MergePlan(
         ranking=ranking, decisions=tuple(decisions), adoption_rates=rates, rename_map=rename_map
@@ -474,5 +474,5 @@ def plan_to_json(plan: MergePlan) -> dict:
             category: fraction_json(rate) if rate is not None else None
             for category, rate in plan.adoption_rates.items()
         },
-        "rename_map": {k: plan.rename_map[k] for k in sorted(plan.rename_map)},
+        "rename_map": plan.rename_map,
     }

@@ -46,9 +46,9 @@ from .inception import (
     ResourceRef,
     collect_resources,
     eval_inception,
+    inception_to_json,
     match_resources,
     parse_purpose,
-    ranking_to_json,
     select_datasets,
     sidecar_schema_path,
 )
@@ -135,7 +135,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
     def with_fractions(record):
         """`record` with each field its flag or config key (both named after the
-        field) sets, built so that its checks run; a bad value from the file names it."""
+        field) sets, built so that its checks run; a bad value from the file
+        names it, and so does a failed check that the flags alone pass."""
         values = {}
         for name in record._fields:
             flag_value = getattr(args, name)
@@ -150,7 +151,12 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         try:
             return record(**values)
         except (MetricError, InvalidPolicyError) as exc:
+            error = exc
+        try:
+            record(**{name: v for name, v in values.items() if getattr(args, name) is not None})
+        except (MetricError, InvalidPolicyError) as exc:
             raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{config_path}: {error}") from error
 
     thresholds = with_fractions(Thresholds)
     policy = with_fractions(AlignmentPolicy)
@@ -269,21 +275,7 @@ def phase_inception(config: PipelineConfig) -> GateReport:
     report = eval_inception(purpose.cqs, ranking, config.thresholds, catalog.errors)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(
-        out / "inception.json",
-        {
-            "purpose": {
-                "title": purpose.title,
-                "slug": purpose.slug,
-                "competency_queries": [cq.id for cq in purpose.cqs],
-            },
-            "ranking": ranking_to_json(ranking),
-            "load_errors": [
-                {"id": e.resource_id, "path": e.path, "message": e.message}
-                for e in catalog.errors
-            ],
-        },
-    )
+    write_json(out / "inception.json", inception_to_json(purpose, ranking, catalog.errors))
     write_json(out / "selection.json", {"datasets": select_datasets(ranking, config.max_per_category)})
     _write_gate(out, report)
     return report
@@ -322,7 +314,7 @@ def phase_align(config: PipelineConfig) -> GateReport:
     final, plan = generate_etg(model, predictions, ranking, ontologies, config.policy)
     dump_etg(final, out / "etg_final.json")
     write_json(out / "merge_plan.json", plan_to_json(plan))
-    write_json(out / "rename_map.json", dict(sorted(plan.rename_map.items())))
+    write_json(out / "rename_map.json", plan.rename_map)
     report = eval_alignment(final, ranking, ontologies, config.thresholds)
     _write_gate(out, report)
     return report

@@ -111,10 +111,13 @@ def _parse_refs(raw_list, kind: str, where: str) -> tuple[ResourceRef, ...]:
         for key in ("id", "path", "category"):
             if key not in expect_json(raw, dict, spot):
                 raise PurposeParseError(f"{spot}: missing {key!r}")
+        resource_id = expect_json(raw["id"], str, f"{spot}.id")
+        if not resource_id:
+            raise PurposeParseError(f"{spot}.id must not be empty")
         popularity = expect_json(raw.get("popularity", 0), int, f"{spot}.popularity")
         try:
             meta = ResourceMeta(
-                id=str(raw["id"]),
+                id=resource_id,
                 kind=kind,
                 category=str(raw["category"]),
                 popularity=popularity,
@@ -405,7 +408,11 @@ def eval_inception(
     return gate_from_results("eval_a", items, thresholds, notes=tuple(notes))
 
 
-def ranking_to_json(ranking: CandidateRanking) -> dict:
+def inception_to_json(
+    purpose: Purpose, ranking: CandidateRanking, load_errors: Sequence[LoadFailure]
+) -> dict:
+    """The document form of the inception phase, written to `inception.json`."""
+
     def entry_json(e: RankedResource) -> dict:
         return {
             "id": e.resource_id,
@@ -416,9 +423,19 @@ def ranking_to_json(ranking: CandidateRanking) -> dict:
         }
 
     return {
-        "categories": {
-            category: [entry_json(e) for e in ranking.by_category.get(category, ())]
-            for category in CATEGORIES
+        "purpose": {
+            "title": purpose.title,
+            "slug": purpose.slug,
+            "competency_queries": [cq.id for cq in purpose.cqs],
         },
-        "excluded": [{"id": rid, "reason": reason} for rid, reason in ranking.excluded],
+        "ranking": {
+            "categories": {
+                category: [entry_json(e) for e in ranking.by_category.get(category, ())]
+                for category in CATEGORIES
+            },
+            "excluded": [{"id": rid, "reason": reason} for rid, reason in ranking.excluded],
+        },
+        "load_errors": [
+            {"id": e.resource_id, "path": e.path, "message": e.message} for e in load_errors
+        ],
     }

@@ -18,8 +18,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .model import ElementSet
 
-GATES = ("eval_a", "eval_b", "eval_c", "eval_d")
-
 
 class MetricError(ValueError):
     """Invalid metric input."""
@@ -97,20 +95,16 @@ def sparsity(alpha: ElementSet, beta: ElementSet) -> MetricResult:
     return MetricResult("sparsity", a, b, i, value)
 
 
-METRIC_FUNCTIONS = {
-    "coverage": coverage,
-    "extensiveness": extensiveness,
-    "sparsity": sparsity,
-}
-
-# Which metric each gate applies.  eval_d checks that required elements are
-# fully covered by the populated ones, hence coverage with a threshold of 1.
+# The metric each gate applies, in phase order.  eval_d checks that required
+# elements are fully covered by the populated ones, hence coverage with a
+# threshold of 1.
 GATE_METRIC = {
-    "eval_a": "coverage",
-    "eval_b": "extensiveness",
-    "eval_c": "sparsity",
-    "eval_d": "coverage",
+    "eval_a": coverage,
+    "eval_b": extensiveness,
+    "eval_c": sparsity,
+    "eval_d": coverage,
 }
+GATES = tuple(GATE_METRIC)
 
 # The verdict of a gate with no entries: eval_a (no dataset to reuse) and eval_d
 # (no query checked) fail; eval_b and eval_c have nothing to warn about.
@@ -202,7 +196,7 @@ class GateReport(NamedTuple):
         return {
             "gate": self.gate,
             "verdict": self.verdict,
-            "thresholds": {k: fraction_json(v) for k, v in sorted(self.thresholds.items())},
+            "thresholds": {k: fraction_json(v) for k, v in self.thresholds.items()},
             "entries": [e.to_json() for e in self.entries],
             "notes": list(self.notes),
         }
@@ -282,7 +276,7 @@ def evaluate_gate(
     """
     if gate not in GATES:
         raise MetricError(f"unknown gate {gate!r}")
-    metric = METRIC_FUNCTIONS[GATE_METRIC[gate]]
+    metric = GATE_METRIC[gate]
     items = []
     for resource, alpha, beta in pairs:
         try:

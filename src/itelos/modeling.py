@@ -147,12 +147,7 @@ def eval_modeling(
 
 
 def provenance_to_json(model: ETGModel) -> dict:
-    return {
-        "provenance": {k: model.provenance[k] for k in sorted(model.provenance)},
-        "etype_categories": {
-            k: model.etype_categories[k] for k in sorted(model.etype_categories)
-        },
-    }
+    return {"provenance": model.provenance, "etype_categories": model.etype_categories}
 
 
 def model_from_docs(etg: ETG, prov_doc: Mapping) -> ETGModel:

@@ -53,6 +53,29 @@ ARTIFACTS = [
 ]
 
 
+# sha256 of every fixture artifact but run_manifest.json (which carries a
+# timestamp); the same on every interpreter that requires-python allows.
+ARTIFACT_SHA256 = {
+    "eg.nt": "087bbecfc61fe145162c0727c16614c2bf228fb1ec899cb457771baea276d2cf",
+    "etg_final.json": "e46ceb68dded5a99f3d5a44eaae93f0077a8e039ae9e4daddc318674340a21ea",
+    "etg_model.json": "f80b85f64df83f5f562716f9af2468fa6cab3de95cbe03294cd087c7587d2479",
+    "etg_model_provenance.json": "d842684982c5df80949418c458fb4035bbe85224e91679397f75c028ef26aa6f",
+    "eval_a.json": "0d307e2e6196d07abeb985b9d86ba39aeaae87a1fa714646e651d3f42d8285e1",
+    "eval_a.txt": "9562ca5f945dba0df8b86743b99e0176e15ccc8911c2a3db700bb7396cc79fb2",
+    "eval_b.json": "bf994c59b1a3452625e12d58d39a97ad5a074c50020a59ac68c5693e732d1f48",
+    "eval_b.txt": "d746a87beb10a16bd02989c718b2a841cd95415a4fc818f1246c1ece4e5ff0e0",
+    "eval_c.json": "e495afe9442e25b226fe635252ba2bbdd900890a479b093e1304465045086b5e",
+    "eval_c.txt": "66282c118cef450d58dfd21f94aa5c6f669e4b249face97f5426d405de10d58e",
+    "eval_d.json": "7835677ed27f521ef44cb5e131a680f0a7c374fbdf7d4cc3f7f60dd26bde6c1c",
+    "eval_d.txt": "9e5f47fc0d1760b7e45ed0cee17d7e7f842291bc8942fa7424555b7d2aff7227",
+    "inception.json": "1261cc26a615b005228a65a57bb95fb8f889e5ce61f2a94faae187fd9bf44680",
+    "integration_report.json": "2ef1b8b1b001ac9f179e92440e65ffaae0b49e1f45c3616dc6b6dd48530e3f2c",
+    "merge_plan.json": "8d0831612d5870504685a29debccce4b2f77d53d5d416d82fd3b9d546608e545",
+    "rename_map.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    "selection.json": "e0e538b48f47c8c46bed1f154d19d574f9db75f6e3e40218ac33730bf69053e2",
+}
+
+
 def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -245,6 +268,35 @@ class TestConfigMerging:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, config, names_file",
+        [
+            ([], {"cov_min": 1.5}, True),
+            (["--cov-min", "1.5"], {"ext_floor": 0.5}, False),
+            ([], {"etr_name_weight": -1}, True),
+            ([], {"spr_band_min": 0.7}, True),
+            (["--spr-band-max", "0.1"], {"spr_band_min": 0.2}, True),
+            (["--spr-band-min", "0.7"], {"spr_band_max": 0.9}, False),
+        ],
+    )
+    def test_failed_check_names_the_file_unless_the_flags_fail_it(
+        self, tmp_path, capsys, flags, config, names_file
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main(fixture_argv("run", tmp_path / "out", *flags, "--config", str(path)))
+        err = capsys.readouterr().err
+        if names_file:
+            assert code == 2
+            assert err.startswith(f"config error: {path}: ")
+        elif flags[0] == "--cov-min":
+            assert code == 2
+            assert err == "config error: threshold cov_min must be in [0, 1], got 3/2\n"
+        else:
+            # the flags alone fail no check, so together with the file they pass
+            assert code != 2
+            assert "config error" not in err
+
     def test_flag_beats_config(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"cov_min": 0.99}))
@@ -401,6 +453,12 @@ class TestDeterminism:
         for name in ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_every_artifact_has_its_recorded_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(fixture_argv("run", out)) == 0
+        assert sorted(ARTIFACT_SHA256) == sorted(ARTIFACTS)
+        assert {name: sha256_of(out / name) for name in ARTIFACTS} == ARTIFACT_SHA256
+
     def test_fixture_reproduces_golden_report(self, tmp_path):
         out = tmp_path / "out"
         assert main(fixture_argv("run", out)) == 0
@@ -484,6 +542,28 @@ class TestHostileInput:
         assert done.returncode == 1
         assert str(purpose) in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            ("datasets", "", "datasets[1].id must not be empty"),
+            ("datasets", ["x"], "datasets[1].id must be a string, not a list"),
+            ("datasets", 7, "datasets[1].id must be a string, not an integer"),
+            ("ontologies", None, "ontologies[1].id must be a string, not null"),
+        ],
+    )
+    def test_bad_resource_id_exits_one_naming_the_file(self, tmp_path, kind, value, message):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        purpose = root / "purpose.json"
+        doc = json.loads(purpose.read_text(encoding="utf-8"))
+        doc[kind][1]["id"] = value
+        purpose.write_text(json.dumps(doc), encoding="utf-8")
+        done = run_cli("run", "--purpose", purpose, "--out", tmp_path / "out")
+        assert done.returncode == 1
+        assert f"{purpose}: {message}" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_sidecar_column_without_name_is_a_load_failure(self, tmp_path, capsys):
         root = copied_datasets(tmp_path)

@@ -14,7 +14,6 @@ from itelos.inception import (
     load_dataset_schema,
     match_resources,
     parse_purpose,
-    ranking_to_json,
     sidecar_schema_path,
 )
 from itelos.model import DocumentError, ResourceMeta, read_csv
@@ -307,7 +306,7 @@ class TestMatchResources:
                 resources.append(make_etg(rid, ["hospital"], {"hospital": ["name"]}, category="core"))
         ranking = match_resources(self.cqs(), catalog_of(*resources))
         again = match_resources(self.cqs(), catalog_of(*reversed(resources)))
-        assert ranking_to_json(ranking) == ranking_to_json(again)
+        assert ranking == again
 
 
 class TestEvalInception:
