@@ -25,6 +25,7 @@ from .model import (
     ModelError,
     PropertyDef,
     ResourceMeta,
+    checked,
     compound_key,
     etype_elements,
     property_elements,
@@ -85,23 +86,18 @@ def property_sharability(a_names: Iterable[str], b_names: Iterable[str]) -> Frac
     return Fraction(len(first & second), len(union))
 
 
-class _AlignmentPolicy(NamedTuple):
+@checked
+class AlignmentPolicy(NamedTuple):
+    """Knobs for matching and adoption, all on a 0..1 scale."""
+
     match_threshold: Fraction = Fraction(7, 10)
     core_adopt_threshold: Fraction = Fraction(3, 4)
     etr_name_weight: Fraction = Fraction(1, 2)
 
-
-class AlignmentPolicy(_AlignmentPolicy):
-    """Knobs for matching and adoption, all on a 0..1 scale."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name, value in zip(self._fields, self):
             if not 0 <= value <= 1:
                 raise InvalidPolicyError(f"{name} must lie in [0, 1], got {value}")
-        return self
 
 
 def _blend(similarity: Fraction, sharability: Fraction, policy: AlignmentPolicy) -> Fraction:
@@ -412,8 +408,7 @@ def _check_queries_preserved(model: ETGModel, final: ETG, rename_map: Mapping[st
             continue
         if "." in element:
             etype_name, _, prop_name = element.partition(".")
-            etype_name = rename_map.get(etype_name, etype_name)
-            if f"{etype_name}.{prop_name}" not in final_pairs:
+            if compound_key(rename_map.get(etype_name, etype_name), prop_name) not in final_pairs:
                 raise AlignmentError(f"alignment lost the query property {element}")
         else:
             if rename_map.get(element, element) not in final.etypes:

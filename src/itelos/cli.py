@@ -64,7 +64,7 @@ from .integration import (  # connected_components: perfbench/tracing.py wraps t
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import DatasetSchema, ModelError, dump_etg, expect_json, load_etg, read_json, require_key, validate_eg, write_json
+from .model import DatasetSchema, ModelError, dump_etg, expect_json, field, load_etg, read_json, validate_eg, write_json
 from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
@@ -115,15 +115,17 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
-        for key, kind in _CONFIG_TYPES.items():
-            if file_cfg.get(key) is not None:
-                expect_json(file_cfg[key], kind, f"{config_path}: {key}", ConfigError)
-        listed = file_cfg.get("mappings")
-        if isinstance(listed, list):
-            for index, item in enumerate(listed):
-                expect_json(item, str, f"{config_path}: mappings[{index}]", ConfigError)
-        elif listed is not None:
-            expect_json(listed, str, f"{config_path}: mappings", ConfigError)
+        try:
+            for key, kind in _CONFIG_TYPES.items():
+                field(file_cfg, key, "", kind, None, ConfigError)
+            listed = file_cfg.get("mappings")
+            if isinstance(listed, list):
+                for index, item in enumerate(listed):
+                    expect_json(item, str, f"mappings[{index}]", ConfigError)
+            else:
+                field(file_cfg, "mappings", "", str, None, ConfigError)
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from exc
 
     def pick(flag_value, key):
         return flag_value if flag_value is not None else file_cfg.get(key)
@@ -223,7 +225,7 @@ def _read_selection(out: Path) -> list[str]:
     them to `out / selection.json`."""
 
     def parse(doc) -> list[str]:
-        listed = require_key(doc, "datasets", "document", list)
+        listed = field(doc, "datasets", "", list)
         return [expect_json(d, str, f"datasets[{i}]") for i, d in enumerate(listed)]
 
     return _read_artifact(out, "selection.json", parse)
@@ -334,9 +336,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     etg = load_etg(etg_path)
     # standalone use (--etg without earlier phases): no renames, purpose order
     if (out / "rename_map.json").is_file():
-        rename_map = _read_artifact(
-            out, "rename_map.json", lambda doc: {str(k): str(v) for k, v in doc.items()}
-        )
+        rename_map = _read_artifact(out, "rename_map.json", lambda doc: {k: field(doc, k, "") for k in doc})
     else:
         rename_map = {}
     if (out / "selection.json").is_file():
@@ -344,8 +344,14 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     else:
         selection = [ref.meta.id for ref in purpose.dataset_refs]
     overrides = {}  # dataset id -> (override file, override)
+    dataset_ids = {ref.meta.id for ref in purpose.dataset_refs}
     for mapping_path in config.mappings:
         override = _parse_file(mapping_path, "mapping override", override_from_doc)
+        if override.dataset_id not in dataset_ids:
+            raise PhaseError(f"{mapping_path}: the purpose has no dataset {override.dataset_id!r}")
+        if override.dataset_id in overrides:
+            first = overrides[override.dataset_id][0]
+            raise PhaseError(f"{first} and {mapping_path} both override dataset {override.dataset_id!r}")
         overrides[override.dataset_id] = (mapping_path, override)
 
     graph_id = etg.id

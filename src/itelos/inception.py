@@ -31,8 +31,10 @@ from .model import (
     ModelError,
     PropertyDef,
     ResourceMeta,
+    compound_key,
     etype_elements,
     expect_json,
+    field,
     label_pair,
     load_etg,
     normalize_text,
@@ -85,69 +87,60 @@ class Purpose(NamedTuple):
 
 def _parse_cq(raw, index: int) -> CompetencyQuery:
     where = f"cqs[{index}]"
-    if "id" not in expect_json(raw, dict, where):
-        raise PurposeParseError(f"{where}: missing 'id'")
-    cq_id = str(raw["id"])
+    cq_id = field(expect_json(raw, dict, where), "id", where)
     etypes = frozenset(
-        normalize_text(str(e)) for e in expect_json(raw.get("etypes", []), list, f"{where}.etypes")
+        normalize_text(expect_json(e, str, f"{where}.etypes[{i}]"))
+        for i, e in enumerate(field(raw, "etypes", where, list, []))
     )
-    raw_pairs = expect_json(raw.get("properties", []), list, f"{where}.properties")
+    raw_pairs = field(raw, "properties", where, list, [])
     pairs = {label_pair(pair, f"{where}.properties[{i}]") for i, pair in enumerate(raw_pairs)}
+    sentence = field(raw, "sentence", where, default="")
     try:
         return CompetencyQuery(
-            id=cq_id,
-            sentence=str(raw.get("sentence", "")),
-            etypes=etypes,
-            property_pairs=frozenset(pairs),
+            id=cq_id, sentence=sentence, etypes=etypes, property_pairs=frozenset(pairs)
         )
     except ModelError as exc:
         raise PurposeParseError(f"{where}: {exc}") from exc
 
 
-def _parse_refs(raw_list, kind: str, where: str) -> tuple[ResourceRef, ...]:
+def _parse_refs(raw_list: list, kind: str, where: str) -> tuple[ResourceRef, ...]:
     refs = []
-    for index, raw in enumerate(expect_json(raw_list, list, where)):
+    for index, raw in enumerate(raw_list):
         spot = f"{where}[{index}]"
-        for key in ("id", "path", "category"):
-            if key not in expect_json(raw, dict, spot):
-                raise PurposeParseError(f"{spot}: missing {key!r}")
-        resource_id = expect_json(raw["id"], str, f"{spot}.id")
-        if not resource_id:
-            raise PurposeParseError(f"{spot}.id must not be empty")
-        popularity = expect_json(raw.get("popularity", 0), int, f"{spot}.popularity")
+        resource_id = field(expect_json(raw, dict, spot), "id", spot)
+        path = field(raw, "path", spot)
+        category = field(raw, "category", spot)
+        popularity = field(raw, "popularity", spot, int, 0)
+        origin = field(raw, "origin", spot, default="")
         try:
-            meta = ResourceMeta(
-                id=resource_id,
-                kind=kind,
-                category=str(raw["category"]),
-                popularity=popularity,
-                origin=str(raw.get("origin", "")),
-            )
+            meta = ResourceMeta(resource_id, kind, category, popularity, origin)
         except ModelError as exc:
             raise PurposeParseError(f"{spot}: {exc}") from exc
         # "/" separates the dataset id from the key in every minted entity id
         if kind == "dataset" and "/" in meta.id:
             raise PurposeParseError(f"{spot}: dataset id {meta.id!r} must not contain '/'")
-        refs.append(ResourceRef(path=str(raw["path"]), meta=meta))
+        refs.append(ResourceRef(path=path, meta=meta))
     return tuple(refs)
 
 
-def _parse_overrides(raw) -> dict[str, PropertyDef]:
+def _parse_overrides(raw: dict) -> dict[str, PropertyDef]:
     """The purpose's property overrides, keyed "etype.property", each parsed
     into the definition it puts in the model; `PropertyDef` checks the kind,
     the datatype and the range."""
     overrides: dict[str, PropertyDef] = {}
-    for raw_key, spec in sorted(expect_json(raw, dict, "property_overrides").items()):
+    for raw_key, spec in sorted(raw.items()):
         where = f"property_overrides[{raw_key!r}]"
-        expect_json(spec, dict, where)
+        kind = field(expect_json(spec, dict, where), "kind", where, default="data")
+        datatype = field(spec, "datatype", where, default=None)
+        rng = field(spec, "range", where, default=None)
         try:
             etype_part, _, prop_part = raw_key.partition(".")
             name = normalize_text(prop_part)
-            overrides[f"{normalize_text(etype_part)}.{name}"] = PropertyDef(
+            overrides[compound_key(normalize_text(etype_part), name)] = PropertyDef(
                 name=name,
-                kind=str(spec.get("kind", "data")),
-                datatype=str(spec["datatype"]) if spec.get("datatype") is not None else None,
-                range=normalize_text(str(spec["range"])) if spec.get("range") is not None else None,
+                kind=kind,
+                datatype=datatype,
+                range=normalize_text(rng) if rng is not None else None,
             )
         except ModelError as exc:
             raise PurposeParseError(f"{where}: {exc}") from exc
@@ -170,10 +163,9 @@ def parse_purpose(path: Path) -> Purpose:
 
 
 def _purpose_from_doc(doc: Mapping) -> Purpose:
-    if not str(doc.get("title", "")).strip():
-        raise PurposeParseError("missing or empty 'title'")
-
-    raw_cqs = expect_json(doc.get("cqs", []), list, "cqs")
+    title = field(doc, "title", "")
+    normalize_text(title)  # the title's slug prefixes every IRI the run mints
+    raw_cqs = field(doc, "cqs", "", list, [])
     if not raw_cqs:
         raise PurposeParseError("purpose must state at least one competency query")
     cqs = tuple(_parse_cq(raw, i) for i, raw in enumerate(raw_cqs))
@@ -183,8 +175,8 @@ def _purpose_from_doc(doc: Mapping) -> Purpose:
             raise DuplicateIdError(f"duplicate competency query id {cq.id!r}")
         seen.add(cq.id)
 
-    dataset_refs = _parse_refs(doc.get("datasets", []), "dataset", "datasets")
-    ontology_refs = _parse_refs(doc.get("ontologies", []), "ontology", "ontologies")
+    dataset_refs = _parse_refs(field(doc, "datasets", "", list, []), "dataset", "datasets")
+    ontology_refs = _parse_refs(field(doc, "ontologies", "", list, []), "ontology", "ontologies")
     seen = set()
     for ref in dataset_refs + ontology_refs:
         if ref.meta.id in seen:
@@ -192,12 +184,12 @@ def _purpose_from_doc(doc: Mapping) -> Purpose:
         seen.add(ref.meta.id)
 
     return Purpose(
-        title=str(doc["title"]),
-        narrative=str(doc.get("narrative", "")),
+        title=title,
+        narrative=field(doc, "narrative", "", default=""),
         cqs=cqs,
         dataset_refs=dataset_refs,
         ontology_refs=ontology_refs,
-        property_overrides=_parse_overrides(doc.get("property_overrides", {})),
+        property_overrides=_parse_overrides(field(doc, "property_overrides", "", dict, {})),
     )
 
 
@@ -244,24 +236,23 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     except EmptyLabelError as exc:
         raise DocumentError(f"{csv_path}: header: {exc}") from exc
     try:
-        if "etype" not in doc:
-            raise DocumentError("missing 'etype'")
+        field(doc, "dataset_id", "", default="")  # unused: the purpose names the dataset
+        etype = normalize_text(field(doc, "etype", ""))
         columns: dict[str, Column] = {}
-        for position, raw in enumerate(expect_json(doc.get("columns", []), list, "columns"), 1):
-            if not isinstance(raw, dict) or "name" not in raw:
-                raise DocumentError(f"column {position} has no 'name'")
-            name = normalize_text(str(raw["name"]))
+        for index, raw in enumerate(field(doc, "columns", "", list, [])):
+            where = f"columns[{index}]"
+            name = normalize_text(field(expect_json(raw, dict, where), "name", where))
             if name not in header:
                 raise DocumentError(f"column {name} is not present in the header of {csv_path.name}")
-            mapped = raw.get("property")
+            mapped = field(raw, "property", where, default=None)
             columns[name] = Column(
                 name=name,
-                mapped=normalize_text(str(mapped)) if mapped is not None else None,
-                role=str(raw.get("role", "attribute")),
+                mapped=normalize_text(mapped) if mapped is not None else None,
+                role=field(raw, "role", where, default="attribute"),
             )
         return DatasetSchema(
             dataset_id=meta.id,
-            assigned_etype=normalize_text(str(doc["etype"])),
+            assigned_etype=etype,
             columns=tuple(columns.get(h, Column(name=h)) for h in header),
             meta=meta,
         )

@@ -5,7 +5,8 @@ on query coverage (eval_d).
 Entities of one etype are compared by their `Entity.value_sets` maps: equal
 identity keys decide, else agreement on every property both populate, with
 at least one such property. A merged entity keeps the lexicographically
-smallest of its ids, and unresolved links are retried after every merge, so
+smallest of its ids (unless several records match one existing entity; see
+`merge_entities`), and unresolved links are retried after every merge, so
 keyed datasets whose entities all match on identity keys give the same graph
 in any order. Where no key decides, entities match greedily, and which ones
 merge can depend on the dataset order (see `merge_entities`).
@@ -43,9 +44,10 @@ from .model import (
     EmptyLabelError,
     Entity,
     DatasetSchema,
-    DocumentError,
     ModelError,
+    compound_key,
     expect_json,
+    field,
     label_pair,
     normalize_text,
     read_csv,
@@ -89,18 +91,17 @@ class MappingOverride(NamedTuple):
 
 
 def override_from_doc(doc) -> MappingOverride:
-    if "dataset_id" not in expect_json(doc, dict, "mapping override"):
-        raise DocumentError("mapping override: missing 'dataset_id'")
+    where = "mapping override"
+    dataset_id = field(expect_json(doc, dict, where), "dataset_id", where)
     columns: dict[str, tuple[str, str] | None] = {}
-    raw_columns = expect_json(doc.get("columns", {}), dict, "mapping override: columns")
-    for raw_name, spec in raw_columns.items():
-        where = f'mapping override: column {raw_name!r} (if not "drop")'
-        columns[normalize_text(str(raw_name))] = None if spec == "drop" else label_pair(spec, where)
-    raw_identity = expect_json(doc.get("identity_key", []), list, "mapping override: identity_key")
-    identity = tuple(normalize_text(str(c)) for c in raw_identity)
-    return MappingOverride(
-        dataset_id=str(doc["dataset_id"]), columns=columns, identity_key=identity
+    for raw_name, spec in field(doc, "columns", where, dict, {}).items():
+        spot = f'{where}.columns[{raw_name!r}] (if not "drop")'
+        columns[normalize_text(raw_name)] = None if spec == "drop" else label_pair(spec, spot)
+    identity = tuple(
+        normalize_text(expect_json(c, str, f"{where}.identity_key[{i}]"))
+        for i, c in enumerate(field(doc, "identity_key", where, list, []))
     )
+    return MappingOverride(dataset_id=dataset_id, columns=columns, identity_key=identity)
 
 
 class SchemaMapping(NamedTuple):
@@ -730,7 +731,7 @@ def _populated_elements(eg: EG) -> tuple[set[str], set[str]]:
     for etype, populated in populated_of.items():
         for holder in [etype, *eg.schema.ancestors_of(etype)]:
             etypes.add(holder)
-            props.update(f"{holder}.{prop_name}" for prop_name in populated)
+            props.update(compound_key(holder, prop_name) for prop_name in populated)
     return etypes, props
 
 
@@ -765,8 +766,7 @@ def eval_purpose(
         items.append((cq.id, "etypes", result, note))
         if cq.property_pairs:
             alpha_pairs = frozenset(
-                f"{final_name(etype)}.{prop}"
-                for etype, prop in cq.property_pairs
+                compound_key(final_name(etype), prop) for etype, prop in cq.property_pairs
             )
             result = coverage(
                 ElementSet(kind="properties", members=alpha_pairs),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import ElementSet
+from .model import ElementSet, checked
 
 
 class MetricError(ValueError):
@@ -113,26 +113,21 @@ EMPTY_VERDICT = {"eval_a": "fail", "eval_b": "pass", "eval_c": "pass", "eval_d":
 FULL_COVERAGE = Fraction(1)
 
 
-class _Thresholds(NamedTuple):
+@checked
+class Thresholds(NamedTuple):
+    """Gate thresholds; all values are rationals in [0, 1]."""
+
     cov_min: Fraction = Fraction(1, 2)
     ext_floor: Fraction = Fraction(0)
     spr_band_min: Fraction = Fraction(0)
     spr_band_max: Fraction = Fraction(3, 5)
 
-
-class Thresholds(_Thresholds):
-    """Gate thresholds; all values are rationals in [0, 1]."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name, value in zip(self._fields, self):
             if not 0 <= value <= 1:
                 raise MetricError(f"threshold {name} must be in [0, 1], got {value}")
         if self.spr_band_min > self.spr_band_max:
             raise MetricError("spr_band_min must not exceed spr_band_max")
-        return self
 
     def for_gate(self, gate: str) -> dict[str, Fraction]:
         if gate == "eval_a":

@@ -69,32 +69,41 @@ def compound_key(etype: str, prop: str) -> str:
     return f"{etype}.{prop}"
 
 
+def checked(cls):
+    """Class decorator for a named tuple with a `_check` method, which every
+    construction then runs; `_replace` and `_make` skip it."""
+    make = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = make(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Schema-level types
 
 
-class _ResourceMeta(NamedTuple):
+@checked
+class ResourceMeta(NamedTuple):
+    """Catalog entry describing where a resource sits in the reuse hierarchy."""
+
     id: str
     kind: str
     category: str
     popularity: int = 0
     origin: str = ""
 
-
-class ResourceMeta(_ResourceMeta):
-    """Catalog entry describing where a resource sits in the reuse hierarchy."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.kind not in RESOURCE_KINDS:
             raise ModelError(f"unknown resource kind {self.kind!r}")
         if self.category not in CATEGORIES:
             raise ModelError(f"unknown category {self.category!r}")
         if self.popularity < 0:
             raise ModelError("popularity must be a non-negative integer")
-        return self
 
 
 class _PropertyDef(NamedTuple):
@@ -108,7 +117,9 @@ class PropertyDef(_PropertyDef):
     """A data or object property attached to an etype.
 
     Data properties carry a datatype (default string); object properties carry
-    the etype label of their target range instead.
+    the etype label of their target range instead. Unlike the `checked`
+    records it has its own `__new__`, which fills in the default datatype as
+    well as checking.
     """
 
     __slots__ = ()
@@ -265,21 +276,17 @@ class EG(NamedTuple):
 # Purpose-side types
 
 
-class _CompetencyQuery(NamedTuple):
+@checked
+class CompetencyQuery(NamedTuple):
+    """A formalized requirement: the etypes and (etype, property) pairs one
+    query needs the final graph to answer for."""
+
     id: str
     sentence: str
     etypes: frozenset[str]
     property_pairs: frozenset[tuple[str, str]]
 
-
-class CompetencyQuery(_CompetencyQuery):
-    """A formalized requirement: the etypes and (etype, property) pairs one
-    query needs the final graph to answer for."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.etypes:
             raise ModelError(f"competency query {self.id!r} lists no etypes")
         for etype, prop in self.property_pairs:
@@ -288,42 +295,32 @@ class CompetencyQuery(_CompetencyQuery):
                     f"competency query {self.id!r}: property {prop} names etype "
                     f"{etype} which is not in its etype list"
                 )
-        return self
 
 
-class _Column(NamedTuple):
+@checked
+class Column(NamedTuple):
+    """One CSV column of a dataset schema and its (optional) property mapping."""
+
     name: str
     mapped: str | None = None
     role: str = "attribute"
 
-
-class Column(_Column):
-    """One CSV column of a dataset schema and its (optional) property mapping."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.role not in COLUMN_ROLES:
             raise ModelError(f"unknown column role {self.role!r}")
-        return self
 
 
-class _DatasetSchema(NamedTuple):
+@checked
+class DatasetSchema(NamedTuple):
+    """Schema of one tabular dataset: the etype its rows instantiate plus the
+    column-to-property mapping declared by the catalog author."""
+
     dataset_id: str
     assigned_etype: str
     columns: tuple[Column, ...]
     meta: ResourceMeta
 
-
-class DatasetSchema(_DatasetSchema):
-    """Schema of one tabular dataset: the etype its rows instantiate plus the
-    column-to-property mapping declared by the catalog author."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         identity = [c for c in self.columns if c.role == "identity"]
         if len(identity) > 1:
             raise ModelError(f"dataset {self.dataset_id!r} declares more than one identity column")
@@ -340,7 +337,6 @@ class DatasetSchema(_DatasetSchema):
                 raise ModelError(
                     f"dataset {self.dataset_id!r}: link column {col.name} must map to a property"
                 )
-        return self
 
     def identity_columns(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.role == "identity")
@@ -357,22 +353,17 @@ ELEMENT_KINDS = ("etypes", "properties")
 ElementSource = Union[ETG, DatasetSchema, Iterable[CompetencyQuery]]
 
 
-class _ElementSet(NamedTuple):
-    kind: str
-    members: frozenset[str]
-
-
-class ElementSet(_ElementSet):
+@checked
+class ElementSet(NamedTuple):
     """A homogeneous set of normalized element keys (etype names, or
     "etype.property" compound keys). len() counts members, so no `_replace`."""
 
-    __slots__ = ()
+    kind: str
+    members: frozenset[str]
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.kind not in ELEMENT_KINDS:
             raise ModelError(f"unknown element kind {self.kind!r}")
-        return self
 
     def __len__(self) -> int:
         return len(self.members)
@@ -531,19 +522,34 @@ def expect_json(value, kind: type, where: str, error: type[Exception] = Document
     return value
 
 
-def require_key(doc: Mapping, key: str, where: str, kind: type | None = None):
-    """Return `doc[key]`; raise DocumentError if the key is missing or, when
-    `kind` is given, if the value is not of that JSON type."""
-    if key not in doc:
-        raise DocumentError(f"{where}: missing required key {key!r}")
-    return doc[key] if kind is None else expect_json(doc[key], kind, f"{where}.{key}")
+_REQUIRED = object()
+
+
+def field(doc: Mapping, key: str, where: str, kind: type = str, default=_REQUIRED, error: type[Exception] = DocumentError):
+    """The value of `key` in the JSON object `doc`, which `where` names ("" for
+    a document root); it must have JSON type `kind`, else `error` is raised.
+
+    An absent key gives `default`, or fails when there is none; null counts as
+    absent only where `default` is None. A required string must not be blank.
+    """
+    value = doc.get(key)
+    if value is None and (key not in doc or default is None):
+        if default is _REQUIRED:
+            raise error(f"{where}: missing {key!r}" if where else f"missing {key!r}")
+        return default
+    if type(value) is not kind or (default is _REQUIRED and kind is str and not value.strip()):
+        path = f"{where}.{key}" if where else key
+        expect_json(value, kind, path, error)
+        raise error(f"{path} must not be empty or only whitespace")
+    return value
 
 
 def label_pair(value, where: str) -> tuple[str, str]:
-    """The two normalized labels of a JSON list such as [etype, property]."""
-    if type(value) is not list or len(value) != 2:
+    """The two normalized labels of a JSON list of two strings such as
+    [etype, property]."""
+    if type(value) is not list or len(value) != 2 or not all(type(v) is str for v in value):
         raise DocumentError(f"{where} must be a list of two labels, not {value!r}")
-    return normalize_text(str(value[0])), normalize_text(str(value[1]))
+    return normalize_text(value[0]), normalize_text(value[1])
 
 
 def read_json(path: Path, what: str, kind: type = dict, error: type[Exception] = DocumentError):
@@ -576,40 +582,41 @@ def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
     `meta` overrides the document's own `meta` block; catalog metadata given in
     a purpose file wins over what the schema file says about itself.
     """
-    graph_id = str(require_key(doc, "id", "document"))
+    graph_id = field(doc, "id", "")
     if meta is None:
-        raw_meta = require_key(doc, "meta", graph_id, dict)
+        where = f"{graph_id}.meta"
+        raw_meta = field(doc, "meta", graph_id, dict)
         meta = ResourceMeta(
             id=graph_id,
             kind="ontology",
-            category=str(require_key(raw_meta, "category", f"{graph_id}.meta")),
-            popularity=expect_json(raw_meta.get("popularity", 0), int, f"{graph_id}.meta.popularity"),
-            origin=str(raw_meta.get("origin", "")),
+            category=field(raw_meta, "category", where),
+            popularity=field(raw_meta, "popularity", where, int, 0),
+            origin=field(raw_meta, "origin", where, default=""),
         )
-    etypes = frozenset(normalize_text(str(e)) for e in require_key(doc, "etypes", graph_id, list))
+    etypes = frozenset(
+        normalize_text(expect_json(e, str, f"{graph_id}.etypes[{i}]"))
+        for i, e in enumerate(field(doc, "etypes", graph_id, list))
+    )
     properties: dict[str, tuple[PropertyDef, ...]] = {}
-    raw_properties = expect_json(doc.get("properties", {}), dict, f"{graph_id}.properties")
-    for raw_etype, raw_props in sorted(raw_properties.items()):
-        etype = normalize_text(str(raw_etype))
+    for raw_etype, raw_props in sorted(field(doc, "properties", graph_id, dict, {}).items()):
         where = f"{graph_id}.properties.{raw_etype}"
-        entry = f"{where} entry"
         defs = []
-        for raw in expect_json(raw_props, list, where):
-            name = normalize_text(str(require_key(expect_json(raw, dict, entry), "name", entry)))
-            kind = str(raw.get("kind", "data"))
-            rng = raw.get("range")
+        for i, raw in enumerate(expect_json(raw_props, list, where)):
+            spot = f"{where}[{i}]"
+            rng = field(expect_json(raw, dict, spot), "range", spot, default=None)
             defs.append(
                 PropertyDef(
-                    name=name,
-                    kind=kind,
-                    datatype=str(raw["datatype"]) if raw.get("datatype") is not None else None,
-                    range=normalize_text(str(rng)) if rng is not None else None,
+                    name=normalize_text(field(raw, "name", spot)),
+                    kind=field(raw, "kind", spot, default="data"),
+                    datatype=field(raw, "datatype", spot, default=None),
+                    range=normalize_text(rng) if rng is not None else None,
                 )
             )
-        properties[etype] = tuple(sorted(defs, key=lambda p: p.name))
-    raw_subclass = expect_json(doc.get("subclass", []), list, f"{graph_id}.subclass")
-    entry = f"{graph_id}.subclass entry"
-    subclass = frozenset(label_pair(pair, entry) for pair in raw_subclass)
+        properties[normalize_text(raw_etype)] = tuple(sorted(defs, key=lambda p: p.name))
+    raw_subclass = field(doc, "subclass", graph_id, list, [])
+    subclass = frozenset(
+        label_pair(pair, f"{graph_id}.subclass[{i}]") for i, pair in enumerate(raw_subclass)
+    )
     return ETG(id=graph_id, etypes=etypes, properties=properties, subclass_edges=subclass, meta=meta)
 
 

@@ -20,7 +20,7 @@ from .model import (
     ResourceMeta,
     compound_key,
     etype_elements,
-    expect_json,
+    field,
     property_elements,
     validate_etg,
 )
@@ -152,8 +152,8 @@ def provenance_to_json(model: ETGModel) -> dict:
 
 def model_from_docs(etg: ETG, prov_doc: Mapping) -> ETGModel:
     def table(key: str) -> dict[str, str]:
-        raw = expect_json(prov_doc.get(key, {}), dict, key)
-        return {str(k): str(v) for k, v in raw.items()}
+        raw = field(prov_doc, key, "", dict, {})
+        return {name: field(raw, name, key) for name in raw}
 
     return ETGModel(
         etg=etg, provenance=table("provenance"), etype_categories=table("etype_categories")

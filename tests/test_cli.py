@@ -443,6 +443,45 @@ class TestStandaloneIntegrate:
         err = capsys.readouterr().err
         assert err.startswith(f"run error: {path}: dataset 'ds_cases': {message}")
 
+    @pytest.mark.parametrize(
+        "dataset_id, message",
+        [
+            ("ds_hospitalz", "the purpose has no dataset 'ds_hospitalz'"),
+            ("onto_health", "the purpose has no dataset 'onto_health'"),
+            (["ds_cases"], "mapping override.dataset_id must be a string, not a list"),
+        ],
+        ids=["typo", "ontology", "list"],
+    )
+    def test_override_for_no_purpose_dataset_exits_one(self, tmp_path, capsys, dataset_id, message):
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps({**CASES_OVERRIDE, "dataset_id": dataset_id}))
+        assert main(fixture_argv("run", tmp_path / "out", "--mapping", str(path))) == 1
+        assert capsys.readouterr().err == f"run error: {path}: {message}\n"
+
+    def test_two_overrides_of_one_dataset_exit_one_naming_both(self, tmp_path, capsys):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps(CASES_OVERRIDE))
+        second.write_text(json.dumps({**CASES_OVERRIDE, "identity_key": []}))
+        argv = fixture_argv("run", tmp_path / "out", "--mapping", str(first), "--mapping", str(second))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"run error: {first} and {second} both override dataset 'ds_cases'\n"
+
+    def test_override_of_an_unselected_purpose_dataset_is_allowed(self, tmp_path, capsys):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        purpose = json.loads((root / "purpose.json").read_text(encoding="utf-8"))
+        purpose["datasets"][1]["category"] = "common"
+        (root / "purpose.json").write_text(json.dumps(purpose), encoding="utf-8")
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(CASES_OVERRIDE))
+        out = tmp_path / "out"
+        argv = ["run", "--purpose", str(root / "purpose.json"), "--out", str(out)]
+        main(argv + ["--max-per-category", "1", "--no-fail-fast", "--mapping", str(path)])
+        assert json.loads((out / "selection.json").read_text()) == {"datasets": ["ds_hospitals"]}
+        assert (out / "eg.nt").is_file()
+        assert capsys.readouterr().err == ""
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -550,6 +589,7 @@ class TestHostileInput:
             ("datasets", ["x"], "datasets[1].id must be a string, not a list"),
             ("datasets", 7, "datasets[1].id must be a string, not an integer"),
             ("ontologies", None, "ontologies[1].id must be a string, not null"),
+            ("datasets", " ", "datasets[1].id must not be empty or only whitespace"),
         ],
     )
     def test_bad_resource_id_exits_one_naming_the_file(self, tmp_path, kind, value, message):
@@ -565,6 +605,75 @@ class TestHostileInput:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (["title"], None, "title must be a string, not null"),
+            (["cqs", 1, "id"], ["x"], "cqs[1].id must be a string, not a list"),
+            (["cqs", 1, "id"], " ", "cqs[1].id must not be empty or only whitespace"),
+            (["cqs", 1, "etypes", 0], ["hospital"], "cqs[1].etypes[0] must be a string, not a list"),
+            (["cqs", 1, "sentence"], 5, "cqs[1].sentence must be a string, not an integer"),
+            (["datasets", 0, "path"], None, "datasets[0].path must be a string, not null"),
+            (["datasets", 0, "origin"], None, "datasets[0].origin must be a string, not null"),
+            (
+                ["property_overrides", "hospital.beds", "datatype"], ["integer"],
+                "property_overrides['hospital.beds'].datatype must be a string, not a list",
+            ),
+        ],
+        ids=[
+            "title_null", "cq_id_list", "cq_id_blank", "cq_etype_list", "cq_sentence_number",
+            "dataset_path_null", "dataset_origin_null", "override_datatype_list",
+        ],
+    )
+    def test_purpose_value_of_another_type_exits_one(self, tmp_path, capsys, path, value, message):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        purpose = root / "purpose.json"
+        doc = json.loads(purpose.read_text(encoding="utf-8"))
+        purpose.write_text(json.dumps(set_in(doc, path, value)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--purpose", str(purpose), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"run error: {purpose}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, path, value, resource_id, message",
+        [
+            (
+                "data/hospitals.schema.json", ["columns", 1, "name"], ["name"], "ds_hospitals",
+                "columns[1].name must be a string, not a list",
+            ),
+            (
+                "data/hospitals.schema.json", ["etype"], None, "ds_hospitals",
+                "etype must be a string, not null",
+            ),
+            (
+                "ontologies/onto_health.json", ["subclass"], [[["hospital"], "facility"]], "onto_health",
+                "onto_health.subclass[0] must be a list of two labels, not [['hospital'], 'facility']",
+            ),
+            (
+                "ontologies/onto_health.json", ["properties", "hospital", 1, "kind"], None, "onto_health",
+                "onto_health.properties.hospital[1].kind must be a string, not null",
+            ),
+        ],
+        ids=["sidecar_name_list", "sidecar_etype_null", "ontology_subclass_nested", "ontology_kind_null"],
+    )
+    def test_resource_value_of_another_type_is_a_load_failure(
+        self, tmp_path, capsys, name, path, value, resource_id, message
+    ):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        target = root / name
+        doc = json.loads(target.read_text(encoding="utf-8"))
+        target.write_text(json.dumps(set_in(doc, path, value)), encoding="utf-8")
+        out = tmp_path / "out"
+        main(["inception", "--purpose", str(root / "purpose.json"), "--out", str(out)])
+        (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
+        assert (error["id"], error["message"]) == (resource_id, f"{target}: {message}")
+        note = f"load failure: {resource_id}: {target}: {message}"
+        assert note in json.loads((out / "eval_a.json").read_text())["notes"]
+        assert note in capsys.readouterr().out
+
     def test_sidecar_column_without_name_is_a_load_failure(self, tmp_path, capsys):
         root = copied_datasets(tmp_path)
         sidecar = root / "data" / "hospitals.schema.json"
@@ -575,7 +684,7 @@ class TestHostileInput:
         main(fixture_argv("inception", out, "--datasets", str(root)))
         (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
         assert error["id"] == "ds_hospitals"
-        assert "hospitals.schema.json: column 1 has no 'name'" in error["message"]
+        assert "hospitals.schema.json: columns[0]: missing 'name'" in error["message"]
         assert "load failure: ds_hospitals: " in (out / "eval_a.txt").read_text()
         assert "load failure: ds_hospitals: " in capsys.readouterr().out
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -139,10 +140,12 @@ class TestParsePurpose:
                 {"cqs": [{"id": "q", "etypes": ["x"], "properties": [["a"]]}]},
                 "cqs[0].properties[0] must be a list of two labels, not ['a']",
             ),
+            ({"title": "!!!"}, "label '!!!' has no alphanumeric content"),
         ],
         ids=[
             "cq_without_id", "etypes_string", "cq_invariant", "popularity_list", "popularity_fraction",
             "popularity_text", "popularity_bool", "ontologies_object", "duplicate", "pair_of_one",
+            "title_without_slug",
         ],
     )
     def test_errors_name_the_file(self, tmp_path, entry, message):
@@ -191,13 +194,17 @@ class TestLoadResources:
         with pytest.raises(DocumentError):
             load_dataset_schema(csv, meta)
 
-    @pytest.mark.parametrize("column", [{"property": "x"}, "code"])
-    def test_sidecar_column_needs_a_name(self, tmp_path, column):
+    @pytest.mark.parametrize(
+        "column, message",
+        [({"property": "x"}, "columns[1]: missing 'name'"), ("code", "columns[1] must be an object, not a string")],
+        ids=["column0", "code"],
+    )
+    def test_sidecar_column_needs_a_name(self, tmp_path, column, message):
         csv = write_csv(tmp_path / "d.csv", ["code"], [])
         sidecar = {"etype": "h", "columns": [{"name": "code"}, column]}
         (tmp_path / "d.schema.json").write_text(json.dumps(sidecar))
         meta = ResourceMeta(id="d", kind="dataset", category="core", popularity=1)
-        with pytest.raises(DocumentError, match=r"d\.schema\.json: column 2 has no 'name'"):
+        with pytest.raises(DocumentError, match=re.escape(f"d.schema.json: {message}")):
             load_dataset_schema(csv, meta)
 
     @pytest.mark.parametrize(

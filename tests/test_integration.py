@@ -230,8 +230,8 @@ class TestInferMapping:
         [
             (5, "mapping override must be an object, not an integer"),
             (["dataset_id"], "mapping override must be an object, not a list"),
-            ({"dataset_id": "d", "columns": []}, "mapping override: columns must be an object"),
-            ({"dataset_id": "d", "identity_key": "code"}, "mapping override: identity_key must be a list"),
+            ({"dataset_id": "d", "columns": []}, "mapping override.columns must be an object"),
+            ({"dataset_id": "d", "identity_key": "code"}, "mapping override.identity_key must be a list"),
         ],
         ids=["root_number", "root_list", "columns_list", "identity_key_string"],
     )

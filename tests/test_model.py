@@ -562,7 +562,7 @@ class TestEtgDocuments:
     def test_missing_key_reported(self):
         with pytest.raises(ModelError) as err:
             etg_from_doc({"id": "g"})
-        assert "missing required key" in str(err.value)
+        assert "g: missing 'meta'" in str(err.value)
 
     def test_dump_load(self, tmp_path):
         path = tmp_path / "g.json"
