@@ -16,7 +16,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's without
 # loading OpenSSL's libcrypto, a few MiB of every run's peak RSS; the module
@@ -231,16 +231,20 @@ def _read_selection(out: Path) -> list[str]:
     return _read_artifact(out, "selection.json", parse)
 
 
-def _selected_schemas(selection: list[str], catalog: ResourceCatalog) -> list[DatasetSchema]:
-    """The loaded schema of each selected dataset, in selection order. A
-    selected dataset that no longer loads stops the phase with the cause, so
-    no phase drops a dataset that inception selected."""
-    datasets = catalog.datasets()
+def _selected_schemas(
+    config: PipelineConfig, purpose: Purpose, selection: list[str]
+) -> list[tuple[ResourceRef, DatasetSchema]]:
+    """Each selected dataset's ref and schema, in selection order, loading only
+    these. One that the purpose does not list or that no longer loads stops the
+    phase with the cause, so no phase drops a dataset that inception selected."""
+    refs = {ref.meta.id: ref for ref in purpose.dataset_refs}
+    catalog = _load(config, [refs[dataset_id] for dataset_id in selection if dataset_id in refs])
     for dataset_id in selection:
-        if dataset_id not in datasets:
+        if dataset_id not in catalog.datasets:
             cause = "".join(f": {e.message}" for e in catalog.errors if e.resource_id == dataset_id)
+            cause = cause or ": the purpose lists no such dataset"
             raise PhaseError(f"selected dataset {dataset_id!r} is not loadable{cause}")
-    return [datasets[dataset_id] for dataset_id in selection]
+    return [(refs[dataset_id], catalog.datasets[dataset_id]) for dataset_id in selection]
 
 
 def _out_dirs(config: PipelineConfig) -> tuple[Path, Path]:
@@ -250,29 +254,25 @@ def _out_dirs(config: PipelineConfig) -> tuple[Path, Path]:
     return config.out, config.out / "eg.nt"
 
 
-def _dataset_path(config: PipelineConfig, ref: ResourceRef) -> Path:
+def _resource_path(config: PipelineConfig, ref: ResourceRef) -> Path:
+    """Where the run reads `ref`'s file: under --datasets for a dataset when
+    it is given, else relative to the purpose file."""
     if config.datasets_dir is not None and ref.meta.kind == "dataset":
         return config.datasets_dir / ref.path
     return config.base_dir / ref.path
 
 
-def _load_catalog(config: PipelineConfig) -> tuple[Purpose, ResourceCatalog]:
-    purpose = parse_purpose(config.purpose)
-    refs = purpose.dataset_refs
-    if config.datasets_dir is not None:
-        # absolute paths survive the base_dir join in collect_resources
-        refs = tuple(
-            ResourceRef(path=str(config.datasets_dir / ref.path), meta=ref.meta)
-            for ref in refs
-        )
-    catalog = collect_resources(refs + purpose.ontology_refs, config.base_dir)
-    return purpose, catalog
+def _load(config: PipelineConfig, refs: Sequence[ResourceRef]) -> ResourceCatalog:
+    """The resources `refs` name, each read from its `_resource_path`."""
+    resolved = [ref._replace(path=str(_resource_path(config, ref))) for ref in refs]
+    return collect_resources(resolved, Path())  # the paths are resolved already
 
 
 def phase_inception(config: PipelineConfig) -> GateReport:
     """Rank the resources and gate on coverage (eval_a); write `inception.json`
     and `selection.json`, the datasets to integrate in order."""
-    purpose, catalog = _load_catalog(config)
+    purpose = parse_purpose(config.purpose)
+    catalog = _load(config, purpose.dataset_refs + purpose.ontology_refs)
     ranking = match_resources(purpose.cqs, catalog)
     report = eval_inception(purpose.cqs, ranking, config.thresholds, catalog.errors)
     out, _ = _out_dirs(config)
@@ -286,9 +286,9 @@ def phase_inception(config: PipelineConfig) -> GateReport:
 def phase_model(config: PipelineConfig) -> GateReport:
     """Model the queries and the datasets in `selection.json` and gate on
     extensiveness (eval_b); write `etg_model.json` and its provenance."""
-    purpose, catalog = _load_catalog(config)
+    purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
-    schemas = _selected_schemas(_read_selection(out), catalog)
+    schemas = [schema for _, schema in _selected_schemas(config, purpose, _read_selection(out))]
     model = build_etg_model(
         purpose.cqs, schemas, purpose.property_overrides, base_id=purpose.slug
     )
@@ -302,12 +302,12 @@ def phase_model(config: PipelineConfig) -> GateReport:
 def phase_align(config: PipelineConfig) -> GateReport:
     """Align the model with the ontologies and gate on sparsity (eval_c); write
     `etg_final.json`, `merge_plan.json` and `rename_map.json`."""
-    purpose, catalog = _load_catalog(config)
+    purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     etg = load_etg(out / "etg_model.json")
     model = _read_artifact(out, "etg_model_provenance.json", lambda doc: model_from_docs(etg, doc))
-    ontologies = catalog.ontologies()
+    ontologies = _load(config, purpose.ontology_refs).ontologies
     ranking = rank_ontologies(model, ontologies)
     predictions = {
         entry.ontology_id: etr_predict(model, ontologies[entry.ontology_id], config.policy)
@@ -325,7 +325,7 @@ def phase_align(config: PipelineConfig) -> GateReport:
 def phase_integrate(config: PipelineConfig) -> GateReport:
     """Integrate the datasets in `selection.json` order (purpose order without
     it) into `eg.nt` and gate on coverage (eval_d) with `integration_report.json`."""
-    purpose, catalog = _load_catalog(config)
+    purpose = parse_purpose(config.purpose)
     out, triples_path = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     etg_path = config.etg if config.etg is not None else out / "etg_final.json"
@@ -359,10 +359,9 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         graph_id = graph_id[: -len("-etg")]
     state = initial_state(etg, f"{graph_id}-eg")
     cases = []
-    for schema in _selected_schemas(selection, catalog):
-        # every loaded dataset has its ref in the purpose
-        ref = purpose.ref_for(schema.dataset_id)
-        header, rows = read_dataset_rows(_dataset_path(config, ref))
+    for ref, schema in _selected_schemas(config, purpose, selection):
+        path = _resource_path(config, ref)
+        header, rows = read_dataset_rows(path)
         mapping_path, override = overrides.get(schema.dataset_id, (None, None))
         try:
             mapping = infer_mapping(schema, etg, rename_map=rename_map, override=override)
@@ -373,7 +372,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         try:
             state, case = integrate_dataset(state, mapping, header, rows)
         except IntegrationError as exc:
-            raise PhaseError(f"{_dataset_path(config, ref)}: {exc}") from exc
+            raise PhaseError(f"{path}: {exc}") from exc
         cases.append(case)
 
     violations = validate_eg(state.eg)
@@ -421,7 +420,7 @@ def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
     digests = {str(config.purpose): _sha256(config.purpose)}
     purpose = parse_purpose(config.purpose)
     for ref in purpose.dataset_refs + purpose.ontology_refs:
-        path = _dataset_path(config, ref)
+        path = _resource_path(config, ref)
         digests[str(path)] = _sha256(path)
         if ref.meta.kind == "dataset":
             sidecar = sidecar_schema_path(path)

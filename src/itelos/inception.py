@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence
 
 from .metrics import (
     GateReport,
@@ -41,6 +41,7 @@ from .model import (
     property_elements,
     read_csv,
     read_json,
+    unique_key,
     validate_etg,
 )
 
@@ -77,12 +78,6 @@ class Purpose(NamedTuple):
     @property
     def slug(self) -> str:
         return normalize_text(self.title)
-
-    def ref_for(self, resource_id: str) -> ResourceRef | None:
-        for ref in self.dataset_refs + self.ontology_refs:
-            if ref.meta.id == resource_id:
-                return ref
-        return None
 
 
 def _parse_cq(raw, index: int) -> CompetencyQuery:
@@ -128,6 +123,7 @@ def _parse_overrides(raw: dict) -> dict[str, PropertyDef]:
     into the definition it puts in the model; `PropertyDef` checks the kind,
     the datatype and the range."""
     overrides: dict[str, PropertyDef] = {}
+    keys: dict[str, str] = {}
     for raw_key, spec in sorted(raw.items()):
         where = f"property_overrides[{raw_key!r}]"
         kind = field(expect_json(spec, dict, where), "kind", where, default="data")
@@ -136,7 +132,8 @@ def _parse_overrides(raw: dict) -> dict[str, PropertyDef]:
         try:
             etype_part, _, prop_part = raw_key.partition(".")
             name = normalize_text(prop_part)
-            overrides[compound_key(normalize_text(etype_part), name)] = PropertyDef(
+            key = compound_key(normalize_text(etype_part), name)
+            definition = PropertyDef(
                 name=name,
                 kind=kind,
                 datatype=datatype,
@@ -144,6 +141,7 @@ def _parse_overrides(raw: dict) -> dict[str, PropertyDef]:
             )
         except ModelError as exc:
             raise PurposeParseError(f"{where}: {exc}") from exc
+        overrides[unique_key(key, raw_key, keys, "property_overrides")] = definition
     return overrides
 
 
@@ -206,16 +204,12 @@ class LoadFailure(NamedTuple):
 
 
 class ResourceCatalog(NamedTuple):
-    """Loaded resources keyed by id, plus the failures encountered."""
+    """The loaded resources, each kind keyed by id in the order of the refs
+    that named them, plus the failures met on the way."""
 
-    resources: Mapping[str, Union[ETG, DatasetSchema]]
+    datasets: Mapping[str, DatasetSchema]
+    ontologies: Mapping[str, ETG]
     errors: tuple[LoadFailure, ...]
-
-    def datasets(self) -> dict[str, DatasetSchema]:
-        return {k: v for k, v in self.resources.items() if isinstance(v, DatasetSchema)}
-
-    def ontologies(self) -> dict[str, ETG]:
-        return {k: v for k, v in self.resources.items() if isinstance(v, ETG)}
 
 
 def sidecar_schema_path(csv_path: Path) -> Path:
@@ -239,9 +233,11 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
         field(doc, "dataset_id", "", default="")  # unused: the purpose names the dataset
         etype = normalize_text(field(doc, "etype", ""))
         columns: dict[str, Column] = {}
+        names: dict[str, str] = {}
         for index, raw in enumerate(field(doc, "columns", "", list, [])):
             where = f"columns[{index}]"
-            name = normalize_text(field(expect_json(raw, dict, where), "name", where))
+            raw_name = field(expect_json(raw, dict, where), "name", where)
+            name = unique_key(normalize_text(raw_name), raw_name, names, f"{where}.name")
             if name not in header:
                 raise DocumentError(f"column {name} is not present in the header of {csv_path.name}")
             mapped = field(raw, "property", where, default=None)
@@ -261,28 +257,32 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
 
 
 def collect_resources(refs: Sequence[ResourceRef], base_dir: Path) -> ResourceCatalog:
-    """Load every referenced resource, validating as it goes.
+    """Load the resource each ref names, and only those, from `base_dir /
+    ref.path` (an absolute path stays as it is), validating as it goes.
 
+    A dataset is its sidecar schema checked against its CSV header, an
+    ontology a schema graph that must be valid; each is filed under its kind.
     Failures are collected per resource; everything loadable is still
     returned, so one bad file does not sink the whole catalog.
     """
-    resources: dict[str, Union[ETG, DatasetSchema]] = {}
+    datasets: dict[str, DatasetSchema] = {}
+    ontologies: dict[str, ETG] = {}
     errors: list[LoadFailure] = []
     for ref in refs:
         path = base_dir / ref.path
         try:
             if ref.meta.kind == "dataset":
-                resources[ref.meta.id] = load_dataset_schema(path, ref.meta)
+                datasets[ref.meta.id] = load_dataset_schema(path, ref.meta)
             else:
                 etg = load_etg(path, meta=ref.meta)
                 violations = validate_etg(etg)
                 if violations:
                     listed = "; ".join(str(v) for v in violations)
                     raise DocumentError(f"{path}: invalid schema graph: {listed}")
-                resources[ref.meta.id] = etg
+                ontologies[ref.meta.id] = etg
         except (OSError, ModelError, ValueError) as exc:
             errors.append(LoadFailure(resource_id=ref.meta.id, path=str(path), message=str(exc)))
-    return ResourceCatalog(resources=resources, errors=tuple(errors))
+    return ResourceCatalog(datasets=datasets, ontologies=ontologies, errors=tuple(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +345,10 @@ def match_resources(cqs: Sequence[CompetencyQuery], catalog: ResourceCatalog) ->
     cq_props = property_elements(cqs)
     buckets: dict[str, list[RankedResource]] = {c: [] for c in CATEGORIES}
     excluded: list[tuple[str, str]] = []
-    for resource_id in sorted(catalog.resources):
-        resource = catalog.resources[resource_id]
+    # ids are unique across kinds (DuplicateIdError), so one map holds both
+    resources = {**catalog.datasets, **catalog.ontologies}
+    for resource_id in sorted(resources):
+        resource = resources[resource_id]
         meta = resource.meta
         etype_cov = coverage(cq_etypes, etype_elements(resource))
         prop_cov = None

@@ -51,6 +51,7 @@ from .model import (
     label_pair,
     normalize_text,
     read_csv,
+    unique_key,
 )
 
 # Minimum name similarity for mapping an undeclared column onto a property.
@@ -94,9 +95,11 @@ def override_from_doc(doc) -> MappingOverride:
     where = "mapping override"
     dataset_id = field(expect_json(doc, dict, where), "dataset_id", where)
     columns: dict[str, tuple[str, str] | None] = {}
+    names: dict[str, str] = {}
     for raw_name, spec in field(doc, "columns", where, dict, {}).items():
         spot = f'{where}.columns[{raw_name!r}] (if not "drop")'
-        columns[normalize_text(raw_name)] = None if spec == "drop" else label_pair(spec, spot)
+        name = unique_key(normalize_text(raw_name), raw_name, names, f"{where}.columns")
+        columns[name] = None if spec == "drop" else label_pair(spec, spot)
     identity = tuple(
         normalize_text(expect_json(c, str, f"{where}.identity_key[{i}]"))
         for i, c in enumerate(field(doc, "identity_key", where, list, []))

@@ -69,6 +69,17 @@ def compound_key(etype: str, prop: str) -> str:
     return f"{etype}.{prop}"
 
 
+def unique_key(key: str, raw: str, seen: dict[str, str], where: str) -> str:
+    """`key`, the normalized form of the raw name `raw`, recorded in `seen`
+    (key -> raw name). A reader keys its entries by normalized name, so a
+    second raw name with the same key would silently replace the first entry:
+    it raises DocumentError naming both and `where`, the key path."""
+    if key in seen:
+        raise DocumentError(f"{where}: {seen[key]!r} and {raw!r} both normalize to {key}")
+    seen[key] = raw
+    return key
+
+
 def checked(cls):
     """Class decorator for a named tuple with a `_check` method, which every
     construction then runs; `_replace` and `_make` skip it."""
@@ -579,26 +590,30 @@ def write_json(path: Path, doc) -> None:
 def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
     """Build an ETG from its JSON document form.
 
-    `meta` overrides the document's own `meta` block; catalog metadata given in
-    a purpose file wins over what the schema file says about itself.
+    The document's own `meta` block is required and always checked. `meta`
+    overrides it; catalog metadata given in a purpose file wins over what the
+    schema file says about itself. Two `properties` keys that normalize alike
+    are rejected (`unique_key`).
     """
     graph_id = field(doc, "id", "")
-    if meta is None:
-        where = f"{graph_id}.meta"
-        raw_meta = field(doc, "meta", graph_id, dict)
-        meta = ResourceMeta(
-            id=graph_id,
-            kind="ontology",
-            category=field(raw_meta, "category", where),
-            popularity=field(raw_meta, "popularity", where, int, 0),
-            origin=field(raw_meta, "origin", where, default=""),
-        )
+    where = f"{graph_id}.meta"
+    raw_meta = field(doc, "meta", graph_id, dict)
+    own_meta = ResourceMeta(
+        id=graph_id,
+        kind="ontology",
+        category=field(raw_meta, "category", where),
+        popularity=field(raw_meta, "popularity", where, int, 0),
+        origin=field(raw_meta, "origin", where, default=""),
+    )
+    meta = meta if meta is not None else own_meta
     etypes = frozenset(
         normalize_text(expect_json(e, str, f"{graph_id}.etypes[{i}]"))
         for i, e in enumerate(field(doc, "etypes", graph_id, list))
     )
     properties: dict[str, tuple[PropertyDef, ...]] = {}
+    etype_names: dict[str, str] = {}
     for raw_etype, raw_props in sorted(field(doc, "properties", graph_id, dict, {}).items()):
+        etype = unique_key(normalize_text(raw_etype), raw_etype, etype_names, f"{graph_id}.properties")
         where = f"{graph_id}.properties.{raw_etype}"
         defs = []
         for i, raw in enumerate(expect_json(raw_props, list, where)):
@@ -612,7 +627,7 @@ def etg_from_doc(doc: Mapping, *, meta: ResourceMeta | None = None) -> ETG:
                     range=normalize_text(rng) if rng is not None else None,
                 )
             )
-        properties[normalize_text(raw_etype)] = tuple(sorted(defs, key=lambda p: p.name))
+        properties[etype] = tuple(sorted(defs, key=lambda p: p.name))
     raw_subclass = field(doc, "subclass", graph_id, list, [])
     subclass = frozenset(
         label_pair(pair, f"{graph_id}.subclass[{i}]") for i, pair in enumerate(raw_subclass)

@@ -135,6 +135,44 @@ class TestRun:
         for name in ARTIFACTS:
             assert (run_out / name).read_bytes() == (step_out / name).read_bytes(), name
 
+    def test_each_subcommand_loads_only_the_resources_it_reads(self, tmp_path, monkeypatch):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        purpose = json.loads((root / "purpose.json").read_text(encoding="utf-8"))
+        purpose["datasets"][1]["category"] = "common"  # so that ds_cases is not selected
+        (root / "purpose.json").write_text(json.dumps(purpose), encoding="utf-8")
+        loaded, parses = [], []
+        collect, parse = itelos.cli.collect_resources, itelos.cli.parse_purpose
+
+        def counting_collect(refs, base_dir):
+            loaded.append([ref.meta.id for ref in refs])
+            return collect(refs, base_dir)
+
+        def counting_parse(path):
+            parses.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(itelos.cli, "collect_resources", counting_collect)
+        monkeypatch.setattr(itelos.cli, "parse_purpose", counting_parse)
+        expected = {
+            "inception": [["ds_hospitals", "ds_cases", "onto_upper", "onto_health"]],
+            "model": [["ds_hospitals"]],
+            "align": [["onto_upper", "onto_health"]],
+            "integrate": [["ds_hospitals"]],
+        }
+        flags = ["--purpose", str(root / "purpose.json"), "--max-per-category", "1", "--no-fail-fast"]
+        for command, loads in expected.items():
+            loaded.clear()
+            main([command, "--out", str(tmp_path / "steps"), *flags])
+            assert loaded == loads, command
+        selection = json.loads((tmp_path / "steps" / "selection.json").read_text())
+        assert selection == {"datasets": ["ds_hospitals"]}
+        loaded.clear()
+        parses.clear()
+        main(["run", "--out", str(tmp_path / "run"), *flags])
+        assert loaded == [load for loads in expected.values() for load in loads]
+        assert len(parses) == 5
+
     def test_manifest_shape(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"cov_min": 0.5}))
@@ -619,10 +657,14 @@ class TestHostileInput:
                 ["property_overrides", "hospital.beds", "datatype"], ["integer"],
                 "property_overrides['hospital.beds'].datatype must be a string, not a list",
             ),
+            (
+                ["property_overrides", "Hospital.Beds"], {"kind": "data", "datatype": "string"},
+                "property_overrides: 'Hospital.Beds' and 'hospital.beds' both normalize to hospital.beds",
+            ),
         ],
         ids=[
             "title_null", "cq_id_list", "cq_id_blank", "cq_etype_list", "cq_sentence_number",
-            "dataset_path_null", "dataset_origin_null", "override_datatype_list",
+            "dataset_path_null", "dataset_origin_null", "override_datatype_list", "override_keys_alike",
         ],
     )
     def test_purpose_value_of_another_type_exits_one(self, tmp_path, capsys, path, value, message):
@@ -655,8 +697,19 @@ class TestHostileInput:
                 "ontologies/onto_health.json", ["properties", "hospital", 1, "kind"], None, "onto_health",
                 "onto_health.properties.hospital[1].kind must be a string, not null",
             ),
+            (
+                "data/hospitals.schema.json", ["columns", 1], {"name": "Code", "property": "name"},
+                "ds_hospitals", "columns[1].name: 'code' and 'Code' both normalize to code",
+            ),
+            (
+                "ontologies/onto_health.json", ["properties", "Hospital"], [], "onto_health",
+                "onto_health.properties: 'Hospital' and 'hospital' both normalize to hospital",
+            ),
         ],
-        ids=["sidecar_name_list", "sidecar_etype_null", "ontology_subclass_nested", "ontology_kind_null"],
+        ids=[
+            "sidecar_name_list", "sidecar_etype_null", "ontology_subclass_nested", "ontology_kind_null",
+            "sidecar_names_alike", "ontology_properties_alike",
+        ],
     )
     def test_resource_value_of_another_type_is_a_load_failure(
         self, tmp_path, capsys, name, path, value, resource_id, message
@@ -673,6 +726,47 @@ class TestHostileInput:
         note = f"load failure: {resource_id}: {target}: {message}"
         assert note in json.loads((out / "eval_a.json").read_text())["notes"]
         assert note in capsys.readouterr().out
+
+    def test_override_columns_that_normalize_alike_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "cases.json"
+        columns = {**CASES_OVERRIDE["columns"], "Case ID": ["covid_case", "case_id"]}
+        path.write_text(json.dumps({**CASES_OVERRIDE, "columns": columns}))
+        assert main(fixture_argv("run", tmp_path / "out", "--mapping", str(path))) == 1
+        message = "mapping override.columns: 'case_id' and 'Case ID' both normalize to case_id"
+        assert capsys.readouterr().err == f"run error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [(5, "onto_health.meta must be an object, not an integer"), (None, "onto_health: missing 'meta'")],
+        ids=["number", "missing"],
+    )
+    def test_ontology_meta_is_checked_though_the_purpose_gives_it(self, tmp_path, meta, message):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        target = root / "ontologies" / "onto_health.json"
+        doc = json.loads(target.read_text(encoding="utf-8"))
+        if meta is None:
+            del doc["meta"]
+        else:
+            doc["meta"] = meta
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        main(["inception", "--purpose", str(root / "purpose.json"), "--out", str(out)])
+        (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
+        assert (error["id"], error["message"]) == ("onto_health", f"{target}: {message}")
+        note = f"load failure: onto_health: {target}: {message}"
+        assert note in json.loads((out / "eval_a.json").read_text())["notes"]
+
+    @pytest.mark.parametrize("phase", ["model", "integrate"])
+    @pytest.mark.parametrize("dataset_id", ["onto_health", "ds_nowhere"])
+    def test_selection_of_no_purpose_dataset_exits_one(self, tmp_path, phase, dataset_id):
+        out = tmp_path / "out"
+        assert main(fixture_argv("run", out)) == 0
+        (out / "selection.json").write_text(json.dumps({"datasets": ["ds_hospitals", dataset_id]}))
+        done = run_cli(phase, "--purpose", COVID / "purpose.json", "--out", out)
+        assert done.returncode == 1
+        cause = "the purpose lists no such dataset"
+        assert done.stderr == f"{phase} error: selected dataset {dataset_id!r} is not loadable: {cause}\n"
 
     def test_sidecar_column_without_name_is_a_load_failure(self, tmp_path, capsys):
         root = copied_datasets(tmp_path)

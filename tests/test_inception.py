@@ -154,11 +154,6 @@ class TestParsePurpose:
             parse_purpose(path)
         assert str(err.value).startswith(f"{path}: {message}")
 
-    def test_ref_for(self, covid_purpose):
-        purpose = parse_purpose(covid_purpose)
-        assert purpose.ref_for("ds_cases").meta.category == "core"
-        assert purpose.ref_for("nope") is None
-
 
 class TestLoadResources:
     def test_sidecar_path(self, tmp_path):
@@ -228,8 +223,8 @@ class TestLoadResources:
         refs = list(purpose.dataset_refs) + list(purpose.ontology_refs)
         catalog = collect_resources(refs, COVID)
         assert not catalog.errors
-        assert set(catalog.datasets()) == {"ds_hospitals", "ds_cases"}
-        assert set(catalog.ontologies()) == {"onto_upper", "onto_health"}
+        assert set(catalog.datasets) == {"ds_hospitals", "ds_cases"}
+        assert set(catalog.ontologies) == {"onto_upper", "onto_health"}
         # now point one ref at a missing file
         broken = collect_resources(refs, tmp_path)
         assert len(broken.errors) == len(refs)
@@ -237,9 +232,10 @@ class TestLoadResources:
 
 
 def catalog_of(*resources):
-    return ResourceCatalog(
-        resources={r.meta.id: r for r in resources}, errors=()
-    )
+    def of_kind(kind):
+        return {r.meta.id: r for r in resources if r.meta.kind == kind}
+
+    return ResourceCatalog(datasets=of_kind("dataset"), ontologies=of_kind("ontology"), errors=())
 
 
 class TestMatchResources:

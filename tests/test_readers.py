@@ -10,7 +10,13 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from itelos.inception import PurposeParseError, load_dataset_schema, parse_purpose
+from itelos.inception import (
+    PurposeParseError,
+    ResourceRef,
+    collect_resources,
+    load_dataset_schema,
+    parse_purpose,
+)
 from itelos.integration import override_from_doc
 from itelos.model import DocumentError, ResourceMeta, load_etg
 
@@ -125,6 +131,10 @@ class TestEveryRetypedLeafIsRefused:
                 message = str(exc)
             else:
                 raise AssertionError(f"{path} accepted")
+            # the purpose's catalog metadata does not hide the file's own meta block
+            meta = ResourceMeta(id="onto_health", kind="ontology", category="core")
+            catalog = collect_resources([ResourceRef(path=file.name, meta=meta)], Path(tmp))
+        assert [e.message for e in catalog.errors] == [message]
         assert message.startswith(f"{file}: ")
         # the graph id names the document once it has been read
         root = "" if path == ("id",) else "onto_health"
