@@ -1,4 +1,5 @@
-"""Check that the peak memory of `itelos run` grows by at most 5.5 KiB per row.
+"""Check that the peak memory of `itelos run` grows by at most 5.5 KiB per row,
+and that its time grows about linearly.
 
 Usage, from the repository root (Linux only: the peak is read from
 /proc/self/status):
@@ -11,12 +12,18 @@ records its peak resident set (VmHWM) on exit, and fails when a run fails or
 the peak grows by more than BOUND_KIB_PER_ROW per added row. Measuring the
 growth between two sizes leaves out the interpreter's and the modules' fixed
 memory, so the bound holds what each row costs.
+
+It also times each child process and fails when the larger run takes more
+than BOUND_TIME_RATIO times as long as the smaller one. Four times the rows
+take about 3.5 times as long on a linear write path; a quadratic step would
+take about 16 times.
 """
 
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -28,6 +35,7 @@ FIXTURE = ROOT / "tests" / "fixtures" / "covid_trentino"
 SIZES = (8000, 32000)
 SEED = 7
 BOUND_KIB_PER_ROW = 5.5
+BOUND_TIME_RATIO = 6
 # `itelos.cli:main` in the child, which then writes its VmHWM (KiB) to the
 # file named by its first argument.
 CHILD = """
@@ -43,13 +51,15 @@ sys.exit(code)
 """
 
 
-def peak_kib(work: Path, size: int) -> int:
-    """Peak resident KiB of one `itelos run` on the bulk_append corpus of `size` rows."""
+def peak_kib_and_seconds(work: Path, size: int) -> tuple[int, float]:
+    """Peak resident KiB and wall-clock seconds of one `itelos run` on the
+    bulk_append corpus of `size` rows."""
     corpus_dir = work / f"corpus_{size}"
     corpus.generate(FIXTURE, "bulk_append", SEED, corpus_dir, size)
     peak_file = work / f"peak_{size}"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     args = corpus.cli_args(corpus_dir, work / f"out_{size}")
+    start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-c", CHILD, str(peak_file), *args],
         env=env,
@@ -57,23 +67,30 @@ def peak_kib(work: Path, size: int) -> int:
         stderr=subprocess.PIPE,
         text=True,
     )
+    seconds = time.perf_counter() - start
     if result.returncode != 0:
         raise SystemExit(f"itelos run at {size} rows exited {result.returncode}:\n{result.stderr}")
-    return int(peak_file.read_text())
+    return int(peak_file.read_text()), seconds
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        peaks = {size: peak_kib(Path(tmp), size) for size in SIZES}
-    for size, peak in peaks.items():
-        print(f"bulk_append {size} rows: peak {peak / 1024:.1f} MiB")
+        runs = {size: peak_kib_and_seconds(Path(tmp), size) for size in SIZES}
+    for size, (peak, seconds) in runs.items():
+        print(f"bulk_append {size} rows: peak {peak / 1024:.1f} MiB, {seconds:.2f} s")
     (small, large) = SIZES
-    slope = (peaks[large] - peaks[small]) / (large - small)
+    slope = (runs[large][0] - runs[small][0]) / (large - small)
+    ratio = runs[large][1] / runs[small][1]
     print(f"growth {slope:.2f} KiB/row, bound {BOUND_KIB_PER_ROW}")
+    print(f"time ratio {ratio:.2f} for {large // small} times the rows, bound {BOUND_TIME_RATIO}")
+    failed = 0
     if slope > BOUND_KIB_PER_ROW:
         print(f"peak memory grows by more than {BOUND_KIB_PER_ROW} KiB per row", file=sys.stderr)
-        return 1
-    return 0
+        failed = 1
+    if ratio > BOUND_TIME_RATIO:
+        print(f"time grows by more than {BOUND_TIME_RATIO} times from {small} to {large} rows", file=sys.stderr)
+        failed = 1
+    return failed
 
 
 if __name__ == "__main__":

@@ -380,7 +380,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         listed = "; ".join(str(v) for v in violations)
         raise PhaseError(f"integrated graph is invalid: {listed}")
     warnings = export_eg(state.eg, triples_path)
-    report = eval_purpose(state.eg, purpose.cqs, rename_map, config.thresholds)
+    report = eval_purpose(state, purpose.cqs, rename_map, config.thresholds)
     write_json(
         out / "integration_report.json",
         {

@@ -225,8 +225,12 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     """
     schema_path = sidecar_schema_path(csv_path)
     doc = read_json(schema_path, "schema sidecar")
+    header_names: dict[str, str] = {}
     try:
-        header = [normalize_text(h) for h in next(read_csv(csv_path))]
+        header = [
+            unique_key(normalize_text(raw), raw, header_names, f"{csv_path}: header")
+            for raw in next(read_csv(csv_path))
+        ]
     except EmptyLabelError as exc:
         raise DocumentError(f"{csv_path}: header: {exc}") from exc
     try:

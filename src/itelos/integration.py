@@ -14,7 +14,10 @@ merge can depend on the dataset order (see `merge_entities`).
 A dataset's case report costs O(fragment + touched entities), plus one
 identity comparison per entity and one `connected_components` pass: only the
 entities the dataset changed or removed update the running totals that the
-`IntegrationState` carries (see `integrate_dataset`).
+`IntegrationState` carries (see `integrate_dataset`), and eval_d reads the
+populated etypes and properties from the same totals. So the write path
+touches each entity version once to mint it, once to count it and once to
+export it.
 """
 
 from __future__ import annotations
@@ -246,9 +249,11 @@ def generate_entities(
     Rows that are entirely empty are skipped. The same (value, source) pair
     is never stored twice on a property.
 
-    Values are gathered in per-entity buckets of lists. Each entity is built
-    as its bucket is popped, so the lists are freed as the entity's tuples
-    are made, and at most one bucket lives beside the finished entities.
+    Each entity is built from the row that mints its id, so no per-row
+    bucket outlives its row. When every data property has one column, that
+    row gives each non-empty cell's property a 1-tuple in one pass; a later
+    row with the same id, or a property that two columns fill, appends each
+    pair not yet stored, in first-seen order.
     """
     index_of = {name: i for i, name in enumerate(header)}
     for column, _prop in mapping.columns:
@@ -257,12 +262,14 @@ def generate_entities(
                 f"dataset {mapping.dataset_id!r}: mapped column {column} is not in the header"
             )
     declared = schema_graph.declared_properties(mapping.etype)
-    # (cell index, property, is an object property) per mapped column
-    cells = [
-        (index_of[column], prop, declared[prop].kind == "object")
-        for column, prop in mapping.columns
-        if prop is not None
-    ]
+    # (cell index, property) per mapped column, data and object properties apart
+    value_cells = []
+    link_cells = []
+    for column, prop in mapping.columns:
+        if prop is not None:
+            cells = link_cells if declared[prop].kind == "object" else value_cells
+            cells.append((index_of[column], prop))
+    one_column_each = len({prop for _i, prop in value_cells}) == len(value_cells)
     key_indexes = [index_of[c] for c in mapping.identity_columns]
 
     def mint(ordinal: int, row: Sequence[str]) -> tuple[str, tuple[str, ...] | None]:
@@ -275,7 +282,8 @@ def generate_entities(
                 pass
         return f"{mapping.dataset_id}/{'_'.join(parts) if parts else f'row_{ordinal}'}", parts
 
-    values: dict[str, dict[str, list[tuple[str, str]]]] = {}
+    dataset_id = mapping.dataset_id
+    entities: dict[str, Entity] = {}
     pending: set[PendingLink] = set()
     # the key parts of each id that a keyed row's ordinal or composite key made
     minted: dict[str, tuple[str, ...] | None] = {}
@@ -287,32 +295,30 @@ def generate_entities(
             continue
         entity_id, parts = mint(ordinal, row)
         if key_indexes and (parts is None or len(parts) > 1 or entity_id in minted):
-            if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in values):
+            if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in entities):
                 first = next(n for n, r in enumerate(rows, 1) if any(r) and mint(n, r)[0] == entity_id)
                 raise IntegrationError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
-        bucket = values.setdefault(entity_id, {})
-        for index, prop, is_object in cells:
-            cell = row[index]
-            if cell == "":
-                continue
-            if is_object:
-                pending.add(PendingLink(entity_id, prop, cell, mapping.dataset_id))
-            else:
-                pair = (cell, mapping.dataset_id)
-                series = bucket.setdefault(prop, [])
-                if pair not in series:
-                    series.append(pair)
-                data_cells += 1
-
-    entities = {}
-    for entity_id in list(values):
-        bucket = values.pop(entity_id)
-        entities[entity_id] = Entity(
-            id=entity_id,
-            etype=mapping.etype,
-            data_values={p: tuple(pairs) for p, pairs in bucket.items()},
-            object_links=frozenset(),
-        )
+        for index, prop in link_cells:
+            if row[index]:
+                pending.add(PendingLink(entity_id, prop, row[index], dataset_id))
+        entity = entities.get(entity_id)
+        if entity is None and one_column_each:
+            data_values = {prop: ((row[i], dataset_id),) for i, prop in value_cells if row[i]}
+            data_cells += len(data_values)
+        else:
+            # the entity is not shared yet, so its dict grows in place
+            data_values = {} if entity is None else entity.data_values
+            for index, prop in value_cells:
+                if row[index]:
+                    pair = (row[index], dataset_id)
+                    series = data_values.get(prop, ())
+                    if pair not in series:
+                        data_values[prop] = (*series, pair)
+                    data_cells += 1
+        if entity is None:
+            entities[entity_id] = Entity(
+                id=entity_id, etype=mapping.etype, data_values=data_values, object_links=frozenset()
+            )
     fragment_eg = EG(id=f"{mapping.dataset_id}-fragment", schema=schema_graph, entities=entities)
     identity_props = tuple(mapping.property_of(c) for c in mapping.identity_columns)
     stats = {
@@ -450,19 +456,35 @@ def merge_entities(
 
 
 class GraphTotals(NamedTuple):
-    """Aggregates of an integrated graph that its case reports read. All but
-    `components` are sums of per-entity contributions, so a dataset updates
-    them from the entities it changed or removed."""
+    """Aggregates of an integrated graph that its case reports and eval_d
+    read. All but `components` are sums of per-entity contributions, so a
+    dataset updates them from the entities it changed or removed."""
 
     declared: int = 0  # (entity, declared property) pairs
     missing: int = 0  # of those, the pairs with no value or link
     flagged: int = 0  # (entity, conflicting property) pairs
     etypes: Mapping[str, int] = MappingProxyType({})  # entities per etype
+    # etype -> property -> its entities that hold a non-blank value or a link there
+    populated: Mapping[str, Mapping[str, int]] = MappingProxyType({})
     components: int = 0  # connected_components(eg)
 
     @property
     def missing_ratio(self) -> Fraction:
         return Fraction(self.missing, self.declared) if self.declared else Fraction(0)
+
+    def populated_elements(self, schema_graph: ETG) -> tuple[set[str], set[str]]:
+        """The etypes that hold an entity and the "etype.property" keys that
+        one populates, each also under every ancestor of its etype."""
+        etypes: set[str] = set()
+        props: set[str] = set()
+        for etype, count in self.etypes.items():
+            if not count:
+                continue
+            populated = [prop for prop, n in self.populated.get(etype, {}).items() if n]
+            for holder in [etype, *schema_graph.ancestors_of(etype)]:
+                etypes.add(holder)
+                props.update(compound_key(holder, prop) for prop in populated)
+        return etypes, props
 
 
 class IntegrationState(NamedTuple):
@@ -618,21 +640,9 @@ def _populated(entity: Entity) -> set[str]:
     return populated
 
 
-def _missing_counts(schema_graph: ETG, entity: Entity) -> tuple[int, int]:
-    """The declared properties of `entity` and how many of them hold no value
-    or link: its share of `missing_ratio`."""
-    declared = schema_graph.declared_properties(entity.etype)
-    return len(declared), len(declared) - len(declared.keys() & _populated(entity))
-
-
 def missing_ratio(eg: EG) -> Fraction:
     """Share of (entity, declared property) pairs with no value or link."""
-    declared = missing = 0
-    for entity in eg.entities.values():
-        entity_declared, entity_missing = _missing_counts(eg.schema, entity)
-        declared += entity_declared
-        missing += entity_missing
-    return GraphTotals(declared=declared, missing=missing).missing_ratio
+    return _updated(GraphTotals(), eg.schema, (), eg.entities.values(), 0).missing_ratio
 
 
 def _updated(
@@ -643,17 +653,25 @@ def _updated(
     components: int,
 ) -> GraphTotals:
     """`totals` less the contributions of the `removed` entities, plus those
-    of the `added` ones, with the given component count."""
+    of the `added` ones, with the given component count. Each entity's
+    populated properties are found once, for its missing and populated
+    counts alike."""
     declared, missing, flagged = totals.declared, totals.missing, totals.flagged
     etypes = dict(totals.etypes)
+    populated_counts = {etype: dict(counts) for etype, counts in totals.populated.items()}
     for sign, entities in ((-1, removed), (1, added)):
         for entity in entities:
-            entity_declared, entity_missing = _missing_counts(schema_graph, entity)
-            declared += sign * entity_declared
-            missing += sign * entity_missing
+            etype = entity.etype
+            props = schema_graph.declared_properties(etype)
+            populated = _populated(entity)
+            declared += sign * len(props)
+            missing += sign * (len(props) - len(props.keys() & populated))
             flagged += sign * len(entity.conflicting_properties())
-            etypes[entity.etype] = etypes.get(entity.etype, 0) + sign
-    return GraphTotals(declared, missing, flagged, etypes, components)
+            etypes[etype] = etypes.get(etype, 0) + sign
+            counts = populated_counts.setdefault(etype, {})
+            for prop in populated:
+                counts[prop] = counts.get(prop, 0) + sign
+    return GraphTotals(declared, missing, flagged, etypes, populated_counts, components)
 
 
 def integrate_dataset(
@@ -725,21 +743,8 @@ def integrate_dataset(
 # Purpose evaluation (eval_d)
 
 
-def _populated_elements(eg: EG) -> tuple[set[str], set[str]]:
-    populated_of: dict[str, set[str]] = {}
-    for entity in eg.entities.values():
-        populated_of.setdefault(entity.etype, set()).update(_populated(entity))
-    etypes: set[str] = set()
-    props: set[str] = set()
-    for etype, populated in populated_of.items():
-        for holder in [etype, *eg.schema.ancestors_of(etype)]:
-            etypes.add(holder)
-            props.update(compound_key(holder, prop_name) for prop_name in populated)
-    return etypes, props
-
-
 def eval_purpose(
-    eg: EG,
+    state: IntegrationState,
     cqs: Sequence[CompetencyQuery],
     rename_map: Mapping[str, str] | None = None,
     thresholds: Thresholds | None = None,
@@ -748,11 +753,13 @@ def eval_purpose(
 
     Entities count for their etype and all its ancestors, so a query stated
     against a superclass is satisfied by subclass instances. Query names are
-    translated through the alignment rename map first.
+    translated through the alignment rename map first. The populated elements
+    come from the state's totals (`GraphTotals.populated_elements`), so the
+    graph is not scanned again.
     """
     rename_map = rename_map or {}
     thresholds = thresholds or Thresholds()
-    populated_etypes, populated_props = _populated_elements(eg)
+    populated_etypes, populated_props = state.totals.populated_elements(state.eg.schema)
 
     def final_name(etype: str) -> str:
         return rename_map.get(etype, etype)
@@ -846,37 +853,54 @@ def export_eg(eg: EG, path: Path) -> list[str]:
     `quote` is injective, so each entity has its own subject. Writing the
     entities in subject-IRI order, each with its own lines deduplicated and
     sorted, therefore gives the global order.
+
+    An etype's type-line tail, and each of its properties' predicate IRI and
+    datatype suffix, are built on first use, so a value costs its escape and,
+    unless its datatype is `string`, its lexical check. One set deduplicates
+    an entity's lines, which are sorted and written with one call; a value
+    that falls back to a plain string warns once per line.
     """
     warnings: list[tuple[str, str]] = []
     # each entity id, etype and property name is quoted once per export
     term = cache(_iri)
     node = cache(lambda entity_id: _iri(f"urn:itelos:{eg.id}:{entity_id}"))
+    # etype -> (type-line tail, property -> (predicate, datatype, suffix or ""))
+    shapes: dict[str, tuple[str, dict[str, tuple[str, str, str]]]] = {}
     subjects = sorted((node(entity_id), entity_id) for entity_id in eg.entities)
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         for subject, entity_id in subjects:
             entity = eg.entities[entity_id]
-            etype_iri = term(f"urn:itelos:etg:{entity.etype}")
-            lines = {f"{subject} {_RDF_TYPE} {etype_iri} ."}
-            declared = eg.schema.declared_properties(entity.etype)
+            shape = shapes.get(entity.etype)
+            if shape is None:
+                type_tail = f" {_RDF_TYPE} {term(f'urn:itelos:etg:{entity.etype}')} ."
+                shape = shapes[entity.etype] = (type_tail, {})
+            type_tail, props = shape
+            lines = [subject + type_tail]
+            fallen: set[str] = set()  # the plain-string lines of typed values
             for prop in sorted(entity.data_values):
-                predicate = term(f"urn:itelos:etg:{prop}")
-                definition = declared.get(prop)
-                datatype = (
-                    definition.datatype if definition and definition.kind == "data" else "string"
-                )
+                spec = props.get(prop)
+                if spec is None:
+                    definition = eg.schema.declared_properties(entity.etype).get(prop)
+                    datatype = (
+                        definition.datatype if definition and definition.kind == "data" else "string"
+                    )
+                    suffix = "" if datatype == "string" else f"^^<{_XSD}{datatype}>"
+                    spec = props[prop] = (term(f"urn:itelos:etg:{prop}"), datatype, suffix)
+                predicate, datatype, suffix = spec
                 for value, _source in entity.data_values[prop]:
-                    literal = f'"{_escape_literal(value)}"'
-                    if datatype != "string":
-                        if _valid_for(datatype, value):
-                            literal = f"{literal}^^<{_XSD}{datatype}>"
-                        elif f"{subject} {predicate} {literal} ." not in lines:  # once per line
+                    if suffix and not _valid_for(datatype, value):
+                        line = f'{subject} {predicate} "{_escape_literal(value)}" .'
+                        if line not in fallen:
+                            fallen.add(line)
                             message = (
                                 f"{entity_id}: value {value!r} for {prop} is not a valid "
                                 f"{datatype}; exported as a plain string"
                             )
                             warnings.append((entity_id, message))
-                    lines.add(f"{subject} {predicate} {literal} .")
+                        lines.append(line)
+                    else:
+                        lines.append(f'{subject} {predicate} "{_escape_literal(value)}"{suffix} .')
             for prop, target, _source in entity.object_links:
-                lines.add(f"{subject} {term(f'urn:itelos:etg:{prop}')} {node(target)} .")
-            handle.writelines(f"{line}\n" for line in sorted(lines))
+                lines.append(f"{subject} {term(f'urn:itelos:etg:{prop}')} {node(target)} .")
+            handle.write("\n".join(sorted(set(lines))) + "\n")
     return [message for _id, message in sorted(warnings, key=lambda w: w[0])]

@@ -27,8 +27,11 @@ from itelos.integration import (
     INFER_THRESHOLD,
     _RDF_TYPE,
     _XSD,
+    Fragment,
+    IntegrationError,
     MappingError,
     MappingOverride,
+    PendingLink,
     SchemaMapping,
     UnknownEtypeError,
     _escape_literal,
@@ -429,6 +432,103 @@ def scan_missing_ratio(eg) -> Fraction:
     if total == 0:
         return Fraction(0)
     return Fraction(missing, total)
+
+
+def scan_populated_elements(eg) -> tuple[set[str], set[str]]:
+    """The etypes that hold an entity and the "etype.property" keys that one
+    populates with a link or a non-blank value, each also under every
+    ancestor of its etype, by scanning every entity of the graph."""
+    populated_of: dict[str, set[str]] = {}
+    for entity in eg.entities.values():
+        populated = populated_of.setdefault(entity.etype, set())
+        populated.update(prop for prop, _t, _s in entity.object_links)
+        populated.update(
+            prop for prop, pairs in entity.data_values.items() if any(v.strip() for v, _s in pairs)
+        )
+    etypes: set[str] = set()
+    props: set[str] = set()
+    for etype, populated in populated_of.items():
+        for holder in [etype, *eg.schema.ancestors_of(etype)]:
+            etypes.add(holder)
+            props.update(f"{holder}.{prop}" for prop in populated)
+    return etypes, props
+
+
+def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
+    """generate_entities by gathering every row's cells in per-entity list
+    buckets, one cell at a time, and turning the buckets into entities at the
+    end: the reference for its one-pass minting."""
+    index_of = {name: i for i, name in enumerate(header)}
+    for column, _prop in mapping.columns:
+        if column not in index_of:
+            raise MappingError(
+                f"dataset {mapping.dataset_id!r}: mapped column {column} is not in the header"
+            )
+    declared = schema_graph.declared_properties(mapping.etype)
+    cells = [
+        (index_of[column], prop, declared[prop].kind == "object")
+        for column, prop in mapping.columns
+        if prop is not None
+    ]
+    key_indexes = [index_of[c] for c in mapping.identity_columns]
+
+    def mint(ordinal, row):
+        parts = None
+        if key_indexes and all(row[i] for i in key_indexes):
+            try:
+                parts = tuple(normalize_text(row[i]) for i in key_indexes)
+            except EmptyLabelError:
+                pass
+        return f"{mapping.dataset_id}/{'_'.join(parts) if parts else f'row_{ordinal}'}", parts
+
+    values: dict[str, dict[str, list[tuple[str, str]]]] = {}
+    pending: set[PendingLink] = set()
+    minted: dict = {}
+    data_cells = 0
+    skipped = 0
+    for ordinal, row in enumerate(rows, start=1):
+        if not any(row):
+            skipped += 1
+            continue
+        entity_id, parts = mint(ordinal, row)
+        if key_indexes and (parts is None or len(parts) > 1 or entity_id in minted):
+            if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in values):
+                first = next(n for n, r in enumerate(rows, 1) if any(r) and mint(n, r)[0] == entity_id)
+                raise IntegrationError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
+        bucket = values.setdefault(entity_id, {})
+        for index, prop, is_object in cells:
+            cell = row[index]
+            if cell == "":
+                continue
+            if is_object:
+                pending.add(PendingLink(entity_id, prop, cell, mapping.dataset_id))
+            else:
+                pair = (cell, mapping.dataset_id)
+                series = bucket.setdefault(prop, [])
+                if pair not in series:
+                    series.append(pair)
+                data_cells += 1
+    entities = {
+        entity_id: Entity(
+            id=entity_id,
+            etype=mapping.etype,
+            data_values={p: tuple(pairs) for p, pairs in bucket.items()},
+            object_links=frozenset(),
+        )
+        for entity_id, bucket in values.items()
+    }
+    return Fragment(
+        eg=EG(id=f"{mapping.dataset_id}-fragment", schema=schema_graph, entities=entities),
+        pending_links=tuple(sorted(pending)),
+        identity_properties=tuple(mapping.property_of(c) for c in mapping.identity_columns),
+        stats={
+            "rows": len(rows),
+            "skipped_empty_rows": skipped,
+            "entities": len(entities),
+            "data_cells": data_cells,
+            "dropped_columns": len(mapping.dropped),
+        },
+    )
 
 
 def scan_case_counts(before, after, dataset_id, etype) -> dict:

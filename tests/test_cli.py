@@ -850,6 +850,7 @@ class TestHostileInput:
 LOAD_FAILURES = {
     "csv_not_utf8": ("data/covid_cases.csv", None, b"case_id,case_d\xe9te\nC001,x\n", "ds_cases"),
     "csv_header_blank": ("data/hospitals.csv", None, b"code,,beds,municipality\n", "ds_hospitals"),
+    "csv_header_alike": ("data/hospitals.csv", None, b"code,name,beds,municipality,Name\n", "ds_hospitals"),
     "sidecar_missing": ("data/covid_cases.schema.json", None, None, "ds_cases"),
     "sidecar_column_without_name": (
         "data/hospitals.schema.json", ["columns", 0], {"property": "code"}, "ds_hospitals"

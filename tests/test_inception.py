@@ -181,6 +181,14 @@ class TestLoadResources:
         # header columns without a sidecar entry stay unmapped
         assert [c.mapped for c in schema.columns if c.name == "extra"] == [None]
 
+    def test_header_names_that_normalize_alike_name_the_csv(self, tmp_path):
+        csv = write_csv(tmp_path / "d.csv", ["code", "name", "Name"], [])
+        (tmp_path / "d.schema.json").write_text(json.dumps({"etype": "h", "columns": []}))
+        meta = ResourceMeta(id="d", kind="dataset", category="core", popularity=1)
+        with pytest.raises(DocumentError) as err:
+            load_dataset_schema(csv, meta)
+        assert str(err.value) == f"{csv}: header: 'name' and 'Name' both normalize to name"
+
     def test_sidecar_column_must_exist(self, tmp_path):
         csv = write_csv(tmp_path / "d.csv", ["code"], [])
         sidecar = {"etype": "h", "columns": [{"name": "ghost", "property": "x"}]}

@@ -16,6 +16,7 @@ from itelos.integration import (
     IntegrationError,
     MappingError,
     PendingLink,
+    SchemaMapping,
     UnknownEtypeError,
     connected_components,
     eval_purpose,
@@ -55,8 +56,10 @@ from helpers import (
     scan_merge_entities,
     scan_conflict_flags,
     scan_export_eg,
+    scan_generate_entities,
     scan_infer_mapping,
     scan_missing_ratio,
+    scan_populated_elements,
     scan_same_entity,
     write_csv,
     xsd_valid,
@@ -459,6 +462,62 @@ class TestGenerateEntities:
         (fragment, retained, peak) = traced(lambda: generate_entities(mapping, header, rows, etg))
         assert len(fragment.eg.entities) == 2000
         assert peak - retained <= retained / 4
+
+
+# Cell pools per column of `generate_case`: keys that normalize alike, blank
+# and unusable keys, text that spells a row ordinal, and repeated values.
+GENERATE_CELLS = {
+    "c_code": ["S1", "s1", " S 1", "S2", "", "--", "Row 1", "row 2"],
+    "c_name": ["A", "a", "B", ""],
+    "c_alias": ["A", "B", ""],
+    "c_town": ["T", "U", ""],
+    "c_near": ["S1", "zz", ""],
+    "c_extra": ["q", ""],
+}
+
+
+@st.composite
+def generate_case(draw):
+    """A mapping of report_etg's site onto six columns, where `c_alias` may
+    fill the property that another column fills and `c_extra` is dropped,
+    keyless or keyed on one or two columns, and up to eight rows drawn from
+    small pools, so that rows repeat keys, leave cells blank and have no
+    usable key."""
+    alias = draw(st.sampled_from([None, "name", "town"]))
+    columns = (
+        ("c_code", "code"),
+        ("c_name", "name"),
+        ("c_alias", alias),
+        ("c_town", "town"),
+        ("c_near", "near"),
+        ("c_extra", None),
+    )
+    identity = draw(st.sampled_from([(), ("c_code",), ("c_code", "c_town")]))
+    mapping = SchemaMapping(
+        dataset_id="ds_a", etype="site", columns=columns, identity_columns=identity
+    )
+    header = draw(st.permutations([column for column, _prop in columns]))
+    cells = st.fixed_dictionaries({c: st.sampled_from(pool) for c, pool in GENERATE_CELLS.items()})
+    rows = [[row[c] for c in header] for row in draw(st.lists(cells, max_size=8))]
+    return mapping, header, rows
+
+
+class TestGenerateEntitiesOracle:
+    @settings(max_examples=300)
+    @given(generate_case())
+    def test_one_pass_equals_per_cell_buckets(self, case):
+        etg = report_etg()
+
+        def outcome(generate):
+            try:
+                fragment = generate(*case, etg)
+            except IntegrationError as exc:
+                return str(exc)
+            # the entities and their properties in first-seen order, too
+            order = [(e.id, list(e.data_values)) for e in fragment.eg.entities.values()]
+            return fragment, order
+
+        assert outcome(generate_entities) == outcome(scan_generate_entities)
 
 
 def wide_dataset(count):
@@ -1297,6 +1356,7 @@ class TestCaseReportOracle:
             assert report.merged_entities >= 0
             overlap = "populates_both" if counts["merged_entities"] >= 1 else "only_one"
             assert report.entity_overlap == overlap
+            assert state.totals.populated_elements(after.schema) == scan_populated_elements(after)
 
     def test_new_entity_holding_nothing_of_the_dataset_is_not_merged(self):
         # the one row's only cell is a link to a site that is not there yet
@@ -1318,19 +1378,19 @@ class TestEvalPurpose:
 
     def test_pass(self):
         cqs = [make_cq("q", ["hospital"], [("hospital", "name")])]
-        report = eval_purpose(self.populated_state().eg, cqs)
+        report = eval_purpose(self.populated_state(), cqs)
         assert report.gate == "eval_d"
         assert report.verdict == "pass"
         assert all(e.result.value == 1 for e in report.entries)
 
     def test_superclass_query_satisfied_by_subclass_instances(self):
         cqs = [make_cq("q", ["facility"])]
-        report = eval_purpose(self.populated_state().eg, cqs)
+        report = eval_purpose(self.populated_state(), cqs)
         assert report.verdict == "pass"
 
     def test_missing_elements_listed(self):
         cqs = [make_cq("q", ["hospital", "covid_case"])]
-        report = eval_purpose(self.populated_state().eg, cqs)
+        report = eval_purpose(self.populated_state(), cqs)
         assert report.verdict == "fail"
         (entry,) = report.entries
         assert entry.note == "missing: covid_case"
@@ -1338,19 +1398,19 @@ class TestEvalPurpose:
     def test_rename_map_translates_queries(self):
         cqs = [make_cq("q", ["hospitl"], [("hospitl", "name")])]
         report = eval_purpose(
-            self.populated_state().eg, cqs, rename_map={"hospitl": "hospital"}
+            self.populated_state(), cqs, rename_map={"hospitl": "hospital"}
         )
         assert report.verdict == "pass"
 
     def test_unpopulated_property_fails(self):
         cqs = [make_cq("q", ["hospital"], [("hospital", "municipality")])]
-        report = eval_purpose(self.populated_state().eg, cqs)
+        report = eval_purpose(self.populated_state(), cqs)
         assert report.verdict == "fail"
         notes = [e.note for e in report.entries if e.elements == "properties"]
         assert notes == ["missing: hospital.municipality"]
 
     def test_no_queries_fails(self):
-        report = eval_purpose(self.populated_state().eg, [])
+        report = eval_purpose(self.populated_state(), [])
         assert report.verdict == "fail"
 
 
