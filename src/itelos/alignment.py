@@ -29,6 +29,7 @@ from .model import (
     compound_key,
     etype_elements,
     property_elements,
+    require_valid,
     validate_etg,
 )
 from .modeling import ETGModel
@@ -381,10 +382,7 @@ def generate_etg(
         subclass_edges=frozenset(final_edges),
         meta=ResourceMeta(id=f"{base}-etg", kind="ontology", category="contextual"),
     )
-    violations = validate_etg(final)
-    if violations:
-        listed = "; ".join(str(v) for v in violations)
-        raise AlignmentError(f"aligned graph is invalid: {listed}")
+    require_valid(validate_etg(final), "aligned graph is invalid", AlignmentError)
     _check_queries_preserved(model, final, rename_map)
 
     rates = {

@@ -53,7 +53,6 @@ from .inception import (
     sidecar_schema_path,
 )
 from .integration import (  # connected_components: perfbench/tracing.py wraps this name
-    IntegrationError,
     connected_components,
     eval_purpose,
     export_eg,
@@ -64,7 +63,7 @@ from .integration import (  # connected_components: perfbench/tracing.py wraps t
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import DatasetSchema, ModelError, dump_etg, expect_json, field, load_etg, read_json, validate_eg, write_json
+from .model import DatasetSchema, ModelError, dump_etg, expect_json, field, load_etg, read_document, require_valid, validate_eg, write_json
 from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
@@ -102,6 +101,22 @@ _FRACTION_KEYS = [*Thresholds._fields, *AlignmentPolicy._fields]
 _CONFIG_KEYS = {*_CONFIG_TYPES, *_FRACTION_KEYS, "mappings"}
 
 
+def _checked_config(doc: dict) -> dict:
+    """`doc`, the config file's object, once each key is known and of its JSON type."""
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, kind in _CONFIG_TYPES.items():
+        field(doc, key, "", kind, None, ConfigError)
+    listed = doc.get("mappings")
+    if isinstance(listed, list):
+        for index, item in enumerate(listed):
+            expect_json(item, str, f"mappings[{index}]", ConfigError)
+    else:
+        field(doc, "mappings", "", str, None, ConfigError)
+    return doc
+
+
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge flags, the optional config file, and the environment.
 
@@ -111,21 +126,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     file_cfg = {}
     config_path = Path(args.config) if args.config is not None else None
     if config_path is not None:
-        file_cfg = read_json(config_path, "config file", error=ConfigError)
-        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
-        try:
-            for key, kind in _CONFIG_TYPES.items():
-                field(file_cfg, key, "", kind, None, ConfigError)
-            listed = file_cfg.get("mappings")
-            if isinstance(listed, list):
-                for index, item in enumerate(listed):
-                    expect_json(item, str, f"mappings[{index}]", ConfigError)
-            else:
-                field(file_cfg, "mappings", "", str, None, ConfigError)
-        except ConfigError as exc:
-            raise ConfigError(f"{config_path}: {exc}") from exc
+        file_cfg = read_document(config_path, "config file", _checked_config, ConfigError)
 
     def pick(flag_value, key):
         return flag_value if flag_value is not None else file_cfg.get(key)
@@ -201,11 +202,11 @@ def _write_gate(out: Path, report: GateReport) -> None:
     (out / f"{report.gate}.txt").write_text(report.to_text(), encoding="utf-8")
 
 
-def _parse_file(path: Path, what: str, parse):
-    """`parse` applied to the JSON object in `path`; every error names the file."""
-    doc = read_json(path, what, error=PhaseError)
+def _in_file(path: Path, step, *args, **kwargs):
+    """`step(*args, **kwargs)`; a ModelError it raises stops the phase with a
+    PhaseError naming `path`, the file to fix."""
     try:
-        return parse(doc)
+        return step(*args, **kwargs)
     except ModelError as exc:
         raise PhaseError(f"{path}: {exc}") from exc
 
@@ -217,7 +218,7 @@ def _read_artifact(out: Path, name: str, parse):
         raise PhaseError(
             f"missing artifact {path}; run the earlier phases into this output directory first"
         )
-    return _parse_file(path, "artifact", parse)
+    return read_document(path, "artifact", parse, PhaseError)
 
 
 def _read_selection(out: Path) -> list[str]:
@@ -289,8 +290,9 @@ def phase_model(config: PipelineConfig) -> GateReport:
     purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
     schemas = [schema for _, schema in _selected_schemas(config, purpose, _read_selection(out))]
-    model = build_etg_model(
-        purpose.cqs, schemas, purpose.property_overrides, base_id=purpose.slug
+    model = _in_file(
+        config.purpose, build_etg_model, purpose.cqs, schemas, purpose.property_overrides,
+        base_id=purpose.slug,
     )
     dump_etg(model.etg, out / "etg_model.json")
     write_json(out / "etg_model_provenance.json", provenance_to_json(model))
@@ -308,7 +310,7 @@ def phase_align(config: PipelineConfig) -> GateReport:
     etg = load_etg(out / "etg_model.json")
     model = _read_artifact(out, "etg_model_provenance.json", lambda doc: model_from_docs(etg, doc))
     ontologies = _load(config, purpose.ontology_refs).ontologies
-    ranking = rank_ontologies(model, ontologies)
+    ranking = _in_file(config.purpose, rank_ontologies, model, ontologies)
     predictions = {
         entry.ontology_id: etr_predict(model, ontologies[entry.ontology_id], config.policy)
         for entry in ranking.included
@@ -346,7 +348,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     overrides = {}  # dataset id -> (override file, override)
     dataset_ids = {ref.meta.id for ref in purpose.dataset_refs}
     for mapping_path in config.mappings:
-        override = _parse_file(mapping_path, "mapping override", override_from_doc)
+        override = read_document(mapping_path, "mapping override", override_from_doc, PhaseError)
         if override.dataset_id not in dataset_ids:
             raise PhaseError(f"{mapping_path}: the purpose has no dataset {override.dataset_id!r}")
         if override.dataset_id in overrides:
@@ -362,23 +364,13 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
     for ref, schema in _selected_schemas(config, purpose, selection):
         path = _resource_path(config, ref)
         header, rows = read_dataset_rows(path)
-        mapping_path, override = overrides.get(schema.dataset_id, (None, None))
-        try:
-            mapping = infer_mapping(schema, etg, rename_map=rename_map, override=override)
-        except ModelError as exc:
-            if mapping_path is None:
-                raise
-            raise PhaseError(f"{mapping_path}: {exc}") from exc
-        try:
-            state, case = integrate_dataset(state, mapping, header, rows)
-        except IntegrationError as exc:
-            raise PhaseError(f"{path}: {exc}") from exc
+        # the override replaces the sidecar's mapping, so a mapping error is its fault
+        mapping_path, override = overrides.get(schema.dataset_id, (sidecar_schema_path(path), None))
+        mapping = _in_file(mapping_path, infer_mapping, schema, etg, rename_map=rename_map, override=override)
+        state, case = _in_file(path, integrate_dataset, state, mapping, header, rows)
         cases.append(case)
 
-    violations = validate_eg(state.eg)
-    if violations:
-        listed = "; ".join(str(v) for v in violations)
-        raise PhaseError(f"integrated graph is invalid: {listed}")
+    require_valid(validate_eg(state.eg), "integrated graph is invalid", PhaseError)
     warnings = export_eg(state.eg, triples_path)
     report = eval_purpose(state, purpose.cqs, rename_map, config.thresholds)
     write_json(
@@ -422,7 +414,7 @@ def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
     for ref in purpose.dataset_refs + purpose.ontology_refs:
         path = _resource_path(config, ref)
         digests[str(path)] = _sha256(path)
-        if ref.meta.kind == "dataset":
+        if ref.meta.kind == "dataset" and path.name:  # "/" names no file, so has no sidecar
             sidecar = sidecar_schema_path(path)
             digests[str(sidecar)] = _sha256(sidecar)
     for path in (config.config_file, *config.mappings, config.etg):

@@ -40,7 +40,9 @@ from .model import (
     normalize_text,
     property_elements,
     read_csv,
+    read_document,
     read_json,
+    require_valid,
     unique_key,
     validate_etg,
 )
@@ -152,12 +154,7 @@ def parse_purpose(path: Path) -> Purpose:
     and ids unique across queries and across resources. Every error names the
     file.
     """
-    doc = read_json(path, "purpose file", error=PurposeParseError)
-    try:
-        return _purpose_from_doc(doc)
-    except ModelError as exc:
-        kind = type(exc) if isinstance(exc, PurposeParseError) else PurposeParseError
-        raise kind(f"{path}: {exc}") from exc
+    return read_document(path, "purpose file", _purpose_from_doc, PurposeParseError)
 
 
 def _purpose_from_doc(doc: Mapping) -> Purpose:
@@ -279,10 +276,7 @@ def collect_resources(refs: Sequence[ResourceRef], base_dir: Path) -> ResourceCa
                 datasets[ref.meta.id] = load_dataset_schema(path, ref.meta)
             else:
                 etg = load_etg(path, meta=ref.meta)
-                violations = validate_etg(etg)
-                if violations:
-                    listed = "; ".join(str(v) for v in violations)
-                    raise DocumentError(f"{path}: invalid schema graph: {listed}")
+                require_valid(validate_etg(etg), f"{path}: invalid schema graph", DocumentError)
                 ontologies[ref.meta.id] = etg
         except (OSError, ModelError, ValueError) as exc:
             errors.append(LoadFailure(resource_id=ref.meta.id, path=str(path), message=str(exc)))

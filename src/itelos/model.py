@@ -15,7 +15,7 @@ from collections import deque
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 PROPERTY_KINDS = ("data", "object")
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -514,6 +514,13 @@ def validate_eg(eg: EG) -> list[Violation]:
     return out
 
 
+def require_valid(violations: Sequence[Violation], what: str, error: type[Exception]) -> None:
+    """Raise `error` listing every violation after `what`, the message head,
+    when there is any: an invalid graph stops the step that built or read it."""
+    if violations:
+        raise error(f"{what}: " + "; ".join(str(v) for v in violations))
+
+
 # ---------------------------------------------------------------------------
 # Schema-graph documents (JSON)
 
@@ -579,6 +586,17 @@ def read_json(path: Path, what: str, kind: type = dict, error: type[Exception] =
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: unreadable JSON: {exc}") from exc
     return expect_json(doc, kind, f"{path}: document root", error)
+
+
+def read_document(path: Path, what: str, parse, error: type[Exception] = DocumentError):
+    """`parse` applied to the JSON object `read_json` reads from `path`. A ModelError or
+    `error` that `parse` raises is raised again as `error` with the path in front, so
+    every refusal names the file; one that is already an `error` keeps its type."""
+    doc = read_json(path, what, error=error)
+    try:
+        return parse(doc)
+    except (ModelError, error) as exc:
+        raise (type(exc) if isinstance(exc, error) else error)(f"{path}: {exc}") from exc
 
 
 def write_json(path: Path, doc) -> None:
@@ -658,11 +676,7 @@ def etg_to_doc(g: ETG) -> dict:
 
 
 def load_etg(path: Path, *, meta: ResourceMeta | None = None) -> ETG:
-    doc = read_json(path, "schema graph")
-    try:
-        return etg_from_doc(doc, meta=meta)
-    except ModelError as exc:
-        raise DocumentError(f"{path}: {exc}") from exc
+    return read_document(path, "schema graph", lambda doc: etg_from_doc(doc, meta=meta))
 
 
 def dump_etg(g: ETG, path: Path) -> None:
@@ -691,7 +705,7 @@ def read_csv(path: Path) -> Iterator[list[str]]:
             for row in reader:
                 if len(row) != len(header):
                     raise RowArityError(
-                        f"{path.name}: line {reader.line_num}: expected "
+                        f"{path}: line {reader.line_num}: expected "
                         f"{len(header)} fields, got {len(row)}"
                     )
                 yield row

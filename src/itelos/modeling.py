@@ -22,6 +22,7 @@ from .model import (
     etype_elements,
     field,
     property_elements,
+    require_valid,
     validate_etg,
 )
 
@@ -70,14 +71,15 @@ def build_etg_model(
 
     Every property is a string-valued data property unless the overrides map
     its "etype.property" key to a definition, which is used as it is. A link
-    column needs an object override whose range etype is in the model.
+    column needs an object override whose range etype is in the model; the
+    error names the first dataset whose sidecar declares the column.
     """
     overrides = overrides or {}
     etypes: set[str] = set()
     provenance: dict[str, str] = {}
     categories: dict[str, list[str]] = {}
-    # (etype, property) -> does some source require an object property
-    wants_object: dict[tuple[str, str], bool] = {}
+    # (etype, property) -> the first dataset that links through it, or None
+    linked_by: dict[tuple[str, str], str | None] = {}
 
     for schema in schemas:
         etypes.add(schema.assigned_etype)
@@ -85,7 +87,7 @@ def build_etg_model(
         categories.setdefault(schema.assigned_etype, []).append(schema.meta.category)
         for column in schema.mapped_columns():
             pair = (schema.assigned_etype, column.mapped)
-            wants_object[pair] = wants_object.get(pair, False) or column.role == "link"
+            linked_by[pair] = linked_by.get(pair) or (schema.dataset_id if column.role == "link" else None)
             provenance.setdefault(compound_key(*pair), FROM_DATASET)
 
     for cq in cqs:
@@ -93,20 +95,21 @@ def build_etg_model(
             etypes.add(etype)
             provenance[etype] = FROM_CQ
         for etype, prop in cq.property_pairs:
-            wants_object.setdefault((etype, prop), False)
+            linked_by.setdefault((etype, prop), None)
             provenance[compound_key(etype, prop)] = FROM_CQ
 
     properties: dict[str, list[PropertyDef]] = {}
-    for (etype, prop), linkish in sorted(wants_object.items()):
+    for (etype, prop), dataset_id in sorted(linked_by.items()):
         key = compound_key(etype, prop)
         definition = overrides.get(key, PropertyDef(name=prop))
-        if linkish and definition.kind == "data":
+        if dataset_id is not None and definition.kind == "data":
             if key in overrides:
                 raise ConflictingPropertyKindError(
-                    f"{key}: declared data-valued but a dataset links through it"
+                    f"{key}: declared data-valued but dataset {dataset_id!r} links through it"
                 )
             raise MissingRangeError(
-                f"{key}: link column needs an object property override with a range"
+                f"{key}: link column of dataset {dataset_id!r} needs an object property "
+                "override with a range"
             )
         if definition.kind == "object" and definition.range not in etypes:
             raise ModelingError(f"{key}: range etype {definition.range} is not in the model")
@@ -119,10 +122,7 @@ def build_etg_model(
         subclass_edges=frozenset(),
         meta=ResourceMeta(id=f"{base_id}-model", kind="ontology", category="contextual"),
     )
-    violations = validate_etg(etg)
-    if violations:
-        listed = "; ".join(str(v) for v in violations)
-        raise ModelingError(f"modeled graph is invalid: {listed}")
+    require_valid(validate_etg(etg), "modeled graph is invalid", ModelingError)
 
     etype_categories = {e: _most_reusable(categories.get(e, [])) for e in etypes}
     return ETGModel(etg=etg, provenance=provenance, etype_categories=etype_categories)

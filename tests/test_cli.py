@@ -379,6 +379,44 @@ class TestConfigMerging:
         assert main(fixture_argv("run", out, "--config", str(config))) == 1
         assert (out / "eval_d.json").is_file()
 
+    def test_config_mappings_directory_is_read(self, tmp_path, capsys):
+        overrides = tmp_path / "maps"
+        overrides.mkdir()
+        path = overrides / "typo.json"
+        path.write_text(json.dumps({**CASES_OVERRIDE, "dataset_id": "ds_hospitalz"}))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mappings": str(overrides)}))
+        assert main(fixture_argv("run", tmp_path / "out", "--config", str(config))) == 1
+        assert capsys.readouterr().err == f"run error: {path}: the purpose has no dataset 'ds_hospitalz'\n"
+
+    def test_config_mappings_list_is_read_unless_mapping_flags_are_given(self, tmp_path, capsys):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps({**CASES_OVERRIDE, "dataset_id": "ds_hospitalz"}))
+        good.write_text(json.dumps(CASES_OVERRIDE))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mappings": [str(bad)]}))
+        assert main(fixture_argv("run", tmp_path / "listed", "--config", str(config))) == 1
+        assert capsys.readouterr().err == f"run error: {bad}: the purpose has no dataset 'ds_hospitalz'\n"
+        argv = fixture_argv("run", tmp_path / "flagged", "--config", str(config), "--mapping", str(good))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_missing_mappings_directory_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(fixture_argv("run", tmp_path / "out", "--mappings", str(missing))) == 2
+        assert capsys.readouterr().err == f"config error: mapping directory {missing} does not exist\n"
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config_file"])
+    def test_unparseable_fraction_exits_two(self, tmp_path, capsys, from_file):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cov_min": "abc"} if from_file else {}))
+        flags = [] if from_file else ["--cov-min", "abc"]
+        assert main(fixture_argv("run", tmp_path / "out", *flags, "--config", str(config))) == 2
+        err = capsys.readouterr().err
+        origin = f"{config}: " if from_file else ""
+        assert err.startswith(f"config error: {origin}bad value for cov_min: ")
+        assert (str(config) in err) == from_file
+
     def test_max_per_category_validated(self, tmp_path, capsys):
         code = main(fixture_argv("run", tmp_path / "out", "--max-per-category", "0"))
         assert code == 2
@@ -611,6 +649,34 @@ class TestHostileInput:
         assert "load failure: ds_cases: " in capsys.readouterr().out
         (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
         assert error["id"] == "ds_cases"
+
+    def test_empty_csv_is_a_load_failure_naming_it(self, tmp_path):
+        root = copied_datasets(tmp_path)
+        csv_path = root / "data" / "covid_cases.csv"
+        csv_path.write_bytes(b"")
+        out = tmp_path / "out"
+        main(fixture_argv("inception", out, "--datasets", str(root)))
+        (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
+        assert error == {
+            "id": "ds_cases",
+            "path": str(csv_path),
+            "message": f"{csv_path}: dataset file has no header row",
+        }
+
+    def test_dataset_path_without_file_name_is_hashed_as_missing(self, tmp_path):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        purpose = root / "purpose.json"
+        doc = json.loads(purpose.read_text(encoding="utf-8"))
+        doc["datasets"].append({"id": "ds_root", "path": "/", "category": "contextual"})
+        purpose.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        done = run_cli("run", "--purpose", purpose, "--out", out)
+        assert "Traceback" not in done.stderr
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        assert inputs["/"] is None
+        sidecars = sorted(p for p in inputs if p.endswith(".schema.json"))
+        assert sidecars == [str(root / "data" / n) for n in ("covid_cases.schema.json", "hospitals.schema.json")]
 
     def test_malformed_purpose_exits_one_without_traceback(self, tmp_path):
         purpose = tmp_path / "p.json"
@@ -980,3 +1046,46 @@ class TestWrongShapes:
         assert "Traceback" not in done.stderr
         # a failed phase says why on stderr; a load failure is a gate note
         assert str(target) in (done.stderr if code else done.stdout)
+
+
+# (file to edit or None, path inside its JSON document, the value written
+# there or None to delete that top-level key, the command and its flags, the
+# file the refusal must name, the dataset it must name or None).
+REFUSALS = {
+    "no_ontologies": ("purpose.json", ["ontologies"], [], ["run"], "purpose.json", None),
+    "no_property_overrides": (
+        "purpose.json", ["property_overrides"], None, ["run"], "purpose.json", "ds_cases"
+    ),
+    "link_column_nan": (
+        "data/covid_cases.schema.json", ["columns", 2, "property"], "NaN",
+        ["run", "--no-fail-fast"], "purpose.json", "ds_cases",
+    ),
+    "integrate_etg_without_override": (
+        None, None, None, ["integrate", "--etg", "ontologies/onto_health.json"],
+        "data/hospitals.schema.json", None,
+    ),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal_names_the_file(self, case, tmp_path):
+        name, path, value, (command, *flags), named, dataset_id = REFUSALS[case]
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        if name is not None:
+            target = root / name
+            doc = json.loads(target.read_text(encoding="utf-8"))
+            if value is None:
+                (key,) = path
+                del doc[key]
+            else:
+                set_in(doc, path, value)
+            target.write_text(json.dumps(doc), encoding="utf-8")
+        flags = [root / flag if flag.endswith(".json") else flag for flag in flags]
+        done = run_cli(command, "--purpose", root / "purpose.json", "--out", root / "out", *flags)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"{command} error: {root / named}: ")
+        if dataset_id is not None:
+            assert f"dataset {dataset_id!r}" in done.stderr

@@ -115,8 +115,7 @@ class TestReadRows:
         path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
         with pytest.raises(RowArityError) as err:
             read_dataset_rows(path)
-        assert "line 3" in str(err.value)
-        assert "expected 2 fields, got 1" in str(err.value)
+        assert str(err.value) == f"{path}: line 3: expected 2 fields, got 1"
 
 
 class TestInferMapping:

@@ -21,6 +21,7 @@ from itelos.model import (
     ModelError,
     PropertyDef,
     ResourceMeta,
+    Violation,
     compound_key,
     dump_etg,
     etg_from_doc,
@@ -30,7 +31,9 @@ from itelos.model import (
     normalize_text,
     normalize_value,
     property_elements,
+    read_document,
     read_json,
+    require_valid,
     validate_eg,
     validate_etg,
 )
@@ -618,3 +621,52 @@ class TestReadJson:
                 ):
                     parsers.append(path.name)
         assert parsers == ["model.py"]
+
+
+class CallerSubError(CallerError):
+    """A narrower error of the caller's, which `parse` itself raises."""
+
+
+class TestReadDocument:
+    @pytest.mark.parametrize(
+        "raised, kind",
+        [
+            (ModelError("bad key"), CallerError),
+            (CallerError("bad key"), CallerError),
+            (CallerSubError("bad key"), CallerSubError),
+        ],
+        ids=["model_error", "caller_error", "caller_subclass"],
+    )
+    def test_parse_error_names_the_file_once(self, tmp_path, raised, kind):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": 1}', encoding="utf-8")
+
+        def parse(doc):
+            assert doc == {"a": 1}
+            raise raised
+
+        with pytest.raises(CallerError) as err:
+            read_document(path, "test file", parse, CallerError)
+        assert type(err.value) is kind
+        assert str(err.value) == f"{path}: bad key"
+
+    def test_returns_what_parse_returns(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": 1}', encoding="utf-8")
+        assert read_document(path, "test file", lambda doc: doc["a"]) == 1
+
+    def test_unreadable_file_is_not_parsed(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(CallerError, match=re.escape(f"cannot read test file {path}")):
+            read_document(path, "test file", pytest.fail, CallerError)
+
+
+class TestRequireValid:
+    def test_no_violation_passes(self):
+        assert require_valid([], "graph is invalid", CallerError) is None
+
+    def test_lists_every_violation_after_the_head(self):
+        violations = [Violation("a", "one"), Violation("b", "two")]
+        with pytest.raises(CallerError) as err:
+            require_valid(violations, "graph is invalid", CallerError)
+        assert str(err.value) == "graph is invalid: a: one; b: two"

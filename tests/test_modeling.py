@@ -76,8 +76,10 @@ class TestBuildModel:
             "covid_case",
             [("case_id", "case_id", "identity"), ("hospital", "hospital", "link")],
         )
-        with pytest.raises(MissingRangeError):
-            build_etg_model([make_cq("q", ["covid_case", "hospital"])], [ds])
+        first = ds._replace(dataset_id="z")  # the first to link names it, not the least
+        message = "covid_case.hospital: link column of dataset 'z' needs an object property override"
+        with pytest.raises(MissingRangeError, match=message):
+            build_etg_model([make_cq("q", ["covid_case", "hospital"])], [first, ds])
 
     def test_link_column_with_object_override(self):
         ds = make_schema(
@@ -96,7 +98,7 @@ class TestBuildModel:
 
     def test_data_override_on_link_column_conflicts(self):
         ds = make_schema("d", "covid_case", [("hospital", "hospital", "link")])
-        with pytest.raises(ConflictingPropertyKindError):
+        with pytest.raises(ConflictingPropertyKindError, match="dataset 'd' links through it"):
             build_etg_model(
                 [make_cq("q", ["covid_case"])],
                 [ds],
