@@ -219,7 +219,10 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     The sidecar lives next to the data file as `<stem>.schema.json`; header
     columns it does not mention are kept as unmapped attributes. Every error
     names the file at fault once: the CSV for its header, else the sidecar.
+    A path with no file name (`/`) has no sidecar and is refused first.
     """
+    if not csv_path.name:
+        raise DocumentError(f"{csv_path}: the dataset path names no file")
     schema_path = sidecar_schema_path(csv_path)
     doc = read_json(schema_path, "schema sidecar")
     header_names: dict[str, str] = {}

@@ -62,6 +62,9 @@ INFER_THRESHOLD = Fraction(7, 10)
 
 MISSING_HINT = "a query element is not populated by any integrated entity"
 
+# The links of every minted entity: `frozenset()` builds a new object per call.
+_NO_LINKS: frozenset[tuple[str, str, str]] = frozenset()
+
 
 class IntegrationError(ModelError):
     """Dataset rows cannot be turned into graph entities."""
@@ -317,7 +320,7 @@ def generate_entities(
                     data_cells += 1
         if entity is None:
             entities[entity_id] = Entity(
-                id=entity_id, etype=mapping.etype, data_values=data_values, object_links=frozenset()
+                id=entity_id, etype=mapping.etype, data_values=data_values, object_links=_NO_LINKS
             )
     fragment_eg = EG(id=f"{mapping.dataset_id}-fragment", schema=schema_graph, entities=entities)
     identity_props = tuple(mapping.property_of(c) for c in mapping.identity_columns)

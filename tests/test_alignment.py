@@ -19,6 +19,7 @@ from itelos.alignment import (
 )
 from itelos.modeling import ETGModel, build_etg_model
 from itelos.model import (
+    ETG,
     PropertyDef,
     compound_key,
     etg_to_doc,
@@ -166,6 +167,46 @@ policy_values = st.sampled_from(
 )
 
 
+# names of one length, so pairs that share nothing can still reach the
+# threshold through name similarity alone
+four_letter_names = st.text(alphabet="abh", min_size=4, max_size=4)
+
+
+@st.composite
+def shared_property_case(draw):
+    """A model and an ontology where many ontology etypes own the property
+    `hub`, the etype `heir` owns none of it but inherits it from one of them,
+    and a policy whose name weight covers the threshold, so equal-length
+    names that share nothing are scored."""
+    names = st.one_of(etype_names, four_letter_names)
+    model_props = draw(st.dictionaries(names, prop_sets, min_size=1, max_size=5))
+    hub_etype = draw(st.sampled_from(sorted(model_props)))
+    model_props[hub_etype] = model_props[hub_etype] | {"hub"}
+    onto_names = draw(st.lists(names.filter(lambda n: n != "heir"), min_size=1, max_size=20, unique=True))
+    onto_props = {
+        name: draw(prop_sets) | ({"hub"} if draw(st.booleans()) else set()) for name in onto_names
+    }
+    onto_props["heir"] = draw(prop_sets)
+    parent = draw(st.sampled_from(onto_names))
+    onto_props[parent] = onto_props[parent] | {"hub"}
+    weight = draw(policy_values)
+    threshold = draw(policy_values.filter(lambda t: t <= weight))
+    onto = make_etg("o", list(onto_props), onto_props, subclass=[("heir", parent)])
+    return bare_model(model_props), onto, AlignmentPolicy(match_threshold=threshold, etr_name_weight=weight)
+
+
+class CountingNames(frozenset):
+    """A property-name set that counts each `&` taken with it."""
+
+    intersections = 0
+
+    def __and__(self, other):
+        CountingNames.intersections += 1
+        return frozenset.__and__(self, other)
+
+    __rand__ = __and__
+
+
 class TestEtrPruning:
     @given(etype_graphs, etype_graphs, policy_values, policy_values)
     def test_candidates_equal_scan_oracle(self, model_props, onto_props, threshold, weight):
@@ -199,6 +240,43 @@ class TestEtrPruning:
     def test_threshold_zero_scores_every_pair(self, monkeypatch):
         policy = AlignmentPolicy(match_threshold=Fraction(0))
         assert self.count_similarity_calls(monkeypatch, policy) == 3 * 4
+
+    @given(shared_property_case())
+    def test_shared_properties_and_length_buckets_equal_scan_oracle(self, case):
+        model, onto, policy = case
+        assert onto.ancestors_of("heir") and "hub" not in onto.property_names("heir")
+        expected = scan_etr_predict(model, onto, policy)
+        assert etr_predict(model, onto, policy).candidates == expected.candidates
+
+    def test_inherited_property_is_not_shared(self, monkeypatch):
+        scored = []
+        monkeypatch.setattr(
+            alignment, "name_similarity", lambda a, b: scored.append((a, b)) or name_similarity(a, b)
+        )
+        model = bare_model({"hospital": ["name"]})
+        onto = make_etg(
+            "o",
+            ["facility", "hospitals"],
+            {"facility": ["name"], "hospitals": ["beds"]},
+            subclass=[("hospitals", "facility")],
+        )
+        etr_predict(model, onto, AlignmentPolicy())
+        # hospitals only inherits name, so its bound is 1/2 * 8/9 < 7/10
+        assert scored == [("hospital", "facility")]
+
+    def test_disjoint_ontology_intersects_no_property_sets(self, monkeypatch):
+        # 2000 etypes that share no property with the model: under the default
+        # policy none can reach the threshold, so none is looked at
+        own_names = ETG.property_names
+        monkeypatch.setattr(
+            ETG, "property_names", lambda self, etype: CountingNames(own_names(self, etype))
+        )
+        monkeypatch.setattr(CountingNames, "intersections", 0)
+        model = bare_model({"hospital": ["name", "beds"], "person": ["age"], "site": []})
+        names = [f"etype{i:04d}" for i in range(2000)]
+        onto = make_etg("o", names, {name: [f"{name}_code"] for name in names})
+        assert etr_predict(model, onto, AlignmentPolicy()).candidates == {}
+        assert CountingNames.intersections == 0
 
 
 class TestRankOntologies:

@@ -427,6 +427,12 @@ class TestGenerateEntities:
         assert link.target_text == "TN01"
         assert fragment.eg.entities["ds_c/c1"].object_links == frozenset()
 
+    def test_entities_share_one_empty_link_set(self):
+        fragment = self.fragment([["TN01", "A", "1"], ["TN02", "B", "2"], ["", "C", "3"]])
+        links = {id(entity.object_links) for entity in fragment.eg.entities.values()}
+        assert len(fragment.eg.entities) == 3
+        assert len(links) == 1
+
     def test_composite_key_joined(self):
         etg = make_etg("g", ["reading"], {"reading": ["station", "day", "value"]})
         schema = make_schema(
