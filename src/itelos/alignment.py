@@ -141,38 +141,30 @@ def etr_predict(model: ETGModel, ontology: ETG, policy: AlignmentPolicy) -> Pred
 
     The pairs the bound is tried on come from an index built once per call:
     each property name an ontology etype owns maps to the etypes that own it,
-    and the etypes are bucketed by name length. A model etype counts its
-    shared properties through the map. An etype that shares none has bound
-    ``weight * min(len) / max(len)``, which depends on the name lengths only,
-    so it is tried only when its length bucket reaches the threshold (none
-    does under the default policy). Every pair left out would have been
-    pruned, so the candidates equal those of scoring every pair.
+    and a model etype counts its shared properties through the map. A pair
+    that shares nothing scores ``weight * similarity``, at most the name
+    weight, so such pairs are tried only when the name weight reaches the
+    threshold (it does not under the default policy); the bound then prunes
+    them as before. No pair left out can be a candidate, so the candidates
+    equal those of scoring every pair.
     """
     weight_num, weight_den = policy.etr_name_weight.as_integer_ratio()
     threshold_num, threshold_den = policy.match_threshold.as_integer_ratio()
     onto_props: dict[str, frozenset[str]] = {}
     owners: dict[str, list[str]] = {}
-    by_length: dict[int, list[str]] = {}
     for onto_etype in ontology.sorted_etypes():
         props = onto_props[onto_etype] = ontology.property_names(onto_etype)
         for name in props:
             owners.setdefault(name, []).append(onto_etype)
-        by_length.setdefault(len(onto_etype), []).append(onto_etype)
+    name_only_reaches = policy.etr_name_weight >= policy.match_threshold
     by_etype: dict[str, tuple[Candidate, ...]] = {}
     for etype in model.etg.sorted_etypes():
         model_props = model.etg.property_names(etype)
-        shared_counts: dict[str, int] = {}
+        # a pair that shares nothing scores at most the name weight
+        shared_counts = dict.fromkeys(onto_props, 0) if name_only_reaches else {}
         for name in model_props:
             for onto_etype in owners.get(name, ()):
                 shared_counts[onto_etype] = shared_counts.get(onto_etype, 0) + 1
-        for length, members in by_length.items():
-            # the bound below with nothing shared, divided by the union
-            if (
-                weight_num * min(len(etype), length) * threshold_den
-                >= threshold_num * weight_den * max(len(etype), length)
-            ):
-                for onto_etype in members:
-                    shared_counts.setdefault(onto_etype, 0)
         candidates = []
         for onto_etype, shared in shared_counts.items():
             props = onto_props[onto_etype]

@@ -414,8 +414,8 @@ def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
     for ref in purpose.dataset_refs + purpose.ontology_refs:
         path = _resource_path(config, ref)
         digests[str(path)] = _sha256(path)
-        if ref.meta.kind == "dataset" and path.name:  # "/" names no file, so has no sidecar
-            sidecar = sidecar_schema_path(path)
+        sidecar = sidecar_schema_path(path) if ref.meta.kind == "dataset" else None
+        if sidecar is not None:
             digests[str(sidecar)] = _sha256(sidecar)
     for path in (config.config_file, *config.mappings, config.etg):
         if path is not None:

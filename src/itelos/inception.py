@@ -209,7 +209,11 @@ class ResourceCatalog(NamedTuple):
     errors: tuple[LoadFailure, ...]
 
 
-def sidecar_schema_path(csv_path: Path) -> Path:
+def sidecar_schema_path(csv_path: Path) -> Path | None:
+    """`<stem>.schema.json` next to the data file; None for a path that
+    names no file (`/`), which has no sidecar."""
+    if not csv_path.name:
+        return None
     return csv_path.with_name(csv_path.stem + ".schema.json")
 
 
@@ -221,9 +225,9 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     names the file at fault once: the CSV for its header, else the sidecar.
     A path with no file name (`/`) has no sidecar and is refused first.
     """
-    if not csv_path.name:
-        raise DocumentError(f"{csv_path}: the dataset path names no file")
     schema_path = sidecar_schema_path(csv_path)
+    if schema_path is None:
+        raise DocumentError(f"{csv_path}: the dataset path names no file")
     doc = read_json(schema_path, "schema sidecar")
     header_names: dict[str, str] = {}
     try:

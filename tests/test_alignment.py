@@ -242,7 +242,7 @@ class TestEtrPruning:
         assert self.count_similarity_calls(monkeypatch, policy) == 3 * 4
 
     @given(shared_property_case())
-    def test_shared_properties_and_length_buckets_equal_scan_oracle(self, case):
+    def test_shared_properties_and_name_only_pairs_equal_scan_oracle(self, case):
         model, onto, policy = case
         assert onto.ancestors_of("heir") and "hub" not in onto.property_names("heir")
         expected = scan_etr_predict(model, onto, policy)
