@@ -168,19 +168,23 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if max_per_category is not None and max_per_category < 1:
         raise ConfigError("max_per_category must be a positive integer")
     fail_fast = pick(args.fail_fast, "fail_fast")
+    # --mapping names override files one by one and --mappings a directory of
+    # them; the config's "mappings", a list of files or a directory, counts
+    # only when neither flag is given.
     mappings = [Path(m) for m in args.mapping or []]
-    # --mappings (or a string-valued "mappings" config key) names a directory
-    # of override files; a list-valued config key names them one by one.
     mappings_dir = args.mappings
-    if mappings_dir is None and isinstance(file_cfg.get("mappings"), str):
-        mappings_dir = file_cfg["mappings"]
+    if not mappings and mappings_dir is None:
+        configured = file_cfg.get("mappings")
+        if isinstance(configured, list):
+            mappings = [Path(m) for m in configured]
+        else:
+            mappings_dir = configured
     if mappings_dir is not None:
         directory = Path(mappings_dir)
         if not directory.is_dir():
-            raise ConfigError(f"mapping directory {directory} does not exist")
+            origin = "" if args.mappings is not None else f"{config_path}: "
+            raise ConfigError(f"{origin}mapping directory {directory} does not exist")
         mappings.extend(sorted(directory.glob("*.json")))
-    elif not mappings and isinstance(file_cfg.get("mappings"), list):
-        mappings = [Path(m) for m in file_cfg["mappings"]]
     etg = pick(args.etg, "etg")
     datasets_dir = pick(args.datasets, "datasets")
     return PipelineConfig(
@@ -190,7 +194,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         policy=policy,
         max_per_category=max_per_category,
         fail_fast=True if fail_fast is None else fail_fast,
-        mappings=tuple(mappings),
+        mappings=tuple(dict.fromkeys(mappings)),  # a file given twice is read once
         etg=Path(etg) if etg is not None else None,
         datasets_dir=Path(datasets_dir).absolute() if datasets_dir is not None else None,
         config_file=config_path,

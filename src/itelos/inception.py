@@ -32,13 +32,12 @@ from .model import (
     PropertyDef,
     ResourceMeta,
     compound_key,
-    etype_elements,
+    elements,
     expect_json,
     field,
     label_pair,
     load_etg,
     normalize_text,
-    property_elements,
     read_csv,
     read_document,
     read_json,
@@ -247,7 +246,7 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
             raw_name = field(expect_json(raw, dict, where), "name", where)
             name = unique_key(normalize_text(raw_name), raw_name, names, f"{where}.name")
             if name not in header:
-                raise DocumentError(f"column {name} is not present in the header of {csv_path.name}")
+                raise DocumentError(f"column {name} is not present in the header of {csv_path}")
             mapped = field(raw, "property", where, default=None)
             columns[name] = Column(
                 name=name,
@@ -346,8 +345,7 @@ def match_resources(cqs: Sequence[CompetencyQuery], catalog: ResourceCatalog) ->
     Resources overlapping the queries in neither etypes nor properties are
     excluded from reuse but recorded for auditability.
     """
-    cq_etypes = etype_elements(cqs)
-    cq_props = property_elements(cqs)
+    cq_etypes, cq_props = elements(cqs)
     buckets: dict[str, list[RankedResource]] = {c: [] for c in CATEGORIES}
     excluded: list[tuple[str, str]] = []
     # ids are unique across kinds (DuplicateIdError), so one map holds both
@@ -355,10 +353,9 @@ def match_resources(cqs: Sequence[CompetencyQuery], catalog: ResourceCatalog) ->
     for resource_id in sorted(resources):
         resource = resources[resource_id]
         meta = resource.meta
-        etype_cov = coverage(cq_etypes, etype_elements(resource))
-        prop_cov = None
-        if cq_props.members:
-            prop_cov = coverage(cq_props, property_elements(resource))
+        etypes, props = elements(resource)
+        etype_cov = coverage(cq_etypes, etypes)
+        prop_cov = coverage(cq_props, props) if cq_props else None
         prop_value = prop_cov.value if prop_cov else Fraction(0)
         if etype_cov.value == 0 and prop_value == 0:
             excluded.append((resource_id, "no overlap with the competency queries"))

@@ -366,8 +366,9 @@ ElementSource = Union[ETG, DatasetSchema, Iterable[CompetencyQuery]]
 
 @checked
 class ElementSet(NamedTuple):
-    """A homogeneous set of normalized element keys (etype names, or
-    "etype.property" compound keys). len() counts members, so no `_replace`."""
+    """Normalized element keys of one of the `ELEMENT_KINDS`: etype names or
+    "etype.property" keys. len() counts members, so an empty set is falsy, and
+    `_replace`, which checks the tuple's length, must not be used."""
 
     kind: str
     members: frozenset[str]
@@ -380,40 +381,22 @@ class ElementSet(NamedTuple):
         return len(self.members)
 
 
-def etype_elements(source: ElementSource) -> ElementSet:
-    """Normalized etype labels mentioned by an ETG, a dataset schema, or a
-    collection of competency queries."""
+def elements(source: ElementSource) -> tuple[ElementSet, ElementSet]:
+    """The etypes and the "etype.property" keys that an ETG, a dataset schema
+    or some competency queries mention, read in one pass over `source`. A
+    dataset schema contributes its assigned etype and its mapped columns."""
     if isinstance(source, ETG):
-        members = frozenset(source.etypes)
+        etypes = source.etypes
+        props = {compound_key(e, p.name) for e, defs in source.properties.items() for p in defs}
     elif isinstance(source, DatasetSchema):
-        members = frozenset({source.assigned_etype})
+        etypes = {source.assigned_etype}
+        props = {compound_key(source.assigned_etype, c.mapped) for c in source.mapped_columns()}
     else:
-        members = frozenset(e for cq in source for e in cq.etypes)
-    return ElementSet(kind="etypes", members=members)
-
-
-def property_elements(source: ElementSource) -> ElementSet:
-    """Compound "etype.property" keys; dataset schemas contribute only columns
-    with a mapped property."""
-    if isinstance(source, ETG):
-        members = frozenset(
-            compound_key(etype, p.name)
-            for etype, props in source.properties.items()
-            for p in props
-        )
-    elif isinstance(source, DatasetSchema):
-        members = frozenset(
-            compound_key(source.assigned_etype, col.mapped)
-            for col in source.columns
-            if col.mapped is not None
-        )
-    else:
-        members = frozenset(
-            compound_key(etype, prop)
-            for cq in source
-            for etype, prop in cq.property_pairs
-        )
-    return ElementSet(kind="properties", members=members)
+        etypes, props = set(), set()
+        for cq in source:
+            etypes |= cq.etypes
+            props.update(compound_key(e, p) for e, p in cq.property_pairs)
+    return ElementSet("etypes", frozenset(etypes)), ElementSet("properties", frozenset(props))
 
 
 # ---------------------------------------------------------------------------

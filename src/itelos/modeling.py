@@ -19,9 +19,8 @@ from .model import (
     PropertyDef,
     ResourceMeta,
     compound_key,
-    etype_elements,
+    elements,
     field,
-    property_elements,
     require_valid,
     validate_etg,
 )
@@ -139,10 +138,7 @@ def eval_modeling(
     never fails the run.
     """
     thresholds = thresholds or Thresholds()
-    pairs = [
-        ("etg_model", etype_elements(cqs), etype_elements(model.etg)),
-        ("etg_model", property_elements(cqs), property_elements(model.etg)),
-    ]
+    pairs = [("etg_model", *both) for both in zip(elements(cqs), elements(model.etg))]
     return evaluate_gate("eval_b", pairs, thresholds, default_note=EXT_HINT)
 
 

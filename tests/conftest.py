@@ -2,10 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import COVID  # noqa: E402
+
+# CI's hostile-input job runs tests/test_hostile_input.py alone with
+# --hypothesis-profile=hostile-input; tier-1 keeps hypothesis' default profile.
+settings.register_profile("hostile-input", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

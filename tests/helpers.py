@@ -199,6 +199,25 @@ def occurrence_count(eg) -> int:
     )
 
 
+def scan_elements(source) -> tuple[frozenset, frozenset]:
+    """The etype and "etype.property" members of an ETG, a dataset schema or
+    a collection of queries, each set built by its own pass over the source
+    (queries are listed first, so one pass would also do for a generator)."""
+    if isinstance(source, ETG):
+        etypes = frozenset(source.etypes)
+        props = frozenset(f"{e}.{p.name}" for e, defs in source.properties.items() for p in defs)
+    elif isinstance(source, DatasetSchema):
+        etypes = frozenset({source.assigned_etype})
+        props = frozenset(
+            f"{source.assigned_etype}.{col.mapped}" for col in source.columns if col.mapped is not None
+        )
+    else:
+        source = list(source)
+        etypes = frozenset(e for cq in source for e in cq.etypes)
+        props = frozenset(f"{e}.{p}" for cq in source for e, p in cq.property_pairs)
+    return etypes, props
+
+
 def scan_ancestors(etg, etype) -> list[str]:
     """Transitive parents by breadth-first search that rescans every subclass
     edge at each step, with no cache."""
@@ -235,18 +254,21 @@ def scan_etr_predict(model, ontology, policy) -> PredictionVector:
             sharability = property_sharability(model_props, ontology.property_names(onto_etype))
             score = _blend(similarity, sharability, policy)
             if score >= policy.match_threshold:
-                candidates.append(
-                    Candidate(
-                        label=onto_etype,
-                        score=score,
-                        name_similarity=similarity,
-                        sharability=sharability,
-                    )
-                )
+                candidates.append(Candidate(label=onto_etype, score=score, sharability=sharability))
         candidates.sort(key=lambda c: (-c.score, -c.sharability, c.label))
         if candidates:
             by_etype[etype] = tuple(candidates)
     return PredictionVector(ontology_id=ontology.meta.id, candidates=by_etype)
+
+
+def matrix_levenshtein(a: str, b: str) -> int:
+    """Edit distance read off the full (len(a) + 1) x (len(b) + 1) matrix."""
+    dist = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)] for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            substitute = dist[i - 1][j - 1] + (a[i - 1] != b[j - 1])
+            dist[i][j] = min(dist[i - 1][j] + 1, dist[i][j - 1] + 1, substitute)
+    return dist[len(a)][len(b)]
 
 
 def etr_pair_score(name_a, props_a, name_b, props_b, policy=None) -> Fraction:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from itelos import alignment
 from itelos.alignment import (
@@ -25,7 +25,7 @@ from itelos.model import (
     etg_to_doc,
 )
 
-from helpers import etr_pair_score, make_cq, make_etg, make_schema, scan_etr_predict
+from helpers import etr_pair_score, make_cq, make_etg, make_schema, matrix_levenshtein, scan_etr_predict
 
 names = st.text(alphabet="abcdefgh", min_size=0, max_size=8)
 prop_sets = st.frozensets(st.sampled_from(["p", "q", "r", "s"]), max_size=4)
@@ -41,6 +41,14 @@ class TestStringSimilarity:
     @given(names, names)
     def test_levenshtein_symmetric(self, a, b):
         assert levenshtein(a, b) == levenshtein(b, a)
+
+    @given(names, names)
+    @example("", "")
+    @example("", "abc")
+    @example("abc", "")
+    def test_levenshtein_equals_full_matrix(self, a, b):
+        # the two-row loop has no special case for an empty name
+        assert levenshtein(a, b) == matrix_levenshtein(a, b)
 
     @given(names, names)
     def test_name_similarity_bounds(self, a, b):

@@ -379,25 +379,20 @@ class TestConfigMerging:
         assert main(fixture_argv("run", out, "--config", str(config))) == 1
         assert (out / "eval_d.json").is_file()
 
-    def test_config_mappings_directory_is_read(self, tmp_path, capsys):
-        overrides = tmp_path / "maps"
-        overrides.mkdir()
-        path = overrides / "typo.json"
-        path.write_text(json.dumps({**CASES_OVERRIDE, "dataset_id": "ds_hospitalz"}))
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"mappings": str(overrides)}))
-        assert main(fixture_argv("run", tmp_path / "out", "--config", str(config))) == 1
-        assert capsys.readouterr().err == f"run error: {path}: the purpose has no dataset 'ds_hospitalz'\n"
-
-    def test_config_mappings_list_is_read_unless_mapping_flags_are_given(self, tmp_path, capsys):
-        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    @pytest.mark.parametrize("flag", ["--mapping", "--mappings"])
+    @pytest.mark.parametrize("form", ["list", "directory"])
+    def test_config_mappings_are_read_unless_mapping_flags_are_given(self, tmp_path, capsys, form, flag):
+        for name in ("bad", "good"):
+            (tmp_path / name).mkdir()
+        bad, good = tmp_path / "bad" / "bad.json", tmp_path / "good" / "good.json"
         bad.write_text(json.dumps({**CASES_OVERRIDE, "dataset_id": "ds_hospitalz"}))
         good.write_text(json.dumps(CASES_OVERRIDE))
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"mappings": [str(bad)]}))
-        assert main(fixture_argv("run", tmp_path / "listed", "--config", str(config))) == 1
+        config.write_text(json.dumps({"mappings": [str(bad)] if form == "list" else str(bad.parent)}))
+        assert main(fixture_argv("run", tmp_path / "configured", "--config", str(config))) == 1
         assert capsys.readouterr().err == f"run error: {bad}: the purpose has no dataset 'ds_hospitalz'\n"
-        argv = fixture_argv("run", tmp_path / "flagged", "--config", str(config), "--mapping", str(good))
+        flagged = good if flag == "--mapping" else good.parent
+        argv = fixture_argv("run", tmp_path / "flagged", "--config", str(config), flag, str(flagged))
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
 
@@ -405,6 +400,20 @@ class TestConfigMerging:
         missing = tmp_path / "nowhere"
         assert main(fixture_argv("run", tmp_path / "out", "--mappings", str(missing))) == 2
         assert capsys.readouterr().err == f"config error: mapping directory {missing} does not exist\n"
+
+    def test_missing_config_mappings_directory_exits_two_naming_the_config(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mappings": str(missing)}))
+        assert main(fixture_argv("run", tmp_path / "out", "--config", str(config))) == 2
+        assert capsys.readouterr().err == f"config error: {config}: mapping directory {missing} does not exist\n"
+
+    def test_a_mapping_file_given_twice_is_read_once(self, tmp_path, capsys):
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(CASES_OVERRIDE))
+        argv = fixture_argv("run", tmp_path / "out", "--mapping", str(path), "--mappings", str(tmp_path))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config_file"])
     def test_unparseable_fraction_exits_two(self, tmp_path, capsys, from_file):

@@ -12,6 +12,7 @@ from itelos.metrics import MetricError, Thresholds
 from itelos.model import (
     DATATYPES,
     EG,
+    ELEMENT_KINDS,
     CompetencyQuery,
     Column,
     DatasetSchema,
@@ -26,11 +27,10 @@ from itelos.model import (
     dump_etg,
     etg_from_doc,
     etg_to_doc,
-    etype_elements,
+    elements,
     load_etg,
     normalize_text,
     normalize_value,
-    property_elements,
     read_document,
     read_json,
     require_valid,
@@ -45,6 +45,7 @@ from helpers import (
     make_schema,
     scan_ancestors,
     scan_declared_properties,
+    scan_elements,
 )
 
 texts = st.text(min_size=0, max_size=40)
@@ -318,7 +319,38 @@ class TestEtgHelpers:
         assert g.sorted_etypes() == ["ant", "zebra"]
 
 
+labels = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@st.composite
+def element_sources(draw):
+    """An ETG, a dataset schema with mapped and unmapped columns, or a tuple
+    of competency queries."""
+    kind = draw(st.sampled_from(["etg", "schema", "queries"]))
+    if kind == "etg":
+        props = draw(st.dictionaries(labels, st.lists(labels, max_size=3, unique=True), max_size=4))
+        return make_etg("g", [*props, *draw(st.lists(labels, max_size=3))], props)
+    if kind == "schema":
+        columns = draw(st.lists(st.tuples(labels, st.none() | labels), max_size=4, unique_by=lambda c: c[0]))
+        return make_schema("d", draw(labels), [(name, mapped, "attribute") for name, mapped in columns])
+    queries = []
+    for i in range(draw(st.integers(0, 3))):
+        etypes = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+        queries.append(make_cq(f"q{i}", etypes, draw(st.lists(st.tuples(st.sampled_from(etypes), labels), max_size=3))))
+    return tuple(queries)
+
+
 class TestElementSets:
+    @given(element_sources())
+    def test_elements_equal_scan_oracle(self, source):
+        expected = scan_elements(source)
+        found = elements(source)
+        assert [s.kind for s in found] == list(ELEMENT_KINDS)
+        assert tuple(s.members for s in found) == expected
+        if type(source) is tuple:
+            # a one-shot generator gives the same sets: elements walks its source once
+            assert tuple(s.members for s in elements(cq for cq in source)) == expected
+
     def test_kind_checked(self):
         with pytest.raises(ModelError):
             ElementSet(kind="columns", members=frozenset())
@@ -329,20 +361,17 @@ class TestElementSets:
 
     def test_from_etg(self):
         g = make_etg("g", ["hospital"], {"hospital": ["name", "beds"]})
-        assert etype_elements(g).members == {"hospital"}
-        assert property_elements(g).members == {"hospital.name", "hospital.beds"}
+        assert [e.members for e in elements(g)] == [{"hospital"}, {"hospital.name", "hospital.beds"}]
 
     def test_from_schema_skips_unmapped(self):
         s = make_schema(
             "d", "hospital", [("code", "code", "identity"), ("notes", None, "attribute")]
         )
-        assert etype_elements(s).members == {"hospital"}
-        assert property_elements(s).members == {"hospital.code"}
+        assert [e.members for e in elements(s)] == [{"hospital"}, {"hospital.code"}]
 
     def test_from_cqs(self):
         cqs = [make_cq("q1", ["a"], [("a", "p")]), make_cq("q2", ["b"])]
-        assert etype_elements(cqs).members == {"a", "b"}
-        assert property_elements(cqs).members == {"a.p"}
+        assert [e.members for e in elements(cqs)] == [{"a", "b"}, {"a.p"}]
 
     @given(
         st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True),
@@ -352,8 +381,8 @@ class TestElementSets:
         # adding an etype to a graph never removes elements
         g = make_etg("g", names, {n: ["p"] for n in names})
         bigger = make_etg("g", names + [extra], {n: ["p"] for n in names + [extra]})
-        assert etype_elements(g).members <= etype_elements(bigger).members
-        assert property_elements(g).members <= property_elements(bigger).members
+        for small, large in zip(elements(g), elements(bigger)):
+            assert small.members <= large.members
 
 
 def clean_etg():

@@ -18,10 +18,9 @@ from itelos.modeling import (
 )
 from itelos.model import (
     PropertyDef,
+    elements,
     etg_to_doc,
-    etype_elements,
     normalize_text,
-    property_elements,
 )
 
 from helpers import make_cq, make_schema
@@ -43,11 +42,9 @@ class TestBuildModel:
         cqs = [make_cq("q", ["hospital"], [("hospital", "name")])]
         ds = make_schema("d", "covid_case", [("case_id", "case_id", "identity")])
         model = build_etg_model(cqs, [ds])
-        assert etype_elements(model.etg).members == {"hospital", "covid_case"}
-        assert property_elements(model.etg).members == {
-            "hospital.name",
-            "covid_case.case_id",
-        }
+        etypes, props = elements(model.etg)
+        assert etypes.members == {"hospital", "covid_case"}
+        assert props.members == {"hospital.name", "covid_case.case_id"}
         assert model.etg.id == "purpose-model"
 
     def test_provenance_cq_wins(self):
@@ -133,8 +130,8 @@ class TestBuildModel:
             for i, (etype, prop) in enumerate(pairs)
         ]
         model = build_etg_model(cqs, [])
-        assert coverage(etype_elements(cqs), etype_elements(model.etg)).value == 1
-        assert coverage(property_elements(cqs), property_elements(model.etg)).value == 1
+        for wanted, modeled in zip(elements(cqs), elements(model.etg)):
+            assert coverage(wanted, modeled).value == 1
 
     def test_adding_dataset_never_removes_elements(self):
         cqs = [make_cq("q", ["hospital"], [("hospital", "name")])]
@@ -142,8 +139,8 @@ class TestBuildModel:
         extra = make_schema("d2", "region", [("area", "area", "attribute")])
         small = build_etg_model(cqs, [base])
         grown = build_etg_model(cqs, [base, extra])
-        assert etype_elements(small.etg).members <= etype_elements(grown.etg).members
-        assert property_elements(small.etg).members <= property_elements(grown.etg).members
+        for before, after in zip(elements(small.etg), elements(grown.etg)):
+            assert before.members <= after.members
 
     def test_deterministic_document(self):
         cqs = [make_cq("q", ["b", "a"], [("b", "y"), ("a", "x")])]
