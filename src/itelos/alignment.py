@@ -26,10 +26,7 @@ from .model import (
     PropertyDef,
     ResourceMeta,
     checked,
-    compound_key,
     elements,
-    require_valid,
-    validate_etg,
 )
 from .modeling import ETGModel
 
@@ -46,6 +43,15 @@ class InvalidPolicyError(AlignmentError):
 
 class NoOntologiesError(AlignmentError):
     """The purpose lists no loadable reference ontology."""
+
+
+class UnadoptedRangeError(AlignmentError):
+    """An adopted etype brings in an object property of the ontology
+    `ontology_id` whose range etype the final graph leaves out."""
+
+    def __init__(self, ontology_id: str, message: str):
+        super().__init__(message)
+        self.ontology_id = ontology_id
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -286,7 +292,11 @@ def generate_etg(
     Each model etype takes its top candidate from the highest-ranked ontology
     that offers one. Adopting an etype renames it to the reference label and
     pulls in the reference properties plus the full ancestor chain; on a
-    property name clash the model's definition stands.
+    property name clash the model's definition stands. Each model etype's own
+    properties land under its final name before any ontology property, so
+    every element of the model survives under `rename_map`. An object
+    property pulled in whose range etype the final graph leaves out raises
+    UnadoptedRangeError naming its ontology.
     """
     policy = policy or AlignmentPolicy()
     decisions: list[Decision] = []
@@ -297,14 +307,21 @@ def generate_etg(
     final_edges: set[tuple[str, str]] = set()
     adopted_count: dict[str, int] = {}
     category_count: dict[str, int] = {}
+    # (holder, object property, ontology id, adopted etype) for each object
+    # property an ontology contributed: only these can lose their range
+    pulled_links: list[tuple[str, PropertyDef, str, str]] = []
 
-    def add_props(etype: str, defs: Iterable[PropertyDef]) -> list[str]:
+    def add_props(
+        etype: str, defs: Iterable[PropertyDef], source: tuple[str, str] | None = None
+    ) -> list[str]:
         bucket = final_props.setdefault(etype, {})
         added = []
         for definition in defs:
             if definition.name not in bucket:
                 bucket[definition.name] = definition
                 added.append(definition.name)
+                if source is not None and definition.kind == "object":
+                    pulled_links.append((etype, definition, *source))
         return added
 
     for etype in model.etg.sorted_etypes():
@@ -347,11 +364,12 @@ def generate_etg(
             rename_map[etype] = final_name
         final_etypes.add(final_name)
         add_props(final_name, model.etg.props_of(etype))
-        adopted = add_props(final_name, ontology.props_of(final_name))
+        source = (ontology_id, final_name)
+        adopted = add_props(final_name, ontology.props_of(final_name), source)
         ancestors = ontology.ancestors_of(final_name)
         for ancestor in ancestors:
             final_etypes.add(ancestor)
-            add_props(ancestor, ontology.props_of(ancestor))
+            add_props(ancestor, ontology.props_of(ancestor), source)
         final_edges |= _closure_edges(ontology, {final_name, *ancestors})
         adopted_count[category] = adopted_count.get(category, 0) + 1
         decisions.append(
@@ -367,6 +385,13 @@ def generate_etg(
             )
         )
 
+    for holder, definition, ontology_id, adopted_etype in pulled_links:
+        if rename_map.get(definition.range, definition.range) not in final_etypes:
+            raise UnadoptedRangeError(
+                ontology_id,
+                f"adopting {adopted_etype} brings in {holder}.{definition.name}, whose range "
+                f"etype {definition.range} is not in the final graph",
+            )
     properties = {
         etype: tuple(
             PropertyDef(
@@ -390,8 +415,6 @@ def generate_etg(
         subclass_edges=frozenset(final_edges),
         meta=ResourceMeta(id=f"{base}-etg", kind="ontology", category="contextual"),
     )
-    require_valid(validate_etg(final), "aligned graph is invalid", AlignmentError)
-    _check_queries_preserved(model, final, rename_map)
 
     rates = {
         category: Fraction(adopted_count.get(category, 0), total) if total else None
@@ -401,24 +424,6 @@ def generate_etg(
         ranking=ranking, decisions=tuple(decisions), adoption_rates=rates, rename_map=rename_map
     )
     return final, plan
-
-
-def _check_queries_preserved(model: ETGModel, final: ETG, rename_map: Mapping[str, str]) -> None:
-    """Every query element in the model must survive alignment, possibly under
-    its reference name."""
-    final_pairs = {
-        compound_key(e, d.name) for e in final.etypes for d in final.props_of(e)
-    }
-    for element, source in model.provenance.items():
-        if source != "from_cq":
-            continue
-        if "." in element:
-            etype_name, _, prop_name = element.partition(".")
-            if compound_key(rename_map.get(etype_name, etype_name), prop_name) not in final_pairs:
-                raise AlignmentError(f"alignment lost the query property {element}")
-        else:
-            if rename_map.get(element, element) not in final.etypes:
-                raise AlignmentError(f"alignment lost the query etype {element}")
 
 
 def eval_alignment(

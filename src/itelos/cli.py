@@ -34,6 +34,7 @@ from . import __version__
 from .alignment import (
     AlignmentPolicy,
     InvalidPolicyError,
+    UnadoptedRangeError,
     etr_predict,
     eval_alignment,
     generate_etg,
@@ -63,7 +64,7 @@ from .integration import (  # connected_components: perfbench/tracing.py wraps t
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import DatasetSchema, ModelError, dump_etg, expect_json, field, load_etg, read_document, require_valid, validate_eg, write_json
+from .model import DatasetSchema, ModelError, NotInGraphError, dump_etg, expect_json, field, load_etg, normalize_text, read_document, require_valid, validate_eg, write_json
 from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
@@ -215,6 +216,16 @@ def _in_file(path: Path, step, *args, **kwargs):
         raise PhaseError(f"{path}: {exc}") from exc
 
 
+def _against(graph_path: Path, check, *args, **kwargs):
+    """`check(*args, **kwargs)`, which checks a document against the schema
+    graph read from `graph_path`. When the graph lacks what the document
+    names, either file may be at fault, so the error names the graph too."""
+    try:
+        return check(*args, **kwargs)
+    except NotInGraphError as exc:
+        raise NotInGraphError(f"{exc} (schema graph {graph_path})") from exc
+
+
 def _read_artifact(out: Path, name: str, parse):
     """`parse` applied to the artifact an earlier phase wrote to `out / name`."""
     path = out / name
@@ -225,13 +236,17 @@ def _read_artifact(out: Path, name: str, parse):
     return read_document(path, "artifact", parse, PhaseError)
 
 
-def _read_selection(out: Path) -> list[str]:
+def _read_selection(out: Path, purpose: Purpose) -> list[str]:
     """The dataset ids in integration order, as the inception phase wrote
-    them to `out / selection.json`."""
+    them to `out / selection.json`; each must be a dataset of `purpose`."""
+    dataset_ids = {ref.meta.id for ref in purpose.dataset_refs}
 
     def parse(doc) -> list[str]:
         listed = field(doc, "datasets", "", list)
-        return [expect_json(d, str, f"datasets[{i}]") for i, d in enumerate(listed)]
+        for index, item in enumerate(listed):
+            if expect_json(item, str, f"datasets[{index}]") not in dataset_ids:
+                raise PhaseError(f"datasets[{index}]: the purpose lists no dataset {item!r}")
+        return listed
 
     return _read_artifact(out, "selection.json", parse)
 
@@ -240,14 +255,13 @@ def _selected_schemas(
     config: PipelineConfig, purpose: Purpose, selection: list[str]
 ) -> list[tuple[ResourceRef, DatasetSchema]]:
     """Each selected dataset's ref and schema, in selection order, loading only
-    these. One that the purpose does not list or that no longer loads stops the
-    phase with the cause, so no phase drops a dataset that inception selected."""
+    these. One that no longer loads stops the phase with the cause, so no
+    phase drops a dataset that inception selected."""
     refs = {ref.meta.id: ref for ref in purpose.dataset_refs}
-    catalog = _load(config, [refs[dataset_id] for dataset_id in selection if dataset_id in refs])
+    catalog = _load(config, [refs[dataset_id] for dataset_id in selection])
     for dataset_id in selection:
         if dataset_id not in catalog.datasets:
             cause = "".join(f": {e.message}" for e in catalog.errors if e.resource_id == dataset_id)
-            cause = cause or ": the purpose lists no such dataset"
             raise PhaseError(f"selected dataset {dataset_id!r} is not loadable{cause}")
     return [(refs[dataset_id], catalog.datasets[dataset_id]) for dataset_id in selection]
 
@@ -293,7 +307,7 @@ def phase_model(config: PipelineConfig) -> GateReport:
     extensiveness (eval_b); write `etg_model.json` and its provenance."""
     purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
-    schemas = [schema for _, schema in _selected_schemas(config, purpose, _read_selection(out))]
+    schemas = [schema for _, schema in _selected_schemas(config, purpose, _read_selection(out, purpose))]
     model = _in_file(
         config.purpose, build_etg_model, purpose.cqs, schemas, purpose.property_overrides,
         base_id=purpose.slug,
@@ -311,15 +325,20 @@ def phase_align(config: PipelineConfig) -> GateReport:
     purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
-    etg = load_etg(out / "etg_model.json")
-    model = _read_artifact(out, "etg_model_provenance.json", lambda doc: model_from_docs(etg, doc))
+    model_path = out / "etg_model.json"
+    etg = load_etg(model_path)
+    model = _read_artifact(out, "etg_model_provenance.json", lambda doc: _against(model_path, model_from_docs, etg, doc))
     ontologies = _load(config, purpose.ontology_refs).ontologies
     ranking = _in_file(config.purpose, rank_ontologies, model, ontologies)
     predictions = {
         entry.ontology_id: etr_predict(model, ontologies[entry.ontology_id], config.policy)
         for entry in ranking.included
     }
-    final, plan = generate_etg(model, predictions, ranking, ontologies, config.policy)
+    try:
+        final, plan = generate_etg(model, predictions, ranking, ontologies, config.policy)
+    except UnadoptedRangeError as exc:
+        (ref,) = [ref for ref in purpose.ontology_refs if ref.meta.id == exc.ontology_id]
+        raise PhaseError(f"{_resource_path(config, ref)}: {exc}") from exc
     dump_etg(final, out / "etg_final.json")
     write_json(out / "merge_plan.json", plan_to_json(plan))
     write_json(out / "rename_map.json", plan.rename_map)
@@ -340,13 +359,18 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
             f"missing schema graph {etg_path}; run the align phase first or pass --etg"
         )
     etg = load_etg(etg_path)
+
+    def renames(doc) -> dict[str, str]:
+        renamed = {k: field(doc, k, "") for k in doc}
+        for old, new in renamed.items():
+            if normalize_text(new) not in etg.etypes:
+                raise PhaseError(f"{old} is renamed to {new}, which is not an etype of {etg_path}")
+        return renamed
+
     # standalone use (--etg without earlier phases): no renames, purpose order
-    if (out / "rename_map.json").is_file():
-        rename_map = _read_artifact(out, "rename_map.json", lambda doc: {k: field(doc, k, "") for k in doc})
-    else:
-        rename_map = {}
+    rename_map = _read_artifact(out, "rename_map.json", renames) if (out / "rename_map.json").is_file() else {}
     if (out / "selection.json").is_file():
-        selection = _read_selection(out)
+        selection = _read_selection(out, purpose)
     else:
         selection = [ref.meta.id for ref in purpose.dataset_refs]
     overrides = {}  # dataset id -> (override file, override)
@@ -370,7 +394,9 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         header, rows = read_dataset_rows(path)
         # the override replaces the sidecar's mapping, so a mapping error is its fault
         mapping_path, override = overrides.get(schema.dataset_id, (sidecar_schema_path(path), None))
-        mapping = _in_file(mapping_path, infer_mapping, schema, etg, rename_map=rename_map, override=override)
+        mapping = _in_file(
+            mapping_path, _against, etg_path, infer_mapping, schema, etg, rename_map=rename_map, override=override
+        )
         state, case = _in_file(path, integrate_dataset, state, mapping, header, rows)
         cases.append(case)
 

@@ -41,9 +41,7 @@ from .model import (
     read_csv,
     read_document,
     read_json,
-    require_valid,
     unique_key,
-    validate_etg,
 )
 
 # Remediation shown when a dataset falls below the coverage gate.
@@ -281,9 +279,7 @@ def collect_resources(refs: Sequence[ResourceRef], base_dir: Path) -> ResourceCa
             if ref.meta.kind == "dataset":
                 datasets[ref.meta.id] = load_dataset_schema(path, ref.meta)
             else:
-                etg = load_etg(path, meta=ref.meta)
-                require_valid(validate_etg(etg), f"{path}: invalid schema graph", DocumentError)
-                ontologies[ref.meta.id] = etg
+                ontologies[ref.meta.id] = load_etg(path, meta=ref.meta)
         except (OSError, ModelError, ValueError) as exc:
             errors.append(LoadFailure(resource_id=ref.meta.id, path=str(path), message=str(exc)))
     return ResourceCatalog(datasets=datasets, ontologies=ontologies, errors=tuple(errors))

@@ -49,6 +49,7 @@ from .model import (
     Entity,
     DatasetSchema,
     ModelError,
+    NotInGraphError,
     compound_key,
     expect_json,
     field,
@@ -60,8 +61,6 @@ from .model import (
 
 # Minimum name similarity for mapping an undeclared column onto a property.
 INFER_THRESHOLD = Fraction(7, 10)
-
-MISSING_HINT = "a query element is not populated by any integrated entity"
 
 # The links of every minted entity: `frozenset()` builds a new object per call.
 _NO_LINKS: frozenset[tuple[str, str, str]] = frozenset()
@@ -75,8 +74,12 @@ class MappingError(IntegrationError):
     """A column mapping names an unknown or incompatible target."""
 
 
-class UnknownEtypeError(MappingError):
+class UnknownEtypeError(MappingError, NotInGraphError):
     """The dataset's etype does not occur in the final graph."""
+
+
+class UndeclaredPropertyError(MappingError, NotInGraphError):
+    """A column is mapped to a property its etype does not declare."""
 
 
 def read_dataset_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -100,7 +103,10 @@ class MappingOverride(NamedTuple):
 
 def override_from_doc(doc) -> MappingOverride:
     where = "mapping override"
-    dataset_id = field(expect_json(doc, dict, where), "dataset_id", where)
+    unknown = sorted(set(expect_json(doc, dict, where)) - set(MappingOverride._fields))
+    if unknown:
+        raise MappingError(f"unknown mapping override keys: {', '.join(unknown)}")
+    dataset_id = field(doc, "dataset_id", where)
     columns: dict[str, tuple[str, str] | None] = {}
     names: dict[str, str] = {}
     for raw_name, spec in field(doc, "columns", where, dict, {}).items():
@@ -185,7 +191,7 @@ def infer_mapping(
     for column in schema.columns:
         prop = specs.get(column.name)
         if prop is not None and prop not in declared:
-            raise MappingError(
+            raise UndeclaredPropertyError(
                 f"{where}: column {column.name} mapped to undeclared property {etype}.{prop}"
             )
         if column.name in specs:
@@ -784,7 +790,8 @@ def eval_purpose(
                 continue
             result = coverage(ElementSet(beta.kind, alpha), beta)
             missing = sorted(alpha - beta.members)
-            note = f"missing: {', '.join(missing)}" if missing else MISSING_HINT
+            # nothing missing means coverage 1: the entry passes and drops its note
+            note = f"missing: {', '.join(missing)}"
             items.append((cq.id, beta.kind, result, note))
     return gate_from_results("eval_d", items, thresholds)
 

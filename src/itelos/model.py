@@ -40,6 +40,11 @@ class RowArityError(DocumentError):
     """A data row does not have the same number of fields as the header."""
 
 
+class NotInGraphError(ModelError):
+    """A document names an etype or a property that the schema graph it is
+    checked against lacks, so either of the two may be at fault."""
+
+
 # ---------------------------------------------------------------------------
 # Labels
 
@@ -161,8 +166,19 @@ class _ETG(NamedTuple):
     meta: ResourceMeta
 
 
+@checked
 class ETG(_ETG):
-    """Entity Type Graph: etypes, their properties, and subclass edges."""
+    """Entity Type Graph: etypes, their properties, and subclass edges.
+
+    A graph is valid because it exists: every construction runs
+    `validate_etg` and raises ModelError listing each violation, so a
+    reference ontology, a graph a phase builds and a graph read back from an
+    artifact or `--etg` are all checked in this one place. `_make` and
+    `_replace` skip the check.
+    """
+
+    def _check(self) -> None:
+        require_valid(validate_etg(self), "invalid schema graph", ModelError)
 
     def sorted_etypes(self) -> list[str]:
         return sorted(self.etypes)
@@ -201,7 +217,7 @@ class ETG(_ETG):
             queue = deque(self._parents.get(etype, ()))
             while queue:
                 node = queue.popleft()
-                if node in seen or node == etype:
+                if node in seen:
                     continue
                 seen[node] = None
                 queue.extend(self._parents.get(node, ()))

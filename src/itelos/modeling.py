@@ -16,13 +16,13 @@ from .model import (
     DatasetSchema,
     ETG,
     ModelError,
+    NotInGraphError,
     PropertyDef,
     ResourceMeta,
+    checked,
     compound_key,
     elements,
     field,
-    require_valid,
-    validate_etg,
 )
 
 FROM_CQ = "from_cq"
@@ -43,12 +43,33 @@ class ConflictingPropertyKindError(ModelingError):
     """The same property is required to be both data- and object-valued."""
 
 
+@checked
 class ETGModel(NamedTuple):
-    """The modeled graph plus provenance and per-etype category annotations."""
+    """The modeled graph plus provenance and per-etype category annotations.
+
+    `provenance` maps each element of the graph that a query or a dataset
+    mentions, an etype or an "etype.property" key, to `FROM_CQ` or
+    `FROM_DATASET`; `etype_categories` maps etypes of the graph to a member of
+    `CATEGORIES`. Every construction checks both, so a provenance artifact
+    that was edited by hand is refused when it is read back.
+    """
 
     etg: ETG
     provenance: Mapping[str, str]
     etype_categories: Mapping[str, str]
+
+    def _check(self) -> None:
+        etypes, props = elements(self.etg)
+        for element, source in self.provenance.items():
+            if element not in etypes.members and element not in props.members:
+                raise NotInGraphError(f"provenance: {element} is not an element of the model")
+            if source not in (FROM_CQ, FROM_DATASET):
+                raise ModelingError(f"provenance: unknown source {source!r} for {element}")
+        for etype, category in self.etype_categories.items():
+            if etype not in self.etg.etypes:
+                raise NotInGraphError(f"etype_categories: {etype} is not an etype of the model")
+            if category not in CATEGORIES:
+                raise ModelingError(f"etype_categories: unknown category {category!r} for {etype}")
 
     def category_of(self, etype: str) -> str:
         return self.etype_categories.get(etype, "contextual")
@@ -121,7 +142,6 @@ def build_etg_model(
         subclass_edges=frozenset(),
         meta=ResourceMeta(id=f"{base_id}-model", kind="ontology", category="contextual"),
     )
-    require_valid(validate_etg(etg), "modeled graph is invalid", ModelingError)
 
     etype_categories = {e: _most_reusable(categories.get(e, [])) for e in etypes}
     return ETGModel(etg=etg, provenance=provenance, etype_categories=etype_categories)

@@ -33,6 +33,7 @@ from itelos.integration import (
     MappingOverride,
     PendingLink,
     SchemaMapping,
+    UndeclaredPropertyError,
     UnknownEtypeError,
     _escape_literal,
     _iri,
@@ -66,9 +67,12 @@ def make_etg(
     category="core",
     popularity=0,
     kind="ontology",
+    checked=True,
 ):
     """ETG from plain strings; properties maps etype -> list of specs, where a
-    spec is a name or a (name, kind, datatype_or_range) tuple."""
+    spec is a name or a (name, kind, datatype_or_range) tuple. With `checked`
+    false it is built by `ETG._make`, which skips the validity check, so a
+    test can hold an invalid graph."""
     props = {}
     for etype, specs in (properties or {}).items():
         defs = []
@@ -90,15 +94,14 @@ def make_etg(
                         PropertyDef(name=normalize_text(name), datatype=extra)
                     )
         props[normalize_text(etype)] = tuple(defs)
-    return ETG(
-        id=graph_id,
-        etypes=frozenset(normalize_text(e) for e in etypes),
-        properties=props,
-        subclass_edges=frozenset(
-            (normalize_text(c), normalize_text(p)) for c, p in subclass
-        ),
-        meta=ResourceMeta(id=graph_id, kind=kind, category=category, popularity=popularity),
+    fields = (
+        graph_id,
+        frozenset(normalize_text(e) for e in etypes),
+        props,
+        frozenset((normalize_text(c), normalize_text(p)) for c, p in subclass),
+        ResourceMeta(id=graph_id, kind=kind, category=category, popularity=popularity),
     )
+    return ETG(*fields) if checked else ETG._make(fields)
 
 
 def make_cq(cq_id, etypes, pairs=()):
@@ -225,7 +228,7 @@ def scan_ancestors(etg, etype) -> list[str]:
     queue = sorted(p for c, p in etg.subclass_edges if c == etype)
     while queue:
         node = queue.pop(0)
-        if node in seen or node == etype:
+        if node in seen:
             continue
         seen.append(node)
         queue.extend(sorted(p for c, p in etg.subclass_edges if c == node))
@@ -629,7 +632,7 @@ def scan_infer_mapping(
                     f"into etype {target_etype}, which is not this dataset's etype"
                 )
             if prop not in declared:
-                raise MappingError(
+                raise UndeclaredPropertyError(
                     f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
                     f"undeclared property {etype}.{prop}"
                 )
@@ -652,7 +655,7 @@ def scan_infer_mapping(
     taken = set()
     for column in schema.mapped_columns():
         if column.mapped not in declared:
-            raise MappingError(
+            raise UndeclaredPropertyError(
                 f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
                 f"undeclared property {etype}.{column.mapped}"
             )

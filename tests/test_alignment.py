@@ -8,6 +8,7 @@ from itelos.alignment import (
     AlignmentPolicy,
     InvalidPolicyError,
     NoOntologiesError,
+    UnadoptedRangeError,
     etr_predict,
     eval_alignment,
     generate_etg,
@@ -317,6 +318,35 @@ class TestRankOntologies:
         assert ranking.ordered_ids() == ["o_pop", "o_full"]
 
 
+ALIGN_NAMES = ["hospital", "hospitl", "hospitals", "ward", "wards", "case"]
+ALIGN_PROPS = ["p", "q", "r", "s"]
+
+
+@st.composite
+def alignment_cases(draw):
+    """A model built from one query and one dataset per etype, some reference
+    ontologies with data properties and acyclic subclass edges over similar
+    names, and a policy whose low thresholds make adoption and renames common."""
+    cqs, schemas = [], []
+    for i, etype in enumerate(draw(st.lists(st.sampled_from(ALIGN_NAMES), min_size=1, max_size=4, unique=True))):
+        queried = draw(st.lists(st.sampled_from(ALIGN_PROPS), max_size=3, unique=True))
+        cqs.append(make_cq(f"q{i}", [etype], [(etype, p) for p in queried]))
+        columns = draw(st.lists(st.sampled_from(ALIGN_PROPS), max_size=3, unique=True))
+        category = draw(st.sampled_from(["common", "core", "contextual"]))
+        schemas.append(make_schema(f"d{i}", etype, columns, category=category))
+    ontologies = {}
+    for i in range(draw(st.integers(1, 2))):
+        etypes = draw(st.lists(st.sampled_from(ALIGN_NAMES), min_size=1, max_size=4, unique=True))
+        props = {e: draw(st.lists(st.sampled_from(ALIGN_PROPS + ["t"]), max_size=3, unique=True)) for e in etypes}
+        pairs = draw(st.lists(st.tuples(st.sampled_from(etypes), st.sampled_from(etypes)), max_size=4))
+        # an edge runs from a later etype to an earlier one, so none closes a cycle
+        edges = [(child, parent) for child, parent in pairs if etypes.index(child) > etypes.index(parent)]
+        ontologies[f"o{i}"] = make_etg(f"o{i}", etypes, props, subclass=edges, popularity=draw(st.integers(0, 2)))
+    threshold = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 10)]))
+    policy = AlignmentPolicy(match_threshold=threshold, core_adopt_threshold=draw(st.sampled_from([Fraction(0), Fraction(3, 4)])))
+    return build_etg_model(cqs, schemas), ontologies, policy
+
+
 def align(model, ontologies, policy=None):
     policy = policy or AlignmentPolicy()
     ranking = rank_ontologies(model, ontologies)
@@ -437,6 +467,32 @@ class TestGenerateEtg:
         second_final, second_plan = align(hospital_model(), dict(reversed(list(ontos.items()))))
         assert etg_to_doc(first_final) == etg_to_doc(second_final)
         assert plan_to_json(first_plan) == plan_to_json(second_plan)
+
+    @given(alignment_cases())
+    def test_every_model_element_survives_under_the_rename_map(self, case):
+        model, ontologies, policy = case
+        final, plan = align(model, ontologies, policy)
+        for element, _source in model.provenance.items():
+            etype, _, prop = element.partition(".")
+            renamed = plan.rename_map.get(etype, etype)
+            assert renamed in final.etypes
+            if prop:
+                assert prop in final.property_names(renamed)
+
+    def test_adopted_property_whose_range_is_left_out_names_its_ontology(self):
+        onto = make_etg(
+            "onto_health",
+            ["facility", "hospital", "municipality"],
+            {"facility": [("located_in", "object", "municipality")], "hospital": ["name", "beds", "address"]},
+            subclass=[("hospital", "facility")],
+        )
+        with pytest.raises(UnadoptedRangeError) as caught:
+            align(hospital_model("common"), {"onto_health": onto})
+        assert caught.value.ontology_id == "onto_health"
+        assert str(caught.value) == (
+            "adopting hospital brings in facility.located_in, whose range etype municipality "
+            "is not in the final graph"
+        )
 
     @given(
         st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),

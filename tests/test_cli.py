@@ -878,8 +878,8 @@ class TestHostileInput:
         (out / "selection.json").write_text(json.dumps({"datasets": ["ds_hospitals", dataset_id]}))
         done = run_cli(phase, "--purpose", COVID / "purpose.json", "--out", out)
         assert done.returncode == 1
-        cause = "the purpose lists no such dataset"
-        assert done.stderr == f"{phase} error: selected dataset {dataset_id!r} is not loadable: {cause}\n"
+        cause = f"datasets[1]: the purpose lists no dataset {dataset_id!r}"
+        assert done.stderr == f"{phase} error: {out / 'selection.json'}: {cause}\n"
 
     def test_sidecar_column_without_name_is_a_load_failure(self, tmp_path, capsys):
         root = copied_datasets(tmp_path)
@@ -1007,6 +1007,23 @@ class TestLoadFailureNotes:
             assert note.startswith(f"load failure: {resource_id}: ")
             assert note.count(str(target)) == 1
 
+    def test_invalid_ontology_lists_every_violation(self, tmp_path):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        target = root / "ontologies" / "onto_health.json"
+        doc = json.loads(target.read_text(encoding="utf-8"))
+        doc["properties"]["hospital"].append({"name": "part_of", "kind": "object", "range": "ghost"})
+        doc["subclass"].append(["facility", "hospital"])
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        main(["inception", "--purpose", str(root / "purpose.json"), "--out", str(out)])
+        (error,) = json.loads((out / "inception.json").read_text())["load_errors"]
+        assert error["message"] == (
+            f"{target}: invalid schema graph: "
+            "dangling_range: object property hospital.part_of targets unknown etype ghost; "
+            "subclass_cycle: subclass edge (hospital, facility) closes a cycle"
+        )
+
 
 def set_in(doc, path, value):
     """`doc` with the value at `path` (a list of keys and indexes) replaced."""
@@ -1070,13 +1087,15 @@ WRONG_SHAPES = {
 }
 
 
-class TestWrongShapes:
-    @pytest.fixture(scope="class")
-    def pipeline(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("pipeline")
-        assert main(fixture_argv("run", out)) == 0
-        return out
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """The artifacts of one full run on the fixture."""
+    out = tmp_path_factory.mktemp("pipeline")
+    assert main(fixture_argv("run", out)) == 0
+    return out
 
+
+class TestWrongShapes:
     @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
     def test_wrong_shape_names_the_file(self, case, pipeline, tmp_path):
         phase, name, path, value, code = WRONG_SHAPES[case]
@@ -1144,3 +1163,73 @@ class TestRefusals:
         assert done.stderr.startswith(f"{command} error: {root / named}: ")
         if dataset_id is not None:
             assert f"dataset {dataset_id!r}" in done.stderr
+
+
+def add_cycle(graph):
+    graph["subclass"].append(["facility", "hospital"])
+
+
+def duplicate_property(graph):
+    graph["properties"]["hospital"].append(graph["properties"]["hospital"][0])
+
+
+def add_located_in(ontology):
+    ontology["etypes"].append("municipality")
+    ontology["properties"]["facility"].append({"name": "located_in", "kind": "object", "range": "municipality"})
+
+
+# (file to damage: a fixture file, override.json (CASES_OVERRIDE), g.json (a
+# copy of the final graph) or out/<artifact> of a full run; the edit to its
+# JSON document; the command that reads it back and its flags). Each damage
+# used to be accepted, or refused with a message that named no file or
+# another one.
+READ_BACK = {
+    "etg_flag_cycle": ("g.json", add_cycle, ["integrate", "--etg", "g.json"]),
+    "final_cycle": ("out/etg_final.json", add_cycle, ["integrate"]),
+    "final_duplicate_property": ("out/etg_final.json", duplicate_property, ["integrate"]),
+    "final_unknown_etype_properties": (
+        "out/etg_final.json", lambda g: g["properties"].update(ghost=[{"name": "x"}]), ["integrate"]
+    ),
+    "final_dangling_subclass": ("out/etg_final.json", lambda g: g["subclass"].append(["hospital", "ghost"]), ["integrate"]),
+    "model_duplicate_property": ("out/etg_model.json", duplicate_property, ["align"]),
+    "provenance_unknown_source": (
+        "out/etg_model_provenance.json", lambda d: d["provenance"].update(hospital="whatever"), ["align"]
+    ),
+    "provenance_unknown_etype_category": (
+        "out/etg_model_provenance.json", lambda d: d["etype_categories"].update(ghost="core"), ["align"]
+    ),
+    "provenance_unknown_category": (
+        "out/etg_model_provenance.json", lambda d: d["etype_categories"].update(hospital="bogus"), ["align"]
+    ),
+    "provenance_unknown_property": (
+        "out/etg_model_provenance.json", lambda d: d["provenance"].update({"ghost.prop": "from_cq"}), ["align"]
+    ),
+    "rename_map_unknown_etype": ("out/rename_map.json", lambda d: d.update(hospital="ghost"), ["integrate"]),
+    "selection_unknown_dataset": ("out/selection.json", lambda d: d["datasets"].append("ds_ghost"), ["model"]),
+    "ontology_range_left_out": ("ontologies/onto_health.json", add_located_in, ["align"]),
+    "override_unknown_key": (
+        "override.json",
+        lambda d: d.update(identity=d.pop("identity_key")),
+        ["integrate", "--mapping", "override.json"],
+    ),
+}
+
+
+class TestReadBackRefusals:
+    @pytest.mark.parametrize("case", sorted(READ_BACK))
+    def test_refusal_names_the_damaged_file(self, case, pipeline, tmp_path, capsys):
+        name, edit, (command, *flags) = READ_BACK[case]
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        shutil.copytree(pipeline, root / "out")
+        shutil.copy(root / "out" / "etg_final.json", root / "g.json")
+        (root / "override.json").write_text(json.dumps(CASES_OVERRIDE), encoding="utf-8")
+        target = root / name
+        doc = json.loads(target.read_text(encoding="utf-8"))
+        edit(doc)
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        flags = [str(root / flag) if flag.endswith(".json") else flag for flag in flags]
+        code = main([command, "--purpose", str(root / "purpose.json"), "--out", str(root / "out"), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"{command} error: {target}: "), err

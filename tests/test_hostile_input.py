@@ -2,10 +2,12 @@
 
 Each example copies the covid fixture, writes a config file and a mapping
 override next to it, damages exactly one input file and runs `itelos run` in
-process. Whatever the damage, the run must end with exit code 0, 1 or 2 and
-no traceback; every error message and every load failure must name the
-damaged file; and a run that exits 0 must leave an `eg.nt` that parses as
-N-Triples.
+process. A stepwise example runs the four subcommands one after another
+instead and damages one artifact that an earlier phase wrote just before the
+phase that reads it back. Whatever the damage, the run must end with exit
+code 0, 1 or 2 and no traceback; every error message and every load failure
+must name the damaged file; and a run that exits 0 must leave an `eg.nt`
+that parses as N-Triples.
 
 CI runs this module alone under the `hostile-input` profile (see
 conftest.py) with a larger example budget.
@@ -14,6 +16,7 @@ conftest.py) with a larger example budget.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import shutil
@@ -22,7 +25,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from itelos.cli import main
+from itelos.cli import PHASES, main
 
 from helpers import COVID, read_ntriples
 
@@ -38,6 +41,14 @@ JSON_FILES = (
     "override.json",
 )
 CSV_FILES = ("data/hospitals.csv", "data/covid_cases.csv")
+# each artifact a phase reads back, with the first phase that reads it; the
+# fixture's rename_map.json is {}, which leaves nothing to damage
+READ_BACK = {
+    "selection.json": "model",
+    "etg_model.json": "align",
+    "etg_model_provenance.json": "align",
+    "etg_final.json": "integrate",
+}
 LEAVES = (None, True, 0, -1, 10**30, 1.5, float("inf"), float("nan"), "", "x", "Ospedale", [], {})
 
 
@@ -141,26 +152,69 @@ def edited(name: str, edit) -> tuple[str, bytes]:
     return name, json.dumps(doc).encode("utf-8")
 
 
-def run_damaged(name: str, data: bytes):
-    """Exit code, stderr and the output directory's artifacts of `itelos run`
-    on the inputs with `name` replaced by `data`, and the input directory."""
+@st.composite
+def damaged_artifacts(draw):
+    """The name of one artifact that a phase reads back and its damaged bytes."""
+    name = draw(st.sampled_from(sorted(READ_BACK)))
+    return name, draw(json_damage(json.loads(undamaged_artifacts()[name])))
+
+
+def run_phases(commands, damage):
+    """Exit code, stderr and the output directory's artifacts of running
+    `commands` one after another on a copy of the inputs, stopping at the
+    first that does not exit 0, and the input and output directories.
+    `damage(command, root, out)` is called before each command runs."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "in"
         shutil.copytree(COVID, root, ignore=shutil.ignore_patterns("golden"))
         for written, doc in written_docs(str(root)).items():
             (root / written).write_text(json.dumps(doc), encoding="utf-8")
-        (root / name).write_bytes(data.replace(b"{root}", str(root).encode()))
         out = Path(scratch) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", "--purpose", str(root / "purpose.json"), "--config", str(root / "config.json"), "--out", str(out)])
+            for command in commands:
+                damage(command, root, out)
+                code = main([command, "--purpose", str(root / "purpose.json"), "--config", str(root / "config.json"), "--out", str(out)])
+                if code:
+                    break
         artifacts = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
-        return code, err.getvalue(), artifacts, root
+        return code, err.getvalue(), artifacts, root, out
+
+
+@functools.cache
+def undamaged_artifacts() -> dict:
+    """The artifacts of `itelos run` on the undamaged inputs."""
+    return run_phases(["run"], lambda *_: None)[2]
+
+
+def run_damaged(name: str, data: bytes):
+    """`run_phases` of `itelos run` on the inputs with `name` replaced by
+    `data`."""
+
+    def damage(command, root, out):
+        (root / name).write_bytes(data.replace(b"{root}", str(root).encode()))
+
+    return run_phases(["run"], damage)
 
 
 def check_run(name: str, data: bytes) -> None:
-    code, err, artifacts, root = run_damaged(name, data)
-    damaged = str(root / name)
+    code, err, artifacts, root, _ = run_damaged(name, data)
+    check_outcome(code, err, artifacts, str(root / name), root)
+
+
+def check_steps(name: str, data: bytes) -> None:
+    """The subcommands one after another, with the artifact `name` replaced by
+    `data` just before the phase that reads it back."""
+
+    def damage(command, root, out):
+        if command == READ_BACK[name]:
+            (out / name).write_bytes(data)
+
+    code, err, artifacts, root, out = run_phases(PHASES, damage)
+    check_outcome(code, err, artifacts, str(out / name), root)
+
+
+def check_outcome(code: int, err: str, artifacts: dict, damaged: str, root: Path) -> None:
     # the override is checked against the purpose's datasets and against the
     # graph modeled from the purpose, the sidecars and the ontologies, so
     # damage to one of those can leave the undamaged override at fault
@@ -182,9 +236,16 @@ def check_run(name: str, data: bytes) -> None:
 
 class TestHostileInputOracle:
     def test_undamaged_inputs_pass(self):
-        code, err, artifacts, _ = run_damaged("override.json", json.dumps(CASES_OVERRIDE).encode())
+        code, err, artifacts, *_ = run_damaged("override.json", json.dumps(CASES_OVERRIDE).encode())
         assert (code, err) == (0, "")
         assert artifacts["eg.nt"] == (COVID / "golden" / "eg.nt").read_bytes()
+
+    def test_undamaged_steps_give_the_bytes_of_run(self):
+        code, err, artifacts, *_ = run_phases(PHASES, lambda *_: None)
+        assert (code, err) == (0, "")
+        assert {n: a for n, a in artifacts.items() if n != "run_manifest.json"} == {
+            n: a for n, a in undamaged_artifacts().items() if n != "run_manifest.json"
+        }
 
     @settings(deadline=None)
     @given(damaged_inputs())
@@ -202,3 +263,10 @@ class TestHostileInputOracle:
     @example(("data/covid_cases.csv", (COVID / "data/covid_cases.csv").read_bytes() + b"C9," + b"9" * 140_000 + b",TN01,1,\n"))
     def test_damaged_input_is_refused_or_run_cleanly(self, damage):
         check_run(*damage)
+
+    @settings(deadline=None)
+    @given(damaged_artifacts())
+    # a final graph whose subclass edges close a cycle
+    @example(("etg_final.json", b'{"id": "g", "meta": {"category": "core"}, "etypes": ["a", "b"], "subclass": [["a", "b"], ["b", "a"]]}'))
+    def test_damaged_artifact_is_refused_or_run_cleanly(self, damage):
+        check_steps(*damage)

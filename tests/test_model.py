@@ -231,6 +231,15 @@ class TestDatasetSchema:
         assert [c.name for c in s.mapped_columns()] == ["code", "name"]
 
 
+@st.composite
+def acyclic_edges(draw):
+    """Subclass edges over the etypes a-f, each from a later etype to an
+    earlier one in a drawn order, so that they never close a cycle."""
+    rank = {etype: i for i, etype in enumerate(draw(st.permutations("abcdef")))}
+    pairs = draw(st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=15))
+    return [(child, parent) for child, parent in pairs if rank[child] > rank[parent]]
+
+
 class TestEtgHelpers:
     def make_chain(self):
         return make_etg(
@@ -252,10 +261,6 @@ class TestEtgHelpers:
         # "q" resolves to b's declaration, not a's
         assert declared["q"] is g.props_of("b")[0]
 
-    def test_ancestors_tolerate_cycle(self):
-        g = make_etg("g", ["a", "b"], subclass=[("a", "b"), ("b", "a")])
-        assert g.ancestors_of("a") == ["b"]
-
     def test_returned_lists_do_not_share_the_cache(self):
         g = self.make_chain()
         g.ancestors_of("c").append("zzz")
@@ -269,11 +274,7 @@ class TestEtgHelpers:
         assert cached == fresh
         assert repr(cached) == repr(fresh)
 
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=15
-        )
-    )
+    @given(acyclic_edges())
     def test_ancestors_match_scan_oracle(self, edges):
         g = make_etg("g", list("abcdef"), subclass=edges)
         for etype in "abcdef":
@@ -296,14 +297,13 @@ class TestEtgHelpers:
         assert set(g.declared_properties("c")) == {"p", "q", "r", "s"}
 
     @given(
-        st.lists(
-            st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=15
-        ),
+        acyclic_edges(),
         st.dictionaries(
             st.sampled_from("abcdef"),
             st.lists(
                 st.tuples(st.sampled_from("pqr"), st.just("data"), st.sampled_from(DATATYPES)),
                 max_size=3,
+                unique_by=lambda spec: spec[0],
             ),
         ),
     )
@@ -416,7 +416,7 @@ class TestValidateEtg:
         assert "duplicate_property" in self.codes(broken)
 
     def test_dangling_range(self):
-        g = make_etg("g", ["a"], {"a": [("r", "object", "missing")]})
+        g = make_etg("g", ["a"], {"a": [("r", "object", "missing")]}, checked=False)
         assert self.codes(g) == ["dangling_range"]
 
     def test_dangling_subclass(self):
@@ -427,13 +427,27 @@ class TestValidateEtg:
         assert "dangling_subclass" in self.codes(broken)
 
     def test_subclass_cycle(self):
-        g = make_etg("g", ["a", "b"], subclass=[("a", "b"), ("b", "a")])
+        g = make_etg("g", ["a", "b"], subclass=[("a", "b"), ("b", "a")], checked=False)
         assert "subclass_cycle" in self.codes(g)
 
     def test_violation_str(self):
-        g = make_etg("g", ["a"], {"a": [("r", "object", "missing")]})
+        g = make_etg("g", ["a"], {"a": [("r", "object", "missing")]}, checked=False)
         text = str(validate_etg(g)[0])
         assert text.startswith("dangling_range: ")
+
+    def test_construction_lists_every_violation(self):
+        with pytest.raises(ModelError) as caught:
+            make_etg("g", ["a", "b"], {"a": [("r", "object", "missing")]}, subclass=[("a", "b"), ("b", "a")])
+        assert str(caught.value) == (
+            "invalid schema graph: dangling_range: object property a.r targets unknown etype missing; "
+            "subclass_cycle: subclass edge (b, a) closes a cycle"
+        )
+
+    def test_replace_and_make_skip_the_check(self):
+        g = clean_etg()
+        broken = g._replace(subclass_edges=frozenset({("hospital", "ghost")}))
+        assert self.codes(broken) == ["dangling_subclass"]
+        assert self.codes(type(g)._make(broken)) == ["dangling_subclass"]
 
 
 def ETGReplace(g, **changes):
