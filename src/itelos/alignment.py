@@ -45,13 +45,22 @@ class NoOntologiesError(AlignmentError):
     """The purpose lists no loadable reference ontology."""
 
 
-class UnadoptedRangeError(AlignmentError):
-    """An adopted etype brings in an object property of the ontology
-    `ontology_id` whose range etype the final graph leaves out."""
+class OntologyConflictError(AlignmentError):
+    """The final graph cannot hold what the ontologies `ontology_ids`
+    contribute."""
 
-    def __init__(self, ontology_id: str, message: str):
+    def __init__(self, ontology_ids: tuple[str, ...], message: str):
         super().__init__(message)
-        self.ontology_id = ontology_id
+        self.ontology_ids = ontology_ids
+
+
+class UnadoptedRangeError(OntologyConflictError):
+    """An adopted etype brings in an object property whose range etype the
+    final graph leaves out."""
+
+
+class SubclassCycleError(OntologyConflictError):
+    """Subclass edges that several ontologies contribute close a cycle."""
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -268,7 +277,7 @@ class MergePlan(NamedTuple):
 
     ranking: OntologyRanking
     decisions: tuple[Decision, ...]
-    adoption_rates: Mapping[str, Fraction | None]
+    adoption_rates: Mapping[str, Fraction]
     rename_map: Mapping[str, str]
 
 
@@ -280,6 +289,19 @@ def _closure_edges(ontology: ETG, members: set[str]) -> set[tuple[str, str]]:
     }
 
 
+def _cycle_sources(
+    edge_sources: Mapping[tuple[str, str], set[str]], ranking: OntologyRanking
+) -> tuple[str, ...]:
+    """The ontologies, in ranking order, that gave a subclass edge lying on a
+    cycle of the joined edges `edge_sources` (edge -> ontology ids)."""
+    joined = ETG._make(("", frozenset(), {}, frozenset(edge_sources), None))  # unchecked: cyclic
+    looped = set()
+    for (child, parent), ids in edge_sources.items():
+        if child in joined.ancestors_of(parent):
+            looped |= ids
+    return tuple(oid for oid in ranking.ordered_ids() if oid in looped)
+
+
 def generate_etg(
     model: ETGModel,
     predictions: Mapping[str, PredictionVector],
@@ -289,137 +311,102 @@ def generate_etg(
 ) -> tuple[ETG, MergePlan]:
     """Merge the model with its best reference matches into the final graph.
 
-    Each model etype takes its top candidate from the highest-ranked ontology
-    that offers one. Adopting an etype renames it to the reference label and
-    pulls in the reference properties plus the full ancestor chain; on a
-    property name clash the model's definition stands. Each model etype's own
-    properties land under its final name before any ontology property, so
-    every element of the model survives under `rename_map`. An object
-    property pulled in whose range etype the final graph leaves out raises
-    UnadoptedRangeError naming its ontology.
+    Alignment decides first, then builds. Each model etype takes its top
+    candidate from the highest-ranked ontology that offers one, and its
+    category decides whether it adopts it; adopting renames the etype to the
+    reference label. That fixes `rename_map` and every final etype (kept
+    names, adopted labels and their ancestors) before any property is placed.
+    Then every model property lands under its etype's final name, an object
+    range renamed through `rename_map`, so every element of the model
+    survives under `rename_map` and on a property name clash the model's
+    definition stands. Last, each adopted etype pulls in its ontology's
+    properties and full ancestor chain, ranges kept as the ontology wrote
+    them. A pulled object property whose range etype is not final raises
+    UnadoptedRangeError, and subclass edges from several ontologies that
+    close a cycle raise SubclassCycleError; each names the ontologies.
     """
     policy = policy or AlignmentPolicy()
     decisions: list[Decision] = []
     rename_map: dict[str, str] = {}
     final_etypes: set[str] = set()
-    # insertion order fixes precedence: model definitions land first
-    final_props: dict[str, dict[str, PropertyDef]] = {}
-    final_edges: set[tuple[str, str]] = set()
-    adopted_count: dict[str, int] = {}
-    category_count: dict[str, int] = {}
-    # (holder, object property, ontology id, adopted etype) for each object
-    # property an ontology contributed: only these can lose their range
-    pulled_links: list[tuple[str, PropertyDef, str, str]] = []
-
-    def add_props(
-        etype: str, defs: Iterable[PropertyDef], source: tuple[str, str] | None = None
-    ) -> list[str]:
-        bucket = final_props.setdefault(etype, {})
-        added = []
-        for definition in defs:
-            if definition.name not in bucket:
-                bucket[definition.name] = definition
-                added.append(definition.name)
-                if source is not None and definition.kind == "object":
-                    pulled_links.append((etype, definition, *source))
-        return added
-
     for etype in model.etg.sorted_etypes():
         category = model.category_of(etype)
-        category_count[category] = category_count.get(category, 0) + 1
-        best: tuple[str, Candidate] | None = None
+        decision = Decision(etype, category, "keep")
         for ontology_id in ranking.ordered_ids():
             vector = predictions.get(ontology_id)
             candidate = vector.best_for(etype) if vector else None
             if candidate is not None:
-                best = (ontology_id, candidate)
-                break
-
-        adopt = False
-        if best is not None:
-            if category == "common":
-                adopt = True
-            elif category == "core":
-                adopt = best[1].score >= policy.core_adopt_threshold
-
-        if not adopt:
-            final_etypes.add(etype)
-            add_props(etype, model.etg.props_of(etype))
-            decisions.append(
-                Decision(
-                    etype=etype,
-                    category=category,
-                    action="keep",
-                    ontology=best[0] if best else None,
-                    candidate=best[1].label if best else None,
-                    score=best[1].score if best else None,
+                decision = decision._replace(
+                    ontology=ontology_id, candidate=candidate.label, score=candidate.score
                 )
-            )
+                break
+        if decision.candidate is not None and (
+            category == "common"
+            or category == "core" and decision.score >= policy.core_adopt_threshold
+        ):
+            ancestors = ontologies[decision.ontology].ancestors_of(decision.candidate)
+            decision = decision._replace(action="adopt", adopted_parents=tuple(ancestors))
+            if decision.candidate != etype:
+                rename_map[etype] = decision.candidate
+            final_etypes.update([decision.candidate, *ancestors])
+        else:
+            final_etypes.add(etype)
+        decisions.append(decision)
+
+    # insertion order fixes precedence: model definitions land first
+    final_props: dict[str, dict[str, PropertyDef]] = {e: {} for e in sorted(final_etypes)}
+    for etype in model.etg.sorted_etypes():
+        bucket = final_props[rename_map.get(etype, etype)]
+        for definition in model.etg.props_of(etype):
+            renamed = definition._replace(range=rename_map.get(definition.range, definition.range))
+            bucket.setdefault(definition.name, renamed)
+
+    edge_sources: dict[tuple[str, str], set[str]] = {}
+    for index, decision in enumerate(decisions):
+        if decision.action != "adopt":
             continue
+        ontology = ontologies[decision.ontology]
+        chain = [decision.candidate, *decision.adopted_parents]
+        adopted = []
+        for holder in chain:
+            bucket = final_props[holder]
+            for definition in ontology.props_of(holder):
+                if definition.name in bucket:
+                    continue
+                if definition.kind == "object" and definition.range not in final_etypes:
+                    raise UnadoptedRangeError(
+                        (decision.ontology,),
+                        f"adopting {decision.candidate} brings in {holder}.{definition.name}, "
+                        f"whose range etype {definition.range} is not in the final graph",
+                    )
+                bucket[definition.name] = definition
+                if holder == decision.candidate:
+                    adopted.append(definition.name)
+        for edge in _closure_edges(ontology, set(chain)):
+            edge_sources.setdefault(edge, set()).add(decision.ontology)
+        decisions[index] = decision._replace(adopted_properties=tuple(sorted(adopted)))
 
-        ontology_id, candidate = best
-        ontology = ontologies[ontology_id]
-        final_name = candidate.label
-        if final_name != etype:
-            rename_map[etype] = final_name
-        final_etypes.add(final_name)
-        add_props(final_name, model.etg.props_of(etype))
-        source = (ontology_id, final_name)
-        adopted = add_props(final_name, ontology.props_of(final_name), source)
-        ancestors = ontology.ancestors_of(final_name)
-        for ancestor in ancestors:
-            final_etypes.add(ancestor)
-            add_props(ancestor, ontology.props_of(ancestor), source)
-        final_edges |= _closure_edges(ontology, {final_name, *ancestors})
-        adopted_count[category] = adopted_count.get(category, 0) + 1
-        decisions.append(
-            Decision(
-                etype=etype,
-                category=category,
-                action="adopt",
-                ontology=ontology_id,
-                candidate=final_name,
-                score=candidate.score,
-                adopted_properties=tuple(sorted(adopted)),
-                adopted_parents=tuple(ancestors),
-            )
+    base = model.etg.id.removesuffix("-model")
+    try:
+        final = ETG(
+            id=f"{base}-etg",
+            etypes=frozenset(final_etypes),
+            properties={etype: tuple(bucket.values()) for etype, bucket in final_props.items()},
+            subclass_edges=frozenset(edge_sources),
+            meta=ResourceMeta(id=f"{base}-etg", kind="ontology", category="contextual"),
         )
+    except ModelError as exc:
+        # the steps above leave only a cycle, and each ontology's own edges
+        # are acyclic, so the cycle joins the edges of two or more
+        sources = _cycle_sources(edge_sources, ranking)
+        raise SubclassCycleError(
+            sources, f"joining the subclass edges of {', '.join(sources)} gives an {exc}"
+        ) from exc
 
-    for holder, definition, ontology_id, adopted_etype in pulled_links:
-        if rename_map.get(definition.range, definition.range) not in final_etypes:
-            raise UnadoptedRangeError(
-                ontology_id,
-                f"adopting {adopted_etype} brings in {holder}.{definition.name}, whose range "
-                f"etype {definition.range} is not in the final graph",
-            )
-    properties = {
-        etype: tuple(
-            PropertyDef(
-                name=d.name,
-                kind=d.kind,
-                datatype=d.datatype,
-                range=rename_map.get(d.range, d.range),
-            )
-            for d in bucket.values()
-        )
-        for etype, bucket in final_props.items()
-    }
-
-    base = model.etg.id
-    if base.endswith("-model"):
-        base = base[: -len("-model")]
-    final = ETG(
-        id=f"{base}-etg",
-        etypes=frozenset(final_etypes),
-        properties=properties,
-        subclass_edges=frozenset(final_edges),
-        meta=ResourceMeta(id=f"{base}-etg", kind="ontology", category="contextual"),
-    )
-
-    rates = {
-        category: Fraction(adopted_count.get(category, 0), total) if total else None
-        for category, total in category_count.items()
-    }
+    adoptions: dict[str, list[bool]] = {}
+    for decision in decisions:
+        adoptions.setdefault(decision.category, []).append(decision.action == "adopt")
+    rates = {category: Fraction(sum(flags), len(flags)) for category, flags in adoptions.items()}
     plan = MergePlan(
         ranking=ranking, decisions=tuple(decisions), adoption_rates=rates, rename_map=rename_map
     )
@@ -478,8 +465,7 @@ def plan_to_json(plan: MergePlan) -> dict:
             for d in plan.decisions
         ],
         "adoption_rates": {
-            category: fraction_json(rate) if rate is not None else None
-            for category, rate in plan.adoption_rates.items()
+            category: fraction_json(rate) for category, rate in plan.adoption_rates.items()
         },
         "rename_map": plan.rename_map,
     }

@@ -34,7 +34,7 @@ from . import __version__
 from .alignment import (
     AlignmentPolicy,
     InvalidPolicyError,
-    UnadoptedRangeError,
+    OntologyConflictError,
     etr_predict,
     eval_alignment,
     generate_etg,
@@ -216,14 +216,15 @@ def _in_file(path: Path, step, *args, **kwargs):
         raise PhaseError(f"{path}: {exc}") from exc
 
 
-def _against(graph_path: Path, check, *args, **kwargs):
+def _against(graph: Path | str, check, *args, **kwargs):
     """`check(*args, **kwargs)`, which checks a document against the schema
-    graph read from `graph_path`. When the graph lacks what the document
-    names, either file may be at fault, so the error names the graph too."""
+    graph that `graph` describes by its path. When the graph lacks what the
+    document names, either file may be at fault, so the error names the
+    graph too."""
     try:
         return check(*args, **kwargs)
     except NotInGraphError as exc:
-        raise NotInGraphError(f"{exc} (schema graph {graph_path})") from exc
+        raise NotInGraphError(f"{exc} (schema graph {graph})") from exc
 
 
 def _read_artifact(out: Path, name: str, parse):
@@ -238,7 +239,8 @@ def _read_artifact(out: Path, name: str, parse):
 
 def _read_selection(out: Path, purpose: Purpose) -> list[str]:
     """The dataset ids in integration order, as the inception phase wrote
-    them to `out / selection.json`; each must be a dataset of `purpose`."""
+    them to `out / selection.json`; each must be a dataset of `purpose`,
+    listed once."""
     dataset_ids = {ref.meta.id for ref in purpose.dataset_refs}
 
     def parse(doc) -> list[str]:
@@ -246,6 +248,8 @@ def _read_selection(out: Path, purpose: Purpose) -> list[str]:
         for index, item in enumerate(listed):
             if expect_json(item, str, f"datasets[{index}]") not in dataset_ids:
                 raise PhaseError(f"datasets[{index}]: the purpose lists no dataset {item!r}")
+            if listed.index(item) != index:
+                raise PhaseError(f"datasets[{index}]: dataset {item!r} is listed twice")
         return listed
 
     return _read_artifact(out, "selection.json", parse)
@@ -336,9 +340,10 @@ def phase_align(config: PipelineConfig) -> GateReport:
     }
     try:
         final, plan = generate_etg(model, predictions, ranking, ontologies, config.policy)
-    except UnadoptedRangeError as exc:
-        (ref,) = [ref for ref in purpose.ontology_refs if ref.meta.id == exc.ontology_id]
-        raise PhaseError(f"{_resource_path(config, ref)}: {exc}") from exc
+    except OntologyConflictError as exc:
+        refs = {ref.meta.id: ref for ref in purpose.ontology_refs}
+        paths = ", ".join(str(_resource_path(config, refs[oid])) for oid in exc.ontology_ids)
+        raise PhaseError(f"{paths}: {exc}") from exc
     dump_etg(final, out / "etg_final.json")
     write_json(out / "merge_plan.json", plan_to_json(plan))
     write_json(out / "rename_map.json", plan.rename_map)
@@ -368,7 +373,11 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         return renamed
 
     # standalone use (--etg without earlier phases): no renames, purpose order
-    rename_map = _read_artifact(out, "rename_map.json", renames) if (out / "rename_map.json").is_file() else {}
+    rename_map, graph = {}, str(etg_path)
+    if (out / "rename_map.json").is_file():
+        rename_map = _read_artifact(out, "rename_map.json", renames)
+        # a dataset's etype reaches the graph through the renames, which may be at fault too
+        graph += f" as renamed by {out / 'rename_map.json'}"
     if (out / "selection.json").is_file():
         selection = _read_selection(out, purpose)
     else:
@@ -395,7 +404,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         # the override replaces the sidecar's mapping, so a mapping error is its fault
         mapping_path, override = overrides.get(schema.dataset_id, (sidecar_schema_path(path), None))
         mapping = _in_file(
-            mapping_path, _against, etg_path, infer_mapping, schema, etg, rename_map=rename_map, override=override
+            mapping_path, _against, graph, infer_mapping, schema, etg, rename_map=rename_map, override=override
         )
         state, case = _in_file(path, integrate_dataset, state, mapping, header, rows)
         cases.append(case)

@@ -5,11 +5,10 @@ on query coverage (eval_d).
 Entities of one etype are compared by their `Entity.value_sets` maps: equal
 identity keys decide, else agreement on every property both populate, with
 at least one such property. A merged entity keeps the lexicographically
-smallest of its ids (unless several records match one existing entity; see
-`merge_entities`), and unresolved links are retried after every merge, so
+smallest of its ids, and unresolved links are retried after every merge, so
 keyed datasets whose entities all match on identity keys give the same graph
 in any order. Where no key decides, entities match greedily, and which ones
-merge can depend on the dataset order (see `merge_entities`).
+merge can depend on the dataset order (see `match_entities`).
 
 A dataset's case report costs O(fragment + touched entities), plus one
 identity comparison per entity and one `connected_components` pass: only the
@@ -422,24 +421,22 @@ def _merge_values(
 def merge_entities(
     eg: EG, fragment: Fragment, matches: Mapping[str, str]
 ) -> tuple[EG, dict[str, str]]:
-    """Fold the fragment into the graph, collapsing matched pairs.
+    """Fold the fragment into the graph, collapsing matched entities.
 
-    The merged entity keeps the lexicographically smallest of the two ids;
-    the returned remap records every id that changed, so callers can rewrite
-    references they hold outside the graph. The graph's entities and then
-    the fragment's are folded in id order: values of a merged entity keep
-    that order, and its etype is the first one's. An entity that is not
-    merged, renamed or re-linked is kept as the same object.
-
-    The remap holds one target per id, the last one written in fragment id
-    order. So when several fragment entities match one existing entity, the
-    existing entity folds into the largest of their ids that sorts below its
-    own, if any; the ones sorting above it fold into its old id, and any
-    other matching fragment entity stays separate.
+    An existing entity and every fragment entity matched to it fold into one
+    entity under the lexicographically smallest of their ids; the returned
+    remap records every id that changed, so callers can rewrite references
+    they hold outside the graph. The graph's entities and then the
+    fragment's are folded in id order: values of a merged entity keep that
+    order, and its etype is the first one's. An entity that is not merged,
+    renamed or re-linked is kept as the same object.
     """
+    smallest: dict[str, str] = {}  # existing id -> the smallest id of its group
+    for fragment_id, existing_id in matches.items():
+        smallest[existing_id] = min(smallest.get(existing_id, existing_id), fragment_id)
     remap: dict[str, str] = {}
     for fragment_id, existing_id in matches.items():
-        merged_id = min(fragment_id, existing_id)
+        merged_id = smallest[existing_id]
         if existing_id != merged_id:
             remap[existing_id] = merged_id
         if fragment_id != merged_id:

@@ -167,10 +167,15 @@ def provenance_to_json(model: ETGModel) -> dict:
 
 
 def model_from_docs(etg: ETG, prov_doc: Mapping) -> ETGModel:
+    """The model `provenance_to_json` wrote, on the graph `etg`. As
+    `build_etg_model` gives every etype a category, one without is refused
+    rather than read as contextual."""
     def table(key: str) -> dict[str, str]:
         raw = field(prov_doc, key, "", dict, {})
         return {name: field(raw, name, key) for name in raw}
 
-    return ETGModel(
-        etg=etg, provenance=table("provenance"), etype_categories=table("etype_categories")
-    )
+    categories = table("etype_categories")
+    missing = sorted(etg.etypes - categories.keys())
+    if missing:
+        raise ModelingError(f"etype_categories: etype {missing[0]} has no category")
+    return ETGModel(etg=etg, provenance=table("provenance"), etype_categories=categories)

@@ -57,6 +57,8 @@ from itelos.model import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COVID = FIXTURES / "covid_trentino"
+# two model etypes adopt ontology labels that are each other's names
+RENAMES = FIXTURES / "renames"
 
 
 def make_etg(
@@ -264,6 +266,24 @@ def scan_etr_predict(model, ontology, policy) -> PredictionVector:
     return PredictionVector(ontology_id=ontology.meta.id, candidates=by_etype)
 
 
+def scan_pulled_properties(model, plan, ontologies) -> dict[tuple[str, str], str]:
+    """(final etype, property name) -> the id of the ontology that put the
+    property there: each adopting decision in turn claims the properties of
+    its ontology's label and ancestors that neither the model, under its
+    final etype names, nor an earlier decision holds."""
+    claimed = {
+        (plan.rename_map.get(etype, etype), prop.name): None
+        for etype in model.etg.etypes
+        for prop in model.etg.props_of(etype)
+    }
+    for decision in plan.decisions:
+        if decision.action == "adopt":
+            for holder in (decision.candidate, *decision.adopted_parents):
+                for prop in ontologies[decision.ontology].props_of(holder):
+                    claimed.setdefault((holder, prop.name), decision.ontology)
+    return {key: ontology_id for key, ontology_id in claimed.items() if ontology_id is not None}
+
+
 def matrix_levenshtein(a: str, b: str) -> int:
     """Edit distance read off the full (len(a) + 1) x (len(b) + 1) matrix."""
     dist = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)] for i in range(len(a) + 1)]
@@ -386,14 +406,17 @@ def scan_conflict_flags(entities) -> frozenset:
 def scan_merge_entities(eg, fragment, matches):
     """merge_entities in two passes: fold every entity of the graph and then
     of the fragment into new Entity objects, then rebuild every entity again
-    with its links rewritten through the remap."""
-    remap: dict[str, str] = {}
+    with its links rewritten through the remap. Each existing id and the
+    fragment ids matched to it map to the smallest id among them."""
+    group_of = {existing_id: {existing_id} for existing_id in matches.values()}
     for fragment_id, existing_id in matches.items():
-        merged_id = min(fragment_id, existing_id)
-        if existing_id != merged_id:
-            remap[existing_id] = merged_id
-        if fragment_id != merged_id:
-            remap[fragment_id] = merged_id
+        group_of[existing_id].add(fragment_id)
+    remap = {
+        member: min(group)
+        for group in group_of.values()
+        for member in group
+        if member != min(group)
+    }
 
     def target(entity_id: str) -> str:
         return remap.get(entity_id, entity_id)

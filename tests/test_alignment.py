@@ -8,6 +8,8 @@ from itelos.alignment import (
     AlignmentPolicy,
     InvalidPolicyError,
     NoOntologiesError,
+    OntologyConflictError,
+    SubclassCycleError,
     UnadoptedRangeError,
     etr_predict,
     eval_alignment,
@@ -26,7 +28,15 @@ from itelos.model import (
     etg_to_doc,
 )
 
-from helpers import etr_pair_score, make_cq, make_etg, make_schema, matrix_levenshtein, scan_etr_predict
+from helpers import (
+    etr_pair_score,
+    make_cq,
+    make_etg,
+    make_schema,
+    matrix_levenshtein,
+    scan_etr_predict,
+    scan_pulled_properties,
+)
 
 names = st.text(alphabet="abcdefgh", min_size=0, max_size=8)
 prop_sets = st.frozensets(st.sampled_from(["p", "q", "r", "s"]), max_size=4)
@@ -347,6 +357,44 @@ def alignment_cases(draw):
     return build_etg_model(cqs, schemas), ontologies, policy
 
 
+@st.composite
+def linked_alignment_cases(draw):
+    """An `alignment_cases` case whose ontologies also hold object
+    properties, each named after its range, between their own etypes."""
+    model, ontologies, policy = draw(alignment_cases())
+    linked = {}
+    for ontology_id, ontology in ontologies.items():
+        etypes = ontology.sorted_etypes()
+        links = draw(st.lists(st.tuples(st.sampled_from(etypes), st.sampled_from(etypes)), max_size=3, unique=True))
+        props = {
+            etype: (*ontology.props_of(etype), *(PropertyDef(f"to_{r}", "object", range=r) for h, r in links if h == etype))
+            for etype in etypes
+        }
+        linked[ontology_id] = ETG(*ontology._replace(properties=props))
+    return model, linked, policy
+
+
+def renamed_range_case():
+    """Model etypes aab (p, q, r) and aac (x, y, z) adopt the ontology's aaa
+    and aab, which hold those properties, so aab is a name in both the model
+    and the ontology for different etypes. The ontology's holder.to ranges
+    over its own aab, the etype holding x, y and z."""
+    model = build_etg_model(
+        [make_cq("q1", ["aab"], [("aab", "p")]), make_cq("q2", ["aac"], [("aac", "x")]), make_cq("q3", ["holder"], [("holder", "n")])],
+        [
+            make_schema("d1", "aab", ["p", "q", "r"], category="common"),
+            make_schema("d2", "aac", ["x", "y", "z"], category="common"),
+            make_schema("d3", "holder", ["n"], category="common"),
+        ],
+    )
+    onto = make_etg(
+        "o",
+        ["aaa", "aab", "holder"],
+        {"aaa": ["p", "q", "r"], "aab": ["x", "y", "z"], "holder": ["n", ("to", "object", "aab")]},
+    )
+    return model, {"o": onto}, AlignmentPolicy()
+
+
 def align(model, ontologies, policy=None):
     policy = policy or AlignmentPolicy()
     ranking = rank_ontologies(model, ontologies)
@@ -488,10 +536,75 @@ class TestGenerateEtg:
         )
         with pytest.raises(UnadoptedRangeError) as caught:
             align(hospital_model("common"), {"onto_health": onto})
-        assert caught.value.ontology_id == "onto_health"
+        assert caught.value.ontology_ids == ("onto_health",)
         assert str(caught.value) == (
             "adopting hospital brings in facility.located_in, whose range etype municipality "
             "is not in the final graph"
+        )
+
+    def test_ontology_range_keeps_its_ontology_name(self):
+        model, ontologies, policy = renamed_range_case()
+        final, plan = align(model, ontologies, policy)
+        assert plan.rename_map == {"aab": "aaa", "aac": "aab"}
+        assert {p.name: p.range for p in final.props_of("holder")} == {"n": None, "to": "aab"}
+        assert final.property_names("aab") == {"x", "y", "z"}
+
+    @given(linked_alignment_cases())
+    @example(renamed_range_case())
+    def test_ontology_ranges_hold_their_ontology_properties(self, case):
+        """Every property an ontology contributes keeps its definition, range
+        included, and when that range etype was pulled in from the same
+        ontology the final graph's etype of that name holds its properties."""
+        model, ontologies, policy = case
+        try:
+            final, plan = align(model, ontologies, policy)
+        except OntologyConflictError:
+            return
+        pulled = {
+            (d.ontology, etype)
+            for d in plan.decisions
+            if d.action == "adopt"
+            for etype in (d.candidate, *d.adopted_parents)
+        }
+        for (holder, name), ontology_id in scan_pulled_properties(model, plan, ontologies).items():
+            ontology = ontologies[ontology_id]
+            (written,) = [p for p in ontology.props_of(holder) if p.name == name]
+            assert written in final.props_of(holder)
+            if written.kind == "object" and (ontology_id, written.range) in pulled:
+                assert ontology.property_names(written.range) <= final.property_names(written.range)
+
+    def test_model_definition_wins_on_clash_across_etypes(self):
+        # ward adopts ward, a subclass of zone, and sorts before the model's
+        # own zone: the ontology's zone.beds must not replace the model's
+        model = build_etg_model(
+            [make_cq("q1", ["ward"], [("ward", "name")]), make_cq("q2", ["zone"], [("zone", "beds")])],
+            [make_schema("d1", "ward", ["name"], category="common"), make_schema("d2", "zone", ["beds"], category="contextual")],
+            {"zone.beds": PropertyDef(name="beds", datatype="integer")},
+        )
+        onto = make_etg(
+            "o", ["ward", "zone"], {"ward": ["name"], "zone": [("beds", "data", "string")]}, subclass=[("ward", "zone")]
+        )
+        final, plan = align(model, {"o": onto})
+        assert [d.action for d in plan.decisions] == ["adopt", "keep"]
+        assert final.props_of("zone") == (PropertyDef(name="beds", datatype="integer"),)
+
+    def test_subclass_cycle_joined_from_two_ontologies_names_them(self):
+        # a gives xx < yy and b gives yy < xx; c's zz < ww lies on no cycle
+        model = build_etg_model(
+            [make_cq("q", ["xx", "yy", "zz"], [("xx", "p"), ("yy", "q"), ("zz", "r")])],
+            [make_schema(f"d_{e}", e, [p], category="common") for e, p in (("xx", "p"), ("yy", "q"), ("zz", "r"))],
+        )
+        ontologies = {
+            "a": make_etg("a", ["xx", "yy"], {"xx": ["p"]}, subclass=[("xx", "yy")], popularity=5),
+            "b": make_etg("b", ["xx", "yy"], {"yy": ["q"]}, subclass=[("yy", "xx")], popularity=1),
+            "c": make_etg("c", ["zz", "ww"], {"zz": ["r"]}, subclass=[("zz", "ww")]),
+        }
+        with pytest.raises(SubclassCycleError) as caught:
+            align(model, ontologies)
+        assert caught.value.ontology_ids == ("a", "b")
+        assert str(caught.value) == (
+            "joining the subclass edges of a, b gives an invalid schema graph: "
+            "subclass_cycle: subclass edge (yy, xx) closes a cycle"
         )
 
     @given(

@@ -12,7 +12,7 @@ import pytest
 import itelos
 from itelos.cli import main
 
-from helpers import COVID
+from helpers import COVID, RENAMES
 
 
 def fixture_argv(command, out, *extra):
@@ -125,6 +125,17 @@ class TestRun:
         stdout = capsys.readouterr().out
         for gate in ("eval_a", "eval_b", "eval_c", "eval_d"):
             assert f"gate: {gate}" in stdout
+
+    def test_ontology_range_keeps_its_name_through_model_renames(self, tmp_path):
+        # model aab and aac adopt the labels aaa and aab; the ontology's
+        # holder.to ranges over its own aab, which holds x, y and z
+        out = tmp_path / "out"
+        argv = ["run", "--purpose", str(RENAMES / "purpose.json"), "--config", str(RENAMES / "config.json")]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads((out / "rename_map.json").read_text(encoding="utf-8")) == {"aab": "aaa", "aac": "aab"}
+        final = json.loads((out / "etg_final.json").read_text(encoding="utf-8"))
+        assert {"name": "to", "kind": "object", "range": "aab"} in final["properties"]["holder"]
+        assert [p["name"] for p in final["properties"]["aab"]] == ["x", "y", "z"]
 
     def test_run_equals_composed_subcommands(self, tmp_path):
         run_out = tmp_path / "run"
@@ -1201,11 +1212,15 @@ READ_BACK = {
     "provenance_unknown_category": (
         "out/etg_model_provenance.json", lambda d: d["etype_categories"].update(hospital="bogus"), ["align"]
     ),
+    "provenance_missing_category": (
+        "out/etg_model_provenance.json", lambda d: d["etype_categories"].pop("hospital"), ["align"]
+    ),
     "provenance_unknown_property": (
         "out/etg_model_provenance.json", lambda d: d["provenance"].update({"ghost.prop": "from_cq"}), ["align"]
     ),
     "rename_map_unknown_etype": ("out/rename_map.json", lambda d: d.update(hospital="ghost"), ["integrate"]),
     "selection_unknown_dataset": ("out/selection.json", lambda d: d["datasets"].append("ds_ghost"), ["model"]),
+    "selection_duplicate_dataset": ("out/selection.json", lambda d: d["datasets"].append("ds_hospitals"), ["model"]),
     "ontology_range_left_out": ("ontologies/onto_health.json", add_located_in, ["align"]),
     "override_unknown_key": (
         "override.json",
@@ -1233,3 +1248,23 @@ class TestReadBackRefusals:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"{command} error: {target}: "), err
+
+    def test_subclass_cycle_joined_from_two_ontologies_names_both(self, pipeline, tmp_path, capsys):
+        # onto_upper, ranked first, now gives covid_case < facility < hospital,
+        # and covid_case adopts it; hospital adopts onto_health's hospital < facility
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        shutil.copytree(pipeline, root / "out")
+        upper, health = root / "ontologies" / "onto_upper.json", root / "ontologies" / "onto_health.json"
+        doc = json.loads(upper.read_text(encoding="utf-8"))
+        doc["etypes"] += ["covid_case", "facility", "hospital"]
+        doc["properties"]["covid_case"] = [{"name": n} for n in ("case_id", "case_date", "hospital", "patient_count")]
+        doc["subclass"] += [["covid_case", "facility"], ["facility", "hospital"]]
+        upper.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["align", "--purpose", str(root / "purpose.json"), "--out", str(root / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(
+            f"align error: {upper}, {health}: joining the subclass edges of onto_upper, onto_health "
+            "gives an invalid schema graph: subclass_cycle: "
+        ), err

@@ -2,9 +2,10 @@
 
 Each example copies the covid fixture, writes a config file and a mapping
 override next to it, damages exactly one input file and runs `itelos run` in
-process. A stepwise example runs the four subcommands one after another
-instead and damages one artifact that an earlier phase wrote just before the
-phase that reads it back. Whatever the damage, the run must end with exit
+process. A stepwise example runs the four subcommands one after another on
+the renames fixture instead, whose `rename_map.json` is not empty, and
+damages one artifact that an earlier phase wrote just before the phase that
+reads it back. Whatever the damage, the run must end with exit
 code 0, 1 or 2 and no traceback; every error message and every load failure
 must name the damaged file; and a run that exits 0 must leave an `eg.nt`
 that parses as N-Triples.
@@ -27,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from itelos.cli import PHASES, main
 
-from helpers import COVID, read_ntriples
+from helpers import COVID, RENAMES, read_ntriples
 
 from test_cli import CASES_OVERRIDE
 
@@ -41,13 +42,13 @@ JSON_FILES = (
     "override.json",
 )
 CSV_FILES = ("data/hospitals.csv", "data/covid_cases.csv")
-# each artifact a phase reads back, with the first phase that reads it; the
-# fixture's rename_map.json is {}, which leaves nothing to damage
+# each artifact a phase reads back, with the first phase that reads it
 READ_BACK = {
     "selection.json": "model",
     "etg_model.json": "align",
     "etg_model_provenance.json": "align",
     "etg_final.json": "integrate",
+    "rename_map.json": "integrate",
 }
 LEAVES = (None, True, 0, -1, 10**30, 1.5, float("inf"), float("nan"), "", "x", "Ospedale", [], {})
 
@@ -159,16 +160,15 @@ def damaged_artifacts(draw):
     return name, draw(json_damage(json.loads(undamaged_artifacts()[name])))
 
 
-def run_phases(commands, damage):
+def run_phases(fixture: Path, commands, damage):
     """Exit code, stderr and the output directory's artifacts of running
-    `commands` one after another on a copy of the inputs, stopping at the
-    first that does not exit 0, and the input and output directories.
-    `damage(command, root, out)` is called before each command runs."""
+    `commands` one after another on a copy of `fixture` and its config.json,
+    stopping at the first that does not exit 0, and the input and output
+    directories. `damage(command, root, out)` is called before each command
+    runs."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "in"
-        shutil.copytree(COVID, root, ignore=shutil.ignore_patterns("golden"))
-        for written, doc in written_docs(str(root)).items():
-            (root / written).write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copytree(fixture, root, ignore=shutil.ignore_patterns("golden"))
         out = Path(scratch) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -183,18 +183,20 @@ def run_phases(commands, damage):
 
 @functools.cache
 def undamaged_artifacts() -> dict:
-    """The artifacts of `itelos run` on the undamaged inputs."""
-    return run_phases(["run"], lambda *_: None)[2]
+    """The artifacts of `itelos run` on the undamaged renames fixture."""
+    return run_phases(RENAMES, ["run"], lambda *_: None)[2]
 
 
 def run_damaged(name: str, data: bytes):
-    """`run_phases` of `itelos run` on the inputs with `name` replaced by
-    `data`."""
+    """`run_phases` of `itelos run` on the covid fixture and `written_docs`,
+    with `name` replaced by `data`."""
 
     def damage(command, root, out):
+        for written, doc in written_docs(str(root)).items():
+            (root / written).write_text(json.dumps(doc), encoding="utf-8")
         (root / name).write_bytes(data.replace(b"{root}", str(root).encode()))
 
-    return run_phases(["run"], damage)
+    return run_phases(COVID, ["run"], damage)
 
 
 def check_run(name: str, data: bytes) -> None:
@@ -210,7 +212,7 @@ def check_steps(name: str, data: bytes) -> None:
         if command == READ_BACK[name]:
             (out / name).write_bytes(data)
 
-    code, err, artifacts, root, out = run_phases(PHASES, damage)
+    code, err, artifacts, root, out = run_phases(RENAMES, PHASES, damage)
     check_outcome(code, err, artifacts, str(out / name), root)
 
 
@@ -241,7 +243,7 @@ class TestHostileInputOracle:
         assert artifacts["eg.nt"] == (COVID / "golden" / "eg.nt").read_bytes()
 
     def test_undamaged_steps_give_the_bytes_of_run(self):
-        code, err, artifacts, *_ = run_phases(PHASES, lambda *_: None)
+        code, err, artifacts, *_ = run_phases(RENAMES, PHASES, lambda *_: None)
         assert (code, err) == (0, "")
         assert {n: a for n, a in artifacts.items() if n != "run_manifest.json"} == {
             n: a for n, a in undamaged_artifacts().items() if n != "run_manifest.json"

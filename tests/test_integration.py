@@ -892,8 +892,8 @@ class TestMergeOnePass:
         )
 
     def test_several_matches_of_one_existing_entity(self):
-        """The existing entity folds into the largest matching fragment id
-        below its own; a larger matching fragment id takes over its old id."""
+        """The existing entity and every fragment entity matched to it fold
+        into the smallest of their ids."""
         old = entity("ds_b/h5", "hospital", {"code": [("X", "ds_b")]})
         case = entity("ds_b/c1", "covid_case", links=[("hospital", "ds_b/h5", "ds_b")])
         below = [entity(i, "hospital", {"code": [("X", "ds_a")]}) for i in ("ds_a/h1", "ds_a/h2")]
@@ -902,12 +902,13 @@ class TestMergeOnePass:
         merged, remap = merge_entities(
             graph_of([old, case]), fragment_of([*below, above], ("code",)), matches
         )
-        assert remap == {"ds_b/h5": "ds_a/h2", "ds_c/h9": "ds_b/h5"}
-        assert merged.entities["ds_a/h1"] == below[0]
-        assert merged.entities["ds_a/h2"].data_values == {"code": (("X", "ds_b"), ("X", "ds_a"))}
-        assert merged.entities["ds_b/h5"].data_values == {"code": (("X", "ds_c"),)}
+        assert remap == {"ds_b/h5": "ds_a/h1", "ds_a/h2": "ds_a/h1", "ds_c/h9": "ds_a/h1"}
+        assert sorted(merged.entities) == ["ds_a/h1", "ds_b/c1"]
+        assert merged.entities["ds_a/h1"].data_values == {
+            "code": (("X", "ds_b"), ("X", "ds_a"), ("X", "ds_c"))
+        }
         assert merged.entities["ds_b/c1"].object_links == frozenset(
-            {("hospital", "ds_a/h2", "ds_b")}
+            {("hospital", "ds_a/h1", "ds_b")}
         )
 
 
