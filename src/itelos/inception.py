@@ -27,7 +27,6 @@ from .model import (
     DatasetSchema,
     DocumentError,
     ETG,
-    EmptyLabelError,
     ModelError,
     PropertyDef,
     ResourceMeta,
@@ -226,14 +225,7 @@ def load_dataset_schema(csv_path: Path, meta: ResourceMeta) -> DatasetSchema:
     if schema_path is None:
         raise DocumentError(f"{csv_path}: the dataset path names no file")
     doc = read_json(schema_path, "schema sidecar")
-    header_names: dict[str, str] = {}
-    try:
-        header = [
-            unique_key(normalize_text(raw), raw, header_names, f"{csv_path}: header")
-            for raw in next(read_csv(csv_path))
-        ]
-    except EmptyLabelError as exc:
-        raise DocumentError(f"{csv_path}: header: {exc}") from exc
+    header = next(read_csv(csv_path))
     try:
         field(doc, "dataset_id", "", default="")  # unused: the purpose names the dataset
         etype = normalize_text(field(doc, "etype", ""))

@@ -84,8 +84,7 @@ class UndeclaredPropertyError(MappingError, NotInGraphError):
 def read_dataset_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV dataset: normalized header names plus stripped cell rows."""
     records = read_csv(path)
-    header = [normalize_text(name) for name in next(records)]
-    return header, [[cell.strip() for cell in row] for row in records]
+    return next(records), [[cell.strip() for cell in row] for row in records]
 
 
 # ---------------------------------------------------------------------------

@@ -490,7 +490,8 @@ def validate_etg(g: ETG) -> list[Violation]:
 def validate_eg(eg: EG) -> list[Violation]:
     """Check every EG invariant against its schema; empty report means valid.
     Conflicts need no check: `Entity.conflicting_properties` derives them
-    from the values."""
+    from the values. An integrated graph is valid by construction, so this is
+    the tests' oracle, kept in `src/` until the benchmark change."""
     out: list[Violation] = []
     for entity in eg.sorted_entities():
         if entity.etype not in eg.schema.etypes:
@@ -687,12 +688,13 @@ def dump_etg(g: ETG, path: Path) -> None:
 
 
 def read_csv(path: Path) -> Iterator[list[str]]:
-    """Yield the header of a UTF-8 CSV dataset file, then each data row.
+    """Yield the normalized header names of a UTF-8 CSV dataset file, then
+    each data row.
 
     Every row must have as many fields as the header. A missing header, a
-    malformed or oversized field, or a byte that is not UTF-8 raises a
-    DocumentError naming the file; taking only the first item reads only the
-    header.
+    blank header name or two that normalize alike, a malformed or oversized
+    field, or a byte that is not UTF-8 raises a DocumentError naming the
+    file; taking only the first item reads only the header.
     """
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -700,7 +702,8 @@ def read_csv(path: Path) -> Iterator[list[str]]:
             header = next(reader, None)
             if header is None:
                 raise DocumentError(f"{path}: dataset file has no header row")
-            yield header
+            seen: dict[str, str] = {}
+            yield [unique_key(normalize_text(name), name, seen, f"{path}: header") for name in header]
             for row in reader:
                 if len(row) != len(header):
                     raise RowArityError(
@@ -708,6 +711,8 @@ def read_csv(path: Path) -> Iterator[list[str]]:
                         f"{len(header)} fields, got {len(row)}"
                     )
                 yield row
+        except EmptyLabelError as exc:
+            raise DocumentError(f"{path}: header: {exc}") from exc
         except csv.Error as exc:
             raise DocumentError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Mapping
+from urllib.parse import unquote
 
 from itelos.alignment import (
     AlignmentPolicy,
@@ -531,7 +532,10 @@ def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
 
     values: dict[str, dict[str, list[tuple[str, str]]]] = {}
     pending: set[PendingLink] = set()
-    minted: dict = {}
+    # each id's first data row and the key parts it was minted from, None for
+    # a row without a usable key: an id minted from two different part
+    # tuples, or from a keyless row and any other row, is refused
+    first_of: dict = {}
     data_cells = 0
     skipped = 0
     for ordinal, row in enumerate(rows, start=1):
@@ -539,10 +543,9 @@ def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
             skipped += 1
             continue
         entity_id, parts = mint(ordinal, row)
-        if key_indexes and (parts is None or len(parts) > 1 or entity_id in minted):
-            if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in values):
-                first = next(n for n, r in enumerate(rows, 1) if any(r) and mint(n, r)[0] == entity_id)
-                raise IntegrationError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
+        first, first_parts = first_of.setdefault(entity_id, (ordinal, parts))
+        if first != ordinal and (parts is None or parts != first_parts):
+            raise IntegrationError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
         bucket = values.setdefault(entity_id, {})
         for index, prop, is_object in cells:
             cell = row[index]
@@ -893,3 +896,59 @@ def xsd_valid(datatype: str, text: str) -> bool:
     leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
     days = [31, 29 if leap else 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31][month - 1]
     return day <= days
+
+
+# ---------------------------------------------------------------------------
+# The schema oracle: an exported graph read back and checked against the
+# schema graph it was integrated against, with no code of the exporter or of
+# `validate_eg`.
+
+_RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+_XSD_IRI = "http://www.w3.org/2001/XMLSchema#"
+_ETG_IRI = "urn:itelos:etg:"
+
+
+def scan_exported_graph(data: bytes, etg: ETG) -> list[str]:
+    """Every violation of `etg` in `data`, an exported `eg.nt`:
+    - a subject without exactly one type line naming an etype of `etg`;
+    - a predicate its subject's etype does not declare, own or inherited,
+      or declares with the other kind (data for a literal, object for an IRI);
+    - a link to an IRI that is no subject of the file, or to a subject whose
+      etype is neither the range nor one of its subclasses;
+    - a typed literal whose datatype is not the declared one, or whose
+      lexical form that datatype does not allow."""
+    triples = read_ntriples(data)
+    type_lines: dict[str, list] = {subject: [] for subject, _p, _o in triples}
+    for subject, predicate, obj in triples:
+        if predicate == _RDF_TYPE_IRI:
+            type_lines[subject].append(obj)
+    problems = []
+    etype_of = {}
+    for subject, objs in type_lines.items():
+        names = [unquote(o[1].removeprefix(_ETG_IRI)) for o in objs if o[0] == "iri" and o[1].startswith(_ETG_IRI)]
+        if len(objs) == 1 and names and names[0] in etg.etypes:
+            etype_of[subject] = names[0]
+        else:
+            problems.append(f"{subject}: type lines {objs}, not one etype of {etg.id}")
+    declared = cache(lambda etype: scan_declared_properties(etg, etype))
+    conforming = cache(lambda etype: (etype, *scan_ancestors(etg, etype)))
+    for subject, predicate, obj in triples:
+        if predicate == _RDF_TYPE_IRI or subject not in etype_of:
+            continue
+        etype = etype_of[subject]
+        kind = "object" if obj[0] == "iri" else "data"
+        definition = declared(etype).get(unquote(predicate.removeprefix(_ETG_IRI)))
+        if not predicate.startswith(_ETG_IRI) or definition is None or definition.kind != kind:
+            problems.append(f"{subject}: {etype} declares no {kind} property {predicate}")
+        elif kind == "object":
+            target = etype_of.get(obj[1])
+            if obj[1] not in type_lines:
+                problems.append(f"{subject}: {predicate} links to {obj[1]}, which is no subject")
+            elif target is not None and definition.range not in conforming(target):
+                problems.append(f"{subject}: {predicate} links to a {target}, not a {definition.range}")
+        elif obj[2] is not None and (
+            obj[2] != f"{_XSD_IRI}{definition.datatype}"
+            or definition.datatype != "string" and not xsd_valid(definition.datatype, obj[1])
+        ):
+            problems.append(f"{subject}: {predicate} value {obj[1]!r} typed {obj[2]}, declared {definition.datatype}")
+    return problems

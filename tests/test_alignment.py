@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from itelos import alignment
 from itelos.alignment import (
@@ -34,6 +34,7 @@ from helpers import (
     make_etg,
     make_schema,
     matrix_levenshtein,
+    scan_ancestors,
     scan_etr_predict,
     scan_pulled_properties,
 )
@@ -395,6 +396,51 @@ def renamed_range_case():
     return model, {"o": onto}, AlignmentPolicy()
 
 
+def common_model(owned):
+    """A model of common etypes, each etype of `owned` from its own dataset
+    with the properties listed for it, all of them queried."""
+    return build_etg_model(
+        [make_cq("q", list(owned), [(e, p) for e, props in owned.items() for p in props])],
+        [make_schema(f"d_{e}", e, props, category="common") for e, props in owned.items()],
+    )
+
+
+def subclass_cycle_case():
+    """Ontology a gives xx < yy and b gives yy < xx, and xx adopts from a and
+    yy from b; c's zz < ww lies on no cycle."""
+    ontologies = {
+        "a": make_etg("a", ["xx", "yy"], {"xx": ["p"]}, subclass=[("xx", "yy")], popularity=5),
+        "b": make_etg("b", ["xx", "yy"], {"yy": ["q"]}, subclass=[("yy", "xx")], popularity=1),
+        "c": make_etg("c", ["zz", "ww"], {"zz": ["r"]}, subclass=[("zz", "ww")]),
+    }
+    return common_model({"xx": ["p"], "yy": ["q"], "zz": ["r"]}), ontologies, AlignmentPolicy()
+
+
+SUBCLASS_POOL = ["xx", "yy", "zz"]
+
+
+@st.composite
+def subclass_cases(draw):
+    """A model of two or more common etypes from a shared pool, and two or
+    three valid ontologies of the whole pool with data properties only. Each
+    ontology's random subclass edges run against one drawn order of the
+    pool or against its reverse, so no ontology holds a cycle but two may
+    form one together. The one or two etypes an ontology offers own the
+    model's properties of that name, so they are candidates under the
+    default policy; its other etypes own none and are not."""
+    props = st.lists(st.sampled_from(["p", "q", "r"]), min_size=1, max_size=2, unique=True)
+    owned = {etype: draw(props) for etype in draw(st.lists(st.sampled_from(SUBCLASS_POOL), min_size=2, unique=True))}
+    order = draw(st.permutations(SUBCLASS_POOL))
+    ontologies = {}
+    for ontology_id in ["a", "b", "c"][: draw(st.integers(2, 3))]:
+        etypes = order if draw(st.booleans()) else order[::-1]
+        edges = [(child, parent) for i, child in enumerate(etypes) for parent in etypes[:i] if draw(st.booleans())]
+        offered = draw(st.lists(st.sampled_from(SUBCLASS_POOL), min_size=1, max_size=2, unique=True))
+        own = {etype: owned.get(etype, ["r"]) if etype in offered else [] for etype in etypes}
+        ontologies[ontology_id] = make_etg(ontology_id, etypes, own, subclass=edges, popularity=draw(st.integers(0, 3)))
+    return common_model(owned), ontologies, AlignmentPolicy()
+
+
 def align(model, ontologies, policy=None):
     policy = policy or AlignmentPolicy()
     ranking = rank_ontologies(model, ontologies)
@@ -589,23 +635,39 @@ class TestGenerateEtg:
         assert final.props_of("zone") == (PropertyDef(name="beds", datatype="integer"),)
 
     def test_subclass_cycle_joined_from_two_ontologies_names_them(self):
-        # a gives xx < yy and b gives yy < xx; c's zz < ww lies on no cycle
-        model = build_etg_model(
-            [make_cq("q", ["xx", "yy", "zz"], [("xx", "p"), ("yy", "q"), ("zz", "r")])],
-            [make_schema(f"d_{e}", e, [p], category="common") for e, p in (("xx", "p"), ("yy", "q"), ("zz", "r"))],
-        )
-        ontologies = {
-            "a": make_etg("a", ["xx", "yy"], {"xx": ["p"]}, subclass=[("xx", "yy")], popularity=5),
-            "b": make_etg("b", ["xx", "yy"], {"yy": ["q"]}, subclass=[("yy", "xx")], popularity=1),
-            "c": make_etg("c", ["zz", "ww"], {"zz": ["r"]}, subclass=[("zz", "ww")]),
-        }
+        model, ontologies, policy = subclass_cycle_case()
         with pytest.raises(SubclassCycleError) as caught:
-            align(model, ontologies)
+            align(model, ontologies, policy)
         assert caught.value.ontology_ids == ("a", "b")
         assert str(caught.value) == (
             "joining the subclass edges of a, b gives an invalid schema graph: "
             "subclass_cycle: subclass edge (yy, xx) closes a cycle"
         )
+
+    @settings(max_examples=200)
+    @given(subclass_cases())
+    @example(subclass_cycle_case())
+    def test_subclass_edges_are_the_adopted_closures_or_a_named_cycle(self, case):
+        """The final graph's subclass edges are exactly each adopting
+        decision's ontology's edges among its label and that label's
+        ancestors; where those edges close a cycle, SubclassCycleError names
+        two or more ontologies in ranking order, and nothing else escapes."""
+        model, ontologies, policy = case
+        try:
+            final, plan = align(model, ontologies, policy)
+        except SubclassCycleError as exc:
+            ranked = rank_ontologies(model, ontologies).ordered_ids()
+            assert len(exc.ontology_ids) >= 2
+            assert list(exc.ontology_ids) == [oid for oid in ranked if oid in exc.ontology_ids]
+            return
+        closures = set()
+        for decision in plan.decisions:
+            if decision.action == "adopt":
+                ontology = ontologies[decision.ontology]
+                chain = {decision.candidate, *scan_ancestors(ontology, decision.candidate)}
+                assert chain == {decision.candidate, *decision.adopted_parents}
+                closures |= {(c, p) for c, p in ontology.subclass_edges if c in chain and p in chain}
+        assert final.subclass_edges == closures
 
     @given(
         st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),

@@ -1,18 +1,25 @@
+import contextlib
+import csv
+import functools
 import hashlib
 import importlib.util
+import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import itelos
 from itelos.cli import main
+from itelos.model import etg_from_doc
 
-from helpers import COVID, RENAMES
+from helpers import COVID, RENAMES, scan_exported_graph
 
 
 def fixture_argv(command, out, *extra):
@@ -640,20 +647,182 @@ class TestDeterminism:
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def reuse_input(source, root):
-    """A writable copy of the fixture, or the tiny ontology_heavy corpus of
-    `perfbench/corpus.py` written afresh, as its purpose path and a function
-    from an out directory to the `run` arguments."""
-    if source == "fixture":
-        shutil.copytree(COVID, root)
-        purpose = root / "purpose.json"
-        return purpose, lambda out: ["run", "--purpose", str(purpose), "--out", str(out)]
+# tiny sizes of the benchmark's workloads, each a run of well under a second
+TINY = {"link_heavy": 6, "merge_overlap": 8, "ontology_heavy": 60, "bulk_append": 20}
+
+
+def reuse_input(source, root, seed=7):
+    """A writable copy of the fixture (`fixture`) or of the renames fixture
+    (`renames`), or the tiny corpus of a workload of `perfbench/corpus.py`
+    written afresh from `seed`, as its purpose path and a function from an
+    out directory to the `run` arguments."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     import corpus
 
-    corpus.generate(COVID, source, 7, root, 60)
+    if source in ("fixture", "renames"):
+        shutil.copytree(COVID if source == "fixture" else RENAMES, root, ignore=shutil.ignore_patterns("golden"))
+    else:
+        corpus.generate(COVID, source, seed, root, TINY[source])
     return root / "purpose.json", lambda out: corpus.cli_args(root, out)
+
+
+def layout_run(source, rewrite=None):
+    """Exit code, stdout, stderr and every artifact but `run_manifest.json` of
+    `itelos run` on `reuse_input(source, ..., seed=101)`, with the layout
+    rewrite of that name applied to the input first."""
+    with tempfile.TemporaryDirectory() as scratch:
+        _, argv = reuse_input(source, Path(scratch) / "input", seed=101)
+        if rewrite is not None:
+            LAYOUT_REWRITES[rewrite](Path(scratch) / "input")
+        out = Path(scratch) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv(out))
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "run_manifest.json"}
+    return code, stdout.getvalue(), stderr.getvalue(), artifacts
+
+
+unrewritten_run = functools.cache(layout_run)
+
+
+def schema_violations(artifacts) -> list[str]:
+    """`scan_exported_graph` of a run's `eg.nt` against the `etg_final.json`
+    it was integrated against."""
+    return scan_exported_graph(artifacts["eg.nt"], etg_from_doc(json.loads(artifacts["etg_final.json"])))
+
+
+def rewrite_csvs(edit):
+    """A layout rewrite that replaces the header and rows of every CSV under
+    the input root by `edit(path, header, rows)`."""
+
+    def rewrite(root):
+        for path in sorted(root.rglob("*.csv")):
+            with path.open(encoding="utf-8", newline="") as handle:
+                header, *rows = csv.reader(handle)
+            with path.open("w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle, lineterminator="\n").writerows(edit(path, header, rows))
+
+    return rewrite
+
+
+def rewrite_jsons(edit):
+    """A layout rewrite that replaces every JSON document under the input root
+    by `edit(path, doc, purpose)`, `purpose` being the purpose document."""
+
+    def rewrite(root):
+        purpose = json.loads((root / "purpose.json").read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps(edit(path.relative_to(root), doc, purpose)), encoding="utf-8")
+
+    return rewrite
+
+
+def keys_reversed(value):
+    if isinstance(value, dict):
+        return {key: keys_reversed(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [keys_reversed(item) for item in value]
+    return value
+
+
+def lists_reversed(path, doc, purpose):
+    """`doc` with its lists reversed: the purpose's datasets and ontologies, a
+    sidecar's columns, and an ontology's etypes, subclass edges and the
+    property list of each etype."""
+    if path.name == "purpose.json":
+        return dict(doc, datasets=doc["datasets"][::-1], ontologies=doc["ontologies"][::-1])
+    if path.name.endswith(".schema.json"):
+        return dict(doc, columns=doc.get("columns", [])[::-1])
+    if str(path) in {ref["path"] for ref in purpose["ontologies"]}:
+        properties = {etype: props[::-1] for etype, props in doc.get("properties", {}).items()}
+        return dict(doc, etypes=doc["etypes"][::-1], subclass=doc.get("subclass", [])[::-1], properties=properties)
+    return doc
+
+
+def keyed(csv_path) -> bool:
+    sidecar = json.loads(csv_path.with_name(f"{csv_path.stem}.schema.json").read_text(encoding="utf-8"))
+    return any(column.get("role") == "identity" for column in sidecar.get("columns", []))
+
+
+def crlf_line_ends(root):
+    for path in sorted([*root.rglob("*.csv"), *root.rglob("*.json")]):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+# Rewrites of valid input that change its layout, not its content. Row order
+# in a keyless dataset is not one: its rows are numbered in file order.
+LAYOUT_REWRITES = {
+    "crlf_line_ends": crlf_line_ends,
+    "csv_columns_reversed": rewrite_csvs(lambda _path, header, rows: [row[::-1] for row in [header, *rows]]),
+    "keyed_rows_shuffled": rewrite_csvs(
+        lambda path, header, rows: [header, *(random.Random(path.name).sample(rows, len(rows)) if keyed(path) else rows)]
+    ),
+    "json_keys_reversed": rewrite_jsons(lambda _path, doc, _purpose: keys_reversed(doc)),
+    "json_lists_reversed": rewrite_jsons(lists_reversed),
+}
+LAYOUT_SOURCES = ["fixture", "renames", *TINY]
+
+
+class TestLayoutRewrites:
+    """The same content in another file layout gives the same run: every
+    artifact but the manifest, the output and the exit code, checked on the
+    fixtures and on a tiny seed-101 corpus of each benchmark workload."""
+
+    @pytest.mark.parametrize("rewrite", sorted(LAYOUT_REWRITES))
+    @pytest.mark.parametrize("source", LAYOUT_SOURCES)
+    def test_rewrite_leaves_the_run_alone(self, source, rewrite):
+        code, _, stderr, artifacts = expected = unrewritten_run(source)
+        assert (code, stderr) == (0, "")
+        assert schema_violations(artifacts) == []
+        assert layout_run(source, rewrite) == expected
+
+    def test_golden_graph_passes_the_schema_oracle(self):
+        artifacts = unrewritten_run("fixture")[3]
+        assert schema_violations(dict(artifacts, **{"eg.nt": (COVID / "golden" / "eg.nt").read_bytes()})) == []
+
+
+def damaged_golden_graph(edit) -> bytes:
+    """The fixture's golden `eg.nt` with `edit` applied to its list of lines."""
+    lines = (COVID / "golden" / "eg.nt").read_text(encoding="utf-8").splitlines()
+    return "".join(f"{line}\n" for line in edit(lines)).encode("utf-8")
+
+
+def replaced(old, new):
+    """An edit of a list of lines that replaces the first `old` by `new`."""
+    return lambda lines: "\n".join(lines).replace(old, new, 1).split("\n")
+
+
+EG_IRI = "urn:itelos:covid_19_monitoring_for_trentino-eg"
+TYPE_IRI = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+
+
+class TestSchemaOracle:
+    """`scan_exported_graph` reports each kind of damage to an exported graph."""
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda lines: [l for l in lines if not l.startswith(f"<{EG_IRI}:ds_hospitals/tn01>")], "which is no subject"),
+            (replaced(f"{TYPE_IRI} <urn:itelos:etg:covid_case>", f"{TYPE_IRI} <urn:itelos:etg:ward>"), "not one etype"),
+            (lambda lines: [*lines, f"<{EG_IRI}:ds_cases/c001> {TYPE_IRI} <urn:itelos:etg:hospital> ."], "not one etype"),
+            (lambda lines: [l for l in lines if TYPE_IRI not in l or "ds_cases/c001" not in l], "not one etype"),
+            (replaced("<urn:itelos:etg:case_id>", "<urn:itelos:etg:beds>"), "declares no data property"),
+            (replaced(f"<urn:itelos:etg:hospital> <{EG_IRI}:ds_hospitals/tn01>", '<urn:itelos:etg:hospital> "TN01"'), "declares no data property"),
+            (replaced('<urn:itelos:etg:case_id> "C001"', f"<urn:itelos:etg:case_id> <{EG_IRI}:ds_cases/c001>"), "declares no object property"),
+            (replaced(f"<{EG_IRI}:ds_hospitals/tn01> .", f"<{EG_IRI}:ds_cases/c002> ."), "not a hospital"),
+            (replaced("XMLSchema#integer", "XMLSchema#date"), "declared integer"),
+            (replaced('"12"^^', '"twelve"^^'), "declared integer"),
+        ],
+        ids=[
+            "link_target_removed", "retyped", "typed_twice", "untyped", "undeclared_predicate",
+            "literal_on_link", "link_on_data_property", "link_to_wrong_etype", "wrong_datatype", "bad_lexical_form",
+        ],
+    )
+    def test_damage_is_reported(self, edit, problem):
+        problems = schema_violations(dict(unrewritten_run("fixture")[3], **{"eg.nt": damaged_golden_graph(edit)}))
+        assert problems and all(problem in p for p in problems), problems
 
 
 def run_cli(*argv):

@@ -161,7 +161,7 @@ class TestLoadResources:
 
     def test_read_header(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["A", "B"], [["1", "2"]])
-        assert next(read_csv(path)) == ["A", "B"]
+        assert next(read_csv(path)) == ["a", "b"]
 
     def test_load_schema(self, tmp_path):
         csv = write_csv(tmp_path / "d.csv", ["code", "name", "extra"], [])

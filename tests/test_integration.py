@@ -32,11 +32,13 @@ from itelos.integration import (
     read_dataset_rows,
     resolve_pending,
 )
+from itelos.inception import load_dataset_schema
 from itelos.model import (
     EG,
     DocumentError,
     Entity,
     ModelError,
+    ResourceMeta,
     RowArityError,
     normalize_text,
     validate_eg,
@@ -56,6 +58,7 @@ from helpers import (
     scan_merge_entities,
     scan_conflict_flags,
     scan_export_eg,
+    scan_exported_graph,
     scan_generate_entities,
     scan_infer_mapping,
     scan_missing_ratio,
@@ -116,6 +119,24 @@ class TestReadRows:
         with pytest.raises(RowArityError) as err:
             read_dataset_rows(path)
         assert str(err.value) == f"{path}: line 3: expected 2 fields, got 1"
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (["Name", "name"], "'Name' and 'name' both normalize to name"),
+            (["code", " "], "label ' ' has no alphanumeric content"),
+        ],
+        ids=["names_alike", "blank_name"],
+    )
+    def test_header_is_refused_like_the_sidecar_check(self, tmp_path, header, message):
+        # the column index of generate_entities is keyed by these names
+        path = write_csv(tmp_path / "d.csv", header, [["1", "2"]])
+        (tmp_path / "d.schema.json").write_text('{"etype": "site"}', encoding="utf-8")
+        with pytest.raises(DocumentError) as rows_err:
+            read_dataset_rows(path)
+        with pytest.raises(DocumentError) as schema_err:
+            load_dataset_schema(path, ResourceMeta(id="d", kind="dataset", category="core"))
+        assert str(rows_err.value) == str(schema_err.value) == f"{path}: header: {message}"
 
 
 class TestInferMapping:
@@ -469,26 +490,27 @@ class TestGenerateEntities:
         assert peak - retained <= retained / 4
 
 
-# Cell pools per column of `generate_case`: keys that normalize alike, blank
-# and unusable keys, text that spells a row ordinal, and repeated values.
+# Cell pools per column of `generate_case` and repeated values; the key
+# cells of one row are drawn as a (c_code, c_town) pair: keys that normalize
+# alike, blank and unusable keys, text that spells a row ordinal, and
+# composite keys whose joins collide (a + b c and a b + c; row + 2 and the
+# ordinal of a row without a usable key).
+KEY_CELLS = [
+    ("S1", "T"), ("s1", " t"), (" S 1", "U"), ("S2", ""), ("", "T"), ("--", "U"),
+    ("Row 1", "T"), ("row 2", ""), ("a", "b c"), ("a b", "c"), ("row", "2"),
+]
 GENERATE_CELLS = {
-    "c_code": ["S1", "s1", " S 1", "S2", "", "--", "Row 1", "row 2"],
     "c_name": ["A", "a", "B", ""],
     "c_alias": ["A", "B", ""],
-    "c_town": ["T", "U", ""],
     "c_near": ["S1", "zz", ""],
     "c_extra": ["q", ""],
 }
 
 
-@st.composite
-def generate_case(draw):
-    """A mapping of report_etg's site onto six columns, where `c_alias` may
-    fill the property that another column fills and `c_extra` is dropped,
-    keyless or keyed on one or two columns, and up to eight rows drawn from
-    small pools, so that rows repeat keys, leave cells blank and have no
-    usable key."""
-    alias = draw(st.sampled_from([None, "name", "town"]))
+def site_mapping(alias, identity):
+    """report_etg's site mapped onto six columns, where `c_alias` fills
+    `alias` (maybe the property another column fills) and `c_extra` is
+    dropped, keyed on the `identity` columns."""
     columns = (
         ("c_code", "code"),
         ("c_name", "name"),
@@ -497,19 +519,36 @@ def generate_case(draw):
         ("c_near", "near"),
         ("c_extra", None),
     )
-    identity = draw(st.sampled_from([(), ("c_code",), ("c_code", "c_town")]))
-    mapping = SchemaMapping(
-        dataset_id="ds_a", etype="site", columns=columns, identity_columns=identity
-    )
-    header = draw(st.permutations([column for column, _prop in columns]))
+    return SchemaMapping(dataset_id="ds_a", etype="site", columns=columns, identity_columns=identity)
+
+
+@st.composite
+def generate_case(draw):
+    """A `site_mapping`, keyless or keyed on one or two columns, a header in
+    any column order, and up to eight rows drawn from small pools, so that
+    rows repeat keys, leave cells blank and have no usable key."""
+    alias = draw(st.sampled_from([None, "name", "town"]))
+    mapping = site_mapping(alias, draw(st.sampled_from([(), ("c_code",), ("c_code", "c_town")])))
+    header = draw(st.permutations([column for column, _prop in mapping.columns]))
+    keys = st.sampled_from(KEY_CELLS).map(lambda pair: dict(zip(("c_code", "c_town"), pair)))
     cells = st.fixed_dictionaries({c: st.sampled_from(pool) for c, pool in GENERATE_CELLS.items()})
-    rows = [[row[c] for c in header] for row in draw(st.lists(cells, max_size=8))]
-    return mapping, header, rows
+    rows = st.tuples(keys, cells).map(lambda both: {**both[0], **both[1]})
+    return mapping, header, [[row[c] for c in header] for row in draw(st.lists(rows, max_size=8))]
+
+
+def key_rows(identity, keys):
+    """A `generate_case` case keyed on `identity` whose rows hold the
+    (c_code, c_town) pairs `keys` and no other cell."""
+    mapping = site_mapping(None, identity)
+    return mapping, [column for column, _prop in mapping.columns], [[code, "", "", town, "", ""] for code, town in keys]
 
 
 class TestGenerateEntitiesOracle:
     @settings(max_examples=300)
     @given(generate_case())
+    # a key that spells the ordinal of a later row without a usable key
+    @example(key_rows(("c_code",), [("row 2", "T"), ("", "U")]))
+    @example(key_rows(("c_code", "c_town"), [("a", "b c"), ("a b", "c")]))
     def test_one_pass_equals_per_cell_buckets(self, case):
         etg = report_etg()
 
@@ -1352,6 +1391,7 @@ class TestCaseReportOracle:
             before = state.eg
             state, report = run_dataset(state, dataset_id, etype, columns, rows)
             after = state.eg
+            assert validate_eg(after) == []
             flags_before = scan_conflict_flags(before.entities)
             assert report.conflicts == len(scan_conflict_flags(after.entities)) - len(flags_before)
             assert report.missing_link_ratio == scan_missing_ratio(after)
@@ -1802,6 +1842,7 @@ class TestOrderIndependence:
         state = initial_state(hospital_etg(), "eg")
         for spec in order:
             state, _ = run_dataset(state, *spec)
+            assert validate_eg(state.eg) == []
         path = tmp_path / name
         export_eg(state.eg, path)
         return path.read_bytes()
@@ -1822,9 +1863,12 @@ def exported(state) -> bytes:
 
 
 def integrated(datasets):
+    """The state after integrating `datasets` in order into `report_etg`,
+    checked with `validate_eg` after every dataset."""
     state = initial_state(report_etg(), "eg")
     for spec in datasets:
         state, _ = run_dataset(state, *spec)
+        assert validate_eg(state.eg) == []
     return state
 
 
@@ -1854,6 +1898,39 @@ def keyed_dataset(draw, dataset_id, etype=None):
 KEYED_DATASETS = st.integers(2, 4).flatmap(
     lambda n: st.tuples(*(keyed_dataset(f"ds_{c}") for c in "abcd"[:n]))
 )
+
+
+# Link cells that cite a site by key, or by the full id that one dataset
+# mints and a later one may rename (ds_b/s1 becomes ds_a/s1 when ds_a
+# arrives after ds_b), and a target that never arrives.
+CITED_SITES = ["S1", "s2", "ds_a/s1", "ds_b/s1", "ds_c/s2", "ds_d/s2", "zz", ""]
+
+
+@st.composite
+def renaming_datasets(draw):
+    """2-4 datasets with distinct ids in a drawn arrival order, so that ids
+    sort against it: sites keyed on `code`, whose `near` cites sites, and
+    cases keyed on `case_id`, whose `at` cites sites."""
+    order = draw(st.permutations(["ds_a", "ds_b", "ds_c", "ds_d"]))
+    datasets = []
+    for dataset_id in order[: draw(st.integers(2, 4))]:
+        if draw(st.booleans()):
+            etype, props, pools = "site", ["code", "name", "near"], [["S1", "s1", "S2"], ["A", "B"], CITED_SITES]
+        else:
+            etype, props, pools = "case", ["case_id", "at"], [["C1", "C2"], CITED_SITES]
+        columns = [(p, p, "identity" if i == 0 else "attribute") for i, p in enumerate(props)]
+        rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=4))
+        datasets.append((dataset_id, etype, columns, [list(row) for row in rows]))
+    return datasets
+
+
+class TestValidByConstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(renaming_datasets())
+    def test_no_link_dangles_in_any_order(self, datasets):
+        # `integrated` checks validate_eg after every dataset
+        for order in itertools.permutations(datasets):
+            assert scan_exported_graph(exported(integrated(order)), report_etg()) == []
 
 
 class TestMetamorphic:
