@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .metrics import (
     GateReport,
+    MetricError,
     MetricResult,
     Thresholds,
     coverage,
@@ -33,34 +34,15 @@ from .modeling import ETGModel
 SPARSITY_HINT = "sparsity outside the agreed band; revisit the alignment with this ontology"
 
 
-class AlignmentError(ModelError):
-    """Alignment could not produce a valid final graph."""
-
-
-class InvalidPolicyError(AlignmentError):
-    """A policy knob is outside [0, 1]."""
-
-
-class NoOntologiesError(AlignmentError):
-    """The purpose lists no loadable reference ontology."""
-
-
-class OntologyConflictError(AlignmentError):
+class OntologyConflictError(ModelError):
     """The final graph cannot hold what the ontologies `ontology_ids`
-    contribute."""
+    contribute: an adopted etype brings in an object property whose range
+    etype the graph leaves out, or subclass edges from several ontologies
+    close a cycle."""
 
     def __init__(self, ontology_ids: tuple[str, ...], message: str):
         super().__init__(message)
         self.ontology_ids = ontology_ids
-
-
-class UnadoptedRangeError(OntologyConflictError):
-    """An adopted etype brings in an object property whose range etype the
-    final graph leaves out."""
-
-
-class SubclassCycleError(OntologyConflictError):
-    """Subclass edges that several ontologies contribute close a cycle."""
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -108,7 +90,7 @@ class AlignmentPolicy(NamedTuple):
     def _check(self) -> None:
         for name, value in zip(self._fields, self):
             if not 0 <= value <= 1:
-                raise InvalidPolicyError(f"{name} must lie in [0, 1], got {value}")
+                raise MetricError(f"{name} must lie in [0, 1], got {value}")
 
 
 def _blend(similarity: Fraction, sharability: Fraction, policy: AlignmentPolicy) -> Fraction:
@@ -229,7 +211,7 @@ def rank_ontologies(model: ETGModel, ontologies: Mapping[str, ETG]) -> OntologyR
     Ontologies sharing no etype with the model are excluded from alignment.
     """
     if not ontologies:
-        raise NoOntologiesError("no reference ontology was loaded for alignment")
+        raise ModelError("no reference ontology was loaded for alignment")
     model_etypes, _ = elements(model.etg)
     included = []
     excluded = []
@@ -321,9 +303,9 @@ def generate_etg(
     survives under `rename_map` and on a property name clash the model's
     definition stands. Last, each adopted etype pulls in its ontology's
     properties and full ancestor chain, ranges kept as the ontology wrote
-    them. A pulled object property whose range etype is not final raises
-    UnadoptedRangeError, and subclass edges from several ontologies that
-    close a cycle raise SubclassCycleError; each names the ontologies.
+    them. A pulled object property whose range etype is not final, or
+    subclass edges from several ontologies that close a cycle, raise
+    OntologyConflictError naming the ontologies.
     """
     policy = policy or AlignmentPolicy()
     decisions: list[Decision] = []
@@ -374,7 +356,7 @@ def generate_etg(
                 if definition.name in bucket:
                     continue
                 if definition.kind == "object" and definition.range not in final_etypes:
-                    raise UnadoptedRangeError(
+                    raise OntologyConflictError(
                         (decision.ontology,),
                         f"adopting {decision.candidate} brings in {holder}.{definition.name}, "
                         f"whose range etype {definition.range} is not in the final graph",
@@ -399,7 +381,7 @@ def generate_etg(
         # the steps above leave only a cycle, and each ontology's own edges
         # are acyclic, so the cycle joins the edges of two or more
         sources = _cycle_sources(edge_sources, ranking)
-        raise SubclassCycleError(
+        raise OntologyConflictError(
             sources, f"joining the subclass edges of {', '.join(sources)} gives an {exc}"
         ) from exc
 

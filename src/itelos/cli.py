@@ -33,7 +33,6 @@ except ImportError:
 from . import __version__
 from .alignment import (
     AlignmentPolicy,
-    InvalidPolicyError,
     OntologyConflictError,
     etr_predict,
     eval_alignment,
@@ -64,7 +63,7 @@ from .integration import (  # connected_components and validate_eg: perfbench/tr
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import DatasetSchema, ModelError, NotInGraphError, dump_etg, expect_json, field, load_etg, normalize_text, read_document, validate_eg, write_json
+from .model import DatasetSchema, ModelError, NotInGraphError, dump_etg, etg_from_doc, expect_json, field, load_etg, normalize_text, read_document, unique_key, validate_eg, write_json
 from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
@@ -154,11 +153,11 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
                 raise ConfigError(f"{origin}bad value for {name}: {exc}") from exc
         try:
             return record(**values)
-        except (MetricError, InvalidPolicyError) as exc:
+        except MetricError as exc:
             error = exc
         try:
             record(**{name: v for name, v in values.items() if getattr(args, name) is not None})
-        except (MetricError, InvalidPolicyError) as exc:
+        except MetricError as exc:
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"{config_path}: {error}") from error
 
@@ -330,7 +329,7 @@ def phase_align(config: PipelineConfig) -> GateReport:
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "etg_model.json"
-    etg = load_etg(model_path)
+    etg = _read_artifact(out, "etg_model.json", etg_from_doc)
     model = _read_artifact(out, "etg_model_provenance.json", lambda doc: _against(model_path, model_from_docs, etg, doc))
     ontologies = _load(config, purpose.ontology_refs).ontologies
     ranking = _in_file(config.purpose, rank_ontologies, model, ontologies)
@@ -365,11 +364,13 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         )
     etg = load_etg(etg_path)
 
-    def renames(doc) -> dict[str, str]:
-        renamed = {k: field(doc, k, "") for k in doc}
-        for old, new in renamed.items():
+    def renames(doc) -> dict[str, str]:  # in final names: keys and values normalized
+        renamed, seen = {}, {}
+        for raw in doc:
+            new = field(doc, raw, "")
             if normalize_text(new) not in etg.etypes:
-                raise PhaseError(f"{old} is renamed to {new}, which is not an etype of {etg_path}")
+                raise PhaseError(f"{raw} is renamed to {new}, which is not an etype of {etg_path}")
+            renamed[unique_key(normalize_text(raw), raw, seen, "keys")] = normalize_text(new)
         return renamed
 
     # standalone use (--etg without earlier phases): no renames, purpose order

@@ -47,14 +47,6 @@ from .model import (
 REUSE_HINT = "below the coverage gate: revise the competency queries or drop this dataset"
 
 
-class PurposeParseError(ModelError):
-    """The purpose file is missing, malformed, or violates an invariant."""
-
-
-class DuplicateIdError(PurposeParseError):
-    """Two competency queries or two resources share an id."""
-
-
 class ResourceRef(NamedTuple):
     """A purpose entry pointing at a dataset or schema file on disk."""
 
@@ -93,7 +85,7 @@ def _parse_cq(raw, index: int) -> CompetencyQuery:
             id=cq_id, sentence=sentence, etypes=etypes, property_pairs=frozenset(pairs)
         )
     except ModelError as exc:
-        raise PurposeParseError(f"{where}: {exc}") from exc
+        raise DocumentError(f"{where}: {exc}") from exc
 
 
 def _parse_refs(raw_list: list, kind: str, where: str) -> tuple[ResourceRef, ...]:
@@ -108,10 +100,10 @@ def _parse_refs(raw_list: list, kind: str, where: str) -> tuple[ResourceRef, ...
         try:
             meta = ResourceMeta(resource_id, kind, category, popularity, origin)
         except ModelError as exc:
-            raise PurposeParseError(f"{spot}: {exc}") from exc
+            raise DocumentError(f"{spot}: {exc}") from exc
         # "/" separates the dataset id from the key in every minted entity id
         if kind == "dataset" and "/" in meta.id:
-            raise PurposeParseError(f"{spot}: dataset id {meta.id!r} must not contain '/'")
+            raise DocumentError(f"{spot}: dataset id {meta.id!r} must not contain '/'")
         refs.append(ResourceRef(path=path, meta=meta))
     return tuple(refs)
 
@@ -138,7 +130,7 @@ def _parse_overrides(raw: dict) -> dict[str, PropertyDef]:
                 range=normalize_text(rng) if rng is not None else None,
             )
         except ModelError as exc:
-            raise PurposeParseError(f"{where}: {exc}") from exc
+            raise DocumentError(f"{where}: {exc}") from exc
         overrides[unique_key(key, raw_key, keys, "property_overrides")] = definition
     return overrides
 
@@ -150,7 +142,7 @@ def parse_purpose(path: Path) -> Purpose:
     and ids unique across queries and across resources. Every error names the
     file.
     """
-    return read_document(path, "purpose file", _purpose_from_doc, PurposeParseError)
+    return read_document(path, "purpose file", _purpose_from_doc)
 
 
 def _purpose_from_doc(doc: Mapping) -> Purpose:
@@ -158,12 +150,12 @@ def _purpose_from_doc(doc: Mapping) -> Purpose:
     normalize_text(title)  # the title's slug prefixes every IRI the run mints
     raw_cqs = field(doc, "cqs", "", list, [])
     if not raw_cqs:
-        raise PurposeParseError("purpose must state at least one competency query")
+        raise DocumentError("purpose must state at least one competency query")
     cqs = tuple(_parse_cq(raw, i) for i, raw in enumerate(raw_cqs))
     seen: set[str] = set()
     for cq in cqs:
         if cq.id in seen:
-            raise DuplicateIdError(f"duplicate competency query id {cq.id!r}")
+            raise DocumentError(f"duplicate competency query id {cq.id!r}")
         seen.add(cq.id)
 
     dataset_refs = _parse_refs(field(doc, "datasets", "", list, []), "dataset", "datasets")
@@ -171,7 +163,7 @@ def _purpose_from_doc(doc: Mapping) -> Purpose:
     seen = set()
     for ref in dataset_refs + ontology_refs:
         if ref.meta.id in seen:
-            raise DuplicateIdError(f"duplicate resource id {ref.meta.id!r}")
+            raise DocumentError(f"duplicate resource id {ref.meta.id!r}")
         seen.add(ref.meta.id)
 
     return Purpose(
@@ -336,7 +328,7 @@ def match_resources(cqs: Sequence[CompetencyQuery], catalog: ResourceCatalog) ->
     cq_etypes, cq_props = elements(cqs)
     buckets: dict[str, list[RankedResource]] = {c: [] for c in CATEGORIES}
     excluded: list[tuple[str, str]] = []
-    # ids are unique across kinds (DuplicateIdError), so one map holds both
+    # parse_purpose refuses an id shared across kinds, so one map holds both
     resources = {**catalog.datasets, **catalog.ontologies}
     for resource_id in sorted(resources):
         resource = resources[resource_id]

@@ -65,22 +65,6 @@ INFER_THRESHOLD = Fraction(7, 10)
 _NO_LINKS: frozenset[tuple[str, str, str]] = frozenset()
 
 
-class IntegrationError(ModelError):
-    """Dataset rows cannot be turned into graph entities."""
-
-
-class MappingError(IntegrationError):
-    """A column mapping names an unknown or incompatible target."""
-
-
-class UnknownEtypeError(MappingError, NotInGraphError):
-    """The dataset's etype does not occur in the final graph."""
-
-
-class UndeclaredPropertyError(MappingError, NotInGraphError):
-    """A column is mapped to a property its etype does not declare."""
-
-
 def read_dataset_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV dataset: normalized header names plus stripped cell rows."""
     records = read_csv(path)
@@ -103,7 +87,7 @@ def override_from_doc(doc) -> MappingOverride:
     where = "mapping override"
     unknown = sorted(set(expect_json(doc, dict, where)) - set(MappingOverride._fields))
     if unknown:
-        raise MappingError(f"unknown mapping override keys: {', '.join(unknown)}")
+        raise ModelError(f"unknown mapping override keys: {', '.join(unknown)}")
     dataset_id = field(doc, "dataset_id", where)
     columns: dict[str, tuple[str, str] | None] = {}
     names: dict[str, str] = {}
@@ -149,12 +133,13 @@ def infer_mapping(
     mapped, and explicit mappings must name properties declared for the
     dataset's etype. The other columns are matched by name similarity to the
     declared properties no column claims, or dropped; an override drops them
-    all. An override may name only header columns.
+    all. An override may name only header columns. `rename_map` maps model
+    etypes to final ones, both normalized, as the alignment plan writes it.
     """
     rename_map = rename_map or {}
-    etype = normalize_text(rename_map.get(schema.assigned_etype, schema.assigned_etype))
+    etype = rename_map.get(schema.assigned_etype, schema.assigned_etype)
     if etype not in etg.etypes:
-        raise UnknownEtypeError(
+        raise NotInGraphError(
             f"dataset {schema.dataset_id!r}: etype {etype} is not part of the final graph"
         )
     declared = etg.declared_properties(etype)
@@ -164,16 +149,16 @@ def infer_mapping(
     identity = tuple(c.name for c in schema.identity_columns())
     if override is not None:
         if override.dataset_id != schema.dataset_id:
-            raise MappingError(
+            raise ModelError(
                 f"override is for dataset {override.dataset_id!r}, not {schema.dataset_id!r}"
             )
         header = {c.name for c in schema.columns}
         specs = {}
         for name, spec in override.columns.items():
             if name not in header:
-                raise MappingError(f"{where}: override column {name} is not in the header")
-            if spec is not None and normalize_text(rename_map.get(spec[0], spec[0])) != etype:
-                raise MappingError(
+                raise ModelError(f"{where}: override column {name} is not in the header")
+            if spec is not None and rename_map.get(spec[0], spec[0]) != etype:
+                raise ModelError(
                     f"{where}: column {name} mapped into etype {spec[0]}, "
                     f"which is not this dataset's etype"
                 )
@@ -181,7 +166,7 @@ def infer_mapping(
         identity = override.identity_key
     for name in identity:
         if specs.get(name) is None:
-            raise MappingError(f"{where}: identity column {name} is not mapped to a property")
+            raise ModelError(f"{where}: identity column {name} is not mapped to a property")
 
     taken = set(specs.values())
     columns = []
@@ -189,7 +174,7 @@ def infer_mapping(
     for column in schema.columns:
         prop = specs.get(column.name)
         if prop is not None and prop not in declared:
-            raise UndeclaredPropertyError(
+            raise NotInGraphError(
                 f"{where}: column {column.name} mapped to undeclared property {etype}.{prop}"
             )
         if column.name in specs:
@@ -253,7 +238,7 @@ def generate_entities(
     The key is the normalized identity-column value (composite keys joined
     with underscores); rows without a usable key get their ordinal instead.
     Two rows whose ids agree although their normalized keys differ, or one of
-    them has no usable key, raise an IntegrationError naming both data rows.
+    them has no usable key, raise a ModelError naming both data rows.
     Rows that are entirely empty are skipped. The same (value, source) pair
     is never stored twice on a property.
 
@@ -266,7 +251,7 @@ def generate_entities(
     index_of = {name: i for i, name in enumerate(header)}
     for column, _prop in mapping.columns:
         if column not in index_of:
-            raise MappingError(
+            raise ModelError(
                 f"dataset {mapping.dataset_id!r}: mapped column {column} is not in the header"
             )
     declared = schema_graph.declared_properties(mapping.etype)
@@ -305,7 +290,7 @@ def generate_entities(
         if key_indexes and (parts is None or len(parts) > 1 or entity_id in minted):
             if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in entities):
                 first = next(n for n, r in enumerate(rows, 1) if any(r) and mint(n, r)[0] == entity_id)
-                raise IntegrationError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
+                raise ModelError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
         for index, prop in link_cells:
             if row[index]:
                 pending.add(PendingLink(entity_id, prop, row[index], dataset_id))

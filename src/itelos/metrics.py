@@ -23,15 +23,6 @@ class MetricError(ValueError):
     """Invalid metric input."""
 
 
-class KindMismatchError(MetricError):
-    """The two element sets are of different kinds (etypes vs properties)."""
-
-
-class EmptyAlphaError(MetricError):
-    """Coverage of an empty requirement set is undefined and usually signals a
-    malformed competency query or schema."""
-
-
 def as_fraction(value) -> Fraction:
     """Exact Fraction from int, str, Fraction, or float (via shortest repr,
     so 0.6 becomes 3/5 rather than its binary expansion)."""
@@ -67,7 +58,7 @@ class MetricResult(NamedTuple):
 
 def _sizes(alpha: ElementSet, beta: ElementSet) -> tuple[int, int, int]:
     if alpha.kind != beta.kind:
-        raise KindMismatchError(f"cannot compare {alpha.kind} elements with {beta.kind} elements")
+        raise MetricError(f"cannot compare {alpha.kind} elements with {beta.kind} elements")
     return len(alpha.members), len(beta.members), len(alpha.members & beta.members)
 
 
@@ -75,7 +66,7 @@ def coverage(alpha: ElementSet, beta: ElementSet) -> MetricResult:
     """How much of the requirement set alpha the candidate set beta covers."""
     a, b, i = _sizes(alpha, beta)
     if a == 0:
-        raise EmptyAlphaError("coverage of an empty requirement set is undefined")
+        raise MetricError("coverage of an empty requirement set is undefined")
     return MetricResult("coverage", a, b, i, Fraction(i, a))
 
 
@@ -277,6 +268,6 @@ def evaluate_gate(
         try:
             result = metric(alpha, beta)
         except MetricError as exc:
-            raise type(exc)(f"{resource}: {exc}") from exc
+            raise MetricError(f"{resource}: {exc}") from exc
         items.append((resource, alpha.kind, result, default_note))
     return gate_from_results(gate, items, thresholds, notes=notes)

@@ -15,7 +15,7 @@ from collections import deque
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 PROPERTY_KINDS = ("data", "object")
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -34,10 +34,6 @@ class EmptyLabelError(ModelError):
 
 class DocumentError(ModelError):
     """An input document (schema graph, sidecar, CSV file) is malformed."""
-
-
-class RowArityError(DocumentError):
-    """A data row does not have the same number of fields as the header."""
 
 
 class NotInGraphError(ModelError):
@@ -178,7 +174,9 @@ class ETG(_ETG):
     """
 
     def _check(self) -> None:
-        require_valid(validate_etg(self), "invalid schema graph", ModelError)
+        violations = validate_etg(self)
+        if violations:
+            raise ModelError("invalid schema graph: " + "; ".join(map(str, violations)))
 
     def sorted_etypes(self) -> list[str]:
         return sorted(self.etypes)
@@ -514,13 +512,6 @@ def validate_eg(eg: EG) -> list[Violation]:
     return out
 
 
-def require_valid(violations: Sequence[Violation], what: str, error: type[Exception]) -> None:
-    """Raise `error` listing every violation after `what`, the message head,
-    when there is any: an invalid graph stops the step that built or read it."""
-    if violations:
-        raise error(f"{what}: " + "; ".join(str(v) for v in violations))
-
-
 # ---------------------------------------------------------------------------
 # Schema-graph documents (JSON)
 
@@ -706,7 +697,7 @@ def read_csv(path: Path) -> Iterator[list[str]]:
             yield [unique_key(normalize_text(name), name, seen, f"{path}: header") for name in header]
             for row in reader:
                 if len(row) != len(header):
-                    raise RowArityError(
+                    raise DocumentError(
                         f"{path}: line {reader.line_num}: expected "
                         f"{len(header)} fields, got {len(row)}"
                     )

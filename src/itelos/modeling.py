@@ -31,18 +31,6 @@ FROM_DATASET = "from_dataset"
 EXT_HINT = "the model adds nothing beyond the queries; consider richer datasets"
 
 
-class ModelingError(ModelError):
-    """The inputs cannot be folded into a valid entity type graph."""
-
-
-class MissingRangeError(ModelingError):
-    """A link column has no object-property override declaring its range."""
-
-
-class ConflictingPropertyKindError(ModelingError):
-    """The same property is required to be both data- and object-valued."""
-
-
 @checked
 class ETGModel(NamedTuple):
     """The modeled graph plus provenance and per-etype category annotations.
@@ -64,12 +52,12 @@ class ETGModel(NamedTuple):
             if element not in etypes.members and element not in props.members:
                 raise NotInGraphError(f"provenance: {element} is not an element of the model")
             if source not in (FROM_CQ, FROM_DATASET):
-                raise ModelingError(f"provenance: unknown source {source!r} for {element}")
+                raise ModelError(f"provenance: unknown source {source!r} for {element}")
         for etype, category in self.etype_categories.items():
             if etype not in self.etg.etypes:
                 raise NotInGraphError(f"etype_categories: {etype} is not an etype of the model")
             if category not in CATEGORIES:
-                raise ModelingError(f"etype_categories: unknown category {category!r} for {etype}")
+                raise ModelError(f"etype_categories: unknown category {category!r} for {etype}")
 
     def category_of(self, etype: str) -> str:
         return self.etype_categories.get(etype, "contextual")
@@ -124,15 +112,15 @@ def build_etg_model(
         definition = overrides.get(key, PropertyDef(name=prop))
         if dataset_id is not None and definition.kind == "data":
             if key in overrides:
-                raise ConflictingPropertyKindError(
+                raise ModelError(
                     f"{key}: declared data-valued but dataset {dataset_id!r} links through it"
                 )
-            raise MissingRangeError(
+            raise ModelError(
                 f"{key}: link column of dataset {dataset_id!r} needs an object property "
                 "override with a range"
             )
         if definition.kind == "object" and definition.range not in etypes:
-            raise ModelingError(f"{key}: range etype {definition.range} is not in the model")
+            raise ModelError(f"{key}: range etype {definition.range} is not in the model")
         properties.setdefault(etype, []).append(definition)
 
     etg = ETG(
@@ -177,5 +165,5 @@ def model_from_docs(etg: ETG, prov_doc: Mapping) -> ETGModel:
     categories = table("etype_categories")
     missing = sorted(etg.etypes - categories.keys())
     if missing:
-        raise ModelingError(f"etype_categories: etype {missing[0]} has no category")
+        raise ModelError(f"etype_categories: etype {missing[0]} has no category")
     return ETGModel(etg=etg, provenance=table("provenance"), etype_categories=categories)

@@ -29,13 +29,9 @@ from itelos.integration import (
     _RDF_TYPE,
     _XSD,
     Fragment,
-    IntegrationError,
-    MappingError,
     MappingOverride,
     PendingLink,
     SchemaMapping,
-    UndeclaredPropertyError,
-    UnknownEtypeError,
     _escape_literal,
     _iri,
     _merge_values,
@@ -50,6 +46,8 @@ from itelos.model import (
     DatasetSchema,
     EmptyLabelError,
     Entity,
+    ModelError,
+    NotInGraphError,
     PropertyDef,
     ResourceMeta,
     normalize_text,
@@ -510,7 +508,7 @@ def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
     index_of = {name: i for i, name in enumerate(header)}
     for column, _prop in mapping.columns:
         if column not in index_of:
-            raise MappingError(
+            raise ModelError(
                 f"dataset {mapping.dataset_id!r}: mapped column {column} is not in the header"
             )
     declared = schema_graph.declared_properties(mapping.etype)
@@ -545,7 +543,7 @@ def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
         entity_id, parts = mint(ordinal, row)
         first, first_parts = first_of.setdefault(entity_id, (ordinal, parts))
         if first != ordinal and (parts is None or parts != first_parts):
-            raise IntegrationError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
+            raise ModelError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
         bucket = values.setdefault(entity_id, {})
         for index, prop, is_object in cells:
             cell = row[index]
@@ -625,16 +623,16 @@ def scan_infer_mapping(
     file replaces the whole mapping, including the identity key.
     """
     rename_map = rename_map or {}
-    etype = normalize_text(rename_map.get(schema.assigned_etype, schema.assigned_etype))
+    etype = rename_map.get(schema.assigned_etype, schema.assigned_etype)
     if etype not in etg.etypes:
-        raise UnknownEtypeError(
+        raise NotInGraphError(
             f"dataset {schema.dataset_id!r}: etype {etype} is not part of the final graph"
         )
     declared = etg.declared_properties(etype)
 
     if override is not None:
         if override.dataset_id != schema.dataset_id:
-            raise MappingError(
+            raise ModelError(
                 f"override is for dataset {override.dataset_id!r}, "
                 f"not {schema.dataset_id!r}"
             )
@@ -653,12 +651,12 @@ def scan_infer_mapping(
                 continue
             target_etype, prop = spec
             if rename_map.get(target_etype, target_etype) != etype:
-                raise MappingError(
+                raise ModelError(
                     f"dataset {schema.dataset_id!r}: column {column.name} mapped "
                     f"into etype {target_etype}, which is not this dataset's etype"
                 )
             if prop not in declared:
-                raise UndeclaredPropertyError(
+                raise NotInGraphError(
                     f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
                     f"undeclared property {etype}.{prop}"
                 )
@@ -666,7 +664,7 @@ def scan_infer_mapping(
         by_name = dict(columns)
         for key_column in override.identity_key:
             if by_name.get(key_column) is None:
-                raise MappingError(
+                raise ModelError(
                     f"dataset {schema.dataset_id!r}: identity column {key_column} "
                     f"is not mapped to a property"
                 )
@@ -681,7 +679,7 @@ def scan_infer_mapping(
     taken = set()
     for column in schema.mapped_columns():
         if column.mapped not in declared:
-            raise UndeclaredPropertyError(
+            raise NotInGraphError(
                 f"dataset {schema.dataset_id!r}: column {column.name} mapped to "
                 f"undeclared property {etype}.{column.mapped}"
             )

@@ -144,6 +144,32 @@ class TestRun:
         assert {"name": "to", "kind": "object", "range": "aab"} in final["properties"]["holder"]
         assert [p["name"] for p in final["properties"]["aab"]] == ["x", "y", "z"]
 
+    @pytest.mark.parametrize(
+        "respell",
+        [lambda k, v: (k, v.upper()), lambda k, v: (f" {k.upper()}", f"{v.title()} ")],
+        ids=["values_upper", "keys_and_values"],
+    )
+    def test_rename_map_is_read_in_final_names(self, tmp_path, respell):
+        # a hand-written rename_map.json may spell a name in any form that
+        # normalizes to it; integrate gives the bytes of the map as written,
+        # for ds_aab through its sidecar and for ds_aac through an override
+        # that maps into the model's etype aac
+        argv = ["--purpose", str(RENAMES / "purpose.json"), "--config", str(RENAMES / "config.json")]
+        written, respelled = tmp_path / "written", tmp_path / "respelled"
+        for command in ("inception", "model", "align"):
+            assert main([command, *argv, "--out", str(written)]) == 0
+        shutil.copytree(written, respelled)
+        renames = json.loads((written / "rename_map.json").read_text(encoding="utf-8"))
+        assert renames == {"aab": "aaa", "aac": "aab"}
+        (respelled / "rename_map.json").write_text(json.dumps(dict(respell(k, v) for k, v in renames.items())))
+        override = tmp_path / "ds_aac.json"
+        columns = {name: ["aac", name] for name in "xyz"}
+        override.write_text(json.dumps({"dataset_id": "ds_aac", "columns": columns, "identity_key": ["x"]}))
+        for out in (written, respelled):
+            assert main(["integrate", *argv, "--mapping", str(override), "--out", str(out)]) == 0
+        for name in ("eg.nt", "integration_report.json", "eval_d.json", "eval_d.txt"):
+            assert (written / name).read_bytes() == (respelled / name).read_bytes(), name
+
     def test_run_equals_composed_subcommands(self, tmp_path):
         run_out = tmp_path / "run"
         step_out = tmp_path / "steps"
@@ -286,6 +312,14 @@ class TestExitCodes:
     def test_phase_out_of_order(self, tmp_path, capsys):
         assert main(fixture_argv("model", tmp_path / "fresh")) == 1
         assert "run the" in capsys.readouterr().err
+
+    def test_align_out_of_order_names_the_missing_model(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        assert main(fixture_argv("align", out)) == 1
+        assert capsys.readouterr().err == (
+            f"align error: missing artifact {out / 'etg_model.json'}; "
+            "run the earlier phases into this output directory first\n"
+        )
 
     def test_integrate_without_etg(self, tmp_path, capsys):
         assert main(fixture_argv("integrate", tmp_path / "fresh")) == 1
@@ -624,7 +658,7 @@ class TestDeterminism:
         assert [case["conflicts"] for case in report["cases"]] == [2, 0]
         assert [case["components_before"] for case in report["cases"]] == [0, 4]
 
-    @pytest.mark.parametrize("source", ["fixture", "ontology_heavy"])
+    @pytest.mark.parametrize("source", ["fixture", "renames", "ontology_heavy"])
     def test_own_final_schema_is_a_fixed_point(self, source, tmp_path):
         # align again with the first run's etg_final.json as the most popular
         # ontology: the schema, the renames and the graph stay as they were
@@ -1388,6 +1422,9 @@ READ_BACK = {
         "out/etg_model_provenance.json", lambda d: d["provenance"].update({"ghost.prop": "from_cq"}), ["align"]
     ),
     "rename_map_unknown_etype": ("out/rename_map.json", lambda d: d.update(hospital="ghost"), ["integrate"]),
+    "rename_map_keys_alike": (
+        "out/rename_map.json", lambda d: d.update({"Hospital": "hospital", "HOSPITAL": "hospital"}), ["integrate"]
+    ),
     "selection_unknown_dataset": ("out/selection.json", lambda d: d["datasets"].append("ds_ghost"), ["model"]),
     "selection_duplicate_dataset": ("out/selection.json", lambda d: d["datasets"].append("ds_hospitals"), ["model"]),
     "ontology_range_left_out": ("ontologies/onto_health.json", add_located_in, ["align"]),

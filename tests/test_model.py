@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import itelos
-from itelos.alignment import AlignmentPolicy, InvalidPolicyError
+from itelos.alignment import AlignmentPolicy
 from itelos.metrics import MetricError, Thresholds
 from itelos.model import (
     DATATYPES,
@@ -22,7 +22,6 @@ from itelos.model import (
     ModelError,
     PropertyDef,
     ResourceMeta,
-    Violation,
     compound_key,
     dump_etg,
     etg_from_doc,
@@ -33,7 +32,6 @@ from itelos.model import (
     normalize_value,
     read_document,
     read_json,
-    require_valid,
     validate_eg,
     validate_etg,
 )
@@ -142,8 +140,8 @@ BAD_RECORDS = {
     "property_datatype": (ModelError, lambda: PropertyDef("x", datatype="float64")),
     "data_property_range": (ModelError, lambda: PropertyDef("x", "data", None, "y")),
     "object_property_no_range": (ModelError, lambda: PropertyDef(name="x", kind="object")),
-    "policy": (InvalidPolicyError, lambda: AlignmentPolicy(match_threshold=2)),
-    "policy_positional": (InvalidPolicyError, lambda: AlignmentPolicy(0, 0, -1)),
+    "policy": (MetricError, lambda: AlignmentPolicy(match_threshold=2)),
+    "policy_positional": (MetricError, lambda: AlignmentPolicy(0, 0, -1)),
     "thresholds": (MetricError, lambda: Thresholds(cov_min=1.5)),
     "thresholds_band": (MetricError, lambda: Thresholds(0, 0, 0.5, 0.25)),
     "query_no_etypes": (ModelError, lambda: CompetencyQuery("q", "s", frozenset(), frozenset())),
@@ -435,6 +433,10 @@ class TestValidateEtg:
         text = str(validate_etg(g)[0])
         assert text.startswith("dangling_range: ")
 
+    def test_construction_passes_a_clean_graph(self):
+        g = clean_etg()
+        assert type(g)(*g) == g
+
     def test_construction_lists_every_violation(self):
         with pytest.raises(ModelError) as caught:
             make_etg("g", ["a", "b"], {"a": [("r", "object", "missing")]}, subclass=[("a", "b"), ("b", "a")])
@@ -704,12 +706,12 @@ class TestReadDocument:
             read_document(path, "test file", pytest.fail, CallerError)
 
 
-class TestRequireValid:
-    def test_no_violation_passes(self):
-        assert require_valid([], "graph is invalid", CallerError) is None
 
+class TestRequireValid:
     def test_lists_every_violation_after_the_head(self):
-        violations = [Violation("a", "one"), Violation("b", "two")]
-        with pytest.raises(CallerError) as err:
-            require_valid(violations, "graph is invalid", CallerError)
-        assert str(err.value) == "graph is invalid: a: one; b: two"
+        bad = make_etg("g", ["a"], {"a": [("r", "object", "x"), ("s", "object", "y")]}, checked=False)
+        violations = validate_etg(bad)
+        assert len(violations) == 2
+        with pytest.raises(ModelError) as err:
+            type(bad)(*bad)
+        assert str(err.value) == "invalid schema graph: " + "; ".join(map(str, violations))

@@ -6,17 +6,15 @@ from hypothesis import given, strategies as st
 from itelos.inception import match_resources, select_datasets
 from itelos.metrics import Thresholds, coverage
 from itelos.modeling import (
-    ConflictingPropertyKindError,
     FROM_CQ,
     FROM_DATASET,
-    MissingRangeError,
-    ModelingError,
     build_etg_model,
     eval_modeling,
     model_from_docs,
     provenance_to_json,
 )
 from itelos.model import (
+    ModelError,
     PropertyDef,
     elements,
     etg_to_doc,
@@ -75,7 +73,7 @@ class TestBuildModel:
         )
         first = ds._replace(dataset_id="z")  # the first to link names it, not the least
         message = "covid_case.hospital: link column of dataset 'z' needs an object property override"
-        with pytest.raises(MissingRangeError, match=message):
+        with pytest.raises(ModelError, match=message):
             build_etg_model([make_cq("q", ["covid_case", "hospital"])], [first, ds])
 
     def test_link_column_with_object_override(self):
@@ -95,7 +93,7 @@ class TestBuildModel:
 
     def test_data_override_on_link_column_conflicts(self):
         ds = make_schema("d", "covid_case", [("hospital", "hospital", "link")])
-        with pytest.raises(ConflictingPropertyKindError, match="dataset 'd' links through it"):
+        with pytest.raises(ModelError, match="declared data-valued but dataset 'd' links through it"):
             build_etg_model(
                 [make_cq("q", ["covid_case"])],
                 [ds],
@@ -104,7 +102,7 @@ class TestBuildModel:
 
     def test_object_range_must_be_modeled(self):
         cqs = [make_cq("q", ["covid_case"], [("covid_case", "hospital")])]
-        with pytest.raises(ModelingError):
+        with pytest.raises(ModelError, match="covid_case.hospital: range etype hospital is not in the model"):
             build_etg_model(cqs, [], {"covid_case.hospital": override("hospital", kind="object", range_="hospital")})
 
     def test_category_most_reusable_dataset_wins(self):

@@ -11,7 +11,6 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from itelos.inception import (
-    PurposeParseError,
     ResourceRef,
     collect_resources,
     load_dataset_schema,
@@ -92,7 +91,7 @@ class TestEveryRetypedLeafIsRefused:
             file.write_text(json.dumps(doc), encoding="utf-8")
             try:
                 parse_purpose(file)
-            except PurposeParseError as exc:
+            except DocumentError as exc:
                 message = str(exc)
             else:
                 raise AssertionError(f"{path} accepted")
