@@ -27,6 +27,7 @@ from .model import (
     PropertyDef,
     ResourceMeta,
     checked,
+    cyclic_edges,
     elements,
 )
 from .modeling import ETGModel
@@ -275,12 +276,10 @@ def _cycle_sources(
     edge_sources: Mapping[tuple[str, str], set[str]], ranking: OntologyRanking
 ) -> tuple[str, ...]:
     """The ontologies, in ranking order, that gave a subclass edge lying on a
-    cycle of the joined edges `edge_sources` (edge -> ontology ids)."""
+    cycle of the joined edges `edge_sources` (edge -> ontology ids), the
+    edges `validate_etg` names in its refusal (`cyclic_edges`)."""
     joined = ETG._make(("", frozenset(), {}, frozenset(edge_sources), None))  # unchecked: cyclic
-    looped = set()
-    for (child, parent), ids in edge_sources.items():
-        if child in joined.ancestors_of(parent):
-            looped |= ids
+    looped = {oid for edge in cyclic_edges(joined) for oid in edge_sources[edge]}
     return tuple(oid for oid in ranking.ordered_ids() if oid in looped)
 
 
@@ -355,6 +354,8 @@ def generate_etg(
             for definition in ontology.props_of(holder):
                 if definition.name in bucket:
                     continue
+                # validate_etg would refuse this too (dangling_range), but it
+                # cannot name the ontology to blame
                 if definition.kind == "object" and definition.range not in final_etypes:
                     raise OntologyConflictError(
                         (decision.ontology,),

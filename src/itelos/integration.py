@@ -110,7 +110,6 @@ class SchemaMapping(NamedTuple):
     etype: str
     columns: tuple[tuple[str, str | None], ...]
     identity_columns: tuple[str, ...]
-    dropped: tuple[tuple[str, str], ...] = ()
 
     def property_of(self, column: str) -> str | None:
         for name, prop in self.columns:
@@ -170,18 +169,13 @@ def infer_mapping(
 
     taken = set(specs.values())
     columns = []
-    dropped = []
     for column in schema.columns:
         prop = specs.get(column.name)
         if prop is not None and prop not in declared:
             raise NotInGraphError(
                 f"{where}: column {column.name} mapped to undeclared property {etype}.{prop}"
             )
-        if column.name in specs:
-            reason = "dropped by override"
-        elif override is not None:
-            reason = "not mentioned by override"
-        else:
+        if column.name not in specs and override is None:
             best: tuple[str, Fraction] | None = None
             for prop_name in sorted(declared):
                 if prop_name in taken:
@@ -192,16 +186,9 @@ def infer_mapping(
             if best is not None:
                 prop = best[0]
                 taken.add(prop)
-            reason = "no matching property"
         columns.append((column.name, prop))
-        if prop is None:
-            dropped.append((column.name, reason))
     return SchemaMapping(
-        dataset_id=schema.dataset_id,
-        etype=etype,
-        columns=tuple(columns),
-        identity_columns=identity,
-        dropped=tuple(dropped),
+        dataset_id=schema.dataset_id, etype=etype, columns=tuple(columns), identity_columns=identity
     )
 
 
@@ -321,7 +308,7 @@ def generate_entities(
         "skipped_empty_rows": skipped,
         "entities": len(entities),
         "data_cells": data_cells,
-        "dropped_columns": len(mapping.dropped),
+        "dropped_columns": sum(prop is None for _name, prop in mapping.columns),
     }
     return Fragment(
         eg=fragment_eg,

@@ -428,42 +428,16 @@ class Violation(NamedTuple):
         return f"{self.code}: {self.message}"
 
 
-def _subclass_cycles(edges: frozenset[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Edges that close a cycle in the child->parent graph, iterative DFS."""
-    adjacency: dict[str, list[str]] = {}
-    for child, parent in edges:
-        adjacency.setdefault(child, []).append(parent)
-    for targets in adjacency.values():
-        targets.sort()
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    back_edges: list[tuple[str, str]] = []
-    for start in sorted(adjacency):
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GREY
-        while stack:
-            node, idx = stack[-1]
-            targets = adjacency.get(node, [])
-            if idx < len(targets):
-                stack[-1] = (node, idx + 1)
-                nxt = targets[idx]
-                state = color.get(nxt, WHITE)
-                if state == GREY:
-                    back_edges.append((node, nxt))
-                elif state == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return back_edges
+def cyclic_edges(g: ETG) -> list[tuple[str, str]]:
+    """The subclass edges (child, parent) of `g` that lie on a cycle, sorted:
+    those whose child is an ancestor of their parent, a self-loop included."""
+    return [(child, parent) for child, parent in sorted(g.subclass_edges) if child in g.ancestors_of(parent)]
 
 
 def validate_etg(g: ETG) -> list[Violation]:
-    """Check every ETG invariant; an empty report means the graph is valid."""
+    """Check every ETG invariant; an empty report means the graph is valid.
+    This is the one statement of what makes a schema graph invalid; a cycle
+    is reported once for each edge that lies on it (`cyclic_edges`)."""
     out: list[Violation] = []
     for etype in sorted(g.properties):
         if etype not in g.etypes:
@@ -480,8 +454,8 @@ def validate_etg(g: ETG) -> list[Violation]:
         for end in (child, parent):
             if end not in g.etypes:
                 out.append(Violation("dangling_subclass", f"subclass edge ({child}, {parent}) references unknown etype {end}"))
-    for child, parent in _subclass_cycles(g.subclass_edges):
-        out.append(Violation("subclass_cycle", f"subclass edge ({child}, {parent}) closes a cycle"))
+    for child, parent in cyclic_edges(g):
+        out.append(Violation("subclass_cycle", f"subclass edge ({child}, {parent}) lies on a cycle"))
     return out
 
 
@@ -561,9 +535,9 @@ def label_pair(value, where: str) -> tuple[str, str]:
     return normalize_text(value[0]), normalize_text(value[1])
 
 
-def read_json(path: Path, what: str, kind: type = dict, error: type[Exception] = DocumentError):
+def read_json(path: Path, what: str, error: type[Exception] = DocumentError) -> dict:
     """Return the root of the UTF-8 JSON file at `path` (a leading BOM is
-    skipped), which must have JSON type `kind`. Every failure raises `error`
+    skipped), which must be a JSON object. Every failure raises `error`
     naming the file; `what` says what the file is for."""
     try:
         doc = json.loads(path.read_bytes().decode("utf-8-sig"))
@@ -576,18 +550,18 @@ def read_json(path: Path, what: str, kind: type = dict, error: type[Exception] =
         raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: unreadable JSON: {exc}") from exc
-    return expect_json(doc, kind, f"{path}: document root", error)
+    return expect_json(doc, dict, f"{path}: document root", error)
 
 
 def read_document(path: Path, what: str, parse, error: type[Exception] = DocumentError):
     """`parse` applied to the JSON object `read_json` reads from `path`. A ModelError or
     `error` that `parse` raises is raised again as `error` with the path in front, so
-    every refusal names the file; one that is already an `error` keeps its type."""
-    doc = read_json(path, what, error=error)
+    every refusal names the file."""
+    doc = read_json(path, what, error)
     try:
         return parse(doc)
     except (ModelError, error) as exc:
-        raise (type(exc) if isinstance(exc, error) else error)(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
 
 
 def write_json(path: Path, doc) -> None:

@@ -79,8 +79,9 @@ def build_etg_model(
 
     Every property is a string-valued data property unless the overrides map
     its "etype.property" key to a definition, which is used as it is. A link
-    column needs an object override whose range etype is in the model; the
-    error names the first dataset whose sidecar declares the column.
+    column needs an object override, and the error names the first dataset
+    whose sidecar declares the column; an object range outside the model is
+    refused by the ETG itself (`dangling_range`).
     """
     overrides = overrides or {}
     etypes: set[str] = set()
@@ -119,8 +120,6 @@ def build_etg_model(
                 f"{key}: link column of dataset {dataset_id!r} needs an object property "
                 "override with a range"
             )
-        if definition.kind == "object" and definition.range not in etypes:
-            raise ModelError(f"{key}: range etype {definition.range} is not in the model")
         properties.setdefault(etype, []).append(definition)
 
     etg = ETG(

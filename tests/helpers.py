@@ -575,7 +575,7 @@ def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
             "skipped_empty_rows": skipped,
             "entities": len(entities),
             "data_cells": data_cells,
-            "dropped_columns": len(mapping.dropped),
+            "dropped_columns": sum(prop is None for _name, prop in mapping.columns),
         },
     )
 
@@ -637,17 +637,10 @@ def scan_infer_mapping(
                 f"not {schema.dataset_id!r}"
             )
         columns = []
-        dropped = []
         for column in schema.columns:
             spec = override.columns.get(column.name)
             if spec is None:
-                reason = (
-                    "dropped by override"
-                    if column.name in override.columns
-                    else "not mentioned by override"
-                )
                 columns.append((column.name, None))
-                dropped.append((column.name, reason))
                 continue
             target_etype, prop = spec
             if rename_map.get(target_etype, target_etype) != etype:
@@ -673,7 +666,6 @@ def scan_infer_mapping(
             etype=etype,
             columns=tuple(columns),
             identity_columns=override.identity_key,
-            dropped=tuple(dropped),
         )
 
     taken = set()
@@ -685,7 +677,6 @@ def scan_infer_mapping(
             )
         taken.add(column.mapped)
     columns = []
-    dropped = []
     for column in schema.columns:
         if column.mapped is not None:
             columns.append((column.name, column.mapped))
@@ -702,13 +693,11 @@ def scan_infer_mapping(
             columns.append((column.name, best[0]))
         else:
             columns.append((column.name, None))
-            dropped.append((column.name, "no matching property"))
     return SchemaMapping(
         dataset_id=schema.dataset_id,
         etype=etype,
         columns=tuple(columns),
         identity_columns=tuple(c.name for c in schema.identity_columns()),
-        dropped=tuple(dropped),
     )
 
 

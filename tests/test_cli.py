@@ -1235,7 +1235,8 @@ class TestLoadFailureNotes:
         assert error["message"] == (
             f"{target}: invalid schema graph: "
             "dangling_range: object property hospital.part_of targets unknown etype ghost; "
-            "subclass_cycle: subclass edge (hospital, facility) closes a cycle"
+            "subclass_cycle: subclass edge (facility, hospital) lies on a cycle; "
+            "subclass_cycle: subclass edge (hospital, facility) lies on a cycle"
         )
 
 

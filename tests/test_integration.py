@@ -142,7 +142,7 @@ class TestInferMapping:
         assert mapping.etype == "hospital"
         assert list(mapping.identity_columns) == ["code"]
         assert mapping.property_of("beds") == "beds"
-        assert mapping.dropped == ()
+        assert all(prop is not None for _name, prop in mapping.columns)
 
     def test_unmapped_column_matched_by_similarity(self):
         # "nam" sits at similarity 3/4 to "name", above the 7/10 bar
@@ -156,7 +156,7 @@ class TestInferMapping:
             "d", "hospital", [("code", "code", "identity"), ("xyz", None, "attribute")]
         )
         assert mapping.property_of("xyz") is None
-        assert mapping.dropped == (("xyz", "no matching property"),)
+        assert ("xyz", None) in mapping.columns
 
     def test_taken_property_not_reused(self):
         # "name" is explicitly claimed; "nam" must not steal it
@@ -203,7 +203,7 @@ class TestInferMapping:
         mapping = mapping_for("d", "hospital", hospital_columns(), override=override)
         assert mapping.property_of("name") is None
         assert mapping.property_of("beds") == "beds"
-        assert ("name", "dropped by override") in mapping.dropped
+        assert ("name", None) in mapping.columns
 
     def test_override_wrong_dataset(self):
         override = override_from_doc({"dataset_id": "other", "columns": {}, "identity_key": []})

@@ -102,7 +102,7 @@ class TestBuildModel:
 
     def test_object_range_must_be_modeled(self):
         cqs = [make_cq("q", ["covid_case"], [("covid_case", "hospital")])]
-        with pytest.raises(ModelError, match="covid_case.hospital: range etype hospital is not in the model"):
+        with pytest.raises(ModelError, match="dangling_range: object property covid_case.hospital targets unknown etype hospital"):
             build_etg_model(cqs, [], {"covid_case.hospital": override("hospital", kind="object", range_="hospital")})
 
     def test_category_most_reusable_dataset_wins(self):
