@@ -22,6 +22,7 @@ from .metrics import (
     fraction_json,
 )
 from .model import (
+    ELEMENT_KINDS,
     ETG,
     ModelError,
     PropertyDef,
@@ -213,12 +214,11 @@ def rank_ontologies(model: ETGModel, ontologies: Mapping[str, ETG]) -> OntologyR
     """
     if not ontologies:
         raise ModelError("no reference ontology was loaded for alignment")
-    model_etypes, _ = elements(model.etg)
     included = []
     excluded = []
     for ontology_id in sorted(ontologies):
         ontology = ontologies[ontology_id]
-        cov = coverage(model_etypes, elements(ontology)[0])
+        cov = coverage(model.etg.etypes, ontology.etypes)
         if cov.value == 0:
             excluded.append((ontology_id, "shares no etype with the model"))
             continue
@@ -407,9 +407,9 @@ def eval_alignment(
     thresholds = thresholds or Thresholds()
     final_elements = elements(final)
     pairs = [
-        (ontology_id, *both)
+        (ontology_id, *row)
         for ontology_id in ranking.ordered_ids()
-        for both in zip(final_elements, elements(ontologies[ontology_id]))
+        for row in zip(ELEMENT_KINDS, final_elements, elements(ontologies[ontology_id]))
     ]
     notes = []
     if not pairs:

@@ -52,8 +52,8 @@ from .inception import (
     select_datasets,
     sidecar_schema_path,
 )
-from .integration import (  # connected_components and validate_eg: perfbench/tracing.py wraps these names
-    connected_components,
+from .integration import (
+    connected_components,  # unused here: perfbench/tracing.py wraps this name
     eval_purpose,
     export_eg,
     infer_mapping,
@@ -63,7 +63,7 @@ from .integration import (  # connected_components and validate_eg: perfbench/tr
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import DatasetSchema, ModelError, NotInGraphError, dump_etg, etg_from_doc, expect_json, field, load_etg, normalize_text, read_document, unique_key, validate_eg, write_json
+from .model import DatasetSchema, ModelError, NotInGraphError, dump_etg, etg_from_doc, expect_json, field, load_etg, normalize_text, read_document, unique_key, validate_eg, write_json  # validate_eg is unused here: perfbench/tracing.py wraps this name
 from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
@@ -166,7 +166,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
     max_per_category = pick(args.max_per_category, "max_per_category")
     if max_per_category is not None and max_per_category < 1:
-        raise ConfigError("max_per_category must be a positive integer")
+        origin = "" if args.max_per_category is not None else f"{config_path}: "
+        raise ConfigError(f"{origin}max_per_category must be a positive integer")
     fail_fast = pick(args.fail_fast, "fail_fast")
     # --mapping names override files one by one and --mappings a directory of
     # them; the config's "mappings", a list of files or a directory, counts

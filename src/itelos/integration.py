@@ -43,7 +43,6 @@ from .model import (
     CompetencyQuery,
     EG,
     ETG,
-    ElementSet,
     EmptyLabelError,
     Entity,
     DatasetSchema,
@@ -282,8 +281,9 @@ def generate_entities(
             if row[index]:
                 pending.add(PendingLink(entity_id, prop, row[index], dataset_id))
         entity = entities.get(entity_id)
-        # this path stays for memory: without it bulk_append's peak RSS read
-        # 22.74 MiB instead of 22.62 in 4 of 4 runs (CPython 3.11.7, 2-vCPU VM)
+        # this path saves time: a 2000-row bulk_append dataset took 11.2 ms, not 13.6
+        # without it, and 32000 rows 374 ms, not 390 (fastest of 31 and of 9 calls
+        # alternated with the other path; CPython 3.11.7, 2-vCPU Xeon)
         if entity is None and one_column_each:
             data_values = {prop: ((row[i], dataset_id),) for i, prop in value_cells if row[i]}
             data_cells += len(data_values)
@@ -620,7 +620,7 @@ def _populated(entity: Entity) -> set[str]:
     return populated
 
 
-def missing_ratio(eg: EG) -> Fraction:
+def missing_ratio(eg: EG) -> Fraction:  # only tests call it: perfbench/tracing.py wraps this name
     """Share of (entity, declared property) pairs with no value or link."""
     return _updated(GraphTotals(), eg.schema, (), eg.entities.values(), 0).missing_ratio
 
@@ -739,10 +739,7 @@ def eval_purpose(
     """
     rename_map = rename_map or {}
     thresholds = thresholds or Thresholds()
-    populated = [
-        ElementSet(kind, frozenset(members))
-        for kind, members in zip(ELEMENT_KINDS, state.totals.populated_elements(state.eg.schema))
-    ]
+    populated = state.totals.populated_elements(state.eg.schema)
 
     def final_name(etype: str) -> str:
         return rename_map.get(etype, etype)
@@ -753,14 +750,14 @@ def eval_purpose(
             frozenset(final_name(e) for e in cq.etypes),
             frozenset(compound_key(final_name(e), prop) for e, prop in cq.property_pairs),
         )
-        for alpha, beta in zip(wanted, populated):
+        for kind, alpha, beta in zip(ELEMENT_KINDS, wanted, populated):
             if not alpha:  # a query names at least one etype, but maybe no property
                 continue
-            result = coverage(ElementSet(beta.kind, alpha), beta)
-            missing = sorted(alpha - beta.members)
+            result = coverage(alpha, beta)
+            missing = sorted(alpha - beta)
             # nothing missing means coverage 1: the entry passes and drops its note
             note = f"missing: {', '.join(missing)}"
-            items.append((cq.id, beta.kind, result, note))
+            items.append((cq.id, kind, result, note))
     return gate_from_results("eval_d", items, thresholds)
 
 

@@ -1,6 +1,7 @@
 """Set-overlap metrics and phase-gate evaluation.
 
-All three metrics compare two element sets alpha and beta of the same kind:
+All three metrics compare two frozensets alpha and beta of element keys, both
+etype names or both "etype.property" keys:
 
     coverage      = |alpha intersect beta| / |alpha|
     extensiveness = |beta minus alpha|     / |alpha union beta|
@@ -14,9 +15,9 @@ floating-point tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .model import ElementSet, checked
+from .model import checked
 
 
 class MetricError(ValueError):
@@ -56,13 +57,11 @@ class MetricResult(NamedTuple):
         return {**self._asdict(), "value": fraction_json(self.value)}
 
 
-def _sizes(alpha: ElementSet, beta: ElementSet) -> tuple[int, int, int]:
-    if alpha.kind != beta.kind:
-        raise MetricError(f"cannot compare {alpha.kind} elements with {beta.kind} elements")
-    return len(alpha.members), len(beta.members), len(alpha.members & beta.members)
+def _sizes(alpha: frozenset[str], beta: frozenset[str]) -> tuple[int, int, int]:
+    return len(alpha), len(beta), len(alpha & beta)
 
 
-def coverage(alpha: ElementSet, beta: ElementSet) -> MetricResult:
+def coverage(alpha: frozenset[str], beta: frozenset[str]) -> MetricResult:
     """How much of the requirement set alpha the candidate set beta covers."""
     a, b, i = _sizes(alpha, beta)
     if a == 0:
@@ -70,7 +69,7 @@ def coverage(alpha: ElementSet, beta: ElementSet) -> MetricResult:
     return MetricResult("coverage", a, b, i, Fraction(i, a))
 
 
-def extensiveness(alpha: ElementSet, beta: ElementSet) -> MetricResult:
+def extensiveness(alpha: frozenset[str], beta: frozenset[str]) -> MetricResult:
     """Share of the combined knowledge contributed by beta alone."""
     a, b, i = _sizes(alpha, beta)
     union = a + b - i
@@ -78,7 +77,7 @@ def extensiveness(alpha: ElementSet, beta: ElementSet) -> MetricResult:
     return MetricResult("extensiveness", a, b, i, value)
 
 
-def sparsity(alpha: ElementSet, beta: ElementSet) -> MetricResult:
+def sparsity(alpha: frozenset[str], beta: frozenset[str]) -> MetricResult:
     """Symmetric element-level difference between the two sets."""
     a, b, i = _sizes(alpha, beta)
     union = a + b - i
@@ -86,22 +85,24 @@ def sparsity(alpha: ElementSet, beta: ElementSet) -> MetricResult:
     return MetricResult("sparsity", a, b, i, value)
 
 
-# The metric each gate applies, in phase order.  eval_d checks that required
-# elements are fully covered by the populated ones, hence coverage with a
-# threshold of 1.
-GATE_METRIC = {
-    "eval_a": coverage,
-    "eval_b": extensiveness,
-    "eval_c": sparsity,
-    "eval_d": coverage,
+class Gate(NamedTuple):
+    """One row of `GATES`: what makes a phase gate."""
+
+    metric: Callable[[frozenset[str], frozenset[str]], MetricResult]
+    bounds: tuple[str, ...]  # the `Thresholds` attributes that the gate reports
+    outside: str  # the status of a value outside the bounds
+    empty: str  # the verdict when the gate has no entries
+
+
+# In phase order.  Low extensiveness (eval_b) informs and never blocks; eval_d
+# asks for full coverage of the required elements by the populated ones.  With
+# no entries, eval_a (no dataset to reuse) and eval_d (no query checked) fail.
+GATES = {
+    "eval_a": Gate(coverage, ("cov_min",), outside="fail", empty="fail"),
+    "eval_b": Gate(extensiveness, ("ext_floor",), outside="warn", empty="pass"),
+    "eval_c": Gate(sparsity, ("spr_band_min", "spr_band_max"), outside="fail", empty="pass"),
+    "eval_d": Gate(coverage, ("cov_required",), outside="fail", empty="fail"),
 }
-GATES = tuple(GATE_METRIC)
-
-# The verdict of a gate with no entries: eval_a (no dataset to reuse) and eval_d
-# (no query checked) fail; eval_b and eval_c have nothing to warn about.
-EMPTY_VERDICT = {"eval_a": "fail", "eval_b": "pass", "eval_c": "pass", "eval_d": "fail"}
-
-FULL_COVERAGE = Fraction(1)
 
 
 @checked
@@ -112,6 +113,7 @@ class Thresholds(NamedTuple):
     ext_floor: Fraction = Fraction(0)
     spr_band_min: Fraction = Fraction(0)
     spr_band_max: Fraction = Fraction(3, 5)
+    cov_required = Fraction(1)  # eval_d's bound is fixed: not a field, so no flag or key sets it
 
     def _check(self) -> None:
         for name, value in zip(self._fields, self):
@@ -121,30 +123,19 @@ class Thresholds(NamedTuple):
             raise MetricError("spr_band_min must not exceed spr_band_max")
 
     def for_gate(self, gate: str) -> dict[str, Fraction]:
-        if gate == "eval_a":
-            return {"cov_min": self.cov_min}
-        if gate == "eval_b":
-            return {"ext_floor": self.ext_floor}
-        if gate == "eval_c":
-            return {"spr_band_min": self.spr_band_min, "spr_band_max": self.spr_band_max}
-        if gate == "eval_d":
-            return {"cov_required": FULL_COVERAGE}
-        raise MetricError(f"unknown gate {gate!r}")
+        return {name: getattr(self, name) for name in GATES[gate].bounds}
 
 
 def entry_status(gate: str, value: Fraction, thresholds: Thresholds) -> str:
-    """Pass/warn/fail status of one metric value under a gate's rule."""
-    if gate == "eval_a":
-        return "pass" if value >= thresholds.cov_min else "fail"
-    if gate == "eval_b":
-        # Low extensiveness is informative, never blocking.
-        return "pass" if value >= thresholds.ext_floor else "warn"
+    """"pass" when `value` lies inside the gate's bounds, otherwise the gate's
+    `outside` status: eval_c's bounds are the sparsity band, and every other
+    gate's is its one threshold, a lower bound."""
     if gate == "eval_c":
-        in_band = thresholds.spr_band_min <= value <= thresholds.spr_band_max
-        return "pass" if in_band else "fail"
-    if gate == "eval_d":
-        return "pass" if value == FULL_COVERAGE else "fail"
-    raise MetricError(f"unknown gate {gate!r}")
+        inside = thresholds.spr_band_min <= value <= thresholds.spr_band_max
+    else:
+        (floor,) = thresholds.for_gate(gate).values()
+        inside = value >= floor
+    return "pass" if inside else GATES[gate].outside
 
 
 class GateEntry(NamedTuple):
@@ -215,8 +206,6 @@ def gate_from_results(
     `items` are (resource id, element kind, result, note-if-not-passing)
     tuples; entries come out sorted by resource id then element kind.
     """
-    if gate not in GATES:
-        raise MetricError(f"unknown gate {gate!r}")
     entries = []
     for resource, elements, result, note in sorted(items, key=lambda i: (i[0], i[1])):
         status = entry_status(gate, result.value, thresholds)
@@ -229,14 +218,9 @@ def gate_from_results(
                 note=note if status != "pass" else None,
             )
         )
-    if not entries:
-        verdict = EMPTY_VERDICT[gate]
-    elif any(e.status == "fail" for e in entries):
-        verdict = "fail"
-    elif any(e.status == "warn" for e in entries):
-        verdict = "warn"
-    else:
-        verdict = "pass"
+    # each entry is "pass" or the gate's one `outside` status
+    default = "pass" if entries else GATES[gate].empty
+    verdict = next((e.status for e in entries if e.status != "pass"), default)
     return GateReport(
         gate=gate,
         entries=tuple(entries),
@@ -248,26 +232,23 @@ def gate_from_results(
 
 def evaluate_gate(
     gate: str,
-    pairs: Sequence[tuple[str, ElementSet, ElementSet]],
+    pairs: Sequence[tuple[str, str, frozenset[str], frozenset[str]]],
     thresholds: Thresholds,
     *,
     notes: Iterable[str] = (),
     default_note: str | None = None,
 ) -> GateReport:
-    """Compute the gate's metric for every (resource, alpha, beta) pair and
-    fold the per-pair statuses into a verdict.
+    """Compute the gate's metric for every (resource, element kind, alpha,
+    beta) tuple and fold the per-entry statuses into a verdict.
 
     `default_note` is attached to entries that do not pass. Metric errors are
     re-raised with the offending resource id prefixed.
     """
-    if gate not in GATES:
-        raise MetricError(f"unknown gate {gate!r}")
-    metric = GATE_METRIC[gate]
     items = []
-    for resource, alpha, beta in pairs:
+    for resource, kind, alpha, beta in pairs:
         try:
-            result = metric(alpha, beta)
+            result = GATES[gate].metric(alpha, beta)
         except MetricError as exc:
             raise MetricError(f"{resource}: {exc}") from exc
-        items.append((resource, alpha.kind, result, default_note))
+        items.append((resource, kind, result, default_note))
     return gate_from_results(gate, items, thresholds, notes=notes)

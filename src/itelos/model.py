@@ -378,27 +378,10 @@ ELEMENT_KINDS = ("etypes", "properties")
 ElementSource = Union[ETG, DatasetSchema, Iterable[CompetencyQuery]]
 
 
-@checked
-class ElementSet(NamedTuple):
-    """Normalized element keys of one of the `ELEMENT_KINDS`: etype names or
-    "etype.property" keys. len() counts members, so an empty set is falsy, and
-    `_replace`, which checks the tuple's length, must not be used."""
-
-    kind: str
-    members: frozenset[str]
-
-    def _check(self) -> None:
-        if self.kind not in ELEMENT_KINDS:
-            raise ModelError(f"unknown element kind {self.kind!r}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def elements(source: ElementSource) -> tuple[ElementSet, ElementSet]:
-    """The etypes and the "etype.property" keys that an ETG, a dataset schema
-    or some competency queries mention, read in one pass over `source`. A
-    dataset schema contributes its assigned etype and its mapped columns."""
+def elements(source: ElementSource) -> tuple[frozenset[str], frozenset[str]]:
+    """The etypes and the "etype.property" keys (`ELEMENT_KINDS`) that an ETG,
+    a dataset schema or some competency queries mention, read in one pass over
+    `source`. A dataset schema gives its assigned etype and mapped columns."""
     if isinstance(source, ETG):
         etypes = source.etypes
         props = {compound_key(e, p.name) for e, defs in source.properties.items() for p in defs}
@@ -410,7 +393,7 @@ def elements(source: ElementSource) -> tuple[ElementSet, ElementSet]:
         for cq in source:
             etypes |= cq.etypes
             props.update(compound_key(e, p) for e, p in cq.property_pairs)
-    return ElementSet("etypes", frozenset(etypes)), ElementSet("properties", frozenset(props))
+    return frozenset(etypes), frozenset(props)
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +609,9 @@ def etg_to_doc(g: ETG) -> dict:
         for p in sorted(g.props_of(etype), key=lambda p: p.name):
             entry: dict[str, str] = {"name": p.name, "kind": p.kind}
             if p.kind == "data":
-                entry["datatype"] = p.datatype or "string"
+                entry["datatype"] = p.datatype
             else:
-                entry["range"] = p.range or ""
+                entry["range"] = p.range
             serialized.append(entry)
         properties[etype] = serialized
     return {

@@ -12,6 +12,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .metrics import GateReport, Thresholds, evaluate_gate
 from .model import (
     CATEGORIES,
+    ELEMENT_KINDS,
     CompetencyQuery,
     DatasetSchema,
     ETG,
@@ -49,7 +50,7 @@ class ETGModel(NamedTuple):
     def _check(self) -> None:
         etypes, props = elements(self.etg)
         for element, source in self.provenance.items():
-            if element not in etypes.members and element not in props.members:
+            if element not in etypes and element not in props:
                 raise NotInGraphError(f"provenance: {element} is not an element of the model")
             if source not in (FROM_CQ, FROM_DATASET):
                 raise ModelError(f"provenance: unknown source {source!r} for {element}")
@@ -145,7 +146,7 @@ def eval_modeling(
     never fails the run.
     """
     thresholds = thresholds or Thresholds()
-    pairs = [("etg_model", *both) for both in zip(elements(cqs), elements(model.etg))]
+    pairs = [("etg_model", *row) for row in zip(ELEMENT_KINDS, elements(cqs), elements(model.etg))]
     return evaluate_gate("eval_b", pairs, thresholds, default_note=EXT_HINT)
 
 

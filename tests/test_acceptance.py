@@ -27,7 +27,7 @@ from itelos.integration import (
     integrate_dataset,
 )
 from itelos.metrics import coverage, extensiveness, sparsity
-from itelos.model import ElementSet, normalize_text
+from itelos.model import normalize_text
 from itelos.modeling import build_etg_model
 
 from helpers import (
@@ -65,10 +65,6 @@ def criterion(number, label):
     return decorate
 
 
-def eset(members, kind="etypes"):
-    return ElementSet(kind=kind, members=frozenset(members))
-
-
 @criterion(1, "metric oracle equivalence")
 def test_metric_oracle_equivalence():
     universe = "abcdef"
@@ -80,12 +76,11 @@ def test_metric_oracle_equivalence():
     assert len(subsets) == 64
     started = time.perf_counter()
     checked = 0
-    for alpha, beta in itertools.product(subsets, repeat=2):
-        a, b = eset(alpha), eset(beta)
-        if alpha:
-            assert coverage(a, b).value == oracle_coverage(set(alpha), set(beta))
-        assert extensiveness(a, b).value == oracle_extensiveness(set(alpha), set(beta))
-        assert sparsity(a, b).value == oracle_sparsity(set(alpha), set(beta))
+    for a, b in itertools.product(subsets, repeat=2):
+        if a:
+            assert coverage(a, b).value == oracle_coverage(set(a), set(b))
+        assert extensiveness(a, b).value == oracle_extensiveness(set(a), set(b))
+        assert sparsity(a, b).value == oracle_sparsity(set(a), set(b))
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 4096
@@ -98,14 +93,13 @@ def test_metric_identities():
     universe = [f"e{i}" for i in range(12)]
     pairs = 0
     while pairs < 1000:
-        alpha = frozenset(x for x in universe if rng.random() < 0.5)
-        beta = frozenset(x for x in universe if rng.random() < 0.5)
-        a, b = eset(alpha), eset(beta)
+        a = frozenset(x for x in universe if rng.random() < 0.5)
+        b = frozenset(x for x in universe if rng.random() < 0.5)
         ext_ab = extensiveness(a, b).value
         ext_ba = extensiveness(b, a).value
         spr = sparsity(a, b).value
         assert 0 <= ext_ab <= 1 and 0 <= spr <= 1
-        if alpha:
+        if a:
             cov = coverage(a, b).value
             assert 0 <= cov <= 1
             assert coverage(a, a).value == 1

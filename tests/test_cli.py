@@ -367,6 +367,7 @@ class TestConfigMerging:
             ([], {"spr_band_min": 0.7}, True),
             (["--spr-band-max", "0.1"], {"spr_band_min": 0.2}, True),
             (["--spr-band-min", "0.7"], {"spr_band_max": 0.9}, False),
+            ([], {"max_per_category": 0}, True),
         ],
     )
     def test_failed_check_names_the_file_unless_the_flags_fail_it(
@@ -481,6 +482,7 @@ class TestConfigMerging:
     def test_max_per_category_validated(self, tmp_path, capsys):
         code = main(fixture_argv("run", tmp_path / "out", "--max-per-category", "0"))
         assert code == 2
+        assert capsys.readouterr().err == "config error: max_per_category must be a positive integer\n"
 
     def test_max_per_category_caps_the_selection_of_inception(self, tmp_path):
         root = tmp_path / "fixture"

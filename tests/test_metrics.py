@@ -19,13 +19,8 @@ from itelos.metrics import (
     gate_from_results,
     sparsity,
 )
-from itelos.model import ElementSet
 
 from helpers import COVID, oracle_coverage, oracle_extensiveness, oracle_sparsity
-
-
-def eset(members, kind="etypes"):
-    return ElementSet(kind=kind, members=frozenset(members))
 
 
 subsets = st.frozensets(st.sampled_from("abcdefgh"), max_size=8)
@@ -33,63 +28,55 @@ subsets = st.frozensets(st.sampled_from("abcdefgh"), max_size=8)
 
 class TestMetricFunctions:
     def test_known_values(self):
-        a, b = eset("abc"), eset("bcd")
+        a, b = frozenset("abc"), frozenset("bcd")
         assert coverage(a, b).value == Fraction(2, 3)
         assert extensiveness(a, b).value == Fraction(1, 4)
         assert sparsity(a, b).value == Fraction(2, 4)
 
     def test_results_are_fractions(self):
-        r = coverage(eset("abc"), eset("b"))
+        r = coverage(frozenset("abc"), frozenset("b"))
         assert isinstance(r.value, Fraction)
         assert (r.alpha_size, r.beta_size, r.intersection_size) == (3, 1, 1)
 
     def test_empty_alpha_coverage_undefined(self):
         with pytest.raises(MetricError, match="coverage of an empty requirement set is undefined"):
-            coverage(eset(""), eset("a"))
+            coverage(frozenset(""), frozenset("a"))
 
     def test_empty_pair_conventions(self):
-        assert extensiveness(eset(""), eset("")).value == 0
-        assert sparsity(eset(""), eset("")).value == 0
-
-    def test_kind_mismatch(self):
-        with pytest.raises(MetricError, match="cannot compare etypes elements with properties elements"):
-            coverage(eset("a"), eset("a", kind="properties"))
+        assert extensiveness(frozenset(""), frozenset("")).value == 0
+        assert sparsity(frozenset(""), frozenset("")).value == 0
 
     def test_coverage_is_asymmetric(self):
-        a, b = eset("ab"), eset("b")
+        a, b = frozenset("ab"), frozenset("b")
         assert coverage(a, b).value != coverage(b, a).value
 
     @given(subsets, subsets)
-    def test_bounds(self, xs, ys):
-        a, b = eset(xs), eset(ys)
-        if xs:
+    def test_bounds(self, a, b):
+        if a:
             assert 0 <= coverage(a, b).value <= 1
         assert 0 <= extensiveness(a, b).value <= 1
         assert 0 <= sparsity(a, b).value <= 1
 
     @given(subsets)
-    def test_identity(self, xs):
-        a = eset(xs)
-        if xs:
+    def test_identity(self, a):
+        if a:
             assert coverage(a, a).value == 1
         assert extensiveness(a, a).value == 0
         assert sparsity(a, a).value == 0
 
     @given(subsets, subsets)
     def test_sparsity_symmetric(self, xs, ys):
-        assert sparsity(eset(xs), eset(ys)).value == sparsity(eset(ys), eset(xs)).value
+        assert sparsity(xs, ys).value == sparsity(ys, xs).value
 
     @given(subsets, subsets)
-    def test_extensiveness_decomposes_sparsity(self, xs, ys):
-        a, b = eset(xs), eset(ys)
+    def test_extensiveness_decomposes_sparsity(self, a, b):
         assert extensiveness(a, b).value + extensiveness(b, a).value == sparsity(a, b).value
 
     @given(subsets, subsets)
     def test_coverage_reconstruction(self, xs, ys):
         if not xs:
             return
-        a, b = eset(xs), eset(ys)
-        assert coverage(a, b).value * len(xs) == len(xs & ys)
+        assert coverage(xs, ys).value * len(xs) == len(xs & ys)
 
     def test_exhaustive_against_oracle(self):
         universe = "abcd"
@@ -99,11 +86,10 @@ class TestMetricFunctions:
             for c in itertools.combinations(universe, n)
         ]
         for xs, ys in itertools.product(all_subsets, repeat=2):
-            a, b = eset(xs), eset(ys)
             if xs:
-                assert coverage(a, b).value == oracle_coverage(set(xs), set(ys))
-            assert extensiveness(a, b).value == oracle_extensiveness(set(xs), set(ys))
-            assert sparsity(a, b).value == oracle_sparsity(set(xs), set(ys))
+                assert coverage(xs, ys).value == oracle_coverage(set(xs), set(ys))
+            assert extensiveness(xs, ys).value == oracle_extensiveness(set(xs), set(ys))
+            assert sparsity(xs, ys).value == oracle_sparsity(set(xs), set(ys))
 
 
 class TestAsFraction:
@@ -185,8 +171,8 @@ class TestGateReports:
         report = evaluate_gate(
             "eval_a",
             [
-                ("z_ds", eset("ab"), eset("a")),
-                ("a_ds", eset("ab"), eset("")),
+                ("z_ds", "etypes", frozenset("ab"), frozenset("a")),
+                ("a_ds", "etypes", frozenset("ab"), frozenset("")),
             ],
             Thresholds(),
         )
@@ -197,7 +183,10 @@ class TestGateReports:
     def test_default_note_only_on_non_pass(self):
         report = evaluate_gate(
             "eval_a",
-            [("good", eset("a"), eset("a")), ("bad", eset("ab"), eset(""))],
+            [
+                ("good", "etypes", frozenset("a"), frozenset("a")),
+                ("bad", "etypes", frozenset("ab"), frozenset("")),
+            ],
             Thresholds(),
             default_note="try more data",
         )
@@ -209,25 +198,21 @@ class TestGateReports:
         assert verdicts == {"eval_a": "fail", "eval_b": "pass", "eval_c": "pass", "eval_d": "fail"}
         assert gate_from_results("eval_d", [], Thresholds()).verdict == "fail"
 
-    def test_unknown_gate(self):
-        with pytest.raises(MetricError):
-            evaluate_gate("eval_z", [], Thresholds())
-
     def test_metric_error_names_resource(self):
         with pytest.raises(MetricError) as err:
-            evaluate_gate("eval_a", [("ds_x", eset(""), eset("a"))], Thresholds())
+            evaluate_gate("eval_a", [("ds_x", "etypes", frozenset(""), frozenset("a"))], Thresholds())
         assert str(err.value) == "ds_x: coverage of an empty requirement set is undefined"
 
     def test_warn_verdict_from_eval_b(self):
         report = evaluate_gate(
             "eval_b",
-            [("m", eset("ab"), eset("ab"))],
+            [("m", "etypes", frozenset("ab"), frozenset("ab"))],
             Thresholds(ext_floor=Fraction(1, 10)),
         )
         assert report.verdict == "warn"
 
     def test_to_json_shape(self):
-        report = evaluate_gate("eval_a", [("ds", eset("ab"), eset("a"))], Thresholds())
+        report = evaluate_gate("eval_a", [("ds", "etypes", frozenset("ab"), frozenset("a"))], Thresholds())
         doc = report.to_json()
         assert doc["gate"] == "eval_a"
         assert doc["verdict"] == "pass"
@@ -242,7 +227,7 @@ class TestGateReports:
     def test_to_text_format(self):
         report = evaluate_gate(
             "eval_a",
-            [("ds", eset("abc"), eset("a"))],
+            [("ds", "etypes", frozenset("abc"), frozenset("a"))],
             Thresholds(),
             default_note="find more",
         )
@@ -266,3 +251,73 @@ class TestGateReports:
         assert report.entries[0].note == "note!"
         assert report.entries[1].note is None
         assert report.notes == ("overall note",)
+
+
+ORACLE_METRIC = {
+    "eval_a": ("coverage", oracle_coverage),
+    "eval_b": ("extensiveness", oracle_extensiveness),
+    "eval_c": ("sparsity", oracle_sparsity),
+    "eval_d": ("coverage", oracle_coverage),
+}
+small_sets = st.frozensets(st.sampled_from("abcd"), max_size=4)
+rationals = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+@st.composite
+def gate_inputs(draw):
+    """A gate, valid thresholds with the band ordered, and 0-6
+    (resource, kind, alpha, beta) tuples, alpha non-empty for coverage."""
+    gate = draw(st.sampled_from(sorted(GATES)))
+    band = sorted([draw(rationals), draw(rationals)])
+    thresholds = Thresholds(draw(rationals), draw(rationals), *band)
+    alphas = small_sets.filter(bool) if ORACLE_METRIC[gate][0] == "coverage" else small_sets
+    entry = st.tuples(st.sampled_from("xyz"), st.sampled_from(["etypes", "properties"]), alphas, small_sets)
+    return gate, thresholds, draw(st.lists(entry, max_size=6))
+
+
+def oracle_status(gate, value, t):
+    if gate == "eval_a":
+        passed = value >= t.cov_min
+    elif gate == "eval_b":
+        passed = value >= t.ext_floor
+    elif gate == "eval_c":
+        passed = t.spr_band_min <= value <= t.spr_band_max
+    else:
+        passed = value == 1
+    if passed:
+        return "pass"
+    return "warn" if gate == "eval_b" else "fail"
+
+
+class TestGateTable:
+    @given(gate_inputs())
+    def test_reports_follow_each_gates_rule(self, case):
+        gate, t, pairs = case
+        report = evaluate_gate(gate, pairs, t, notes=["n"], default_note="hint")
+        name, oracle = ORACLE_METRIC[gate]
+        expected = sorted(pairs, key=lambda p: (p[0], p[1]))  # stable: ties keep their order
+        assert [(e.resource, e.elements) for e in report.entries] == [(r, k) for r, k, _, _ in expected]
+        statuses = []
+        for entry, (_, _, alpha, beta) in zip(report.entries, expected):
+            value = oracle(set(alpha), set(beta))
+            assert entry.result.metric == name
+            assert entry.result.value == value
+            assert (entry.result.alpha_size, entry.result.beta_size) == (len(alpha), len(beta))
+            assert entry.result.intersection_size == len(alpha & beta)
+            assert entry.status == oracle_status(gate, value, t)
+            assert entry.note == (None if entry.status == "pass" else "hint")
+            statuses.append(entry.status)
+        bounds = {
+            "eval_a": {"cov_min": t.cov_min},
+            "eval_b": {"ext_floor": t.ext_floor},
+            "eval_c": {"spr_band_min": t.spr_band_min, "spr_band_max": t.spr_band_max},
+            "eval_d": {"cov_required": Fraction(1)},
+        }[gate]
+        assert list(report.thresholds.items()) == list(bounds.items())
+        if not statuses:
+            verdict = "fail" if gate in ("eval_a", "eval_d") else "pass"
+        elif all(status == "pass" for status in statuses):
+            verdict = "pass"
+        else:
+            verdict = "warn" if gate == "eval_b" else "fail"
+        assert (report.gate, report.verdict, report.notes) == (gate, verdict, ("n",))

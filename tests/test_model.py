@@ -12,11 +12,9 @@ from itelos.metrics import MetricError, Thresholds
 from itelos.model import (
     DATATYPES,
     EG,
-    ELEMENT_KINDS,
     CompetencyQuery,
     Column,
     DatasetSchema,
-    ElementSet,
     EmptyLabelError,
     Entity,
     ModelError,
@@ -159,7 +157,6 @@ BAD_RECORDS = {
         lambda: DatasetSchema(dataset_id="d", assigned_etype="e", columns=(Column("a"), Column("a")), meta=META),
     ),
     "schema_link_unmapped": (ModelError, lambda: DatasetSchema("d", "e", (Column("a", role="link"),), META)),
-    "element_kind": (ModelError, lambda: ElementSet("columns", frozenset())),
 }
 
 
@@ -351,33 +348,25 @@ class TestElementSets:
     def test_elements_equal_scan_oracle(self, source):
         expected = scan_elements(source)
         found = elements(source)
-        assert [s.kind for s in found] == list(ELEMENT_KINDS)
-        assert tuple(s.members for s in found) == expected
+        assert found == expected
+        assert [type(s) for s in found] == [frozenset, frozenset]
         if type(source) is tuple:
             # a one-shot generator gives the same sets: elements walks its source once
-            assert tuple(s.members for s in elements(cq for cq in source)) == expected
-
-    def test_kind_checked(self):
-        with pytest.raises(ModelError):
-            ElementSet(kind="columns", members=frozenset())
-
-    def test_len_counts_members(self):
-        assert len(ElementSet("etypes", frozenset({"a", "b", "c"}))) == 3
-        assert not ElementSet(kind="properties", members=frozenset())
+            assert elements(cq for cq in source) == expected
 
     def test_from_etg(self):
         g = make_etg("g", ["hospital"], {"hospital": ["name", "beds"]})
-        assert [e.members for e in elements(g)] == [{"hospital"}, {"hospital.name", "hospital.beds"}]
+        assert elements(g) == ({"hospital"}, {"hospital.name", "hospital.beds"})
 
     def test_from_schema_skips_unmapped(self):
         s = make_schema(
             "d", "hospital", [("code", "code", "identity"), ("notes", None, "attribute")]
         )
-        assert [e.members for e in elements(s)] == [{"hospital"}, {"hospital.code"}]
+        assert elements(s) == ({"hospital"}, {"hospital.code"})
 
     def test_from_cqs(self):
         cqs = [make_cq("q1", ["a"], [("a", "p")]), make_cq("q2", ["b"])]
-        assert [e.members for e in elements(cqs)] == [{"a", "b"}, {"a.p"}]
+        assert elements(cqs) == ({"a", "b"}, {"a.p"})
 
     @given(
         st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True),
@@ -388,7 +377,7 @@ class TestElementSets:
         g = make_etg("g", names, {n: ["p"] for n in names})
         bigger = make_etg("g", names + [extra], {n: ["p"] for n in names + [extra]})
         for small, large in zip(elements(g), elements(bigger)):
-            assert small.members <= large.members
+            assert small <= large
 
 
 def clean_etg():
