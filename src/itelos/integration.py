@@ -65,9 +65,10 @@ _NO_LINKS: frozenset[tuple[str, str, str]] = frozenset()
 
 
 def read_dataset_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV dataset: normalized header names plus stripped cell rows."""
+    """Read a CSV dataset: normalized header names plus the data rows as read;
+    `generate_entities` strips the cells."""
     records = read_csv(path)
-    return next(records), [[cell.strip() for cell in row] for row in records]
+    return next(records), list(records)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +222,14 @@ def generate_entities(
 ) -> Fragment:
     """Mint one entity per distinct identity key.
 
+    This is where cells become values: each row must have as many cells as
+    the header, and is stripped once as it is read. A row whose cells are
+    all blank is skipped, and a blank cell is no value.
     The key is the normalized identity-column value (composite keys joined
     with underscores); rows without a usable key get their ordinal instead.
     Two rows whose ids agree although their normalized keys differ, or one of
     them has no usable key, raise a ModelError naming both data rows.
-    Rows that are entirely empty are skipped. The same (value, source) pair
-    is never stored twice on a property.
+    The same (value, source) pair is never stored twice on a property.
 
     Each entity is built from the row that mints its id, so no per-row
     bucket outlives its row. When every data property has one column, that
@@ -269,13 +272,17 @@ def generate_entities(
     data_cells = 0
     skipped = 0
     for ordinal, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ModelError(f"data row {ordinal} has {len(row)} fields, the header {len(header)}")
+        row = [cell.strip() for cell in row]
         if not any(row):
             skipped += 1
             continue
         entity_id, parts = mint(ordinal, row)
         if key_indexes and (parts is None or len(parts) > 1 or entity_id in minted):
             if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in entities):
-                first = next(n for n, r in enumerate(rows, 1) if any(r) and mint(n, r)[0] == entity_id)
+                stripped = ([cell.strip() for cell in r] for r in rows)
+                first = next(n for n, r in enumerate(stripped, 1) if any(r) and mint(n, r)[0] == entity_id)
                 raise ModelError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
         for index, prop in link_cells:
             if row[index]:
@@ -444,7 +451,7 @@ class GraphTotals(NamedTuple):
     missing: int = 0  # of those, the pairs with no value or link
     flagged: int = 0  # (entity, conflicting property) pairs
     etypes: Mapping[str, int] = MappingProxyType({})  # entities per etype
-    # etype -> property -> its entities that hold a non-blank value or a link there
+    # etype -> property -> its entities that hold a value or a link there
     populated: Mapping[str, Mapping[str, int]] = MappingProxyType({})
     components: int = 0  # connected_components(eg)
 
@@ -609,15 +616,8 @@ def connected_components(eg: EG) -> int:
 
 
 def _populated(entity: Entity) -> set[str]:
-    """The properties of `entity` with a non-blank value or a link."""
-    # plain loops: a comprehension over any(<generator>) takes three times as long
-    populated = {prop for prop, _t, _s in entity.object_links}
-    for prop, pairs in entity.data_values.items():
-        for value, _source in pairs:
-            if value.strip():
-                populated.add(prop)
-                break
-    return populated
+    """The properties of `entity` with a value or a link."""
+    return entity.data_values.keys() | {prop for prop, _t, _s in entity.object_links}
 
 
 def missing_ratio(eg: EG) -> Fraction:  # only tests call it: perfbench/tracing.py wraps this name
@@ -666,11 +666,10 @@ def integrate_dataset(
     comparison per entity and one `connected_components` pass. Merging and
     resolution keep every entity they leave alone as the same object, so
     identity finds the entities the dataset changed or removed; only they
-    update the state's totals. `merged_entities` counts those that hold a
-    value or link of this dataset, less `appended`, to which a new entity
-    holding none (a row whose only cells are links still pending) adds
-    nothing. `conflicts` is the net change in flagged (entity, property)
-    pairs, and `components_before` is the count the previous dataset left.
+    update the state's totals. `merged_entities` counts the existing
+    entities that the dataset's records merged into, `conflicts` the net
+    change in flagged (entity, property) pairs, and `components_before` is
+    the count the previous dataset left.
     """
     before = state.eg
     totals = state.totals
@@ -687,19 +686,7 @@ def integrate_dataset(
     removed = [e for entity_id, e in before.entities.items() if after.entities.get(entity_id) is not e]
     added = [e for entity_id, e in after.entities.items() if before.entities.get(entity_id) is not e]
     after_totals = _updated(totals, after.schema, removed, added, connected_components(after))
-
-    touched = bare = 0  # bare: new entities that hold nothing of this dataset
-    for entity in added:
-        if any(
-            source == mapping.dataset_id
-            for pairs in entity.data_values.values()
-            for _v, source in pairs
-        ) or any(source == mapping.dataset_id for _p, _t, source in entity.object_links):
-            touched += 1
-        elif entity.id not in before.entities:
-            bare += 1
-    appended = len(after.entities) - len(before.entities)
-    merged_count = touched - (appended - bare)
+    merged_count = len(set(matches.values()))
     report = IntegrationCaseReport(
         dataset_id=mapping.dataset_id,
         etype=mapping.etype,
@@ -707,7 +694,7 @@ def integrate_dataset(
         entity_overlap="populates_both" if merged_count >= 1 else "only_one",
         entities_before=len(before.entities),
         entities_after=len(after.entities),
-        appended=appended,
+        appended=len(after.entities) - len(before.entities),
         merged_entities=merged_count,
         conflicts=after_totals.flagged - totals.flagged,
         components_before=totals.components,

@@ -256,16 +256,11 @@ class Entity(NamedTuple):
     object_links: frozenset[tuple[str, str, str]]
 
     def value_sets(self) -> dict[str, frozenset[str]]:
-        """Each populated data property mapped to its non-blank values in
-        normalized form: the values that identity and conflict decisions
-        compare. A property with only blank values is left out. Computed on
-        every call."""
-        sets = {}
-        for prop, pairs in self.data_values.items():
-            values = _value_set(pairs)
-            if values:
-                sets[prop] = values
-        return sets
+        """Each data property mapped to its values in normalized form: the
+        values that identity and conflict decisions compare. Values are never
+        blank (`generate_entities`), so no set is empty. Computed on every
+        call."""
+        return {prop: _value_set(pairs) for prop, pairs in self.data_values.items()}
 
     def conflicting_properties(self) -> list[str]:
         """The data properties whose values disagree: two or more members in
@@ -279,7 +274,7 @@ class Entity(NamedTuple):
 
 
 def _value_set(pairs: Iterable[tuple[str, str]]) -> frozenset[str]:
-    return frozenset(normalize_value(v) for v, _src in pairs if v.strip())
+    return frozenset(normalize_value(v) for v, _src in pairs)
 
 
 class EG(NamedTuple):
@@ -457,6 +452,8 @@ def validate_eg(eg: EG) -> list[Violation]:
             pairs = entity.data_values[prop]
             if not pairs:
                 out.append(Violation("empty_value_list", f"entity {entity.id} has an empty value list for {prop}"))
+            if any(not value.strip() for value, _src in pairs):
+                out.append(Violation("blank_value", f"entity {entity.id} has a blank value for {prop}"))
             pdef = declared.get(prop)
             if pdef is None or pdef.kind != "data":
                 out.append(Violation("undeclared_property", f"entity {entity.id} uses undeclared data property {prop}"))

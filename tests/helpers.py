@@ -502,9 +502,9 @@ def scan_populated_elements(eg) -> tuple[set[str], set[str]]:
 
 
 def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
-    """generate_entities by gathering every row's cells in per-entity list
-    buckets, one cell at a time, and turning the buckets into entities at the
-    end: the reference for its one-pass minting."""
+    """generate_entities by gathering every row's stripped cells in
+    per-entity list buckets, one cell at a time, and turning the buckets into
+    entities at the end: the reference for its one-pass minting."""
     index_of = {name: i for i, name in enumerate(header)}
     for column, _prop in mapping.columns:
         if column not in index_of:
@@ -536,8 +536,9 @@ def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
     first_of: dict = {}
     data_cells = 0
     skipped = 0
-    for ordinal, row in enumerate(rows, start=1):
-        if not any(row):
+    for ordinal, raw in enumerate(rows, start=1):
+        row = list(map(str.strip, raw))
+        if all(cell == "" for cell in row):
             skipped += 1
             continue
         entity_id, parts = mint(ordinal, row)

@@ -797,6 +797,7 @@ LAYOUT_REWRITES = {
     ),
     "json_keys_reversed": rewrite_jsons(lambda _path, doc, _purpose: keys_reversed(doc)),
     "json_lists_reversed": rewrite_jsons(lists_reversed),
+    "csv_cells_padded": rewrite_csvs(lambda _path, header, rows: [[f" \t{cell}  " for cell in row] for row in [header, *rows]]),
 }
 LAYOUT_SOURCES = ["fixture", "renames", *TINY]
 

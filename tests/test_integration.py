@@ -104,11 +104,11 @@ def run_dataset(state, dataset_id, etype, columns, rows):
 
 
 class TestReadRows:
-    def test_reads_and_strips(self, tmp_path):
+    def test_reads_cells_as_read(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["Code", "Name"], [[" TN01 ", "Santa Chiara"]])
         header, rows = read_dataset_rows(path)
         assert header == ["code", "name"]
-        assert rows == [["TN01", "Santa Chiara"]]
+        assert rows == [[" TN01 ", "Santa Chiara"]]
 
     def test_arity_error_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -386,6 +386,11 @@ class TestGenerateEntities:
     def test_equal_composite_keys_still_merge(self):
         fragment = self.composite([["San Marco", "Via Roma"], ["SAN  MARCO", " via-roma"], ["", "x"]])
         assert set(fragment.eg.entities) == {"ds_a/san_marco_via_roma", "ds_a/row_3"}
+
+    @pytest.mark.parametrize("row", [["TN01", "A"], ["", "", "", "x"]], ids=["short", "long"])
+    def test_ragged_row_raises(self, row):
+        with pytest.raises(ModelError, match=f"^data row 2 has {len(row)} fields, the header 3$"):
+            run_dataset(initial_state(hospital_etg(), "eg"), "ds_a", "hospital", hospital_columns(), [["TN02", "B", "2"], row])
 
     def test_empty_cells_skipped(self):
         fragment = self.fragment([["TN01", "", "400"]])
@@ -688,7 +693,7 @@ class TestMatchAndMerge:
 
 
 # Small pools so that random entities often share, miss or contradict values.
-MATCH_VALUES = ["", " ", "a", "A", "a  b", "A B", "b"]
+MATCH_VALUES = ["a", "A", "a  b", "A B", "b"]
 MATCH_PROPS = ["code", "name", "beds"]
 # One property with few values, so that one value-set block holds many entities.
 BLOCK_VALUES = ["Trento", "Arco", "Rovereto"]
@@ -1359,9 +1364,17 @@ def dataset_sequence(draw):
     return datasets
 
 
+SITE_COLUMNS = [("code", "code", "attribute"), ("name", "name", "attribute"), ("town", "town", "attribute"), ("near", "near", "attribute")]
+KEYED_SITE_COLUMNS = [("code", "code", "identity"), *SITE_COLUMNS[1:]]
+
+
 class TestCaseReportOracle:
     @settings(max_examples=300)
     @given(dataset_sequence())
+    # two records of one dataset merge into one existing entity: merged 1
+    @example([("ds_a", "site", SITE_COLUMNS, [["", "A", "", ""]]), ("ds_b", "site", SITE_COLUMNS, [["", "A", "T", ""], ["", "a", "U", ""]])])
+    # a record's id renames the existing entity: merged 1, appended 0
+    @example([("ds_b", "site", KEYED_SITE_COLUMNS, [["S1", "A", "", ""]]), ("ds_a", "site", KEYED_SITE_COLUMNS, [["s1", "", "T", ""]])])
     def test_report_equals_full_scan(self, datasets):
         state = initial_state(report_etg(), "eg")
         for dataset_id, etype, columns, rows in datasets:
@@ -1389,6 +1402,44 @@ class TestCaseReportOracle:
         assert (report.appended, report.merged_entities) == (1, 0)
         assert report.entity_overlap == "only_one"
         assert len(state.pending) == 1
+
+
+PADDING = st.text(" \t", max_size=2)
+
+
+@st.composite
+def padded_datasets(draw):
+    """`dataset_sequence` datasets with every cell wrapped in runs of spaces
+    and tabs, so that some empty cells become blank."""
+    return [
+        (dataset_id, etype, columns, [[draw(PADDING) + cell + draw(PADDING) for cell in row] for row in rows])
+        for dataset_id, etype, columns, rows in draw(dataset_sequence())
+    ]
+
+
+class TestPaddedCells:
+    """Rows reach `integrate_dataset` as read, so the library builds the
+    graph that the CLI builds from the same file."""
+
+    @settings(max_examples=200)
+    @given(padded_datasets())
+    @example([("ds_a", "site", KEYED_SITE_COLUMNS[:2], [["S1", "   "], ["  ", "  "]])])
+    def test_padded_rows_integrate_as_stripped_ones(self, datasets):
+        padded = stripped = initial_state(report_etg(), "eg")
+        for dataset_id, etype, columns, rows in datasets:
+            padded, padded_report = run_dataset(padded, dataset_id, etype, columns, rows)
+            trimmed = [[cell.strip() for cell in row] for row in rows]
+            stripped, stripped_report = run_dataset(stripped, dataset_id, etype, columns, trimmed)
+            assert validate_eg(padded.eg) == []
+            assert (padded, padded_report) == (stripped, stripped_report)
+
+    def test_blank_cells_are_no_values(self, tmp_path):
+        state = initial_state(report_etg(), "eg")
+        state, report = run_dataset(state, "ds_a", "site", KEYED_SITE_COLUMNS[:2], [["S1", "   "], ["  ", "  "]])
+        assert report.stats == {"rows": 2, "skipped_empty_rows": 1, "entities": 1, "data_cells": 1, "dropped_columns": 0}
+        assert list(state.eg.entities) == ["ds_a/s1"]
+        export_eg(state.eg, tmp_path / "eg.nt")
+        assert "etg:name" not in (tmp_path / "eg.nt").read_text(encoding="utf-8")
 
 
 class TestEvalPurpose:
@@ -1680,8 +1731,8 @@ DATASET_IDS = st.text(
 
 @st.composite
 def round_trip_graph(draw):
-    """A valid graph of typed_etg: ids `<dataset id>/<key>`, drawn text in
-    every data property, the same value from several sources, and links
+    """A valid graph of typed_etg: ids `<dataset id>/<key>`, drawn non-blank
+    text in every data property, the same value from several sources, and links
     between the graph's entities."""
     dataset_ids = draw(st.lists(DATASET_IDS, min_size=1, max_size=3, unique=True))
     sources = st.sampled_from(dataset_ids)
@@ -1693,7 +1744,7 @@ def round_trip_graph(draw):
         etype = draw(st.sampled_from(["site", "clinic"]))
         declared = schema.declared_properties(etype)
         data_props = sorted(p for p, d in declared.items() if d.kind == "data")
-        pairs = st.lists(st.tuples(CELL_TEXT, sources), min_size=1, max_size=3, unique=True)
+        pairs = st.lists(st.tuples(CELL_TEXT.filter(str.strip), sources), min_size=1, max_size=3, unique=True)
         values = {p: draw(pairs) for p in draw(st.lists(st.sampled_from(data_props), unique=True))}
         links = draw(st.lists(st.tuples(st.just("near"), st.sampled_from(ids), sources), max_size=3))
         entities.append(entity(entity_id, etype, values, links))

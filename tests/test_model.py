@@ -534,6 +534,14 @@ class TestValidateEg:
         fine = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": ok})
         assert self.codes(fine) == []
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\t\n"], ids=["empty", "spaces", "tab_newline"])
+    def test_blank_value(self, blank):
+        # generate_entities stores no blank cell, so no value is blank
+        eg = small_eg()
+        bad = eg.entities["d/x"]._replace(data_values={"name": (("Santa Chiara", "d"), (blank, "e"))})
+        broken = eg._replace(entities={**eg.entities, "d/x": bad})
+        assert self.codes(broken) == ["blank_value"]
+
     def test_dangling_link(self):
         eg = small_eg()
         bad = Entity(
@@ -559,10 +567,10 @@ class TestValidateEg:
 
     @pytest.mark.parametrize(
         "entity_id, values",
-        [("d/x", (("Santa  Chiara", "d"), ("santa chiara", "e"), ("  ", "f")))],
+        [("d/x", (("Santa  Chiara", "d"), ("santa chiara", "e")))],
     )
     def test_flag_without_two_normalized_values_is_stale(self, entity_id, values):
-        # values equal after normalization, plus a blank one, raise no flag
+        # values equal after normalization raise no flag
         eg = small_eg()
         variants = eg.entities[entity_id]._replace(data_values={"name": values})
         unflagged = eg._replace(entities={**eg.entities, entity_id: variants})
@@ -571,25 +579,25 @@ class TestValidateEg:
 
 
 class TestEntity:
-    def test_value_set_drops_blanks_and_folds_case_and_whitespace(self):
+    def test_value_set_folds_case_and_whitespace(self):
         entity = Entity(
             id="d/x",
             etype="hospital",
             data_values={
                 "name": (
-                    ("", "a"),
-                    ("   ", "a"),
-                    ("\t\n", "b"),
                     ("Santa  Chiara", "a"),
                     (" santa\tCHIARA ", "b"),
                     ("S. Chiara", "c"),
                 ),
-                "code": (("", "a"), (" ", "b")),
+                "code": (("TN01", "a"),),
             },
             object_links=frozenset(),
         )
-        # "code" has only blank values and "beds" none: neither is populated
-        assert entity.value_sets() == {"name": frozenset({"santa chiara", "s. chiara"})}
+        # "beds" holds no value, so it has no set
+        assert entity.value_sets() == {
+            "name": frozenset({"santa chiara", "s. chiara"}),
+            "code": frozenset({"tn01"}),
+        }
 
 
 class TestEtgDocuments:
