@@ -13,6 +13,8 @@ import json
 import re
 from collections import deque
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
@@ -245,36 +247,45 @@ class ETG(_ETG):
 class Entity(NamedTuple):
     """An instance node: typed, with sourced data values and object links.
 
-    `data_values` maps a property to (value, source_dataset) pairs; duplicates
-    of the exact same pair are never stored twice.  `object_links` holds
-    (property, target entity id, source_dataset) triples.
+    `data_values` holds (property, value, source_dataset) triples, sorted by
+    property and in first-seen order within one; the same triple is never
+    stored twice.  `object_links` holds (property, target entity id,
+    source_dataset) triples.
     """
 
     id: str
     etype: str
-    data_values: Mapping[str, tuple[tuple[str, str], ...]]
+    data_values: tuple[tuple[str, str, str], ...]
     object_links: frozenset[tuple[str, str, str]]
 
     def value_sets(self) -> dict[str, frozenset[str]]:
         """Each data property mapped to its values in normalized form: the
         values that identity and conflict decisions compare. Values are never
         blank (`generate_entities`), so no set is empty. Computed on every
-        call."""
-        return {prop: _value_set(pairs) for prop, pairs in self.data_values.items()}
+        call, in one pass over the triples."""
+        sets: dict[str, frozenset[str]] = {}
+        for prop, value, _src in self.data_values:
+            sets[prop] = sets.get(prop, _NO_VALUES) | {normalize_value(value)}
+        return sets
 
     def conflicting_properties(self) -> list[str]:
         """The data properties whose values disagree: two or more members in
-        the property's `value_sets` entry. A property holding one pair cannot
-        disagree, so only properties holding two or more are normalized."""
-        return [
-            prop
-            for prop, pairs in self.data_values.items()
-            if len(pairs) >= 2 and len(_value_set(pairs)) >= 2
-        ]
+        the property's `value_sets` entry. A property holding one triple
+        cannot disagree, so only properties holding two or more are
+        normalized; an entity that holds none is done after one set."""
+        values = self.data_values
+        if len({prop for prop, _v, _src in values}) == len(values):
+            return []
+        runs = ((prop, tuple(run)) for prop, run in groupby(values, _property))
+        return [prop for prop, run in runs if len(run) >= 2 and len(_value_set(run)) >= 2]
 
 
-def _value_set(pairs: Iterable[tuple[str, str]]) -> frozenset[str]:
-    return frozenset(normalize_value(v) for v, _src in pairs)
+_NO_VALUES: frozenset[str] = frozenset()
+_property = itemgetter(0)
+
+
+def _value_set(triples: Iterable[tuple[str, str, str]]) -> frozenset[str]:
+    return frozenset(normalize_value(v) for _p, v, _src in triples)
 
 
 class EG(NamedTuple):
@@ -448,11 +459,13 @@ def validate_eg(eg: EG) -> list[Violation]:
             out.append(Violation("unknown_etype", f"entity {entity.id} has unknown etype {entity.etype}"))
             continue
         declared = eg.schema.declared_properties(entity.etype)
-        for prop in sorted(entity.data_values):
-            pairs = entity.data_values[prop]
-            if not pairs:
-                out.append(Violation("empty_value_list", f"entity {entity.id} has an empty value list for {prop}"))
-            if any(not value.strip() for value, _src in pairs):
+        ordered = sorted(entity.data_values, key=_property)
+        if list(entity.data_values) != ordered:
+            out.append(Violation("unsorted_values", f"entity {entity.id} has values out of property order"))
+        if len(set(ordered)) != len(ordered):
+            out.append(Violation("duplicate_value", f"entity {entity.id} stores a value triple twice"))
+        for prop, run in groupby(ordered, _property):
+            if any(not value.strip() for _p, value, _src in run):
                 out.append(Violation("blank_value", f"entity {entity.id} has a blank value for {prop}"))
             pdef = declared.get(prop)
             if pdef is None or pdef.kind != "data":

@@ -34,7 +34,6 @@ from itelos.integration import (
     SchemaMapping,
     _escape_literal,
     _iri,
-    _merge_values,
     _valid_for,
 )
 from itelos.modeling import ETGModel
@@ -194,13 +193,33 @@ def bfs_component_count(eg) -> int:
     return components
 
 
+def union_find_component_count(eg) -> int:
+    """Weakly connected components by a union-find that holds an entry for
+    every entity, linked or not."""
+    parent = {entity_id: entity_id for entity_id in eg.entities}
+
+    def find(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for entity in eg.entities.values():
+        for _prop, target, _src in entity.object_links:
+            if target in parent:
+                parent[find(entity.id)] = find(target)
+    return len({find(node) for node in parent})
+
+
+def value_triples(values: Mapping) -> tuple:
+    """`Entity.data_values` for `{property: [(value, source), ...]}`: its
+    (property, value, source) triples sorted by property, each property's
+    pairs in the order given."""
+    return tuple((prop, value, source) for prop in sorted(values) for value, source in values[prop])
+
+
 def occurrence_count(eg) -> int:
-    """Total stored (value, source) occurrences across all entities."""
-    return sum(
-        len(pairs)
-        for entity in eg.entities.values()
-        for pairs in entity.data_values.values()
-    )
+    """Total stored (property, value, source) triples across all entities."""
+    return sum(len(entity.data_values) for entity in eg.entities.values())
 
 
 def scan_elements(source) -> tuple[frozenset, frozenset]:
@@ -318,7 +337,7 @@ def etr_pair_score(name_a, props_a, name_b, props_b, policy=None) -> Fraction:
 
 
 def scan_value_set(entity, prop) -> frozenset:
-    return frozenset(normalize_value(v) for v, _src in entity.data_values.get(prop, ()) if v.strip())
+    return frozenset(normalize_value(v) for p, v, _src in entity.data_values if p == prop and v.strip())
 
 
 def scan_same_entity(existing, candidate, key_props) -> bool:
@@ -329,7 +348,7 @@ def scan_same_entity(existing, candidate, key_props) -> bool:
         return all(scan_value_set(existing, p) == scan_value_set(candidate, p) for p in key_props)
     shared = [
         p
-        for p in sorted(set(existing.data_values) & set(candidate.data_values))
+        for p in sorted({t[0] for t in existing.data_values} & {t[0] for t in candidate.data_values})
         if scan_value_set(existing, p) and scan_value_set(candidate, p)
     ]
     if not shared:
@@ -395,10 +414,11 @@ def scan_conflict_flags(entities) -> frozenset:
     normalized values, by a plain loop over every value."""
     flags = set()
     for entity in entities.values():
-        for prop, pairs in entity.data_values.items():
-            distinct = {normalize_value(v) for v, _src in pairs if v.strip()}
-            if len(distinct) >= 2:
-                flags.add((entity.id, prop))
+        distinct: dict[str, set[str]] = {}
+        for prop, value, _src in entity.data_values:
+            if value.strip():
+                distinct.setdefault(prop, set()).add(normalize_value(value))
+        flags.update((entity.id, prop) for prop, values in distinct.items() if len(values) >= 2)
     return frozenset(flags)
 
 
@@ -420,6 +440,16 @@ def scan_merge_entities(eg, fragment, matches):
     def target(entity_id: str) -> str:
         return remap.get(entity_id, entity_id)
 
+    def union(first, second):
+        """Each property's (value, source) pairs of `first`, then those of
+        `second` not among them."""
+        merged: dict[str, list] = {}
+        for prop, value, source in (*first, *second):
+            pairs = merged.setdefault(prop, [])
+            if (value, source) not in pairs:
+                pairs.append((value, source))
+        return value_triples(merged)
+
     combined: dict[str, Entity] = {}
 
     def fold(entity: Entity) -> None:
@@ -429,14 +459,14 @@ def scan_merge_entities(eg, fragment, matches):
             combined[new_id] = Entity(
                 id=new_id,
                 etype=entity.etype,
-                data_values=dict(entity.data_values),
+                data_values=entity.data_values,
                 object_links=entity.object_links,
             )
         else:
             combined[new_id] = Entity(
                 id=new_id,
                 etype=present.etype,
-                data_values=_merge_values(present.data_values, entity.data_values),
+                data_values=union(present.data_values, entity.data_values),
                 object_links=present.object_links | entity.object_links,
             )
 
@@ -473,7 +503,7 @@ def scan_missing_ratio(eg) -> Fraction:
             if definition.kind == "object":
                 populated = prop_name in linked
             else:
-                populated = any(v.strip() for v, _src in entity.data_values.get(prop_name, ()))
+                populated = any(v.strip() for p, v, _src in entity.data_values if p == prop_name)
             if not populated:
                 missing += 1
     if total == 0:
@@ -489,9 +519,7 @@ def scan_populated_elements(eg) -> tuple[set[str], set[str]]:
     for entity in eg.entities.values():
         populated = populated_of.setdefault(entity.etype, set())
         populated.update(prop for prop, _t, _s in entity.object_links)
-        populated.update(
-            prop for prop, pairs in entity.data_values.items() if any(v.strip() for v, _s in pairs)
-        )
+        populated.update(prop for prop, value, _s in entity.data_values if value.strip())
     etypes: set[str] = set()
     props: set[str] = set()
     for etype, populated in populated_of.items():
@@ -562,7 +590,7 @@ def scan_generate_entities(mapping, header, rows, schema_graph) -> Fragment:
         entity_id: Entity(
             id=entity_id,
             etype=mapping.etype,
-            data_values={p: tuple(pairs) for p, pairs in bucket.items()},
+            data_values=value_triples(bucket),
             object_links=frozenset(),
         )
         for entity_id, bucket in values.items()
@@ -589,7 +617,7 @@ def scan_case_counts(before, after, dataset_id, etype) -> dict:
 
     def holds(entity):
         return any(
-            source == dataset_id for pairs in entity.data_values.values() for _v, source in pairs
+            source == dataset_id for _p, _v, source in entity.data_values
         ) or any(source == dataset_id for _p, _t, source in entity.object_links)
 
     touched = sum(1 for entity in after.entities.values() if holds(entity))
@@ -717,21 +745,20 @@ def scan_export_eg(eg: EG, path: Path) -> list[str]:
         etype_iri = iri(f"urn:itelos:etg:{entity.etype}")
         lines.add(f"{subject} {_RDF_TYPE} {etype_iri} .")
         declared = eg.schema.declared_properties(entity.etype)
-        for prop in sorted(entity.data_values):
+        for prop, value, _source in sorted(entity.data_values, key=lambda triple: triple[0]):
             predicate = iri(f"urn:itelos:etg:{prop}")
             definition = declared.get(prop)
             datatype = definition.datatype if definition and definition.kind == "data" else "string"
-            for value, _source in entity.data_values[prop]:
-                literal = f'"{_escape_literal(value)}"'
-                if datatype != "string":
-                    if _valid_for(datatype, value):
-                        literal = f"{literal}^^<{_XSD}{datatype}>"
-                    elif f"{subject} {predicate} {literal} ." not in lines:
-                        warnings.append(
-                            f"{entity.id}: value {value!r} for {prop} is not a valid "
-                            f"{datatype}; exported as a plain string"
-                        )
-                lines.add(f"{subject} {predicate} {literal} .")
+            literal = f'"{_escape_literal(value)}"'
+            if datatype != "string":
+                if _valid_for(datatype, value):
+                    literal = f"{literal}^^<{_XSD}{datatype}>"
+                elif f"{subject} {predicate} {literal} ." not in lines:
+                    warnings.append(
+                        f"{entity.id}: value {value!r} for {prop} is not a valid "
+                        f"{datatype}; exported as a plain string"
+                    )
+            lines.add(f"{subject} {predicate} {literal} .")
         for prop, target, _source in sorted(entity.object_links):
             predicate = iri(f"urn:itelos:etg:{prop}")
             target_iri = iri(f"urn:itelos:{eg.id}:{target}")

@@ -15,6 +15,7 @@ from itelos.integration import (
     Fragment,
     PendingLink,
     SchemaMapping,
+    _valid_for,
     connected_components,
     eval_purpose,
     export_eg,
@@ -61,6 +62,8 @@ from helpers import (
     scan_missing_ratio,
     scan_populated_elements,
     scan_same_entity,
+    union_find_component_count,
+    value_triples,
     write_csv,
     xsd_valid,
 )
@@ -332,7 +335,7 @@ class TestGenerateEntities:
         fragment = self.fragment([["TN01", "Santa Chiara", "400"]])
         assert set(fragment.eg.entities) == {"ds_a/tn01"}
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara"]
+        assert [v for p, v, _src in entity.data_values if p == "name"] == ["Santa Chiara"]
 
     def test_missing_key_falls_back_to_ordinal(self):
         fragment = self.fragment([["", "NoCode", "1"], ["TN02", "Ok", "2"]])
@@ -395,14 +398,14 @@ class TestGenerateEntities:
     def test_empty_cells_skipped(self):
         fragment = self.fragment([["TN01", "", "400"]])
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert "name" not in entity.data_values
+        assert "name" not in {p for p, _v, _src in entity.data_values}
         assert fragment.stats["data_cells"] == 2
 
     def test_duplicate_key_single_entity_with_conflict(self):
         fragment = self.fragment([["TN01", "Santa Chiara", "400"], ["TN01", "S. Chiara", "400"]])
         assert len(fragment.eg.entities) == 1
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara", "S. Chiara"]
+        assert [v for p, v, _src in entity.data_values if p == "name"] == ["Santa Chiara", "S. Chiara"]
         assert flagged_pairs(fragment.eg) == frozenset(
             {("ds_a/tn01", "name")}
         )
@@ -410,7 +413,7 @@ class TestGenerateEntities:
     def test_duplicate_rows_do_not_conflict(self):
         fragment = self.fragment([["TN01", "Santa Chiara", "400"]] * 2)
         entity = fragment.eg.entities["ds_a/tn01"]
-        assert [v for v, _src in entity.data_values["name"]] == ["Santa Chiara"]
+        assert [v for p, v, _src in entity.data_values if p == "name"] == ["Santa Chiara"]
         assert flagged_pairs(fragment.eg) == frozenset()
 
     def test_case_variants_do_not_conflict(self):
@@ -470,6 +473,17 @@ class TestGenerateEntities:
         (fragment, retained, peak) = traced(lambda: generate_entities(mapping, header, rows, etg))
         assert len(fragment.eg.entities) == 2000
         assert peak - retained <= retained / 4
+
+    def test_stored_cells_retain_little(self):
+        # a stored cell costs one (property, value, source) triple and its slot
+        # in the entity's tuple, about 91 bytes on CPython 3.10-3.13; a dict of
+        # 1-tuples of (value, source) pairs cost 150-165
+        etg, columns, rows = wide_dataset(2000)
+        mapping = infer_mapping(make_schema("ds_w", "site", columns), etg)
+        header = [name for name, _prop, _role in columns]
+        (fragment, retained, _peak) = traced(lambda: generate_entities(mapping, header, rows, etg))
+        assert fragment.stats["data_cells"] == 2000 * 13
+        assert retained <= 112 * fragment.stats["data_cells"]
 
 
 # Cell pools per column of `generate_case` and repeated values; the key
@@ -539,7 +553,7 @@ class TestGenerateEntitiesOracle:
                 fragment = generate(*case, etg)
             except ModelError as exc:
                 return str(exc)
-            # the entities and their properties in first-seen order, too
+            # the entities in first-seen order, and each one's triples in order, too
             order = [(e.id, list(e.data_values)) for e in fragment.eg.entities.values()]
             return fragment, order
 
@@ -573,9 +587,7 @@ def entity(eid, etype, values=None, links=()):
     return Entity(
         id=eid,
         etype=normalize_text(etype),
-        data_values={
-            normalize_text(p): tuple(pairs) for p, pairs in (values or {}).items()
-        },
+        data_values=value_triples({normalize_text(p): pairs for p, pairs in (values or {}).items()}),
         object_links=frozenset(
             (normalize_text(p), t, s) for p, t, s in links
         ),
@@ -599,7 +611,7 @@ class TestMatchAndMerge:
         assert report.merged_entities == 1
         assert report.appended == 0
         merged = state.eg.entities["ds_a/tn01"]
-        assert {v for v, _src in merged.data_values["name"]} == {"Santa Chiara", "S. Chiara"}
+        assert {v for p, v, _src in merged.data_values if p == "name"} == {"Santa Chiara", "S. Chiara"}
 
     def test_key_mismatch_appends(self):
         state = self.seed_state()
@@ -925,9 +937,9 @@ class TestMergeOnePass:
         )
         assert remap == {"ds_b/h5": "ds_a/h1", "ds_a/h2": "ds_a/h1", "ds_c/h9": "ds_a/h1"}
         assert sorted(merged.entities) == ["ds_a/h1", "ds_b/c1"]
-        assert merged.entities["ds_a/h1"].data_values == {
-            "code": (("X", "ds_b"), ("X", "ds_a"), ("X", "ds_c"))
-        }
+        assert merged.entities["ds_a/h1"].data_values == value_triples(
+            {"code": (("X", "ds_b"), ("X", "ds_a"), ("X", "ds_c"))}
+        )
         assert merged.entities["ds_b/c1"].object_links == frozenset(
             {("hospital", "ds_a/h1", "ds_b")}
         )
@@ -1212,6 +1224,22 @@ class TestComponentsAndMissing:
         }
         eg = EG(id="eg", schema=etg, entities=entities)
         assert connected_components(eg) == bfs_component_count(eg)
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(min_value=0, max_value=30),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=40),
+    )
+    def test_components_match_full_union_find(self, n, raw_edges):
+        # nodes from n on are no entity, so some links name a missing id, and
+        # most entities hold no link
+        etg = make_etg("g", ["node"], {"node": [("to", "object", "node")]})
+        entities = {
+            f"d/n{i}": entity(f"d/n{i}", "node", links=[("to", f"d/n{j}", "d") for k, j in raw_edges if k == i])
+            for i in range(n)
+        }
+        eg = EG(id="eg", schema=etg, entities=entities)
+        assert connected_components(eg) == union_find_component_count(eg)
 
     def test_missing_ratio_hand_computed(self):
         state = initial_state(hospital_etg(), "eg")
@@ -1793,7 +1821,7 @@ def assert_round_trip(eg, path):
             )
     graph = eg.entities.values()
     assert types == {(e.id, e.etype) for e in graph}
-    assert values == {(e.id, p, v) for e in graph for p, pairs in e.data_values.items() for v, _ in pairs}
+    assert values == {(e.id, p, v) for e in graph for p, v, _ in e.data_values}
     assert links == {(e.id, p, t) for e in graph for p, t, _ in e.object_links}
     assert fallbacks == set(warnings)
 
@@ -1823,6 +1851,12 @@ class TestNTriplesRoundTrip:
     def test_export_reads_back_as_the_graph(self, tmp_path_factory, eg):
         assert validate_eg(eg) == []
         assert_round_trip(eg, tmp_path_factory.mktemp("export") / "eg.nt")
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["integer", "decimal", "boolean"]), CELL_TEXT)
+    def test_typed_exactly_in_the_xsd_lexical_space(self, datatype, text):
+        # a date keeps the narrower YYYY-MM-DD rule that README documents
+        assert _valid_for(datatype, text) == xsd_valid(datatype, text)
 
     @settings(max_examples=100)
     @given(

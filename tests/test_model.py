@@ -42,6 +42,7 @@ from helpers import (
     scan_ancestors,
     scan_declared_properties,
     scan_elements,
+    value_triples,
 )
 
 texts = st.text(min_size=0, max_size=40)
@@ -470,10 +471,10 @@ def small_eg():
     e1 = Entity(
         id="d/x",
         etype=hospital,
-        data_values={"name": (("Santa Chiara", "d"),)},
+        data_values=value_triples({"name": [("Santa Chiara", "d")]}),
         object_links=frozenset({("partner", "d/y", "d")}),
     )
-    e2 = Entity(id="d/y", etype="facility", data_values={}, object_links=frozenset())
+    e2 = Entity(id="d/y", etype="facility", data_values=(), object_links=frozenset())
     return EG(id="eg", schema=schema, entities={"d/x": e1, "d/y": e2})
 
 
@@ -486,27 +487,30 @@ class TestValidateEg:
 
     def test_unknown_etype(self):
         eg = small_eg()
-        bad = Entity(id="d/z", etype="ghost", data_values={}, object_links=frozenset())
+        bad = Entity(id="d/z", etype="ghost", data_values=(), object_links=frozenset())
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad})
         assert "unknown_etype" in self.codes(broken)
 
-    def test_empty_value_list(self):
+    def test_unsorted_values(self):
         eg = small_eg()
-        bad = Entity(
-            id="d/z",
-            etype="facility",
-            data_values={"operator": ()},
-            object_links=frozenset(),
-        )
-        broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad})
-        assert "empty_value_list" in self.codes(broken)
+        bad = eg.entities["d/x"]._replace(data_values=(("operator", "APSS", "d"), ("name", "Santa Chiara", "d")))
+        broken = eg._replace(entities={**eg.entities, "d/x": bad})
+        assert self.codes(broken) == ["unsorted_values"]
+
+    def test_duplicate_value(self):
+        # generate_entities and merge_entities never store a triple twice
+        eg = small_eg()
+        twice = ("name", "Santa Chiara", "d")
+        bad = eg.entities["d/x"]._replace(data_values=(twice, ("name", "S. Chiara", "e"), twice))
+        broken = eg._replace(entities={**eg.entities, "d/x": bad})
+        assert self.codes(broken) == ["duplicate_value"]
 
     def test_undeclared_property(self):
         eg = small_eg()
         bad = Entity(
             id="d/z",
             etype="facility",
-            data_values={"nickname": (("x", "d"),)},
+            data_values=value_triples({"nickname": [("x", "d")]}),
             object_links=frozenset(),
         )
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad})
@@ -517,7 +521,7 @@ class TestValidateEg:
         bad = Entity(
             id="d/z",
             etype="hospital",
-            data_values={},
+            data_values=(),
             object_links=frozenset({("name", "d/y", "d")}),
         )
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad})
@@ -528,7 +532,7 @@ class TestValidateEg:
         ok = Entity(
             id="d/z",
             etype="hospital",
-            data_values={"operator": (("APSS", "d"),)},
+            data_values=value_triples({"operator": [("APSS", "d")]}),
             object_links=frozenset(),
         )
         fine = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": ok})
@@ -538,7 +542,7 @@ class TestValidateEg:
     def test_blank_value(self, blank):
         # generate_entities stores no blank cell, so no value is blank
         eg = small_eg()
-        bad = eg.entities["d/x"]._replace(data_values={"name": (("Santa Chiara", "d"), (blank, "e"))})
+        bad = eg.entities["d/x"]._replace(data_values=value_triples({"name": [("Santa Chiara", "d"), (blank, "e")]}))
         broken = eg._replace(entities={**eg.entities, "d/x": bad})
         assert self.codes(broken) == ["blank_value"]
 
@@ -547,7 +551,7 @@ class TestValidateEg:
         bad = Entity(
             id="d/z",
             etype="hospital",
-            data_values={},
+            data_values=(),
             object_links=frozenset({("partner", "d/nowhere", "d")}),
         )
         broken = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/z": bad})
@@ -558,7 +562,7 @@ class TestValidateEg:
         both = Entity(
             id="d/x",
             etype="hospital",
-            data_values={"name": (("Santa Chiara", "d"), ("S. Chiara", "e"))},
+            data_values=value_triples({"name": [("Santa Chiara", "d"), ("S. Chiara", "e")]}),
             object_links=frozenset(),
         )
         flagged = EG(id=eg.id, schema=eg.schema, entities={**eg.entities, "d/x": both})
@@ -572,7 +576,7 @@ class TestValidateEg:
     def test_flag_without_two_normalized_values_is_stale(self, entity_id, values):
         # values equal after normalization raise no flag
         eg = small_eg()
-        variants = eg.entities[entity_id]._replace(data_values={"name": values})
+        variants = eg.entities[entity_id]._replace(data_values=value_triples({"name": values}))
         unflagged = eg._replace(entities={**eg.entities, entity_id: variants})
         assert flagged_pairs(unflagged) == frozenset()
         assert self.codes(unflagged) == []
@@ -583,14 +587,12 @@ class TestEntity:
         entity = Entity(
             id="d/x",
             etype="hospital",
-            data_values={
-                "name": (
-                    ("Santa  Chiara", "a"),
-                    (" santa\tCHIARA ", "b"),
-                    ("S. Chiara", "c"),
-                ),
-                "code": (("TN01", "a"),),
-            },
+            data_values=value_triples(
+                {
+                    "name": [("Santa  Chiara", "a"), (" santa\tCHIARA ", "b"), ("S. Chiara", "c")],
+                    "code": [("TN01", "a")],
+                }
+            ),
             object_links=frozenset(),
         )
         # "beds" holds no value, so it has no set
