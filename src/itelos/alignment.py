@@ -326,7 +326,7 @@ def generate_etg(
             or category == "core" and decision.score >= policy.core_adopt_threshold
         ):
             ancestors = ontologies[decision.ontology].ancestors_of(decision.candidate)
-            decision = decision._replace(action="adopt", adopted_parents=tuple(ancestors))
+            decision = decision._replace(action="adopt", adopted_parents=ancestors)
             if decision.candidate != etype:
                 rename_map[etype] = decision.candidate
             final_etypes.update([decision.candidate, *ancestors])

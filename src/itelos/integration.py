@@ -233,7 +233,9 @@ def generate_entities(
     The key is the normalized identity-column value (composite keys joined
     with underscores); rows without a usable key get their ordinal instead.
     Two rows whose ids agree although their normalized keys differ, or one of
-    them has no usable key, raise a ModelError naming both data rows.
+    them has no usable key, raise a ModelError naming both data rows. `rows`
+    is read once: the key parts and first row of each id that differing parts
+    could mint are recorded; a single key not spelling `row_<n>` cannot be.
 
     Each entity is built from the row that mints its id, so no per-row
     bucket outlives its row. The data columns are sorted by property once,
@@ -258,22 +260,11 @@ def generate_entities(
     value_cells.sort(key=itemgetter(1))
     one_column_each = len({prop for _i, prop in value_cells}) == len(value_cells)
     key_indexes = [index_of[c] for c in mapping.identity_columns]
-
-    def mint(ordinal: int, row: Sequence[str]) -> tuple[str, tuple[str, ...] | None]:
-        """The row's entity id and key parts, or None where it takes the ordinal."""
-        parts = None
-        if key_indexes and all(row[i] for i in key_indexes):
-            try:
-                parts = tuple(normalize_text(row[i]) for i in key_indexes)
-            except EmptyLabelError:
-                pass
-        return f"{mapping.dataset_id}/{'_'.join(parts) if parts else f'row_{ordinal}'}", parts
-
     dataset_id = mapping.dataset_id
     entities: dict[str, Entity] = {}
     pending: set[PendingLink] = set()
-    # the key parts of each id that a keyed row's ordinal or composite key made
-    minted: dict[str, tuple[str, ...] | None] = {}
+    # (key parts, first row) per ordinal, composite key or single key spelling row_<n>
+    first: dict[str, tuple[tuple[str, ...] | None, int]] = {}
     data_cells = 0
     skipped = 0
     for ordinal, row in enumerate(rows, start=1):
@@ -283,12 +274,18 @@ def generate_entities(
         if not any(row):
             skipped += 1
             continue
-        entity_id, parts = mint(ordinal, row)
-        if key_indexes and (parts is None or len(parts) > 1 or entity_id in minted):
-            if minted.setdefault(entity_id, parts) != parts or (parts is None and entity_id in entities):
-                stripped = ([cell.strip() for cell in r] for r in rows)
-                first = next(n for n, r in enumerate(stripped, 1) if any(r) and mint(n, r)[0] == entity_id)
-                raise ModelError(f"data rows {first} and {ordinal} both mint {entity_id} from different keys")
+        parts = None
+        if key_indexes and all(row[i] for i in key_indexes):
+            try:
+                parts = tuple(normalize_text(row[i]) for i in key_indexes)
+            except EmptyLabelError:
+                pass
+        key = "_".join(parts) if parts else f"row_{ordinal}"
+        entity_id = f"{dataset_id}/{key}"
+        if key_indexes and (len(key_indexes) > 1 or key.startswith("row_")):
+            recorded, first_row = first.setdefault(entity_id, (parts, ordinal))
+            if recorded != parts:
+                raise ModelError(f"data rows {first_row} and {ordinal} both mint {entity_id} from different keys")
         for index, prop in link_cells:
             if row[index]:
                 pending.add(PendingLink(entity_id, prop, row[index], dataset_id))
@@ -353,13 +350,13 @@ def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
     etypes = {entity.etype for entity in fragment.eg.entities.values()}
     sets_of: dict[str, dict[str, frozenset[str]]] = {}
     index: dict[str, dict[tuple[str, frozenset[str]], list[str]]] = {}
-    for entity in eg.sorted_entities():
+    for entity in eg.entities.values():
         if entity.etype in etypes:
             sets_of[entity.id] = entity.value_sets()
             for entry in sets_of[entity.id].items():
                 index.setdefault(entity.etype, {}).setdefault(entry, []).append(entity.id)
     matches: dict[str, str] = {}
-    for candidate in fragment.eg.sorted_entities():
+    for candidate in fragment.eg.entities.values():
         if candidate.id in eg.entities:
             matches[candidate.id] = candidate.id
             continue

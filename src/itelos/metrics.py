@@ -179,6 +179,9 @@ class GateReport(NamedTuple):
         }
 
     def to_text(self) -> str:
+        """The report as text. What UTF-8 cannot encode, such as an undecodable
+        byte of a path name that a note repeats, is backslash-escaped, so the
+        text can be written to `eval_*.txt` and printed."""
         lines = [f"gate: {self.gate}", f"verdict: {self.verdict}"]
         for key, value in sorted(self.thresholds.items()):
             lines.append(f"threshold {key} = {value} ({float(value):.6f})")
@@ -191,7 +194,7 @@ class GateReport(NamedTuple):
                 line += f"  [{entry.note}]"
             lines.append(line)
         lines.extend(self.notes)
-        return "\n".join(lines) + "\n"
+        return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def gate_from_results(

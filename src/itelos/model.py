@@ -173,6 +173,9 @@ class ETG(_ETG):
     reference ontology, a graph a phase builds and a graph read back from an
     artifact or `--etg` are all checked in this one place. `_make` and
     `_replace` skip the check.
+
+    `ancestors_of` and `declared_properties` each look up one table, which
+    is built whole from the graph on first use.
     """
 
     def _check(self) -> None:
@@ -189,55 +192,44 @@ class ETG(_ETG):
     def property_names(self, etype: str) -> frozenset[str]:
         return frozenset(p.name for p in self.props_of(etype))
 
-    # ETG declares no __slots__, so the caches below live in the instance
-    # __dict__, outside the tuple, where equality, repr and _replace never see them.
+    # The tables live in the instance __dict__ (ETG declares no __slots__), unseen by
+    # equality, repr and _replace; `cyclic_edges` reads every parent's closure anyway.
     @cached_property
-    def _parents(self) -> dict[str, list[str]]:
+    def _ancestors(self) -> dict[str, tuple[str, ...]]:
         parents: dict[str, list[str]] = {}
         for child, parent in sorted(self.subclass_edges):
             parents.setdefault(child, []).append(parent)
-        return parents
-
-    @cached_property
-    def _ancestors(self) -> dict[str, tuple[str, ...]]:
-        return {}
+        table = {}
+        for etype, own in parents.items():
+            seen: dict[str, None] = {}
+            queue = deque(own)
+            while queue:
+                node = queue.popleft()
+                if node not in seen:
+                    seen[node] = None
+                    queue.extend(parents.get(node, ()))
+            table[etype] = tuple(seen)
+        return table
 
     @cached_property
     def _declared(self) -> dict[str, Mapping[str, PropertyDef]]:
-        return {}
-
-    def ancestors_of(self, etype: str) -> list[str]:
-        """All transitive parents in deterministic (BFS, name-sorted) order.
-
-        The closure is computed once per etype; every call returns a new list.
-        """
-        closure = self._ancestors.get(etype)
-        if closure is None:
-            seen: dict[str, None] = {}
-            queue = deque(self._parents.get(etype, ()))
-            while queue:
-                node = queue.popleft()
-                if node in seen:
-                    continue
-                seen[node] = None
-                queue.extend(self._parents.get(node, ()))
-            closure = self._ancestors[etype] = tuple(seen)
-        return list(closure)
-
-    def declared_properties(self, etype: str) -> Mapping[str, PropertyDef]:
-        """Properties usable by entities of `etype`: own ones plus inherited.
-
-        On a name clash the nearest declaration wins (own before ancestors).
-        The mapping is built once per etype and is read-only.
-        """
-        declared = self._declared.get(etype)
-        if declared is None:
+        table = {}
+        for etype in self.etypes:
             props: dict[str, PropertyDef] = {}
-            for holder in [etype, *self.ancestors_of(etype)]:
+            for holder in (etype, *self._ancestors.get(etype, ())):
                 for prop in self.props_of(holder):
                     props.setdefault(prop.name, prop)
-            declared = self._declared[etype] = MappingProxyType(props)
-        return declared
+            table[etype] = MappingProxyType(props)
+        return table
+
+    def ancestors_of(self, etype: str) -> tuple[str, ...]:
+        """All transitive parents in BFS order, parents sorted by name, or ()."""
+        return self._ancestors.get(etype, ())
+
+    def declared_properties(self, etype: str) -> Mapping[str, PropertyDef]:
+        """Properties usable by entities of `etype`, own and inherited, read-only; the
+        nearest declaration of a name wins. An etype not in the graph has none."""
+        return self._declared.get(etype, _NO_PROPERTIES)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +273,7 @@ class Entity(NamedTuple):
 
 
 _NO_VALUES: frozenset[str] = frozenset()
+_NO_PROPERTIES: Mapping[str, PropertyDef] = MappingProxyType({})
 _property = itemgetter(0)
 
 
@@ -528,12 +521,29 @@ def label_pair(value, where: str) -> tuple[str, str]:
     return normalize_text(value[0]), normalize_text(value[1])
 
 
+def _json_strings(doc) -> Iterator[tuple[str, str]]:
+    """(location, string) for each key and string value of the JSON value
+    `doc`, values in document order, walked without recursion."""
+    stack = [("", doc)]
+    while stack:
+        where, value = stack.pop()
+        if type(value) is str:
+            yield where or "the document root", value
+        elif type(value) is dict:
+            yield from ((f"a key of {where or 'the document root'}", key) for key in value)
+            stack.extend((f"{where}.{key}" if where else key, item) for key, item in reversed(value.items()))
+        elif type(value) is list:
+            stack.extend((f"{where}[{i}]", item) for i, item in reversed(list(enumerate(value))))
+
+
 def read_json(path: Path, what: str, error: type[Exception] = DocumentError) -> dict:
     """Return the root of the UTF-8 JSON file at `path` (a leading BOM is
-    skipped), which must be a JSON object. Every failure raises `error`
-    naming the file; `what` says what the file is for."""
+    skipped), which must be a JSON object whose strings hold no NUL and no
+    unpaired surrogate. Every failure raises `error` naming the file; `what`
+    says what the file is for."""
     try:
-        doc = json.loads(path.read_bytes().decode("utf-8-sig"))
+        text = path.read_bytes().decode("utf-8-sig")
+        doc = json.loads(text)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -543,6 +553,15 @@ def read_json(path: Path, what: str, error: type[Exception] = DocumentError) -> 
         raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: unreadable JSON: {exc}") from exc
+    # no path may hold a NUL, and UTF-8 cannot encode an unpaired surrogate (RFC 8259
+    # section 8.2); strict JSON refuses a raw control character and UTF-8 never decodes
+    # to a surrogate, so only an escape gives either
+    if "\\u" in text:
+        for where, string in _json_strings(doc):
+            if "\x00" in string:
+                raise error(f"{path}: {where} holds a NUL character")
+            if any("\ud800" <= c <= "\udfff" for c in string):
+                raise error(f"{path}: {where} holds an unpaired surrogate")
     return expect_json(doc, dict, f"{path}: document root", error)
 
 

@@ -942,6 +942,22 @@ class TestHostileInput:
         sidecars = sorted(p for p in inputs if p.endswith(".schema.json"))
         assert sidecars == [str(root / "data" / n) for n in ("covid_cases.schema.json", "hospitals.schema.json")]
 
+    def test_datasets_directory_name_that_is_not_utf8(self, tmp_path):
+        # Python reads the byte 0xFF of a path name as the lone surrogate \udcff
+        moved = tmp_path / os.fsdecode(b"moved_\xff")
+        shutil.copytree(COVID / "data", moved / "data")
+        done = run_cli(*fixture_argv("run", tmp_path / "found", "--datasets", moved))
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "found" / "eg.nt").read_bytes() == (COVID / "golden" / "eg.nt").read_bytes()
+        # a note repeating the path escapes the byte, as stderr and the JSON artifacts do
+        out = tmp_path / "missing"
+        done = run_cli(*fixture_argv("run", out, "--datasets", moved / "missing"))
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        named = f"{tmp_path}/moved_\\udcff/missing/data/hospitals.schema.json"
+        assert named in (out / "eval_a.txt").read_text(encoding="utf-8")
+        assert named in done.stdout
+
     def test_malformed_purpose_exits_one_without_traceback(self, tmp_path):
         purpose = tmp_path / "p.json"
         purpose.write_text(json.dumps({"title": "x"}), encoding="utf-8")
@@ -1281,6 +1297,10 @@ WRONG_SHAPES = {
     "config_mapping_number": ("integrate", "config.json", None, {"mappings": ["a.json", 5]}, 2),
     "config_fraction_list": ("integrate", "config.json", None, {"cov_min": [1]}, 2),
     "config_not_utf8": ("integrate", "config.json", None, NOT_UTF8, 2),
+    # neither a NUL nor an unpaired surrogate reaches a path or a report
+    "dataset_path_nul": ("run", "purpose.json", ["datasets", 1, "path"], "data/covid\u0000cases.csv", 1),
+    "cq_id_surrogate": ("run", "purpose.json", ["cqs", 0, "id"], "\ud800", 1),
+    "config_datasets_nul": ("integrate", "config.json", None, {"datasets": "d\u0000x"}, 2),
     # an ontology that cannot be read is a load failure in the eval_a report
     "ontology_etypes_number": ("inception", "ontologies/onto_health.json", ["etypes"], 5, 0),
     "etg_not_utf8": ("integrate", "out/etg_final.json", None, NOT_UTF8, 1),

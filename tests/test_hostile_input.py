@@ -73,13 +73,19 @@ def at(doc, path):
 
 @st.composite
 def json_damage(draw, doc):
-    """`doc` with one key dropped, one leaf given another JSON type, or one
-    list item duplicated; the document root is never replaced."""
+    """`doc` with one key dropped, one leaf given another JSON type, one
+    string leaf respelled with a NUL or an unpaired surrogate, or one list
+    item duplicated; the document root is never replaced."""
     nodes = list(json_nodes(doc))
     dicts = [path for path, value in nodes if isinstance(value, dict) and value]
     leaves = [path for path, value in nodes if path and not isinstance(value, (dict, list))]
+    strings = [path for path, value in nodes if path and isinstance(value, str)]
     lists = [path for path, value in nodes if isinstance(value, list) and value]
-    kinds = [kind for kind, paths in (("drop", dicts), ("retype", leaves), ("duplicate", lists)) if paths]
+    kinds = [
+        kind
+        for kind, paths in (("drop", dicts), ("retype", leaves), ("respell", strings), ("duplicate", lists))
+        if paths
+    ]
     kind = draw(st.sampled_from(kinds))
     if kind == "drop":
         node = at(doc, draw(st.sampled_from(dicts)))
@@ -88,6 +94,11 @@ def json_damage(draw, doc):
         path = draw(st.sampled_from(leaves))
         old = at(doc, path)
         at(doc, path[:-1])[path[-1]] = draw(st.sampled_from([v for v in LEAVES if type(v) is not type(old)]))
+    elif kind == "respell":
+        path = draw(st.sampled_from(strings))
+        old = at(doc, path)
+        cut = draw(st.integers(0, len(old)))
+        at(doc, path[:-1])[path[-1]] = old[:cut] + draw(st.sampled_from(["\x00", "\ud800"])) + old[cut:]
     else:
         node = at(doc, draw(st.sampled_from(lists)))
         index = draw(st.integers(0, len(node) - 1))
@@ -255,6 +266,9 @@ class TestHostileInputOracle:
     # three refusals that once named no file: they name the purpose or the sidecar
     @example(edited("purpose.json", lambda doc: doc.pop("ontologies")))
     @example(edited("purpose.json", lambda doc: doc.pop("property_overrides")))
+    # a NUL in a dataset path and an unpaired surrogate in a query id once ended in a traceback
+    @example(edited("purpose.json", lambda doc: doc["datasets"][1].update(path="data/covid\x00cases.csv")))
+    @example(edited("purpose.json", lambda doc: doc["cqs"][0].update(id="\ud800")))
     @example(edited("data/covid_cases.schema.json", lambda doc: doc["columns"][2].update(property=float("nan"))))
     # a header the sidecar does not match: the load failure names the CSV by its full path
     @example(("data/hospitals.csv", b"\x00" + (COVID / "data/hospitals.csv").read_bytes()[1:]))

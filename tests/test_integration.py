@@ -361,6 +361,19 @@ class TestGenerateEntities:
         with pytest.raises(ModelError, match=f"data rows {first} and {second} both mint ds_a/row_2 "):
             self.fragment(rows)
 
+    def test_a_colliding_dataset_is_read_once(self):
+        class CountedRows(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        rows = CountedRows([["TN01", "Alpha", "1"], ["", "Beta", "2"], ["Row 2", "Gamma", "3"]])
+        with pytest.raises(ModelError, match="data rows 2 and 3 both mint ds_a/row_2 "):
+            self.fragment(rows)
+        assert rows.iterations == 1
+
     def composite(self, rows):
         override = override_from_doc(
             {
@@ -545,6 +558,9 @@ class TestGenerateEntitiesOracle:
     # a key that spells the ordinal of a later row without a usable key
     @example(key_rows(("c_code",), [("row 2", "T"), ("", "U")]))
     @example(key_rows(("c_code", "c_town"), [("a", "b c"), ("a b", "c")]))
+    # a row without a usable key before a key that spells its ordinal, and one that does not
+    @example(key_rows(("c_code",), [("", "U"), ("row 1", "T")]))
+    @example(key_rows(("c_code",), [("", "U"), ("row 01", "T")]))
     def test_one_pass_equals_per_cell_buckets(self, case):
         etg = report_etg()
 

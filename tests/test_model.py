@@ -255,8 +255,8 @@ class TestEtgHelpers:
 
     def test_ancestors_bfs_order(self):
         g = self.make_chain()
-        assert g.ancestors_of("c") == ["b", "a"]
-        assert g.ancestors_of("a") == []
+        assert g.ancestors_of("c") == ("b", "a")
+        assert g.ancestors_of("a") == ()
 
     def test_declared_properties_nearest_wins(self):
         g = self.make_chain()
@@ -265,12 +265,18 @@ class TestEtgHelpers:
         # "q" resolves to b's declaration, not a's
         assert declared["q"] is g.props_of("b")[0]
 
-    def test_returned_lists_do_not_share_the_cache(self):
+    def test_a_caller_cannot_change_what_later_calls_return(self):
         g = self.make_chain()
-        g.ancestors_of("c").append("zzz")
-        g.ancestors_of("b").append("zzz")
-        assert g.ancestors_of("c") == ["b", "a"]
-        assert g.ancestors_of("b") == ["a"]
+        for etype in "cb":
+            with pytest.raises(AttributeError):
+                g.ancestors_of(etype).append("zzz")
+        assert g.ancestors_of("c") == ("b", "a")
+        assert g.ancestors_of("b") == ("a",)
+
+    def test_ancestors_are_one_tuple_per_etype(self):
+        g = self.make_chain()
+        assert g.ancestors_of("c") is g.ancestors_of("c")
+        assert g.ancestors_of("zzz") == ()
 
     def test_cached_closure_leaves_equality_alone(self):
         cached, fresh = self.make_chain(), self.make_chain()
@@ -282,8 +288,8 @@ class TestEtgHelpers:
     def test_ancestors_match_scan_oracle(self, edges):
         g = make_etg("g", list("abcdef"), subclass=edges)
         for etype in "abcdef":
-            assert g.ancestors_of(etype) == scan_ancestors(g, etype)
-            assert g.ancestors_of(etype) == scan_ancestors(g, etype)
+            assert g.ancestors_of(etype) == tuple(scan_ancestors(g, etype))
+            assert g.ancestors_of(etype) == tuple(scan_ancestors(g, etype))
 
     def test_cached_declared_properties_leave_equality_alone(self):
         cached, fresh = self.make_chain(), self.make_chain()
@@ -299,6 +305,12 @@ class TestEtgHelpers:
         with pytest.raises(TypeError):
             declared["zzz"] = PropertyDef(name="zzz")
         assert set(g.declared_properties("c")) == {"p", "q", "r", "s"}
+
+    def test_an_etype_not_in_the_graph_declares_nothing(self):
+        declared = self.make_chain().declared_properties("zzz")
+        assert dict(declared) == {}
+        with pytest.raises(TypeError):
+            declared["zzz"] = PropertyDef(name="zzz")
 
     @given(
         acyclic_edges(),
@@ -653,8 +665,10 @@ class TestReadJson:
             (b'{\n  "a": }', "invalid JSON at line 2, column 8"),
             (b"[]", "document root must be an object, not a list"),
             (b"[" * 100_000, "unreadable JSON"),
+            (b'{"a": ["x", {"b": "c\\u0000d"}]}', "a[1].b holds a NUL character"),
+            (b'{"a": 1, "\\udfff": 2}', "a key of the document root holds an unpaired surrogate"),
         ],
-        ids=["missing", "not_utf8", "invalid", "root_list", "too_deep"],
+        ids=["missing", "not_utf8", "invalid", "root_list", "too_deep", "nul", "surrogate"],
     )
     def test_every_failure_raises_the_given_error_naming_the_file(self, tmp_path, data, message):
         path = tmp_path / "doc.json"
