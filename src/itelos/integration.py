@@ -17,9 +17,12 @@ A dataset's case report costs O(fragment + touched entities), plus one
 identity comparison per entity and one `connected_components` pass: only the
 entities the dataset changed or removed update the running totals that the
 `IntegrationState` carries (see `integrate_dataset`), and eval_d reads the
-populated etypes and properties from the same totals. So the write path
-touches each entity version once to mint it, once to count it and once to
-export it.
+populated etypes and properties from the same totals. The same entities
+update the state's match index (`itelos.matching`), so matching builds the
+value sets of each record, and those of an entity version at most once, when
+a later dataset matches against its etype; a record that probes is compared
+with one entity at most. So the write path touches each entity version once
+to mint it, once to count it and once to export it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .alignment import name_similarity
+from .matching import MatchIndex, index_of, moved_index
 from .metrics import (
     GateReport,
     Thresholds,
@@ -335,38 +339,32 @@ def _same_entity(
     return bool(props) and all(existing_sets[p] == candidate_sets[p] for p in props)
 
 
-def match_entities(eg: EG, fragment: Fragment) -> dict[str, str]:
+def match_entities(eg: EG, fragment: Fragment, index: MatchIndex | None = None) -> dict[str, str]:
     """Pair each fragment entity with the first existing entity it denotes.
 
-    An id collision is always a match; otherwise candidates of the same etype
-    are tried in id order. `_same_entity` accepts a pair only when the two
-    have an equal value set on some property, so the `Entity.value_sets` map
-    of each existing entity of the fragment's etypes is built once and
-    indexed by (etype, property, value set). A candidate's map is built only
-    when its etype has indexed entities; the candidate probes the index with
-    each of its entries, and only the existing entities it hits are compared.
+    An id collision is always a match; otherwise the match is the first
+    entity of the same etype, in id order, that `_same_entity` accepts.
+    Existing entities' `Entity.value_sets` maps come from `index`, which is
+    built anew unless it describes `eg.entities`; a candidate's map is built
+    only when its etype has entities. A candidate is compared only with the
+    ids that `EtypeIndex.candidates` names, in order: the one hit of its
+    signature probe, or the entities of its blocks (see `itelos.matching`).
     The result equals trying every same-etype entity in id order.
     """
-    etypes = {entity.etype for entity in fragment.eg.entities.values()}
-    sets_of: dict[str, dict[str, frozenset[str]]] = {}
-    index: dict[str, dict[tuple[str, frozenset[str]], list[str]]] = {}
-    for entity in eg.entities.values():
-        if entity.etype in etypes:
-            sets_of[entity.id] = entity.value_sets()
-            for entry in sets_of[entity.id].items():
-                index.setdefault(entity.etype, {}).setdefault(entry, []).append(entity.id)
+    keys = fragment.identity_properties
+    index = index_of(eg, index, {entity.etype for entity in fragment.eg.entities.values()})
+    caches = {etype: ({}, {}) for etype in index.etypes}  # etype -> its probe tables and blocks
     matches: dict[str, str] = {}
     for candidate in fragment.eg.entities.values():
         if candidate.id in eg.entities:
             matches[candidate.id] = candidate.id
             continue
-        by_entry = index.get(candidate.etype)
-        if by_entry is None:
+        held = index.etypes[candidate.etype]
+        if not held.sets:
             continue
         candidate_sets = candidate.value_sets()
-        hits = {i for entry in candidate_sets.items() for i in by_entry.get(entry, ())}
-        for existing_id in sorted(hits):
-            if _same_entity(sets_of[existing_id], candidate_sets, fragment.identity_properties):
+        for existing_id in held.candidates(candidate_sets, keys, caches[candidate.etype]):
+            if _same_entity(held.sets[existing_id], candidate_sets, keys):
                 matches[candidate.id] = existing_id
                 break
     return matches
@@ -458,17 +456,26 @@ class GraphTotals(NamedTuple):
 
 
 class IntegrationState(NamedTuple):
-    """The growing graph, the links still waiting for their targets, and the
-    graph's totals."""
+    """The growing graph, the links still waiting for their targets, the
+    graph's totals, and the match index of the etypes that datasets have
+    matched against. The index is never changed in place, so a state may be
+    integrated into more than once; one whose index describes another graph
+    (say, one built with `_replace(eg=...)`) matches as well, since its next
+    dataset builds the index anew."""
 
     eg: EG
     pending: tuple[PendingLink, ...]
     totals: GraphTotals
+    index: MatchIndex
 
 
 def initial_state(schema_graph: ETG, graph_id: str) -> IntegrationState:
+    entities: dict[str, Entity] = {}
     return IntegrationState(
-        eg=EG(id=graph_id, schema=schema_graph, entities={}), pending=(), totals=GraphTotals()
+        eg=EG(id=graph_id, schema=schema_graph, entities=entities),
+        pending=(),
+        totals=GraphTotals(),
+        index=MatchIndex(entities, {}, {}),
     )
 
 
@@ -651,7 +658,12 @@ def integrate_dataset(
     comparison per entity and one `connected_components` pass. Merging and
     resolution keep every entity they leave alone as the same object, so
     identity finds the entities the dataset changed or removed; only they
-    update the state's totals. `merged_entities` counts the existing
+    update the state's totals, and the match index records them for each
+    etype it holds (`matching.moved_index`). An etype is indexed when a
+    dataset first matches against its entities, at the cost of one
+    value-sets map per entity, and brought up to date when one matches
+    against it again, at the cost of a map per entity version changed since
+    and a copy of its mappings. `merged_entities` counts the existing
     entities that the dataset's records merged into, `conflicts` the net
     change in flagged (entity, property) pairs, and `components_before` is
     the count the previous dataset left.
@@ -659,7 +671,8 @@ def integrate_dataset(
     before = state.eg
     totals = state.totals
     fragment = generate_entities(mapping, header, rows, before.schema)
-    matches = match_entities(before, fragment)
+    index = index_of(before, state.index, (mapping.etype,))
+    matches = match_entities(before, fragment, index)
     merged_eg, remap = merge_entities(before, fragment, matches)
     carried = {
         link._replace(source_id=remap[link.source_id]) if link.source_id in remap else link
@@ -688,7 +701,8 @@ def integrate_dataset(
         unresolved_links=resolved.pending,
         stats=fragment.stats,
     )
-    return resolved._replace(totals=after_totals), report
+    index = moved_index(index, after.entities, removed, added)
+    return resolved._replace(totals=after_totals, index=index), report
 
 
 # ---------------------------------------------------------------------------

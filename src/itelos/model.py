@@ -262,23 +262,19 @@ class Entity(NamedTuple):
 
     def conflicting_properties(self) -> list[str]:
         """The data properties whose values disagree: two or more members in
-        the property's `value_sets` entry. A property holding one triple
-        cannot disagree, so only properties holding two or more are
+        the property's `value_sets` entry. A property holding one text cannot
+        disagree, so only properties holding two or more different texts are
         normalized; an entity that holds none is done after one set."""
         values = self.data_values
         if len({prop for prop, _v, _src in values}) == len(values):
             return []
-        runs = ((prop, tuple(run)) for prop, run in groupby(values, _property))
-        return [prop for prop, run in runs if len(run) >= 2 and len(_value_set(run)) >= 2]
+        runs = ((prop, {v for _p, v, _src in run}) for prop, run in groupby(values, _property))
+        return [prop for prop, texts in runs if len(texts) >= 2 and len(set(map(normalize_value, texts))) >= 2]
 
 
 _NO_VALUES: frozenset[str] = frozenset()
 _NO_PROPERTIES: Mapping[str, PropertyDef] = MappingProxyType({})
 _property = itemgetter(0)
-
-
-def _value_set(triples: Iterable[tuple[str, str, str]]) -> frozenset[str]:
-    return frozenset(normalize_value(v) for _p, v, _src in triples)
 
 
 class EG(NamedTuple):

@@ -10,7 +10,7 @@ from urllib.parse import unquote
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from itelos import integration
+from itelos import integration, matching
 from itelos.integration import (
     Fragment,
     PendingLink,
@@ -31,6 +31,7 @@ from itelos.integration import (
     resolve_pending,
 )
 from itelos.inception import load_dataset_schema
+from itelos.matching import EtypeIndex, index_of
 from itelos.model import (
     EG,
     DocumentError,
@@ -853,10 +854,45 @@ class TestMatchIndex:
         eg = graph_of(existing + town_entities("ds_c", "facility"))
         matches = match_entities(eg, fragment_of(candidates, ()))
         # every candidate shares the municipality block with every existing
-        # hospital and agrees with none of them on the name
+        # hospital and agrees with none of them on the name; each is compared
+        # at most once, and each value-sets map is built once
         assert matches == {}
-        assert len(compared) == n * n
+        assert len(compared) <= len(candidates)
         assert sorted(calls) == sorted(e.id for e in existing + candidates)
+
+    @pytest.mark.parametrize("keys", [(), ("code",)])
+    def test_dense_and_sparse_records_take_both_routes(self, monkeypatch, keys):
+        # one etype: 120 entities of one signature, all in one town, whose
+        # records share big blocks and probe; and 120 sparse rows of a few
+        # signatures, whose records share small blocks and scan them
+        rng = random.Random(5)
+
+        def dense(dataset_id):
+            return [
+                entity(f"{dataset_id}/d{i}", "hospital", {"code": [(f"K{i}", "s")], "name": [(rng.choice("AB"), "s")], "municipality": [("Trento", "s")]})
+                for i in range(120)
+            ]
+
+        def sparse(dataset_id):
+            entities = []
+            for i in range(120):
+                values = {"town": [(f"t{rng.randrange(8)}", "s")]}
+                for prop in ("beds", "operator", "code"):
+                    if rng.random() < 0.5:
+                        values[prop] = [(rng.choice("xy"), "s")]
+                entities.append(entity(f"{dataset_id}/s{i}", "hospital", values))
+            return entities
+
+        probes = []
+        probe = EtypeIndex._probe
+        monkeypatch.setattr(EtypeIndex, "_probe", lambda *args: probes.append(1) or probe(*args))
+        eg = graph_of(dense("ds_a") + sparse("ds_a"))
+        candidates = dense("ds_b") + sparse("ds_b")
+        fragment = fragment_of(candidates, keys)
+        matches = match_entities(eg, fragment)
+        assert matches == scan_match_entities(eg, fragment)
+        assert 120 <= len(probes) < len(candidates)
+        assert matches
 
 
 # Ids from several datasets, so fragment ids collide with existing ones or sort
@@ -1410,6 +1446,7 @@ def dataset_sequence(draw):
 
 SITE_COLUMNS = [("code", "code", "attribute"), ("name", "name", "attribute"), ("town", "town", "attribute"), ("near", "near", "attribute")]
 KEYED_SITE_COLUMNS = [("code", "code", "identity"), *SITE_COLUMNS[1:]]
+CASE_COLUMNS = [("case_id", "case_id", "attribute"), ("at", "at", "attribute")]
 
 
 class TestCaseReportOracle:
@@ -1446,6 +1483,147 @@ class TestCaseReportOracle:
         assert (report.appended, report.merged_entities) == (1, 0)
         assert report.entity_overlap == "only_one"
         assert len(state.pending) == 1
+
+
+HOSPITAL_TOWN_COLUMNS = [*hospital_columns(), ("municipality", "municipality", "attribute")]
+KEYLESS_TOWN_COLUMNS = [(name, prop, "attribute") for name, prop, _role in HOSPITAL_TOWN_COLUMNS]
+TOWNS = ["Trento", "Rovereto", "Arco", "Pergine", "Cles", "Riva", "Borgo", "Tione"]
+
+
+def overlap_datasets(n):
+    """The merge_overlap shape: n keyed hospitals in 8 towns, the same rows
+    reversed under a second id, and a keyless copy of half of them mixed
+    with n/2 new rows."""
+    rng = random.Random(n)
+
+    def hospitals(start, count):
+        return [[f"TN{i:05d}", f"Hospital {i}", str(rng.randrange(20, 900)), rng.choice(TOWNS)] for i in range(start, start + count)]
+
+    rows = hospitals(0, n)
+    keyless = rng.sample(rows, n // 2) + hospitals(n, n // 2)
+    rng.shuffle(keyless)
+    return [
+        ("ds_a", HOSPITAL_TOWN_COLUMNS, rows),
+        ("ds_b", HOSPITAL_TOWN_COLUMNS, rows[::-1]),
+        ("ds_c", KEYLESS_TOWN_COLUMNS, keyless),
+    ]
+
+
+def fragment_for(state, dataset_id, etype, columns, rows):
+    """The fragment that `run_dataset` makes of the same arguments."""
+    mapping = mapping_for(dataset_id, etype, columns, etg=state.eg.schema)
+    header = [normalize_text(column[0]) for column in columns]
+    return generate_entities(mapping, header, rows, state.eg.schema)
+
+
+class TestPersistentMatchIndex:
+    """The state's match index is carried from dataset to dataset; it must
+    match as a scan of the whole graph does, whatever the state's history."""
+
+    @staticmethod
+    def assert_describes_its_graph(state):
+        # brought up to date, the carried index equals one built afresh
+        etypes = list(state.index.etypes)
+        assert state.index.entities is state.eg.entities
+        assert index_of(state.eg, state.index, etypes) == index_of(state.eg, None, etypes)
+
+    @settings(max_examples=200)
+    @given(dataset_sequence())
+    # the cases are indexed by ds_b, whose appended case and the links that
+    # ds_c's site resolves are two changes that no dataset has applied yet
+    @example([("ds_a", "case", CASE_COLUMNS, [["C1", "S2"]]), ("ds_b", "case", CASE_COLUMNS, [["C2", "S2"]]), ("ds_c", "site", KEYED_SITE_COLUMNS, [["S2", "A", "T", "S1"]])])
+    def test_each_step_matches_as_the_scan(self, datasets):
+        state = initial_state(report_etg(), "eg")
+        for dataset_id, etype, columns, rows in datasets:
+            fragment = fragment_for(state, dataset_id, etype, columns, rows)
+            expected = scan_match_entities(state.eg, fragment)
+            # the weights make every record probe, take its default route,
+            # or scan: no record shares a million block entries
+            for weight in (0, matching.PROBE_WEIGHT, 10**6):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(matching, "PROBE_WEIGHT", weight)
+                    assert match_entities(state.eg, fragment, state.index) == expected
+            state, _report = run_dataset(state, dataset_id, etype, columns, rows)
+            self.assert_describes_its_graph(state)
+
+    def test_a_used_state_integrates_alike_again(self):
+        parent = initial_state(hospital_etg(), "eg")
+        for dataset_id, columns, rows in overlap_datasets(40)[:2]:
+            parent, _report = run_dataset(parent, dataset_id, "hospital", columns, rows)
+        assert "hospital" in parent.index.etypes
+        _ds, columns, rows = overlap_datasets(40)[2]
+        first = run_dataset(parent, "ds_c", "hospital", columns, rows)
+        second = run_dataset(parent, "ds_c", "hospital", columns, rows)
+        assert first == second
+        assert first[1].merged_entities == 20
+        # the parent's index still describes the parent's graph
+        self.assert_describes_its_graph(parent)
+
+    def test_a_state_given_another_graph_matches_as_the_scan(self):
+        state = initial_state(hospital_etg(), "eg")
+        state, _report = run_dataset(state, "ds_a", "hospital", hospital_columns(), [["TN01", "Santa Chiara", "400"]])
+        state, _report = run_dataset(state, "ds_b", "hospital", hospital_columns(), [["TN02", "Villa Rosa", "90"]])
+        other = graph_of([entity("ds_z/k1", "hospital", {"name": [("Santa Chiara", "ds_z")]})])
+        moved = state._replace(eg=other)
+        # the index describes the first graph, where the row would denote ds_a/tn01
+        rows = [["", "santa chiara", ""]]
+        fragment = fragment_for(moved, "ds_c", "hospital", hospital_columns(), rows)
+        assert match_entities(moved.eg, fragment, moved.index) == scan_match_entities(other, fragment) == {"ds_c/row_1": "ds_z/k1"}
+        after, report = run_dataset(moved, "ds_c", "hospital", hospital_columns(), rows)
+        assert list(after.eg.entities) == ["ds_c/row_1"]
+        assert report.merged_entities == 1
+        self.assert_describes_its_graph(after)
+
+    def test_comparisons_grow_linearly_with_the_rows(self, monkeypatch):
+        compared = []
+        original = integration._same_entity
+        monkeypatch.setattr(integration, "_same_entity", lambda *args: compared.append(1) or original(*args))
+        calls = {}
+        for n in (400, 1600):
+            compared.clear()
+            state = initial_state(hospital_etg(), "eg")
+            for dataset_id, columns, rows in overlap_datasets(n):
+                state, _report = run_dataset(state, dataset_id, "hospital", columns, rows)
+            assert len(state.eg.entities) == n + n // 2
+            calls[n] = len(compared)
+        # each reversed row and each overlapping keyless row is compared once,
+        # with its match; no new row is compared at all
+        assert calls == {400: 600, 1600: 2400}
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_value_sets_builds_do_not_grow_with_earlier_datasets(self, monkeypatch, k):
+        built = []
+        value_sets = Entity.value_sets
+        monkeypatch.setattr(Entity, "value_sets", lambda self: built.append(self.id) or value_sets(self))
+        m = 20
+        builds = []
+        state = initial_state(hospital_etg(), "eg")
+        for j in range(k):
+            # half of each dataset's codes are the previous dataset's
+            rows = [[f"TN{i:03d}", f"Hospital {i}", str(i)] for i in range(j * m // 2, j * m // 2 + m)]
+            built.clear()
+            state, _report = run_dataset(state, f"ds_{j}", "hospital", hospital_columns(), rows)
+            builds.append(len(built))
+        # the first dataset meets no hospital, and the second indexes the
+        # first's m; every later one builds the maps of its m records and of
+        # the m / 2 entities that the dataset before it appended (the m / 2
+        # it merged repeat their texts, so they keep their maps)
+        assert builds == [0, 2 * m] + [m + m // 2] * (k - 2)
+
+    def test_no_value_sets_when_no_dataset_shares_an_etype(self, monkeypatch):
+        built = []
+        value_sets = Entity.value_sets
+        monkeypatch.setattr(Entity, "value_sets", lambda self: built.append(self.id) or value_sets(self))
+        state = initial_state(hospital_etg(), "eg")
+        rows = [[f"TN{i:02d}", f"Hospital {i}", str(i)] for i in range(30)]
+        state, _report = run_dataset(state, "ds_h", "hospital", hospital_columns(), rows)
+        case_columns = [("case_id", "case_id", "identity"), ("hospital", "hospital", "link")]
+        state, report = run_dataset(state, "ds_c", "covid_case", case_columns, [[f"C{i}", f"TN{i:02d}"] for i in range(30)])
+        assert report.unresolved_links == ()
+        operators = [("operator", "operator", "identity")]
+        state, _report = run_dataset(state, "ds_f", "facility", operators, [["APSS"]])
+        assert built == []
+        assert state.index.etypes == {}
 
 
 PADDING = st.text(" \t", max_size=2)
