@@ -1,9 +1,12 @@
 """Command line front end.
 
-One subcommand per phase plus `run` for the whole pipeline. Every phase reads
-its inputs from files and writes its artifacts back to the output directory,
-so `run` and the individual subcommands compose to byte-identical results
-(the run manifest, which carries timestamps, is the one exception).
+One subcommand per phase plus `run` for the whole pipeline. Every phase writes
+its artifacts to the output directory. A subcommand reads its inputs, and the
+artifacts of the phases before it, from files, so a user may edit them between
+phases. `run` loads each input once, at inception, and hands what one phase
+loaded or built to the later ones in memory (a `Handoff`), so it reads back
+nothing it wrote. Both routes give byte-identical artifacts (the run
+manifest, which carries timestamps, is the one exception).
 
 Exit codes: 0 all gates passed (warnings allowed), 1 a gate failed or a phase
 errored, 2 the invocation or configuration was unusable.
@@ -63,8 +66,8 @@ from .integration import (
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import DatasetSchema, ModelError, NotInGraphError, dump_etg, etg_from_doc, expect_json, field, load_etg, normalize_text, read_document, unique_key, validate_eg, write_json  # validate_eg is unused here: perfbench/tracing.py wraps this name
-from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
+from .model import ETG, DatasetSchema, ModelError, NotInGraphError, dump_etg, etg_from_doc, expect_json, field, load_etg, normalize_text, read_document, unique_key, validate_eg, write_json  # validate_eg is unused here: perfbench/tracing.py wraps this name
+from .modeling import ETGModel, build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
 
@@ -75,6 +78,21 @@ class ConfigError(ValueError):
 
 class PhaseError(RuntimeError):
     """A phase could not run to completion."""
+
+
+class Handoff:
+    """What the phases of one `run` have loaded or built for the later ones.
+    Each field is None until its phase sets it; `phase_align` drops the
+    ontologies and the model, which nothing after it reads."""
+
+    __slots__ = ("catalog", "selection", "model", "final", "rename_map")
+
+    def __init__(self) -> None:
+        self.catalog: ResourceCatalog | None = None  # inception's, every resource of the purpose
+        self.selection: list[str] | None = None  # as selection.json lists it
+        self.model: ETGModel | None = None
+        self.final: ETG | None = None  # the graph dumped to etg_final.json
+        self.rename_map: dict[str, str] | None = None  # the document of rename_map.json
 
 
 class PipelineConfig(NamedTuple):
@@ -237,10 +255,12 @@ def _read_artifact(out: Path, name: str, parse):
     return read_document(path, "artifact", parse, PhaseError)
 
 
-def _read_selection(out: Path, purpose: Purpose) -> list[str]:
+def _read_selection(out: Path, purpose: Purpose, run: Handoff | None) -> list[str]:
     """The dataset ids in integration order, as the inception phase wrote
     them to `out / selection.json`; each must be a dataset of `purpose`,
-    listed once."""
+    listed once. In a run, the list inception handed on."""
+    if run is not None:
+        return run.selection
     dataset_ids = {ref.meta.id for ref in purpose.dataset_refs}
 
     def parse(doc) -> list[str]:
@@ -256,13 +276,13 @@ def _read_selection(out: Path, purpose: Purpose) -> list[str]:
 
 
 def _selected_schemas(
-    config: PipelineConfig, purpose: Purpose, selection: list[str]
+    config: PipelineConfig, purpose: Purpose, selection: list[str], run: Handoff | None
 ) -> list[tuple[ResourceRef, DatasetSchema]]:
     """Each selected dataset's ref and schema, in selection order, loading only
     these. One that no longer loads stops the phase with the cause, so no
     phase drops a dataset that inception selected."""
     refs = {ref.meta.id: ref for ref in purpose.dataset_refs}
-    catalog = _load(config, [refs[dataset_id] for dataset_id in selection])
+    catalog = _load(config, [refs[dataset_id] for dataset_id in selection], run)
     for dataset_id in selection:
         if dataset_id not in catalog.datasets:
             cause = "".join(f": {e.message}" for e in catalog.errors if e.resource_id == dataset_id)
@@ -285,13 +305,22 @@ def _resource_path(config: PipelineConfig, ref: ResourceRef) -> Path:
     return config.base_dir / ref.path
 
 
-def _load(config: PipelineConfig, refs: Sequence[ResourceRef]) -> ResourceCatalog:
-    """The resources `refs` name, each read from its `_resource_path`."""
+def _load(config: PipelineConfig, refs: Sequence[ResourceRef], run: Handoff | None = None) -> ResourceCatalog:
+    """The resources `refs` name, each read from its `_resource_path`; in a
+    run, taken from the catalog inception loaded, which holds them all."""
+    if run is not None:
+        ids = {ref.meta.id for ref in refs}
+        held = run.catalog
+        return ResourceCatalog(
+            datasets={i: schema for i, schema in held.datasets.items() if i in ids},
+            ontologies={i: etg for i, etg in held.ontologies.items() if i in ids},
+            errors=tuple(e for e in held.errors if e.resource_id in ids),
+        )
     resolved = [ref._replace(path=str(_resource_path(config, ref))) for ref in refs]
     return collect_resources(resolved, Path())  # the paths are resolved already
 
 
-def phase_inception(config: PipelineConfig) -> GateReport:
+def phase_inception(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
     """Rank the resources and gate on coverage (eval_a); write `inception.json`
     and `selection.json`, the datasets to integrate in order."""
     purpose = parse_purpose(config.purpose)
@@ -301,21 +330,27 @@ def phase_inception(config: PipelineConfig) -> GateReport:
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "inception.json", inception_to_json(purpose, ranking, catalog.errors))
-    write_json(out / "selection.json", {"datasets": select_datasets(ranking, config.max_per_category)})
+    selection = select_datasets(ranking, config.max_per_category)
+    write_json(out / "selection.json", {"datasets": selection})
     _write_gate(out, report)
+    if run is not None:
+        run.catalog, run.selection = catalog, selection
     return report
 
 
-def phase_model(config: PipelineConfig) -> GateReport:
+def phase_model(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
     """Model the queries and the datasets in `selection.json` and gate on
     extensiveness (eval_b); write `etg_model.json` and its provenance."""
     purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
-    schemas = [schema for _, schema in _selected_schemas(config, purpose, _read_selection(out, purpose))]
+    selection = _read_selection(out, purpose, run)
+    schemas = [schema for _, schema in _selected_schemas(config, purpose, selection, run)]
     model = _in_file(
         config.purpose, build_etg_model, purpose.cqs, schemas, purpose.property_overrides,
         base_id=purpose.slug,
     )
+    if run is not None:
+        run.model = model
     dump_etg(model.etg, out / "etg_model.json")
     write_json(out / "etg_model_provenance.json", provenance_to_json(model))
     report = eval_modeling(purpose.cqs, model, config.thresholds)
@@ -323,16 +358,19 @@ def phase_model(config: PipelineConfig) -> GateReport:
     return report
 
 
-def phase_align(config: PipelineConfig) -> GateReport:
+def phase_align(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
     """Align the model with the ontologies and gate on sparsity (eval_c); write
     `etg_final.json`, `merge_plan.json` and `rename_map.json`."""
     purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
-    model_path = out / "etg_model.json"
-    etg = _read_artifact(out, "etg_model.json", etg_from_doc)
-    model = _read_artifact(out, "etg_model_provenance.json", lambda doc: _against(model_path, model_from_docs, etg, doc))
-    ontologies = _load(config, purpose.ontology_refs).ontologies
+    if run is not None:
+        model = run.model
+    else:
+        model_path = out / "etg_model.json"
+        etg = _read_artifact(out, "etg_model.json", etg_from_doc)
+        model = _read_artifact(out, "etg_model_provenance.json", lambda doc: _against(model_path, model_from_docs, etg, doc))
+    ontologies = _load(config, purpose.ontology_refs, run).ontologies
     ranking = _in_file(config.purpose, rank_ontologies, model, ontologies)
     predictions = {
         entry.ontology_id: etr_predict(model, ontologies[entry.ontology_id], config.policy)
@@ -349,21 +387,27 @@ def phase_align(config: PipelineConfig) -> GateReport:
     write_json(out / "rename_map.json", plan.rename_map)
     report = eval_alignment(final, ranking, ontologies, config.thresholds)
     _write_gate(out, report)
+    if run is not None:
+        run.final, run.rename_map = final, plan.rename_map
+        run.model, run.catalog = None, run.catalog._replace(ontologies={})
     return report
 
 
-def phase_integrate(config: PipelineConfig) -> GateReport:
+def phase_integrate(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
     """Integrate the datasets in `selection.json` order (purpose order without
     it) into `eg.nt` and gate on coverage (eval_d) with `integration_report.json`."""
     purpose = parse_purpose(config.purpose)
     out, triples_path = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     etg_path = config.etg if config.etg is not None else out / "etg_final.json"
-    if not etg_path.is_file():
+    if run is not None and config.etg is None:
+        etg = run.final
+    elif etg_path.is_file():
+        etg = load_etg(etg_path)
+    else:
         raise PhaseError(
             f"missing schema graph {etg_path}; run the align phase first or pass --etg"
         )
-    etg = load_etg(etg_path)
 
     def renames(doc) -> dict[str, str]:  # in final names: keys and values normalized
         renamed, seen = {}, {}
@@ -374,14 +418,22 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
             renamed[unique_key(normalize_text(raw), raw, seen, "keys")] = normalize_text(new)
         return renamed
 
-    # standalone use (--etg without earlier phases): no renames, purpose order
+    # standalone use (--etg without earlier phases): no renames, purpose order;
+    # in a run, align and inception have written both files
     rename_map, graph = {}, str(etg_path)
-    if (out / "rename_map.json").is_file():
+    renames_path = out / "rename_map.json"
+    if run is not None:
+        try:  # the renames align made are etypes of its graph, maybe not of --etg's
+            rename_map = renames(run.rename_map)
+        except PhaseError as exc:
+            raise PhaseError(f"{renames_path}: {exc}") from exc
+    elif renames_path.is_file():
         rename_map = _read_artifact(out, "rename_map.json", renames)
+    if renames_path.is_file():
         # a dataset's etype reaches the graph through the renames, which may be at fault too
-        graph += f" as renamed by {out / 'rename_map.json'}"
+        graph += f" as renamed by {renames_path}"
     if (out / "selection.json").is_file():
-        selection = _read_selection(out, purpose)
+        selection = _read_selection(out, purpose, run)
     else:
         selection = [ref.meta.id for ref in purpose.dataset_refs]
     overrides = {}  # dataset id -> (override file, override)
@@ -400,7 +452,7 @@ def phase_integrate(config: PipelineConfig) -> GateReport:
         graph_id = graph_id[: -len("-etg")]
     state = initial_state(etg, f"{graph_id}-eg")
     cases = []
-    for ref, schema in _selected_schemas(config, purpose, selection):
+    for ref, schema in _selected_schemas(config, purpose, selection, run):
         path = _resource_path(config, ref)
         header, rows = read_dataset_rows(path)
         # the override replaces the sidecar's mapping, so a mapping error is its fault
@@ -465,11 +517,13 @@ def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
 
 def phase_run(config: PipelineConfig) -> int:
     """All four phases in order, stopping at the first failed gate unless
-    --no-fail-fast was given. Writes a manifest with input digests."""
+    --no-fail-fast was given, each handing what it loaded or built to the
+    later ones through one `Handoff`. Writes a manifest with input digests."""
     verdicts: dict[str, str | None] = {name: None for name in PHASES}
     failed = False
+    run = Handoff()
     for name in PHASES:
-        report = _PHASE_FUNCTIONS[name](config)
+        report = _PHASE_FUNCTIONS[name](config, run)
         print(report.to_text())
         verdicts[name] = report.verdict
         if report.verdict == "fail":

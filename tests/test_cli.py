@@ -170,14 +170,43 @@ class TestRun:
         for name in ("eg.nt", "integration_report.json", "eval_d.json", "eval_d.txt"):
             assert (written / name).read_bytes() == (respelled / name).read_bytes(), name
 
-    def test_run_equals_composed_subcommands(self, tmp_path):
-        run_out = tmp_path / "run"
-        step_out = tmp_path / "steps"
-        assert main(fixture_argv("run", run_out)) == 0
+    @pytest.mark.parametrize(
+        "source", ["fixture", "renames", "link_heavy", "merge_overlap", "ontology_heavy", "bulk_append"]
+    )
+    def test_run_equals_composed_subcommands(self, source, tmp_path):
+        # run hands each phase's values on in memory; the subcommands read them back
+        _, argv = reuse_input(source, tmp_path / "input", seed=101)
+        run_out, step_out = tmp_path / "run", tmp_path / "steps"
+        assert main(argv(run_out)) == 0
         for command in ("inception", "model", "align", "integrate"):
-            assert main(fixture_argv(command, step_out)) == 0
-        for name in ARTIFACTS:
+            assert main([command, *argv(step_out)[1:]]) == 0
+        names = sorted(p.name for p in run_out.iterdir() if p.name != "run_manifest.json")
+        assert names == sorted(p.name for p in step_out.iterdir())
+        assert set(ARTIFACTS) <= set(names)
+        for name in names:
             assert (run_out / name).read_bytes() == (step_out / name).read_bytes(), name
+
+    def test_run_reads_back_nothing_it_wrote(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        argv = ["--purpose", str(RENAMES / "purpose.json"), "--config", str(RENAMES / "config.json"), "--out", str(out)]
+        reads = []
+        for module in (itelos.model, itelos.inception):  # every JSON document goes through read_json
+            def counting_read(path, *args, read=module.read_json, **kwargs):
+                reads.append(Path(path))
+                return read(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, "read_json", counting_read)
+        assert main(["run", *argv]) == 0
+        assert [path for path in reads if out in path.parents] == []
+        purpose = json.loads((RENAMES / "purpose.json").read_text(encoding="utf-8"))
+        inputs = [RENAMES / ref["path"] for ref in purpose["ontologies"]]
+        inputs += [(RENAMES / ref["path"]).with_suffix(".schema.json") for ref in purpose["datasets"]]
+        settings = (RENAMES / "purpose.json", RENAMES / "config.json")
+        assert sorted(inputs) == sorted(path for path in reads if path not in settings)
+        # the handed-on values end with the run: integrate reads the artifacts back
+        reads.clear()
+        assert main(["integrate", *argv]) == 0
+        assert {out / name for name in ("etg_final.json", "rename_map.json", "selection.json")} <= set(reads)
 
     def test_each_subcommand_loads_only_the_resources_it_reads(self, tmp_path, monkeypatch):
         root = tmp_path / "fixture"
@@ -214,8 +243,23 @@ class TestRun:
         loaded.clear()
         parses.clear()
         main(["run", "--out", str(tmp_path / "run"), *flags])
-        assert loaded == [load for loads in expected.values() for load in loads]
+        # a run loads once, at inception, and hands the catalog on
+        assert loaded == expected["inception"]
         assert len(parses) == 5
+
+    def test_renames_missing_from_the_etg_flag_graph_name_the_rename_map(self, tmp_path, capsys):
+        # the renames align hands on meet --etg's graph, which has no etype aaa,
+        # and run refuses them as integrate refuses the file
+        etg = COVID / "ontologies" / "onto_health.json"
+        argv = ["--purpose", str(RENAMES / "purpose.json"), "--config", str(RENAMES / "config.json")]
+        argv += ["--out", str(tmp_path / "out"), "--etg", str(etg)]
+        errors = []
+        for command in ("run", "integrate"):
+            assert main([command, *argv]) == 1
+            errors.append(capsys.readouterr().err.removeprefix(f"{command} error: "))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"{tmp_path / 'out' / 'rename_map.json'}: ")
+        assert f"which is not an etype of {etg}" in errors[0]
 
     def test_manifest_shape(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -1160,6 +1204,25 @@ class TestHostileInput:
         assert "selected dataset 'ds_hospitals' is not loadable: " in err
         assert "not valid UTF-8" in err
         assert not (out / "etg_model.json").exists()
+
+    def test_header_edited_during_run_stops_integrate(self, tmp_path, monkeypatch, capsys):
+        # run hands on the sidecar schema loaded at inception; the rows are read
+        # when integrate starts, so a header edited after align is refused there
+        root = copied_datasets(tmp_path)
+        csv_path = root / "data" / "hospitals.csv"
+        align = itelos.cli._PHASE_FUNCTIONS["align"]
+
+        def align_then_edit(*args):
+            report = align(*args)
+            csv_path.write_text(csv_path.read_text(encoding="utf-8").replace("code,name,", "code,label,", 1), encoding="utf-8")
+            return report
+
+        monkeypatch.setitem(itelos.cli._PHASE_FUNCTIONS, "align", align_then_edit)
+        assert main(fixture_argv("run", tmp_path / "out", "--datasets", str(root))) == 1
+        err = capsys.readouterr().err
+        assert f"run error: {csv_path}: " in err
+        assert "mapped column name is not in the header" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "rows, identity, message",
