@@ -56,12 +56,12 @@ from .inception import (
     sidecar_schema_path,
 )
 from .integration import (
+    _GraphBuilder,
     connected_components,  # unused here: perfbench/tracing.py wraps this name
     eval_purpose,
     export_eg,
     infer_mapping,
     initial_state,
-    integrate_dataset,
     override_from_doc,
     read_dataset_rows,
 )
@@ -450,7 +450,7 @@ def phase_integrate(config: PipelineConfig, run: Handoff | None = None) -> GateR
     graph_id = etg.id
     if graph_id.endswith("-etg"):
         graph_id = graph_id[: -len("-etg")]
-    state = initial_state(etg, f"{graph_id}-eg")
+    builder = _GraphBuilder(initial_state(etg, f"{graph_id}-eg"))
     cases = []
     for ref, schema in _selected_schemas(config, purpose, selection, run):
         path = _resource_path(config, ref)
@@ -460,9 +460,9 @@ def phase_integrate(config: PipelineConfig, run: Handoff | None = None) -> GateR
         mapping = _in_file(
             mapping_path, _against, graph, infer_mapping, schema, etg, rename_map=rename_map, override=override
         )
-        state, case = _in_file(path, integrate_dataset, state, mapping, header, rows)
-        cases.append(case)
+        cases.append(_in_file(path, builder.add, mapping, header, rows))
 
+    state = builder.state()
     warnings = export_eg(state.eg, triples_path)
     report = eval_purpose(state, purpose.cqs, rename_map, config.thresholds)
     write_json(

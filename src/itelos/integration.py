@@ -10,19 +10,18 @@ identity keys decide, else agreement on every property both populate, with
 at least one such property. A merged entity keeps the lexicographically
 smallest of its ids, and unresolved links are retried after every merge, so
 keyed datasets whose entities all match on identity keys give the same graph
-in any order. Where no key decides, entities match greedily, and which ones
-merge can depend on the dataset order (see `match_entities`).
+in any order, but for a link cell that spells an entity id which a later
+merge retires: sites of `ds_a` and `ds_b` both keyed `S1`, and a case of
+`ds_c` linking `ds_b/s1`, resolve the link in the order b, c, a and leave it
+pending in the order a, b, c. Where no key decides, entities match greedily,
+and which ones merge can depend on the dataset order (see `match_entities`).
 
-A dataset's case report costs O(fragment + touched entities), plus one
-identity comparison per entity and one `connected_components` pass: only the
-entities the dataset changed or removed update the running totals that the
-`IntegrationState` carries (see `integrate_dataset`), and eval_d reads the
-populated etypes and properties from the same totals. The same entities
-update the state's match index (`itelos.matching`), so matching builds the
-value sets of each record, and those of an entity version at most once, when
-a later dataset matches against its etype; a record that probes is compared
-with one entity at most. So the write path touches each entity version once
-to mint it, once to count it and once to export it.
+A run integrates its datasets into one `_GraphBuilder`, in place. It knows
+which entities each dataset created, merged, renamed or linked, and only
+they update the running totals, which the case reports and eval_d read, and
+the match index (`itelos.matching`). Three passes per dataset still cover
+the whole graph or a whole etype: `connected_components`, the matched
+etype's probe tables and blocks, and `resolve_pending`'s suffix index.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .alignment import name_similarity
-from .matching import MatchIndex, index_of, moved_index
+from .matching import EtypeIndex
 from .metrics import (
     GateReport,
     Thresholds,
@@ -247,9 +246,9 @@ def generate_entities(
     row with the same id, or a row where two columns fill one property, is
     added by `_merge_values`, the union that merging entities follows.
     """
-    index_of = {name: i for i, name in enumerate(header)}
+    position = {name: i for i, name in enumerate(header)}
     for column, _prop in mapping.columns:
-        if column not in index_of:
+        if column not in position:
             raise ModelError(
                 f"dataset {mapping.dataset_id!r}: mapped column {column} is not in the header"
             )
@@ -260,10 +259,10 @@ def generate_entities(
     for column, prop in mapping.columns:
         if prop is not None:
             cells = link_cells if declared[prop].kind == "object" else value_cells
-            cells.append((index_of[column], prop))
+            cells.append((position[column], prop))
     value_cells.sort(key=itemgetter(1))
     one_column_each = len({prop for _i, prop in value_cells}) == len(value_cells)
-    key_indexes = [index_of[c] for c in mapping.identity_columns]
+    key_indexes = [position[c] for c in mapping.identity_columns]
     dataset_id = mapping.dataset_id
     entities: dict[str, Entity] = {}
     pending: set[PendingLink] = set()
@@ -339,28 +338,31 @@ def _same_entity(
     return bool(props) and all(existing_sets[p] == candidate_sets[p] for p in props)
 
 
-def match_entities(eg: EG, fragment: Fragment, index: MatchIndex | None = None) -> dict[str, str]:
+def match_entities(eg: EG, fragment: Fragment, indexes: Mapping[str, EtypeIndex] | None = None) -> dict[str, str]:
     """Pair each fragment entity with the first existing entity it denotes.
 
     An id collision is always a match; otherwise the match is the first
     entity of the same etype, in id order, that `_same_entity` accepts.
-    Existing entities' `Entity.value_sets` maps come from `index`, which is
-    built anew unless it describes `eg.entities`; a candidate's map is built
-    only when its etype has entities. A candidate is compared only with the
-    ids that `EtypeIndex.candidates` names, in order: the one hit of its
-    signature probe, or the entities of its blocks (see `itelos.matching`).
-    The result equals trying every same-etype entity in id order.
+    Existing entities' `Entity.value_sets` maps come from `indexes`, an
+    up-to-date `EtypeIndex` per etype that has entities, or are built anew
+    when it is None; a candidate's map is built only when its etype has
+    entities. A candidate is compared only with the ids that
+    `EtypeIndex.candidates` names, in order: the one hit of its signature
+    probe, or the entities of its blocks (see `itelos.matching`). The result
+    equals trying every same-etype entity in id order.
     """
     keys = fragment.identity_properties
-    index = index_of(eg, index, {entity.etype for entity in fragment.eg.entities.values()})
-    caches = {etype: ({}, {}) for etype in index.etypes}  # etype -> its probe tables and blocks
+    if indexes is None:
+        etypes = {entity.etype for entity in fragment.eg.entities.values()}
+        indexes = {etype: EtypeIndex.of(eg.entities, etype) for etype in etypes}
+    caches = {etype: ({}, {}) for etype in indexes}  # etype -> its probe tables and blocks
     matches: dict[str, str] = {}
     for candidate in fragment.eg.entities.values():
         if candidate.id in eg.entities:
             matches[candidate.id] = candidate.id
             continue
-        held = index.etypes[candidate.etype]
-        if not held.sets:
+        held = indexes.get(candidate.etype)
+        if held is None or not held.sets:
             continue
         candidate_sets = candidate.value_sets()
         for existing_id in held.candidates(candidate_sets, keys, caches[candidate.etype]):
@@ -378,17 +380,15 @@ def _merge_values(first: tuple[tuple[str, str, str], ...], second: tuple[tuple[s
 
 
 def merge_entities(
-    eg: EG, fragment: Fragment, matches: Mapping[str, str]
-) -> tuple[EG, dict[str, str]]:
-    """Fold the fragment into the graph, collapsing matched entities.
-
-    An existing entity and every fragment entity matched to it fold into one
-    entity under the lexicographically smallest of their ids; the returned
-    remap records every id that changed, so callers can rewrite references
-    they hold outside the graph. The graph's entities and then the
-    fragment's are folded in id order: values of a merged entity keep that
-    order, and its etype is the first one's. An entity that is not merged,
-    renamed or re-linked is kept as the same object.
+    eg: EG, fragment: Fragment, matches: Mapping[str, str], linked_from: Mapping[str, Iterable[str]]
+) -> tuple[dict[str, Entity], dict[str, str]]:
+    """What folding the fragment into the graph changes, which is left as it
+    is: the new and changed entities by id, and the remap of every id that
+    gives way to them. An existing entity and the fragment entities matched
+    to it fold, in that order and then in id order, into one entity under the
+    smallest of their ids, with the existing etype. Every link to a renamed
+    id is rewritten; `linked_from` names the entities that may link to each
+    id (a superset will do), and only they are searched.
     """
     smallest: dict[str, str] = {}  # existing id -> the smallest id of its group
     for fragment_id, existing_id in matches.items():
@@ -401,13 +401,22 @@ def merge_entities(
         if fragment_id != merged_id:
             remap[fragment_id] = merged_id
 
-    entities: dict[str, Entity] = {}
-    for entity in [*eg.sorted_entities(), *fragment.eg.sorted_entities()]:
+    def renames(links: frozenset) -> bool:
+        return any(target in remap for _p, target, _s in links)
+
+    touched = dict.fromkeys(smallest)
+    for old_id in remap:
+        for source_id in linked_from.get(old_id, ()):
+            source = eg.entities.get(source_id)
+            if source is not None and renames(source.object_links):
+                touched[source_id] = None
+    merged: dict[str, Entity] = {}
+    for entity in chain((eg.entities[entity_id] for entity_id in touched), fragment.eg.sorted_entities()):
         new_id = remap.get(entity.id, entity.id)
         links = entity.object_links
-        if remap and any(target in remap for _p, target, _s in links):
+        if remap and renames(links):
             links = frozenset((p, remap.get(target, target), s) for p, target, s in links)
-        present = entities.get(new_id)
+        present = merged.get(new_id)
         if present is not None:
             entity = present._replace(
                 data_values=_merge_values(present.data_values, entity.data_values),
@@ -415,8 +424,8 @@ def merge_entities(
             )
         elif new_id != entity.id or links is not entity.object_links:
             entity = entity._replace(id=new_id, object_links=links)
-        entities[new_id] = entity
-    return eg._replace(entities=entities), remap
+        merged[new_id] = entity
+    return merged, remap
 
 
 # ---------------------------------------------------------------------------
@@ -456,43 +465,34 @@ class GraphTotals(NamedTuple):
 
 
 class IntegrationState(NamedTuple):
-    """The growing graph, the links still waiting for their targets, the
-    graph's totals, and the match index of the etypes that datasets have
-    matched against. The index is never changed in place, so a state may be
-    integrated into more than once; one whose index describes another graph
-    (say, one built with `_replace(eg=...)`) matches as well, since its next
-    dataset builds the index anew."""
+    """The integrated graph, the links still waiting for their targets, and
+    the graph's totals. A state is never changed: `integrate_dataset` builds
+    from a copy of its graph, so a state may be integrated into more than
+    once."""
 
     eg: EG
     pending: tuple[PendingLink, ...]
     totals: GraphTotals
-    index: MatchIndex
 
 
 def initial_state(schema_graph: ETG, graph_id: str) -> IntegrationState:
-    entities: dict[str, Entity] = {}
-    return IntegrationState(
-        eg=EG(id=graph_id, schema=schema_graph, entities=entities),
-        pending=(),
-        totals=GraphTotals(),
-        index=MatchIndex(entities, {}, {}),
-    )
+    return IntegrationState(eg=EG(id=graph_id, schema=schema_graph, entities={}), pending=(), totals=GraphTotals())
 
 
 def _conforms(schema_graph: ETG, etype: str, range_etype: str) -> bool:
     return etype == range_etype or range_etype in schema_graph.ancestors_of(etype)
 
 
-def resolve_pending(state: IntegrationState) -> IntegrationState:
-    """Retry every pending link against the current graph.
+def resolve_pending(state) -> tuple[dict[str, set[tuple[str, str, str]]], tuple[PendingLink, ...]]:
+    """The (property, target, dataset) links to add by source id that
+    `state.pending` resolves to in `state.eg`, and the links still pending,
+    sorted; `state` is left as it is.
 
     A link resolves to an exact entity id, or else to the entity of the
     declared range etype whose id suffix equals the normalized target text;
     ties go to the smallest id. Suffix lookups go through an index of id
     suffix -> ids in sorted order, built once per call and only when some link
     needs it; the first conforming id in that list is the smallest one.
-    Unresolved links stay pending, sorted, and are never written into the graph.
-    The state's totals are passed through as they are.
     """
     eg = state.eg
     added: dict[str, set[tuple[str, str, str]]] = {}
@@ -533,13 +533,7 @@ def resolve_pending(state: IntegrationState) -> IntegrationState:
         added.setdefault(link.source_id, set()).add(
             (link.property, target_id, link.dataset_id)
         )
-    if not added:
-        return state._replace(pending=tuple(still))
-    entities = dict(eg.entities)
-    for entity_id, links in added.items():
-        entity = entities[entity_id]
-        entities[entity_id] = entity._replace(object_links=entity.object_links | links)
-    return state._replace(eg=eg._replace(entities=entities), pending=tuple(still))
+    return added, tuple(still)
 
 
 # ---------------------------------------------------------------------------
@@ -646,63 +640,114 @@ def _updated(
     return GraphTotals(declared, missing, flagged, etypes, populated_counts, components)
 
 
+class _GraphBuilder:
+    """A run's graph, built in place: `add` integrates one dataset after
+    another, and `state` freezes the graph once, ending the builder's use.
+    It owns the entities, the pending links, the running totals, an
+    `EtypeIndex` per etype that a dataset probed while it had entities, and
+    the ids that have linked to each id. `_put` and `_drop` record each id's
+    version before the dataset, so the versions that gave way and those that
+    came are known without a scan."""
+
+    def __init__(self, state: IntegrationState):
+        self.entities: dict[str, Entity] = {}
+        self.eg = state.eg._replace(entities=self.entities)  # reads the dict as it grows
+        self.pending = state.pending
+        self.totals = state.totals
+        self.indexes: dict[str, EtypeIndex] = {}
+        self.linked_from: dict[str, set[str]] = {}
+        self._held: dict[str, Entity | None] = {}  # id -> its version before the dataset
+        self._put(state.eg.entities.values())
+        self._held.clear()  # the state's graph is where the first dataset starts
+
+    def _put(self, entities: Iterable[Entity]) -> None:
+        for entity in entities:
+            self._held.setdefault(entity.id, self.entities.get(entity.id))
+            self.entities[entity.id] = entity
+            for _prop, target, _source in entity.object_links:
+                self.linked_from.setdefault(target, set()).add(entity.id)
+
+    def _drop(self, entity_ids: Iterable[str]) -> None:
+        for entity_id in entity_ids:
+            self._held.setdefault(entity_id, self.entities.pop(entity_id))
+
+    def _index(self, etype: str) -> EtypeIndex | None:
+        """The etype's index brought up to date, or built if the etype has
+        entities: an etype that no later dataset shares is never indexed."""
+        index = self.indexes.get(etype)
+        if index is not None:
+            index.refresh(self.entities)
+        else:
+            index = EtypeIndex.of(self.entities, etype)
+            if not index.sets:
+                return None
+            self.indexes[etype] = index
+        return index
+
+    def add(self, mapping: SchemaMapping, header: Sequence[str], rows: Sequence[Sequence[str]]) -> IntegrationCaseReport:
+        """Run one dataset through generation, matching, merging and
+        resolution. In the report, `merged_entities` counts the existing
+        entities that its records merged into, `conflicts` the net change in
+        flagged (entity, property) pairs, and `components_before` is the
+        count the previous dataset left."""
+        totals, before = self.totals, len(self.entities)
+        fragment = generate_entities(mapping, header, rows, self.eg.schema)
+        index = self._index(mapping.etype)
+        matches = match_entities(self.eg, fragment, {} if index is None else {mapping.etype: index})
+        merged, remap = merge_entities(self.eg, fragment, matches, self.linked_from)
+        self._drop(remap.keys() & self.entities.keys())
+        self._put(merged.values())
+        carried = self.pending + fragment.pending_links
+        self.pending = tuple({link._replace(source_id=remap[link.source_id]) if link.source_id in remap else link for link in carried})
+        links, self.pending = resolve_pending(self)
+        linked = (self.entities[entity_id] for entity_id in links)
+        self._put(entity._replace(object_links=entity.object_links | links[entity.id]) for entity in linked)
+        changed = [(i, held, now) for i, held in self._held.items() if (now := self.entities.get(i)) is not held]
+        self._held.clear()
+        if self.indexes:
+            for entity_id, held, entity in changed:
+                for version in (held, entity):
+                    if version is not None and version.etype in self.indexes:
+                        self.indexes[version.etype].stale.setdefault(entity_id, held)
+        removed = [held for _id, held, _entity in changed if held is not None]
+        added = [entity for _id, _held, entity in changed if entity is not None]
+        self.totals = _updated(totals, self.eg.schema, removed, added, connected_components(self.eg))
+        merged_count = len(set(matches.values()))
+        return IntegrationCaseReport(
+            dataset_id=mapping.dataset_id,
+            etype=mapping.etype,
+            case="shared_etype" if totals.etypes.get(mapping.etype) else "new_etype",
+            entity_overlap="populates_both" if merged_count >= 1 else "only_one",
+            entities_before=before,
+            entities_after=len(self.entities),
+            appended=len(self.entities) - before,
+            merged_entities=merged_count,
+            conflicts=self.totals.flagged - totals.flagged,
+            components_before=totals.components,
+            connected_components=self.totals.components,
+            missing_link_ratio=self.totals.missing_ratio,
+            unresolved_links=self.pending,
+            stats=fragment.stats,
+        )
+
+    def state(self) -> IntegrationState:
+        return IntegrationState(self.eg, self.pending, self.totals)
+
+
 def integrate_dataset(
     state: IntegrationState,
     mapping: SchemaMapping,
     header: Sequence[str],
     rows: Sequence[Sequence[str]],
 ) -> tuple[IntegrationState, IntegrationCaseReport]:
-    """Run one dataset through generation, matching, merging and resolution.
-
-    The report costs O(fragment + touched entities), plus one identity
-    comparison per entity and one `connected_components` pass. Merging and
-    resolution keep every entity they leave alone as the same object, so
-    identity finds the entities the dataset changed or removed; only they
-    update the state's totals, and the match index records them for each
-    etype it holds (`matching.moved_index`). An etype is indexed when a
-    dataset first matches against its entities, at the cost of one
-    value-sets map per entity, and brought up to date when one matches
-    against it again, at the cost of a map per entity version changed since
-    and a copy of its mappings. `merged_entities` counts the existing
-    entities that the dataset's records merged into, `conflicts` the net
-    change in flagged (entity, property) pairs, and `components_before` is
-    the count the previous dataset left.
-    """
-    before = state.eg
-    totals = state.totals
-    fragment = generate_entities(mapping, header, rows, before.schema)
-    index = index_of(before, state.index, (mapping.etype,))
-    matches = match_entities(before, fragment, index)
-    merged_eg, remap = merge_entities(before, fragment, matches)
-    carried = {
-        link._replace(source_id=remap[link.source_id]) if link.source_id in remap else link
-        for link in state.pending + fragment.pending_links
-    }
-    resolved = resolve_pending(state._replace(eg=merged_eg, pending=tuple(carried)))
-    after = resolved.eg
-    # the old versions of changed or removed entities, and the changed or new ones
-    removed = [e for entity_id, e in before.entities.items() if after.entities.get(entity_id) is not e]
-    added = [e for entity_id, e in after.entities.items() if before.entities.get(entity_id) is not e]
-    after_totals = _updated(totals, after.schema, removed, added, connected_components(after))
-    merged_count = len(set(matches.values()))
-    report = IntegrationCaseReport(
-        dataset_id=mapping.dataset_id,
-        etype=mapping.etype,
-        case="shared_etype" if totals.etypes.get(mapping.etype) else "new_etype",
-        entity_overlap="populates_both" if merged_count >= 1 else "only_one",
-        entities_before=len(before.entities),
-        entities_after=len(after.entities),
-        appended=len(after.entities) - len(before.entities),
-        merged_entities=merged_count,
-        conflicts=after_totals.flagged - totals.flagged,
-        components_before=totals.components,
-        connected_components=after_totals.components,
-        missing_link_ratio=after_totals.missing_ratio,
-        unresolved_links=resolved.pending,
-        stats=fragment.stats,
-    )
-    index = moved_index(index, after.entities, removed, added)
-    return resolved._replace(totals=after_totals, index=index), report
+    """Integrate one dataset into a new state, leaving `state` as it is: a
+    `_GraphBuilder` built from a copy of the state's graph adds the dataset
+    (see `_GraphBuilder.add` for the report). Each call copies the graph and
+    indexes a probed etype anew; `itelos run` adds every dataset to one
+    builder instead."""
+    builder = _GraphBuilder(state)
+    report = builder.add(mapping, header, rows)
+    return builder.state(), report
 
 
 # ---------------------------------------------------------------------------

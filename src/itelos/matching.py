@@ -1,14 +1,13 @@
-"""The match index: what `integration.match_entities` keeps of the graph
-from one dataset to the next, and how it finds the entities that a record
-may denote.
+"""The match index: what matching keeps of the graph that a run builds,
+and how it finds the entities that a record may denote.
 
 Two entities of one etype are compared by their `Entity.value_sets` maps
 (`integration._same_entity`). An etype's `EtypeIndex` holds each of its
-entities' maps, built when a dataset first probes the etype and then carried
-from graph to graph: the next dataset that probes it builds only the maps of
-the entity versions changed or added since, and copies the rest (Gruenheid,
-Dong and Srivastava, "Incremental Record Linkage", PVLDB 2014). Equal value
-sets are one object.
+entities' maps, built when a dataset first probes the etype and then updated
+in place: the builder (`integration._GraphBuilder`) records each entity it
+changes, and the next dataset that probes the etype builds only the maps of
+the entities changed or added since (Gruenheid, Dong and Srivastava,
+"Incremental Record Linkage", PVLDB 2014). Equal value sets are one object.
 
 A record of the etype, with populated properties P, needs the first entity
 in id order that `_same_entity` accepts. It finds it by exact blocking
@@ -24,14 +23,16 @@ Deduplication", TKDE 2012), by one of two routes:
 A record takes the probe when its blocks hold at least `PROBE_WEIGHT` times
 as many entities as the etype has signatures. Both routes are exact, so the
 choice changes only the cost: `_same_entity` runs once per probed record.
+The probe tables and the blocks are built per `match_entities` call, over
+the etype's whole signature groups.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .model import EG, Entity
+from .model import Entity
 
 # A signature probe builds and hashes a tuple of value sets, and fills a table
 # on its signature's first probe in a call; one entity of a scanned block costs
@@ -42,15 +43,70 @@ from .model import EG, Entity
 PROBE_WEIGHT = 8
 
 
-class EtypeIndex(NamedTuple):
+class EtypeIndex:
     """What matching keeps of one etype's entities: each one's
     `Entity.value_sets` map, the entities grouped by signature (the key set
     of that map), and for each (property, value set) entry the one set
-    object that the entities holding it share, with how many hold it."""
+    object that the entities holding it share, with how many hold it.
+    `stale` maps each id changed since the maps were last brought up to
+    date to the version they hold of it, None if they hold none."""
 
-    sets: Mapping[str, Mapping[str, frozenset[str]]]
-    groups: Mapping[frozenset[str], frozenset[str]]
-    entries: Mapping[tuple[str, frozenset[str]], tuple[frozenset[str], int]]
+    def __init__(self, etype: str) -> None:
+        self.etype = etype
+        self.sets: dict[str, dict[str, frozenset[str]]] = {}
+        self.groups: dict[frozenset[str], set[str]] = {}
+        self.entries: dict[tuple[str, frozenset[str]], tuple[frozenset[str], int]] = {}
+        self.stale: dict[str, Entity | None] = {}
+
+    @classmethod
+    def of(cls, entities: Mapping[str, Entity], etype: str) -> EtypeIndex:
+        """The index of the entities of `etype`, built anew."""
+        index = cls(etype)
+        index.stale = {entity_id: None for entity_id, entity in entities.items() if entity.etype == etype}
+        index.refresh(entities)
+        return index
+
+    def refresh(self, entities: Mapping[str, Entity]) -> None:
+        """Bring the maps of the `stale` ids up to date with `entities`. A
+        version keeps the held one's map when it keeps its `data_values`, its
+        (property, text) pairs or its sets; a set equal to one the etype holds
+        is replaced by that one."""
+        for entity_id, held in self.stale.items():
+            entity = entities.get(entity_id)
+            value_sets = self.sets.get(entity_id)
+            if entity is None or entity.etype != self.etype:
+                if value_sets is not None:
+                    self._tally(entity_id, value_sets, -1)
+                continue
+            if value_sets is not None:
+                # the same (property, text) pairs, say from one more source, give the same sets
+                if held.data_values is entity.data_values or {t[:2] for t in entity.data_values} == {t[:2] for t in held.data_values}:
+                    continue
+            built = {prop: self.entries.get((prop, values), (values,))[0] for prop, values in entity.value_sets().items()}
+            if value_sets is not None:
+                if built == value_sets:
+                    continue
+                self._tally(entity_id, value_sets, -1)
+            self._tally(entity_id, built, 1)
+        self.stale.clear()
+
+    def _tally(self, entity_id: str, value_sets: dict[str, frozenset[str]], sign: int) -> None:
+        signature = frozenset(value_sets)
+        if sign > 0:
+            self.sets[entity_id] = value_sets
+            self.groups.setdefault(signature, set()).add(entity_id)
+        else:
+            del self.sets[entity_id]
+            members = self.groups[signature]
+            members.discard(entity_id)
+            if not members:
+                del self.groups[signature]
+        for entry in value_sets.items():
+            shared, count = self.entries.get(entry, (entry[1], 0))
+            if count + sign:
+                self.entries[entry] = (shared, count + sign)
+            else:
+                del self.entries[entry]
 
     def candidates(
         self, candidate_sets: Mapping[str, frozenset[str]], keys: Sequence[str], cache: tuple[dict, dict]
@@ -96,114 +152,3 @@ class EtypeIndex(NamedTuple):
             if hit is not None and (best is None or hit < best):
                 best = hit
         return best
-
-
-_NO_ENTITIES = EtypeIndex({}, {}, {})
-
-
-class MatchIndex(NamedTuple):
-    """The index of the graph `entities`: an `EtypeIndex` for each etype that
-    a dataset has probed, and for each such etype the changes since, in
-    order, as (removed versions, added versions) pairs. `index_of` applies
-    an etype's changes when a dataset probes it again, so the last dataset
-    of an etype builds no maps for the graph it leaves. An etype with no
-    entity has an empty `EtypeIndex`, which `moved_index` drops: an etype
-    that no later dataset shares is never indexed."""
-
-    entities: Mapping[str, Entity]
-    etypes: Mapping[str, EtypeIndex]
-    behind: Mapping[str, tuple[tuple[Sequence[Entity], Sequence[Entity]], ...]]
-
-
-def _indexed(old: EtypeIndex, removed: Sequence[Entity], added: Sequence[Entity]) -> EtypeIndex:
-    """`old` less the `removed` entity versions, plus the `added` ones, in new
-    mappings: `old` stays as it is. An added version keeps the value sets of
-    the removed one under its id when it keeps its `data_values` object, its
-    (property, text) pairs or its sets; the others' are built once, and a set
-    equal to one the etype holds is replaced by that one."""
-    sets = dict(old.sets)
-    entries = dict(old.entries)
-    members: dict[frozenset[str], set[str]] = {}  # the ids of each changed group
-
-    def tally(entity_id: str, value_sets: Mapping[str, frozenset[str]], sign: int) -> None:
-        signature = frozenset(value_sets)
-        if signature not in members:
-            members[signature] = set(old.groups.get(signature, ()))
-        if sign > 0:
-            sets[entity_id] = value_sets
-            members[signature].add(entity_id)
-        else:
-            del sets[entity_id]
-            members[signature].discard(entity_id)
-        for entry in value_sets.items():
-            shared, count = entries.get(entry, (entry[1], 0))
-            if count + sign:
-                entries[entry] = (shared, count + sign)
-            else:
-                del entries[entry]
-
-    kept = {entity.id: entity.data_values for entity in removed}
-    for entity in added:
-        value_sets = sets.get(entity.id)
-        if value_sets is not None:
-            data_values = kept.pop(entity.id)
-            # the same (property, text) pairs, say from one more source, give the same sets
-            if data_values is entity.data_values or {t[:2] for t in entity.data_values} == {t[:2] for t in data_values}:
-                continue
-        built = {prop: entries.get((prop, values), (values,))[0] for prop, values in entity.value_sets().items()}
-        if value_sets is not None:
-            if built == value_sets:
-                continue
-            tally(entity.id, value_sets, -1)
-        tally(entity.id, built, 1)
-    for entity_id in kept:
-        tally(entity_id, sets[entity_id], -1)
-    groups = dict(old.groups)
-    for signature, ids in members.items():
-        if ids:
-            groups[signature] = frozenset(ids)
-        else:
-            del groups[signature]
-    return EtypeIndex(sets, groups, entries)
-
-
-def index_of(eg: EG, index: MatchIndex | None, etypes: Iterable[str]) -> MatchIndex:
-    """`index` if it describes `eg.entities`, else an empty index of them,
-    with each of `etypes` brought up to date, or indexed if it is not."""
-    if index is None or index.entities is not eg.entities:
-        index = MatchIndex(eg.entities, {}, {})
-    wanted = set(etypes)
-    late = wanted & index.behind.keys()
-    members: dict[str, list[Entity]] = {etype: [] for etype in wanted - index.etypes.keys()}
-    if not late and not members:
-        return index
-    indexes = dict(index.etypes)
-    behind = dict(index.behind)
-    for etype in late:
-        for gone, new in behind.pop(etype):
-            indexes[etype] = _indexed(indexes[etype], gone, new)
-    if members:
-        for entity in eg.entities.values():
-            if entity.etype in members:
-                members[entity.etype].append(entity)
-        for etype, held in members.items():
-            indexes[etype] = _indexed(_NO_ENTITIES, (), held) if held else _NO_ENTITIES
-    return MatchIndex(eg.entities, indexes, behind)
-
-
-def moved_index(
-    index: MatchIndex, entities: Mapping[str, Entity], removed: Sequence[Entity], added: Sequence[Entity]
-) -> MatchIndex:
-    """The index of `entities`, the graph that `index`'s became when its
-    `removed` entity versions gave way to the `added` ones: each indexed
-    etype records its share of the change."""
-    changes = {etype: ([], []) for etype, held in index.etypes.items() if held.sets}
-    for side, versions in enumerate((removed, added)):
-        for entity in versions:
-            if entity.etype in changes:
-                changes[entity.etype][side].append(entity)
-    behind = {etype: steps for etype, steps in index.behind.items() if etype in changes}
-    for etype, (gone, new) in changes.items():
-        if gone or new:
-            behind[etype] = behind.get(etype, ()) + ((gone, new),)
-    return MatchIndex(entities, {etype: index.etypes[etype] for etype in changes}, behind)

@@ -8,7 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import COVID  # noqa: E402
 
-# CI's hostile-input job runs tests/test_hostile_input.py alone with
+# CI's hostile-input job runs tests/test_hostile_input.py, and then the two
+# drawn tests of test_integration.py's TestIntegrateDatasetWrapper, with
 # --hypothesis-profile=hostile-input; tier-1 keeps hypothesis' default profile.
 settings.register_profile("hostile-input", max_examples=2000, deadline=None)
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import json
 import random
 import re
 import tempfile
@@ -10,7 +12,8 @@ from urllib.parse import unquote
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from itelos import integration, matching
+from itelos import cli, integration, matching
+from itelos.cli import main
 from itelos.integration import (
     Fragment,
     PendingLink,
@@ -31,7 +34,7 @@ from itelos.integration import (
     resolve_pending,
 )
 from itelos.inception import load_dataset_schema
-from itelos.matching import EtypeIndex, index_of
+from itelos.matching import EtypeIndex
 from itelos.model import (
     EG,
     DocumentError,
@@ -39,6 +42,7 @@ from itelos.model import (
     ModelError,
     NotInGraphError,
     ResourceMeta,
+    dump_etg,
     normalize_text,
     validate_eg,
 )
@@ -68,6 +72,7 @@ from helpers import (
     write_csv,
     xsd_valid,
 )
+from test_cli import TINY, reuse_input
 
 
 def hospital_etg():
@@ -101,10 +106,32 @@ def mapping_for(dataset_id, etype, columns, etg=None, **kwargs):
     return infer_mapping(schema, etg or hospital_etg(), **kwargs)
 
 
-def run_dataset(state, dataset_id, etype, columns, rows):
-    mapping = mapping_for(dataset_id, etype, columns, etg=state.eg.schema)
+def dataset_args(schema_graph, dataset_id, etype, columns, rows):
+    """The mapping, header and rows that integrate a dataset given by its
+    columns as (name, property, role) triples."""
+    mapping = mapping_for(dataset_id, etype, columns, etg=schema_graph)
     header = [normalize_text(name if isinstance(name, str) else name[0]) for name in columns]
-    return integrate_dataset(state, mapping, header, rows)
+    return mapping, header, rows
+
+
+def run_dataset(state, dataset_id, etype, columns, rows):
+    return integrate_dataset(state, *dataset_args(state.eg.schema, dataset_id, etype, columns, rows))
+
+
+def linked_from(eg):
+    """Each link target of `eg` with the ids of the entities linking to it."""
+    sources = {}
+    for e in eg.entities.values():
+        for _prop, target, _source in e.object_links:
+            sources.setdefault(target, set()).add(e.id)
+    return sources
+
+
+def merged_graph(eg, fragment, matches):
+    """The graph that `merge_entities`' changes make of `eg`, and the remap."""
+    changed, remap = merge_entities(eg, fragment, matches, linked_from(eg))
+    entities = {entity_id: e for entity_id, e in eg.entities.items() if entity_id not in remap}
+    return eg._replace(entities={**entities, **changed}), remap
 
 
 class TestReadRows:
@@ -705,7 +732,7 @@ class TestMatchAndMerge:
         )
         matches = match_entities(eg, fragment)
         assert matches == {"ds_a/tn01": "ds_b/tn01"}
-        merged, remap = merge_entities(eg, fragment, matches)
+        merged, remap = merged_graph(eg, fragment, matches)
         assert remap == {"ds_b/tn01": "ds_a/tn01"}
         assert set(merged.entities) == {"ds_a/tn01", "ds_c/c1"}
         assert merged.entities["ds_c/c1"].object_links == frozenset(
@@ -949,12 +976,11 @@ class TestMergeOnePass:
         eg, fragment, matches = case
         for graph in (eg, fragment.eg):
             assert [v for v in validate_eg(graph) if v.code != "dangling_link"] == []
-        merged, remap = merge_entities(eg, fragment, matches)
+        merged, remap = merged_graph(eg, fragment, matches)
         expected, expected_remap = scan_merge_entities(eg, fragment, matches)
         assert remap == expected_remap
         assert merged == expected
         assert flagged_pairs(merged) == scan_conflict_flags(expected.entities)
-        assert list(merged.entities) == list(expected.entities)
         for graph in (eg, fragment.eg, merged):
             assert missing_ratio(graph) == scan_missing_ratio(graph)
 
@@ -967,7 +993,10 @@ class TestMergeOnePass:
         added = entity("ds_a/h2", "hospital", {"code": [("TN02", "ds_a")]})
         eg = graph_of([kept, old, linked_to_kept, linked_to_old])
         fragment = fragment_of([new, added], ("code",))
-        merged, remap = merge_entities(eg, fragment, {"ds_a/h1": "ds_b/h1"})
+        changed, remap = merge_entities(eg, fragment, {"ds_a/h1": "ds_b/h1"}, linked_from(eg))
+        assert sorted(changed) == ["ds_a/h1", "ds_a/h2", "ds_c/c2"]
+        assert eg == graph_of([kept, old, linked_to_kept, linked_to_old])
+        merged, remap = merged_graph(eg, fragment, {"ds_a/h1": "ds_b/h1"})
         assert remap == {"ds_b/h1": "ds_a/h1"}
         assert merged.entities["ds_z/h9"] is kept
         assert merged.entities["ds_c/c1"] is linked_to_kept
@@ -984,7 +1013,7 @@ class TestMergeOnePass:
         below = [entity(i, "hospital", {"code": [("X", "ds_a")]}) for i in ("ds_a/h1", "ds_a/h2")]
         above = entity("ds_c/h9", "hospital", {"code": [("X", "ds_c")]})
         matches = {"ds_a/h1": "ds_b/h5", "ds_a/h2": "ds_b/h5", "ds_c/h9": "ds_b/h5"}
-        merged, remap = merge_entities(
+        merged, remap = merged_graph(
             graph_of([old, case]), fragment_of([*below, above], ("code",)), matches
         )
         assert remap == {"ds_b/h5": "ds_a/h1", "ds_a/h2": "ds_a/h1", "ds_c/h9": "ds_a/h1"}
@@ -1071,19 +1100,18 @@ class TestResolveIndex:
             entities={e.id: e for e in entities},
         )
         start = initial_state(eg.schema, eg.id)._replace(eg=eg, pending=tuple(links))
-        state = resolve_pending(start)
-        expected = {e.id: set(e.object_links) for e in entities}
+        resolved, still = resolve_pending(start)
+        expected = {}
         unresolved = []
         for link in links:
             target = scan_link_target(eg, link)
             if target is None:
                 unresolved.append(link)
             else:
-                expected[link.source_id].add((link.property, target, link.dataset_id))
-        assert {e.id: set(e.object_links) for e in state.eg.entities.values()} == expected
-        assert state.pending == tuple(sorted(unresolved))
-        assert len(start.pending) - len(state.pending) == len(links) - len(unresolved)
-        assert state.totals is start.totals
+                expected.setdefault(link.source_id, set()).add((link.property, target, link.dataset_id))
+        assert resolved == expected
+        assert still == tuple(sorted(unresolved))
+        assert start.eg.entities == {e.id: e for e in entities}
 
 
 class TestResolvePending:
@@ -1217,10 +1245,7 @@ class TestResolvePending:
         state = self.state_with_hospitals()
         pending = state.pending
         assert pending == ()
-        resolved_state = resolve_pending(state)
-        assert len(state.pending) - len(resolved_state.pending) == 0
-        assert resolved_state.eg is state.eg
-        assert resolved_state.totals is state.totals
+        assert resolve_pending(state) == ({}, ())
 
 
 link_texts = st.text(alphabet="ab/_", max_size=3)
@@ -1516,16 +1541,27 @@ def fragment_for(state, dataset_id, etype, columns, rows):
     return generate_entities(mapping, header, rows, state.eg.schema)
 
 
+def builder_of(schema_graph):
+    return integration._GraphBuilder(initial_state(schema_graph, "eg"))
+
+
+def index_fields(index):
+    return index.etype, index.sets, index.groups, index.entries, index.stale
+
+
 class TestPersistentMatchIndex:
-    """The state's match index is carried from dataset to dataset; it must
-    match as a scan of the whole graph does, whatever the state's history."""
+    """One builder carries each etype's match index from dataset to dataset
+    and updates it in place; it must match as a scan of the whole graph
+    does."""
 
     @staticmethod
-    def assert_describes_its_graph(state):
-        # brought up to date, the carried index equals one built afresh
-        etypes = list(state.index.etypes)
-        assert state.index.entities is state.eg.entities
-        assert index_of(state.eg, state.index, etypes) == index_of(state.eg, None, etypes)
+    def assert_describes_its_graph(builder):
+        # brought up to date, each carried index equals one built afresh; the
+        # copy keeps the carried one's stale ids for the datasets to come
+        for etype, index in builder.indexes.items():
+            carried = copy.deepcopy(index)
+            carried.refresh(builder.entities)
+            assert index_fields(carried) == index_fields(EtypeIndex.of(builder.entities, etype))
 
     @settings(max_examples=200)
     @given(dataset_sequence())
@@ -1533,31 +1569,33 @@ class TestPersistentMatchIndex:
     # ds_c's site resolves are two changes that no dataset has applied yet
     @example([("ds_a", "case", CASE_COLUMNS, [["C1", "S2"]]), ("ds_b", "case", CASE_COLUMNS, [["C2", "S2"]]), ("ds_c", "site", KEYED_SITE_COLUMNS, [["S2", "A", "T", "S1"]])])
     def test_each_step_matches_as_the_scan(self, datasets):
-        state = initial_state(report_etg(), "eg")
+        builder = builder_of(report_etg())
         for dataset_id, etype, columns, rows in datasets:
-            fragment = fragment_for(state, dataset_id, etype, columns, rows)
-            expected = scan_match_entities(state.eg, fragment)
+            mapping, header, rows = dataset_args(builder.eg.schema, dataset_id, etype, columns, rows)
+            fragment = generate_entities(mapping, header, rows, builder.eg.schema)
+            expected = scan_match_entities(builder.eg, fragment)
+            held = builder._index(etype)  # as `add` brings it up to date
             # the weights make every record probe, take its default route,
             # or scan: no record shares a million block entries
             for weight in (0, matching.PROBE_WEIGHT, 10**6):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(matching, "PROBE_WEIGHT", weight)
-                    assert match_entities(state.eg, fragment, state.index) == expected
-            state, _report = run_dataset(state, dataset_id, etype, columns, rows)
-            self.assert_describes_its_graph(state)
+                    assert match_entities(builder.eg, fragment, {} if held is None else {etype: held}) == expected
+            builder.add(mapping, header, rows)
+            self.assert_describes_its_graph(builder)
 
     def test_a_used_state_integrates_alike_again(self):
         parent = initial_state(hospital_etg(), "eg")
         for dataset_id, columns, rows in overlap_datasets(40)[:2]:
             parent, _report = run_dataset(parent, dataset_id, "hospital", columns, rows)
-        assert "hospital" in parent.index.etypes
+        entities = dict(parent.eg.entities)
         _ds, columns, rows = overlap_datasets(40)[2]
         first = run_dataset(parent, "ds_c", "hospital", columns, rows)
         second = run_dataset(parent, "ds_c", "hospital", columns, rows)
         assert first == second
         assert first[1].merged_entities == 20
-        # the parent's index still describes the parent's graph
-        self.assert_describes_its_graph(parent)
+        # the parent still holds its graph
+        assert parent.eg.entities == entities
 
     def test_a_state_given_another_graph_matches_as_the_scan(self):
         state = initial_state(hospital_etg(), "eg")
@@ -1565,14 +1603,13 @@ class TestPersistentMatchIndex:
         state, _report = run_dataset(state, "ds_b", "hospital", hospital_columns(), [["TN02", "Villa Rosa", "90"]])
         other = graph_of([entity("ds_z/k1", "hospital", {"name": [("Santa Chiara", "ds_z")]})])
         moved = state._replace(eg=other)
-        # the index describes the first graph, where the row would denote ds_a/tn01
+        # in the first graph, the row would denote ds_a/tn01
         rows = [["", "santa chiara", ""]]
         fragment = fragment_for(moved, "ds_c", "hospital", hospital_columns(), rows)
-        assert match_entities(moved.eg, fragment, moved.index) == scan_match_entities(other, fragment) == {"ds_c/row_1": "ds_z/k1"}
+        assert match_entities(moved.eg, fragment) == scan_match_entities(other, fragment) == {"ds_c/row_1": "ds_z/k1"}
         after, report = run_dataset(moved, "ds_c", "hospital", hospital_columns(), rows)
         assert list(after.eg.entities) == ["ds_c/row_1"]
         assert report.merged_entities == 1
-        self.assert_describes_its_graph(after)
 
     def test_comparisons_grow_linearly_with_the_rows(self, monkeypatch):
         compared = []
@@ -1581,10 +1618,10 @@ class TestPersistentMatchIndex:
         calls = {}
         for n in (400, 1600):
             compared.clear()
-            state = initial_state(hospital_etg(), "eg")
+            builder = builder_of(hospital_etg())
             for dataset_id, columns, rows in overlap_datasets(n):
-                state, _report = run_dataset(state, dataset_id, "hospital", columns, rows)
-            assert len(state.eg.entities) == n + n // 2
+                builder.add(*dataset_args(builder.eg.schema, dataset_id, "hospital", columns, rows))
+            assert len(builder.entities) == n + n // 2
             calls[n] = len(compared)
         # each reversed row and each overlapping keyless row is compared once,
         # with its match; no new row is compared at all
@@ -1597,12 +1634,12 @@ class TestPersistentMatchIndex:
         monkeypatch.setattr(Entity, "value_sets", lambda self: built.append(self.id) or value_sets(self))
         m = 20
         builds = []
-        state = initial_state(hospital_etg(), "eg")
+        builder = builder_of(hospital_etg())
         for j in range(k):
             # half of each dataset's codes are the previous dataset's
             rows = [[f"TN{i:03d}", f"Hospital {i}", str(i)] for i in range(j * m // 2, j * m // 2 + m)]
             built.clear()
-            state, _report = run_dataset(state, f"ds_{j}", "hospital", hospital_columns(), rows)
+            builder.add(*dataset_args(builder.eg.schema, f"ds_{j}", "hospital", hospital_columns(), rows))
             builds.append(len(built))
         # the first dataset meets no hospital, and the second indexes the
         # first's m; every later one builds the maps of its m records and of
@@ -1614,16 +1651,111 @@ class TestPersistentMatchIndex:
         built = []
         value_sets = Entity.value_sets
         monkeypatch.setattr(Entity, "value_sets", lambda self: built.append(self.id) or value_sets(self))
-        state = initial_state(hospital_etg(), "eg")
+        builder = builder_of(hospital_etg())
         rows = [[f"TN{i:02d}", f"Hospital {i}", str(i)] for i in range(30)]
-        state, _report = run_dataset(state, "ds_h", "hospital", hospital_columns(), rows)
+        builder.add(*dataset_args(builder.eg.schema, "ds_h", "hospital", hospital_columns(), rows))
         case_columns = [("case_id", "case_id", "identity"), ("hospital", "hospital", "link")]
-        state, report = run_dataset(state, "ds_c", "covid_case", case_columns, [[f"C{i}", f"TN{i:02d}"] for i in range(30)])
+        report = builder.add(*dataset_args(builder.eg.schema, "ds_c", "covid_case", case_columns, [[f"C{i}", f"TN{i:02d}"] for i in range(30)]))
         assert report.unresolved_links == ()
         operators = [("operator", "operator", "identity")]
-        state, _report = run_dataset(state, "ds_f", "facility", operators, [["APSS"]])
+        builder.add(*dataset_args(builder.eg.schema, "ds_f", "facility", operators, [["APSS"]]))
         assert built == []
-        assert state.index.etypes == {}
+        assert builder.indexes == {}
+
+
+def state_snapshot(state):
+    """What a state holds, down to each entity's object and fields and the
+    totals' mappings, to check later that nothing changed it."""
+    totals = state.totals
+    return (
+        state.eg.id,
+        {entity_id: (e, tuple(e)) for entity_id, e in state.eg.entities.items()},
+        state.pending,
+        totals,
+        dict(totals.etypes),
+        {etype: dict(counts) for etype, counts in totals.populated.items()},
+    )
+
+
+class ChainOfCalls:
+    """`_GraphBuilder`'s interface over a chain of `integrate_dataset` calls."""
+
+    def __init__(self, state):
+        self._state = state
+
+    def add(self, mapping, header, rows):
+        self._state, report = integrate_dataset(self._state, mapping, header, rows)
+        return report
+
+    def state(self):
+        return self._state
+
+
+def builder_and_chain_files(argv, out):
+    """The `eg.nt` and `integration_report.json` bytes that `main(argv(o))`
+    writes into `o` with one builder and with a chain of `integrate_dataset`
+    calls."""
+    written = []
+    for name, builder in (("builder", integration._GraphBuilder), ("chain", ChainOfCalls)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_GraphBuilder", builder)
+            code = main(argv(out / name))
+        assert code in (0, 1)
+        written.append([(out / name / f).read_bytes() for f in ("eg.nt", "integration_report.json")])
+    return written
+
+
+def integrate_argv(root, datasets):
+    """A function from an out directory to the `itelos integrate` arguments
+    for drawn datasets against `report_etg()`, which `--etg` names; with no
+    selection the purpose's order is kept."""
+    dump_etg(report_etg(), root / "etg.json")
+    refs = []
+    for dataset_id, etype, columns, rows in datasets:
+        path = write_csv(root / f"{dataset_id}.csv", [name for name, _p, _r in columns], rows)
+        sidecar = {"dataset_id": dataset_id, "etype": etype, "columns": [{"name": n, "property": p, "role": r} for n, p, r in columns]}
+        path.with_suffix(".schema.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        refs.append({"id": dataset_id, "path": path.name, "category": "core", "popularity": 1})
+    cqs = [{"id": "cq", "sentence": "Which sites are there?", "etypes": ["site"], "properties": []}]
+    purpose = {"title": "drawn", "cqs": cqs, "datasets": refs, "ontologies": []}
+    (root / "purpose.json").write_text(json.dumps(purpose), encoding="utf-8")
+    return lambda out: ["integrate", "--purpose", str(root / "purpose.json"), "--etg", str(root / "etg.json"), "--out", str(out)]
+
+
+class TestIntegrateDatasetWrapper:
+    """`integrate_dataset` builds from a copy of its state's graph, so it
+    never changes a state, and a chain of its calls writes what one builder
+    writes. CI runs these tests under the 2,000-example hostile-input profile
+    too."""
+
+    @settings(deadline=None)
+    @given(dataset_sequence())
+    def test_a_state_is_never_changed(self, datasets):
+        state = initial_state(report_etg(), "eg")
+        *earlier, (dataset_id, etype, columns, rows) = datasets
+        for dataset in earlier:
+            state, _report = run_dataset(state, *dataset)
+        snapshot = state_snapshot(state)
+        first = run_dataset(state, dataset_id, etype, columns, rows)
+        second = run_dataset(state, dataset_id, etype, columns, rows)
+        assert first == second
+        assert state_snapshot(state) == snapshot
+        for entity_id, (entity, _fields) in snapshot[1].items():
+            assert state.eg.entities[entity_id] is entity
+
+    @settings(deadline=None)
+    @given(dataset_sequence())
+    def test_a_chain_of_calls_writes_what_one_builder_writes(self, datasets):
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch)
+            built, chained = builder_and_chain_files(integrate_argv(root, datasets), root / "out")
+        assert built == chained
+
+    @pytest.mark.parametrize("source", ["fixture", "renames", *TINY])
+    def test_a_chain_of_calls_runs_the_corpus_alike(self, source, tmp_path):
+        _, argv = reuse_input(source, tmp_path / "input", seed=101)
+        built, chained = builder_and_chain_files(argv, tmp_path / "out")
+        assert built == chained
 
 
 PADDING = st.text(" \t", max_size=2)
