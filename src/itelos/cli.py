@@ -3,10 +3,11 @@
 One subcommand per phase plus `run` for the whole pipeline. Every phase writes
 its artifacts to the output directory. A subcommand reads its inputs, and the
 artifacts of the phases before it, from files, so a user may edit them between
-phases. `run` loads each input once, at inception, and hands what one phase
-loaded or built to the later ones in memory (a `Handoff`), so it reads back
-nothing it wrote. Both routes give byte-identical artifacts (the run
-manifest, which carries timestamps, is the one exception).
+phases. `run` loads every dataset sidecar and ontology once, at inception,
+and the later phases take that catalog; every other input, and every
+artifact, they read as their subcommands do. Both routes give
+byte-identical artifacts (the run manifest, which carries timestamps, is
+the one exception).
 
 Exit codes: 0 all gates passed (warnings allowed), 1 a gate failed or a phase
 errored, 2 the invocation or configuration was unusable.
@@ -66,8 +67,8 @@ from .integration import (
     read_dataset_rows,
 )
 from .metrics import GateReport, MetricError, Thresholds, as_fraction
-from .model import ETG, DatasetSchema, ModelError, NotInGraphError, dump_etg, etg_from_doc, expect_json, field, load_etg, normalize_text, read_document, unique_key, validate_eg, write_json  # validate_eg is unused here: perfbench/tracing.py wraps this name
-from .modeling import ETGModel, build_etg_model, eval_modeling, model_from_docs, provenance_to_json
+from .model import DatasetSchema, ModelError, NotInGraphError, dump_etg, etg_from_doc, expect_json, field, load_etg, normalize_text, read_document, unique_key, validate_eg, write_json  # validate_eg is unused here: perfbench/tracing.py wraps this name
+from .modeling import build_etg_model, eval_modeling, model_from_docs, provenance_to_json
 
 PHASES = ("inception", "model", "align", "integrate")
 
@@ -78,21 +79,6 @@ class ConfigError(ValueError):
 
 class PhaseError(RuntimeError):
     """A phase could not run to completion."""
-
-
-class Handoff:
-    """What the phases of one `run` have loaded or built for the later ones.
-    Each field is None until its phase sets it; `phase_align` drops the
-    ontologies and the model, which nothing after it reads."""
-
-    __slots__ = ("catalog", "selection", "model", "final", "rename_map")
-
-    def __init__(self) -> None:
-        self.catalog: ResourceCatalog | None = None  # inception's, every resource of the purpose
-        self.selection: list[str] | None = None  # as selection.json lists it
-        self.model: ETGModel | None = None
-        self.final: ETG | None = None  # the graph dumped to etg_final.json
-        self.rename_map: dict[str, str] | None = None  # the document of rename_map.json
 
 
 class PipelineConfig(NamedTuple):
@@ -255,12 +241,10 @@ def _read_artifact(out: Path, name: str, parse):
     return read_document(path, "artifact", parse, PhaseError)
 
 
-def _read_selection(out: Path, purpose: Purpose, run: Handoff | None) -> list[str]:
+def _read_selection(out: Path, purpose: Purpose) -> list[str]:
     """The dataset ids in integration order, as the inception phase wrote
     them to `out / selection.json`; each must be a dataset of `purpose`,
-    listed once. In a run, the list inception handed on."""
-    if run is not None:
-        return run.selection
+    listed once."""
     dataset_ids = {ref.meta.id for ref in purpose.dataset_refs}
 
     def parse(doc) -> list[str]:
@@ -276,13 +260,13 @@ def _read_selection(out: Path, purpose: Purpose, run: Handoff | None) -> list[st
 
 
 def _selected_schemas(
-    config: PipelineConfig, purpose: Purpose, selection: list[str], run: Handoff | None
+    config: PipelineConfig, purpose: Purpose, selection: list[str], held: list[ResourceCatalog] | None
 ) -> list[tuple[ResourceRef, DatasetSchema]]:
     """Each selected dataset's ref and schema, in selection order, loading only
     these. One that no longer loads stops the phase with the cause, so no
     phase drops a dataset that inception selected."""
     refs = {ref.meta.id: ref for ref in purpose.dataset_refs}
-    catalog = _load(config, [refs[dataset_id] for dataset_id in selection], run)
+    catalog = _load(config, [refs[dataset_id] for dataset_id in selection], held)
     for dataset_id in selection:
         if dataset_id not in catalog.datasets:
             cause = "".join(f": {e.message}" for e in catalog.errors if e.resource_id == dataset_id)
@@ -305,24 +289,20 @@ def _resource_path(config: PipelineConfig, ref: ResourceRef) -> Path:
     return config.base_dir / ref.path
 
 
-def _load(config: PipelineConfig, refs: Sequence[ResourceRef], run: Handoff | None = None) -> ResourceCatalog:
-    """The resources `refs` name, each read from its `_resource_path`; in a
-    run, taken from the catalog inception loaded, which holds them all."""
-    if run is not None:
-        ids = {ref.meta.id for ref in refs}
-        held = run.catalog
-        return ResourceCatalog(
-            datasets={i: schema for i, schema in held.datasets.items() if i in ids},
-            ontologies={i: etg for i, etg in held.ontologies.items() if i in ids},
-            errors=tuple(e for e in held.errors if e.resource_id in ids),
-        )
+def _load(config: PipelineConfig, refs: Sequence[ResourceRef], held: list[ResourceCatalog] | None = None) -> ResourceCatalog:
+    """A catalog holding the resources `refs` name, each read from its
+    `_resource_path`; in a run, the catalog inception loaded into `held`,
+    which holds them all."""
+    if held:
+        return held[0]
     resolved = [ref._replace(path=str(_resource_path(config, ref))) for ref in refs]
     return collect_resources(resolved, Path())  # the paths are resolved already
 
 
-def phase_inception(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
+def phase_inception(config: PipelineConfig, held: list[ResourceCatalog] | None = None) -> GateReport:
     """Rank the resources and gate on coverage (eval_a); write `inception.json`
-    and `selection.json`, the datasets to integrate in order."""
+    and `selection.json`, the datasets to integrate in order. In a run, the
+    catalog it loads goes into `held` for the later phases."""
     purpose = parse_purpose(config.purpose)
     catalog = _load(config, purpose.dataset_refs + purpose.ontology_refs)
     ranking = match_resources(purpose.cqs, catalog)
@@ -330,27 +310,23 @@ def phase_inception(config: PipelineConfig, run: Handoff | None = None) -> GateR
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "inception.json", inception_to_json(purpose, ranking, catalog.errors))
-    selection = select_datasets(ranking, config.max_per_category)
-    write_json(out / "selection.json", {"datasets": selection})
+    write_json(out / "selection.json", {"datasets": select_datasets(ranking, config.max_per_category)})
     _write_gate(out, report)
-    if run is not None:
-        run.catalog, run.selection = catalog, selection
+    if held is not None:
+        held.append(catalog)
     return report
 
 
-def phase_model(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
+def phase_model(config: PipelineConfig, held: list[ResourceCatalog] | None = None) -> GateReport:
     """Model the queries and the datasets in `selection.json` and gate on
     extensiveness (eval_b); write `etg_model.json` and its provenance."""
     purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
-    selection = _read_selection(out, purpose, run)
-    schemas = [schema for _, schema in _selected_schemas(config, purpose, selection, run)]
+    schemas = [schema for _, schema in _selected_schemas(config, purpose, _read_selection(out, purpose), held)]
     model = _in_file(
         config.purpose, build_etg_model, purpose.cqs, schemas, purpose.property_overrides,
         base_id=purpose.slug,
     )
-    if run is not None:
-        run.model = model
     dump_etg(model.etg, out / "etg_model.json")
     write_json(out / "etg_model_provenance.json", provenance_to_json(model))
     report = eval_modeling(purpose.cqs, model, config.thresholds)
@@ -358,19 +334,17 @@ def phase_model(config: PipelineConfig, run: Handoff | None = None) -> GateRepor
     return report
 
 
-def phase_align(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
+def phase_align(config: PipelineConfig, held: list[ResourceCatalog] | None = None) -> GateReport:
     """Align the model with the ontologies and gate on sparsity (eval_c); write
-    `etg_final.json`, `merge_plan.json` and `rename_map.json`."""
+    `etg_final.json`, `merge_plan.json` and `rename_map.json`. In a run, it
+    drops the ontologies from `held`, which no later phase reads."""
     purpose = parse_purpose(config.purpose)
     out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
-    if run is not None:
-        model = run.model
-    else:
-        model_path = out / "etg_model.json"
-        etg = _read_artifact(out, "etg_model.json", etg_from_doc)
-        model = _read_artifact(out, "etg_model_provenance.json", lambda doc: _against(model_path, model_from_docs, etg, doc))
-    ontologies = _load(config, purpose.ontology_refs, run).ontologies
+    model_path = out / "etg_model.json"
+    etg = _read_artifact(out, "etg_model.json", etg_from_doc)
+    model = _read_artifact(out, "etg_model_provenance.json", lambda doc: _against(model_path, model_from_docs, etg, doc))
+    ontologies = _load(config, purpose.ontology_refs, held).ontologies
     ranking = _in_file(config.purpose, rank_ontologies, model, ontologies)
     predictions = {
         entry.ontology_id: etr_predict(model, ontologies[entry.ontology_id], config.policy)
@@ -387,27 +361,23 @@ def phase_align(config: PipelineConfig, run: Handoff | None = None) -> GateRepor
     write_json(out / "rename_map.json", plan.rename_map)
     report = eval_alignment(final, ranking, ontologies, config.thresholds)
     _write_gate(out, report)
-    if run is not None:
-        run.final, run.rename_map = final, plan.rename_map
-        run.model, run.catalog = None, run.catalog._replace(ontologies={})
+    if held:
+        held[0] = held[0]._replace(ontologies={})
     return report
 
 
-def phase_integrate(config: PipelineConfig, run: Handoff | None = None) -> GateReport:
+def phase_integrate(config: PipelineConfig, held: list[ResourceCatalog] | None = None) -> GateReport:
     """Integrate the datasets in `selection.json` order (purpose order without
     it) into `eg.nt` and gate on coverage (eval_d) with `integration_report.json`."""
     purpose = parse_purpose(config.purpose)
     out, triples_path = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     etg_path = config.etg if config.etg is not None else out / "etg_final.json"
-    if run is not None and config.etg is None:
-        etg = run.final
-    elif etg_path.is_file():
-        etg = load_etg(etg_path)
-    else:
+    if not etg_path.is_file():
         raise PhaseError(
             f"missing schema graph {etg_path}; run the align phase first or pass --etg"
         )
+    etg = load_etg(etg_path)
 
     def renames(doc) -> dict[str, str]:  # in final names: keys and values normalized
         renamed, seen = {}, {}
@@ -418,22 +388,14 @@ def phase_integrate(config: PipelineConfig, run: Handoff | None = None) -> GateR
             renamed[unique_key(normalize_text(raw), raw, seen, "keys")] = normalize_text(new)
         return renamed
 
-    # standalone use (--etg without earlier phases): no renames, purpose order;
-    # in a run, align and inception have written both files
+    # standalone use (--etg without earlier phases): no renames, purpose order
     rename_map, graph = {}, str(etg_path)
-    renames_path = out / "rename_map.json"
-    if run is not None:
-        try:  # the renames align made are etypes of its graph, maybe not of --etg's
-            rename_map = renames(run.rename_map)
-        except PhaseError as exc:
-            raise PhaseError(f"{renames_path}: {exc}") from exc
-    elif renames_path.is_file():
+    if (out / "rename_map.json").is_file():
         rename_map = _read_artifact(out, "rename_map.json", renames)
-    if renames_path.is_file():
         # a dataset's etype reaches the graph through the renames, which may be at fault too
-        graph += f" as renamed by {renames_path}"
+        graph += f" as renamed by {out / 'rename_map.json'}"
     if (out / "selection.json").is_file():
-        selection = _read_selection(out, purpose, run)
+        selection = _read_selection(out, purpose)
     else:
         selection = [ref.meta.id for ref in purpose.dataset_refs]
     overrides = {}  # dataset id -> (override file, override)
@@ -452,7 +414,7 @@ def phase_integrate(config: PipelineConfig, run: Handoff | None = None) -> GateR
         graph_id = graph_id[: -len("-etg")]
     builder = _GraphBuilder(initial_state(etg, f"{graph_id}-eg"))
     cases = []
-    for ref, schema in _selected_schemas(config, purpose, selection, run):
+    for ref, schema in _selected_schemas(config, purpose, selection, held):
         path = _resource_path(config, ref)
         header, rows = read_dataset_rows(path)
         # the override replaces the sidecar's mapping, so a mapping error is its fault
@@ -517,20 +479,23 @@ def _input_digests(config: PipelineConfig) -> dict[str, str | None]:
 
 def phase_run(config: PipelineConfig) -> int:
     """All four phases in order, stopping at the first failed gate unless
-    --no-fail-fast was given, each handing what it loaded or built to the
-    later ones through one `Handoff`. Writes a manifest with input digests."""
+    --no-fail-fast was given. Inception's catalog is held for the later
+    phases, which read everything else as their subcommands do. Only a run
+    that finishes writes a manifest, with input digests; an earlier run's
+    goes first, so a run that stops on an error leaves none."""
     verdicts: dict[str, str | None] = {name: None for name in PHASES}
     failed = False
-    run = Handoff()
+    out, _ = _out_dirs(config)
+    (out / "run_manifest.json").unlink(missing_ok=True)
+    held: list[ResourceCatalog] = []  # inception's catalog
     for name in PHASES:
-        report = _PHASE_FUNCTIONS[name](config, run)
+        report = _PHASE_FUNCTIONS[name](config, held)
         print(report.to_text())
         verdicts[name] = report.verdict
         if report.verdict == "fail":
             failed = True
             if config.fail_fast:
                 break
-    out, _ = _out_dirs(config)
     out.mkdir(parents=True, exist_ok=True)
     write_json(
         out / "run_manifest.json",

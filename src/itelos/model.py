@@ -280,8 +280,9 @@ _property = itemgetter(0)
 class EG(NamedTuple):
     """Entity Graph: entities conforming to a schema ETG, keyed by id.
 
-    `entities` must not change after construction; every step that changes
-    the graph builds a new EG.
+    A graph handed out is not changed afterwards. `integration._GraphBuilder`
+    fills the `entities` dict of its own EG in place while it integrates a
+    run; `integrate_dataset`'s state and `_GraphBuilder.state()` hand one out.
     """
 
     id: str

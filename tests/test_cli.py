@@ -174,7 +174,7 @@ class TestRun:
         "source", ["fixture", "renames", "link_heavy", "merge_overlap", "ontology_heavy", "bulk_append"]
     )
     def test_run_equals_composed_subcommands(self, source, tmp_path):
-        # run hands each phase's values on in memory; the subcommands read them back
+        # run holds inception's catalog for the later phases; the subcommands load it again
         _, argv = reuse_input(source, tmp_path / "input", seed=101)
         run_out, step_out = tmp_path / "run", tmp_path / "steps"
         assert main(argv(run_out)) == 0
@@ -186,27 +186,84 @@ class TestRun:
         for name in names:
             assert (run_out / name).read_bytes() == (step_out / name).read_bytes(), name
 
-    def test_run_reads_back_nothing_it_wrote(self, tmp_path, monkeypatch):
+    def test_run_reads_back_only_what_it_wrote(self, tmp_path, monkeypatch):
+        # a run reads each ontology and sidecar once, and under --out only the
+        # artifacts an earlier phase of the same run wrote, each where its
+        # subcommand reads it
         out = tmp_path / "out"
         argv = ["--purpose", str(RENAMES / "purpose.json"), "--config", str(RENAMES / "config.json"), "--out", str(out)]
-        reads = []
+        events, phase = [], [None]
         for module in (itelos.model, itelos.inception):  # every JSON document goes through read_json
             def counting_read(path, *args, read=module.read_json, **kwargs):
-                reads.append(Path(path))
+                events.append((phase[0], "read", Path(path)))
                 return read(path, *args, **kwargs)
 
             monkeypatch.setattr(module, "read_json", counting_read)
+        for module in (itelos.model, itelos.cli):  # and every JSON artifact through write_json
+            def counting_write(path, *args, write=module.write_json, **kwargs):
+                events.append((phase[0], "write", Path(path)))
+                return write(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, "write_json", counting_write)
+        for name, run_phase in itelos.cli._PHASE_FUNCTIONS.items():
+            def in_phase(*args, name=name, run_phase=run_phase):
+                phase[0] = name
+                return run_phase(*args)
+
+            monkeypatch.setitem(itelos.cli._PHASE_FUNCTIONS, name, in_phase)
         assert main(["run", *argv]) == 0
-        assert [path for path in reads if out in path.parents] == []
+        artifact_reads = {}  # phase -> (artifact, the phases that wrote it before the read)
+        for index, (name, kind, path) in enumerate(events):
+            if kind == "read" and out in path.parents:
+                writers = {e[0] for e in events[:index] if e[1:] == ("write", path)}
+                artifact_reads.setdefault(name, []).append((path.name, writers))
+        assert artifact_reads == {
+            "model": [("selection.json", {"inception"})],
+            "align": [("etg_model.json", {"model"}), ("etg_model_provenance.json", {"model"})],
+            "integrate": [("etg_final.json", {"align"}), ("rename_map.json", {"align"}), ("selection.json", {"inception"})],
+        }
+        reads = [path for _, kind, path in events if kind == "read" and out not in path.parents]
         purpose = json.loads((RENAMES / "purpose.json").read_text(encoding="utf-8"))
         inputs = [RENAMES / ref["path"] for ref in purpose["ontologies"]]
         inputs += [(RENAMES / ref["path"]).with_suffix(".schema.json") for ref in purpose["datasets"]]
         settings = (RENAMES / "purpose.json", RENAMES / "config.json")
         assert sorted(inputs) == sorted(path for path in reads if path not in settings)
-        # the handed-on values end with the run: integrate reads the artifacts back
-        reads.clear()
+        # a later integrate reads the artifacts back as before
+        events.clear()
         assert main(["integrate", *argv]) == 0
-        assert {out / name for name in ("etg_final.json", "rename_map.json", "selection.json")} <= set(reads)
+        reads = {path for _, kind, path in events if kind == "read"}
+        assert {out / name for name in ("etg_final.json", "rename_map.json", "selection.json")} <= reads
+
+    def test_a_stopped_run_leaves_no_manifest(self, tmp_path, capsys):
+        # the manifest of an earlier run into the same directory would claim
+        # phases that this run never finished
+        root, out = tmp_path / "fixture", tmp_path / "out"
+        shutil.copytree(COVID, root)
+        argv = ["run", "--purpose", str(root / "purpose.json"), "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "run_manifest.json").is_file()
+        with (root / "data" / "hospitals.csv").open("a", encoding="utf-8") as rows:
+            rows.write("TN99,Extra\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "line 5: expected 4 fields, got 2" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
+    def test_a_dirty_output_directory_gives_the_bytes_of_an_empty_one(self, tmp_path):
+        # every later phase reads back what an earlier one wrote, so no stale
+        # artifact of another purpose's run may reach the output
+        dirty, clean = tmp_path / "dirty", tmp_path / "clean"
+        renames = ["--purpose", str(RENAMES / "purpose.json"), "--config", str(RENAMES / "config.json")]
+        assert main(["run", *renames, "--out", str(dirty)]) == 0
+        stale = {p.name: p.read_bytes() for p in dirty.iterdir()}
+        for out in (dirty, clean):
+            assert main(fixture_argv("run", out)) == 0
+        names = sorted(p.name for p in clean.iterdir() if p.name != "run_manifest.json")
+        assert names == sorted(p.name for p in dirty.iterdir() if p.name != "run_manifest.json")
+        assert set(ARTIFACTS) <= set(names)
+        assert any(stale[name] != (clean / name).read_bytes() for name in names)
+        for name in names:
+            assert (dirty / name).read_bytes() == (clean / name).read_bytes(), name
 
     def test_each_subcommand_loads_only_the_resources_it_reads(self, tmp_path, monkeypatch):
         root = tmp_path / "fixture"
@@ -243,13 +300,13 @@ class TestRun:
         loaded.clear()
         parses.clear()
         main(["run", "--out", str(tmp_path / "run"), *flags])
-        # a run loads once, at inception, and hands the catalog on
+        # a run loads once, at inception, and holds the catalog for the later phases
         assert loaded == expected["inception"]
         assert len(parses) == 5
 
     def test_renames_missing_from_the_etg_flag_graph_name_the_rename_map(self, tmp_path, capsys):
-        # the renames align hands on meet --etg's graph, which has no etype aaa,
-        # and run refuses them as integrate refuses the file
+        # the renames align wrote meet --etg's graph, which has no etype aaa,
+        # and run refuses them as integrate does, naming the file
         etg = COVID / "ontologies" / "onto_health.json"
         argv = ["--purpose", str(RENAMES / "purpose.json"), "--config", str(RENAMES / "config.json")]
         argv += ["--out", str(tmp_path / "out"), "--etg", str(etg)]
