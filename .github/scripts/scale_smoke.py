@@ -9,11 +9,14 @@ Usage, from the repository root (Linux only: the peak is read from
 Writes the bulk_append corpus (corpus seed 7) at 8000 and 32000 rows with
 `perfbench/corpus.generate`, runs `itelos run` on each in a child process that
 records its peak resident set (VmHWM) on exit, and fails when a run fails or
-the peak grows by more than BOUND_KIB_PER_ROW per added row. Measuring the
+the peak grows by more than BOUND_KIB_PER_ROW per added row, or when either
+bulk_append `eg.nt` is not byte-sorted with every line once (the check that
+`LC_ALL=C sort -u` makes, written here without the exporter's code). Measuring the
 growth between two sizes leaves out the interpreter's and the modules' fixed
-memory, so the bound holds what each row costs: 1.95-2.22 KiB under CPython
-3.10-3.13 on x86-64 Linux, where each entity keeps its literals as one tuple
-of (property, value, source) triples.
+memory, so the bound holds what each row costs: 2.20-2.21 KiB in eight runs
+under CPython 3.11.7 on x86-64 Linux, where each entity keeps its literals as
+one tuple of (property, value, source) triples (1.95-2.22 KiB under CPython
+3.10-3.13 when first measured).
 
 It also times each child process and fails when the larger run takes more
 than BOUND_TIME_RATIO times as long as the smaller one. Four times the rows
@@ -79,16 +82,34 @@ def peak_kib_and_seconds(work: Path, size: int, workload: str = "bulk_append") -
     return int(peak_file.read_text()), seconds
 
 
+def sorted_without_duplicates(path: Path) -> bool:
+    """Whether the file's lines, each ended by LF, are in byte order with no
+    line twice: what `LC_ALL=C sort -u` leaves as it is."""
+    previous = None
+    with path.open("rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                return False
+            if previous is not None and line[:-1] <= previous:
+                return False
+            previous = line[:-1]
+    return True
+
+
 def main() -> int:
+    failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         runs = {
             (workload, size): peak_kib_and_seconds(Path(tmp), size, workload)
             for workload, sizes in SIZES.items()
             for size in sizes
         }
+        for size in SIZES["bulk_append"]:
+            if not sorted_without_duplicates(Path(tmp, f"out_bulk_append_{size}", "eg.nt")):
+                print(f"bulk_append {size} rows: eg.nt is not byte-sorted without duplicates", file=sys.stderr)
+                failed = 1
     for (workload, size), (peak, seconds) in runs.items():
         print(f"{workload} {size} rows: peak {peak / 1024:.1f} MiB, {seconds:.2f} s")
-    failed = 0
     for workload, (small, large) in SIZES.items():
         ratio = runs[workload, large][1] / runs[workload, small][1]
         print(f"{workload} time ratio {ratio:.2f} for {large // small} times the rows, bound {BOUND_TIME_RATIO}")

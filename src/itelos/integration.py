@@ -22,6 +22,9 @@ they update the running totals, which the case reports and eval_d read, and
 the match index (`itelos.matching`). Three passes per dataset still cover
 the whole graph or a whole etype: `connected_components`, the matched
 etype's probe tables and blocks, and `resolve_pending`'s suffix index.
+An entity holds only strings, tuples and a frozenset, so the graph has no
+reference cycle, and `itelos run` pauses the cyclic garbage collector while
+it builds and exports the graph (see `cli.phase_integrate`).
 """
 
 from __future__ import annotations
@@ -270,17 +273,18 @@ def generate_entities(
     first: dict[str, tuple[tuple[str, ...] | None, int]] = {}
     data_cells = 0
     skipped = 0
+    etype = mapping.etype
     for ordinal, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise ModelError(f"data row {ordinal} has {len(row)} fields, the header {len(header)}")
-        row = [cell.strip() for cell in row]
+        row = [*map(str.strip, row)]
         if not any(row):
             skipped += 1
             continue
         parts = None
-        if key_indexes and all(row[i] for i in key_indexes):
+        if key_indexes and all([row[i] for i in key_indexes]):
             try:
-                parts = tuple(normalize_text(row[i]) for i in key_indexes)
+                parts = tuple([normalize_text(row[i]) for i in key_indexes])
             except EmptyLabelError:
                 pass
         key = "_".join(parts) if parts else f"row_{ordinal}"
@@ -292,14 +296,14 @@ def generate_entities(
         for index, prop in link_cells:
             if row[index]:
                 pending.add(PendingLink(entity_id, prop, row[index], dataset_id))
-        values = tuple((prop, row[i], dataset_id) for i, prop in value_cells if row[i])
+        values = tuple([(prop, row[i], dataset_id) for i, prop in value_cells if row[i]])
         data_cells += len(values)
-        stored = entities[entity_id].data_values if entity_id in entities else ()
+        held = entities.get(entity_id)
         # one column per property repeats no triple in a row, so a first row skips the union:
         # 2000 rows of twelve such columns take 8.7 ms, not 12.2 (best of 31; CPython 3.11.7, Xeon)
-        if stored or not one_column_each:
-            values = _merge_values(stored, values)
-        entities[entity_id] = Entity(id=entity_id, etype=mapping.etype, data_values=values, object_links=_NO_LINKS)
+        if held is not None or not one_column_each:
+            values = _merge_values(() if held is None else held.data_values, values)
+        entities[entity_id] = Entity(entity_id, etype, values, _NO_LINKS)
     fragment_eg = EG(id=f"{mapping.dataset_id}-fragment", schema=schema_graph, entities=entities)
     identity_props = tuple(mapping.property_of(c) for c in mapping.identity_columns)
     stats = {
@@ -434,8 +438,10 @@ def merge_entities(
 
 class GraphTotals(NamedTuple):
     """Aggregates of an integrated graph that its case reports and eval_d
-    read. All but `components` are sums of per-entity contributions, so a
-    dataset updates them from the entities it changed or removed."""
+    read. `flagged`, `etypes` and `populated` are sums of per-entity
+    contributions, so a dataset updates them from the entities it changed or
+    removed. `declared` and `missing` follow from `etypes` and `populated`
+    per etype, so only the etypes a dataset touched are derived again."""
 
     declared: int = 0  # (entity, declared property) pairs
     missing: int = 0  # of those, the pairs with no value or link
@@ -566,15 +572,8 @@ class IntegrationCaseReport(NamedTuple):
         """Every field under its own name; the ratio and the links in JSON form."""
         doc = self._asdict()
         doc["missing_link_ratio"] = fraction_json(self.missing_link_ratio)
-        doc["unresolved_links"] = [
-            {
-                "source": link.source_id,
-                "property": link.property,
-                "target": link.target_text,
-                "dataset": link.dataset_id,
-            }
-            for link in self.unresolved_links
-        ]
+        names = ("source", "property", "target", "dataset")  # PendingLink's fields in order
+        doc["unresolved_links"] = [dict(zip(names, link)) for link in self.unresolved_links]
         return doc
 
 
@@ -603,7 +602,7 @@ def connected_components(eg: EG) -> int:
 
 def _populated(entity: Entity) -> set[str]:
     """The properties of `entity` with a value or a link."""
-    return {prop for prop, _x, _s in chain(entity.data_values, entity.object_links)}
+    return set(map(itemgetter(0), chain(entity.data_values, entity.object_links)))
 
 
 def missing_ratio(eg: EG) -> Fraction:  # only tests call it: perfbench/tracing.py wraps this name
@@ -619,25 +618,31 @@ def _updated(
     components: int,
 ) -> GraphTotals:
     """`totals` less the contributions of the `removed` entities, plus those
-    of the `added` ones, with the given component count. Each entity's
-    populated properties are found once, for its missing and populated
-    counts alike."""
-    declared, missing, flagged = totals.declared, totals.missing, totals.flagged
-    etypes = dict(totals.etypes)
-    populated_counts = {etype: dict(counts) for etype, counts in totals.populated.items()}
+    of the `added` ones, with the given component count. Per entity only the
+    etype count, the populated-property counts and the flags change. Then
+    each touched etype's share of `declared` and `missing` changes by its new
+    share less its old one: n entities of an etype that declares d
+    properties, populating them s times in all, hold n × d pairs, n × d − s
+    of them missing. The other etypes' shares are not read."""
+    flagged, etypes = totals.flagged, dict(totals.etypes)
+    touched: dict[str, dict[str, int]] = {}  # etype -> its populated counts, copied on first touch
     for sign, entities in ((-1, removed), (1, added)):
         for entity in entities:
             etype = entity.etype
-            props = schema_graph.declared_properties(etype)
-            populated = _populated(entity)
-            declared += sign * len(props)
-            missing += sign * (len(props) - len(props.keys() & populated))
-            flagged += sign * len(entity.conflicting_properties())
+            counts = touched.get(etype)
+            if counts is None:
+                counts = touched[etype] = dict(totals.populated.get(etype, {}))
             etypes[etype] = etypes.get(etype, 0) + sign
-            counts = populated_counts.setdefault(etype, {})
-            for prop in populated:
+            flagged += sign * len(entity.conflicting_properties())
+            for prop in _populated(entity):
                 counts[prop] = counts.get(prop, 0) + sign
-    return GraphTotals(declared, missing, flagged, etypes, populated_counts, components)
+    declared, missing = totals.declared, totals.missing
+    for etype, counts in touched.items():  # counts holds every key of the old counts
+        props, old = schema_graph.declared_properties(etype), totals.populated.get(etype, {})
+        pairs = (etypes[etype] - totals.etypes.get(etype, 0)) * len(props)
+        declared += pairs
+        missing += pairs - sum([n - old.get(prop, 0) for prop, n in counts.items() if prop in props])
+    return GraphTotals(declared, missing, flagged, etypes, {**totals.populated, **touched}, components)
 
 
 class _GraphBuilder:
@@ -798,50 +803,45 @@ def eval_purpose(
 
 _RDF_TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 _XSD = "http://www.w3.org/2001/XMLSchema#"
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
-_DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)\Z")
 # fromisoformat alone accepts 20200301 and 2020-W10-1 from Python 3.11 on
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 
-_LITERAL_ESCAPES = str.maketrans(
-    {
-        "\\": "\\\\",
-        '"': '\\"',
-        "\n": "\\n",
-        "\r": "\\r",
-        "\t": "\\t",
-    }
-)
+
+def _is_date(text: str) -> bool:
+    try:
+        return _DATE_RE.match(text) is not None and date.fromisoformat(text) is not None
+    except ValueError:
+        return False
+
+
+# datatype -> its lexical check; a datatype without one (string) takes any text
+_LEXICAL_CHECKS = {
+    "integer": re.compile(r"[+-]?[0-9]+\Z").match,
+    "decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)\Z").match,
+    "boolean": frozenset(("true", "false", "1", "0")).__contains__,
+    "date": _is_date,
+}
+
+_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 # Most literals hold none of the escaped characters; one search skips translate.
 _NEEDS_ESCAPE = re.compile("[" + re.escape("".join(map(chr, _LITERAL_ESCAPES))) + "]")
+# The characters that quote(text, safe=':/_-.~') leaves as they are.
+_UNRESERVED = re.compile(r"[A-Za-z0-9_.~:/-]*\Z")
 
 
 def _escape_literal(text: str) -> str:
-    if _NEEDS_ESCAPE.search(text) is None:
-        return text
-    return text.translate(_LITERAL_ESCAPES)
+    return text if _NEEDS_ESCAPE.search(text) is None else text.translate(_LITERAL_ESCAPES)
 
 
 def _iri(text: str) -> str:
+    if _UNRESERVED.match(text):
+        return f"<{text}>"
     return f"<{quote(text, safe=':/_-.~')}>"
 
 
 def _valid_for(datatype: str, text: str) -> bool:
-    if datatype == "integer":
-        return _INTEGER_RE.match(text) is not None
-    if datatype == "decimal":
-        return _DECIMAL_RE.match(text) is not None
-    if datatype == "boolean":
-        return text in ("true", "false", "1", "0")
-    if datatype == "date":
-        if _DATE_RE.match(text) is None:
-            return False
-        try:
-            date.fromisoformat(text)
-        except ValueError:
-            return False
-        return True
-    return True
+    check = _LEXICAL_CHECKS.get(datatype)
+    return check is None or bool(check(text))
 
 
 def export_eg(eg: EG, path: Path) -> list[str]:
@@ -858,52 +858,62 @@ def export_eg(eg: EG, path: Path) -> list[str]:
     entities in subject-IRI order, each with its own lines deduplicated and
     sorted, therefore gives the global order.
 
-    An etype's type-line tail, and each of its properties' predicate IRI and
-    datatype suffix, are built on first use, so a value costs its escape and,
-    unless its datatype is `string`, its lexical check. One set deduplicates
-    an entity's lines, which are sorted and written with one call; a value
-    that falls back to a plain string warns once per line.
+    An entity's lines are `subject + " " + tail + " ."`, so only the
+    (predicate, object) tails are deduplicated and sorted, and they are
+    written joined by `" .\n" + subject + " "`. The tails sort as their lines
+    do because no tail is a proper prefix of another: a tail ends at an IRI's
+    `>`, which no IRI holds before its end, or at a literal's closing `"`,
+    which only `^^<datatype>` can follow, and a property never exports one
+    text both typed and plain, since its datatype decides.
+
+    An etype's type tail, and each of its properties' predicate IRI,
+    datatype, suffix and lexical check, are built on first use; an IRI whose
+    text holds only characters that `quote` leaves alone is not quoted. An
+    entity's values are searched once, joined, for characters to escape, and
+    are escaped only when that search finds one. A value that falls back to
+    a plain string warns once per line.
     """
     warnings: list[tuple[str, str]] = []
     # each entity id, etype and property name is quoted once per export
     term = cache(_iri)
     node = cache(lambda entity_id: _iri(f"urn:itelos:{eg.id}:{entity_id}"))
-    # etype -> (type-line tail, property -> (predicate, datatype, suffix or ""))
-    shapes: dict[str, tuple[str, dict[str, tuple[str, str, str]]]] = {}
+    # etype -> (type tail, property -> (predicate, datatype, suffix or "", lexical check or None))
+    shapes: dict[str, tuple[str, dict]] = {}
     subjects = sorted((node(entity_id), entity_id) for entity_id in eg.entities)
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         for subject, entity_id in subjects:
             entity = eg.entities[entity_id]
             shape = shapes.get(entity.etype)
             if shape is None:
-                type_tail = f" {_RDF_TYPE} {term(f'urn:itelos:etg:{entity.etype}')} ."
-                shape = shapes[entity.etype] = (type_tail, {})
+                shape = shapes[entity.etype] = (f"{_RDF_TYPE} {term(f'urn:itelos:etg:{entity.etype}')}", {})
             type_tail, props = shape
-            lines = [subject + type_tail]
-            fallen: set[str] = set()  # the plain-string lines of typed values
+            tails = [type_tail]
+            fallen: set[str] = set()  # the plain-string tails of typed values
+            escape = _NEEDS_ESCAPE.search("".join([value for _p, value, _s in entity.data_values])) is not None
             for prop, value, _source in entity.data_values:
                 spec = props.get(prop)
                 if spec is None:
                     definition = eg.schema.declared_properties(entity.etype).get(prop)
-                    datatype = (
-                        definition.datatype if definition and definition.kind == "data" else "string"
-                    )
+                    datatype = definition.datatype if definition and definition.kind == "data" else "string"
                     suffix = "" if datatype == "string" else f"^^<{_XSD}{datatype}>"
-                    spec = props[prop] = (term(f"urn:itelos:etg:{prop}"), datatype, suffix)
-                predicate, datatype, suffix = spec
-                if suffix and not _valid_for(datatype, value):
-                    line = f'{subject} {predicate} "{_escape_literal(value)}" .'
-                    if line not in fallen:
-                        fallen.add(line)
+                    check = _LEXICAL_CHECKS.get(datatype)
+                    spec = props[prop] = (term(f"urn:itelos:etg:{prop}"), datatype, suffix, check)
+                predicate, datatype, suffix, check = spec
+                literal = _escape_literal(value) if escape else value
+                if check is not None and not check(value):
+                    tail = f'{predicate} "{literal}"'
+                    if tail not in fallen:
+                        fallen.add(tail)
                         message = (
                             f"{entity_id}: value {value!r} for {prop} is not a valid "
                             f"{datatype}; exported as a plain string"
                         )
                         warnings.append((entity_id, message))
-                    lines.append(line)
+                    tails.append(tail)
                 else:
-                    lines.append(f'{subject} {predicate} "{_escape_literal(value)}"{suffix} .')
+                    tails.append(f'{predicate} "{literal}"{suffix}')
             for prop, target, _source in entity.object_links:
-                lines.append(f"{subject} {term(f'urn:itelos:etg:{prop}')} {node(target)} .")
-            handle.write("\n".join(sorted(set(lines))) + "\n")
+                tails.append(f"{term(f'urn:itelos:etg:{prop}')} {node(target)}")
+            joiner = f" .\n{subject} "
+            handle.write(f"{subject} {joiner.join(sorted(set(tails)))} .\n")
     return [message for _id, message in sorted(warnings, key=lambda w: w[0])]

@@ -266,7 +266,7 @@ class Entity(NamedTuple):
         disagree, so only properties holding two or more different texts are
         normalized; an entity that holds none is done after one set."""
         values = self.data_values
-        if len({prop for prop, _v, _src in values}) == len(values):
+        if len(set(map(_property, values))) == len(values):
             return []
         runs = ((prop, {v for _p, v, _src in run}) for prop, run in groupby(values, _property))
         return [prop for prop, texts in runs if len(texts) >= 2 and len(set(map(normalize_value, texts))) >= 2]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Mapping
-from urllib.parse import unquote
+from urllib.parse import quote, unquote
 
 from itelos.alignment import (
     AlignmentPolicy,
@@ -32,9 +32,6 @@ from itelos.integration import (
     MappingOverride,
     PendingLink,
     SchemaMapping,
-    _escape_literal,
-    _iri,
-    _valid_for,
 )
 from itelos.modeling import ETGModel
 from itelos.model import (
@@ -730,16 +727,36 @@ def scan_infer_mapping(
     )
 
 
+# N-Triples' ECHAR escapes for what a literal may not hold as it is
+# (https://www.w3.org/TR/n-triples/#grammar-production-STRING_LITERAL_QUOTE),
+# written out independently of the exporter's table.
+_SCAN_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def scan_typed(datatype: str, text: str) -> bool:
+    """Whether the exporter types `text` as xsd:`datatype`: it is in XSD's
+    lexical space, and a date is written YYYY-MM-DD with a year from 0001,
+    the narrower rule README documents."""
+    if datatype == "date" and (re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text) is None or text[:4] == "0000"):
+        return False
+    return xsd_valid(datatype, text)
+
+
 def scan_export_eg(eg: EG, path: Path) -> list[str]:
     """export_eg that collects every line of the graph and sorts them all, the
-    reference that the entity-at-a-time export_eg is checked against.
+    reference that the entity-at-a-time export_eg is checked against. It
+    calls none of the exporter's functions: IRIs are `urllib.parse.quote`
+    called directly, literals are escaped character by character from its own
+    table, and typing follows `scan_typed`.
 
     Write the graph as sorted N-Triples; returns one warning per line whose
     value did not parse under its declared datatype and fell back to plain text."""
     lines: set[str] = set()
     warnings: list[str] = []
-    # each entity id, etype and property name is quoted once per export
-    iri = cache(_iri)
+
+    def iri(text: str) -> str:
+        return f"<{quote(text, safe=':/_-.~')}>"
+
     for entity in eg.sorted_entities():
         subject = iri(f"urn:itelos:{eg.id}:{entity.id}")
         etype_iri = iri(f"urn:itelos:etg:{entity.etype}")
@@ -749,9 +766,9 @@ def scan_export_eg(eg: EG, path: Path) -> list[str]:
             predicate = iri(f"urn:itelos:etg:{prop}")
             definition = declared.get(prop)
             datatype = definition.datatype if definition and definition.kind == "data" else "string"
-            literal = f'"{_escape_literal(value)}"'
+            literal = '"' + "".join(_SCAN_ESCAPES.get(char, char) for char in value) + '"'
             if datatype != "string":
-                if _valid_for(datatype, value):
+                if scan_typed(datatype, value):
                     literal = f"{literal}^^<{_XSD}{datatype}>"
                 elif f"{subject} {predicate} {literal} ." not in lines:
                     warnings.append(

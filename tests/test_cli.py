@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import gc
 import hashlib
 import importlib.util
 import io
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import itelos
+from itelos import cli
 from itelos.cli import main
 from itelos.model import etg_from_doc
 
@@ -397,6 +399,76 @@ class TestRun:
         assert main(fixture_argv("run", target)) == 0
         assert target.is_file()
         assert (tmp_path / "result" / "eval_d.json").is_file()
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic garbage collector switched on or off, and set back after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def integrate_garbage(purpose: Path, out: Path) -> int:
+    """The unreachable objects that a collection finds after the integrate
+    phase ran on `purpose` with the collector off, after a full run."""
+    argv = ["--purpose", str(purpose), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", *argv]) == 0
+        config = cli.resolve_config(cli.build_parser().parse_args(["integrate", *argv]))
+        with collector(False):
+            gc.collect()
+            cli.phase_integrate(config)
+            return gc.collect()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_main_leaves_the_callers_setting(self, tmp_path, monkeypatch, capsys, enabled):
+        root = tmp_path / "fixture"
+        shutil.copytree(COVID, root)
+        argv = ["run", "--purpose", str(root / "purpose.json"), "--out", str(tmp_path / "out")]
+        exporting = []
+        export_eg = cli.export_eg
+        monkeypatch.setattr(cli, "export_eg", lambda *args: exporting.append(gc.isenabled()) or export_eg(*args))
+        with collector(enabled):
+            assert main(argv) == 0
+            assert gc.isenabled() is enabled
+            # integrate stops on a ragged row, inside the pause
+            with (root / "data" / "hospitals.csv").open("a", encoding="utf-8") as rows:
+                rows.write("TN99,Extra\n")
+            assert main(argv) == 1
+            assert "line 5: expected 4 fields, got 2" in capsys.readouterr().err
+            assert gc.isenabled() is enabled
+        assert exporting == [False]
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_frozen_objects_stay_frozen(self, tmp_path, capsys):
+        marker = [[]]  # a container, so the collector tracks it
+        gc.freeze()
+        try:
+            assert main(fixture_argv("run", tmp_path / "out")) == 0
+            assert not any(held is marker for held in gc.get_objects())
+        finally:
+            gc.unfreeze()
+        assert any(held is marker for held in gc.get_objects())
+
+    def test_integrate_leaves_cyclic_garbage_that_does_not_grow_with_rows(self, tmp_path):
+        # the graph holds no cycle, which is why integrate may pause the collector
+        larger = tmp_path / "larger"
+        shutil.copytree(COVID, larger, ignore=shutil.ignore_patterns("golden"))
+        for name in ("hospitals.csv", "covid_cases.csv"):
+            path = larger / "data" / name
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            copies = [row.replace("TN0", f"TN{k}").replace("C00", f"C{k}0") for k in range(1, 4) for row in rows]
+            path.write_text("\n".join([header, *rows, *copies]) + "\n", encoding="utf-8")
+        fixture = integrate_garbage(COVID / "purpose.json", tmp_path / "fixture_out")
+        assert fixture == integrate_garbage(larger / "purpose.json", tmp_path / "larger_out")
+        graph = (tmp_path / "larger_out" / "eg.nt").read_text(encoding="utf-8")
+        assert graph.count("rdf-syntax-ns#type") == 4 * (COVID / "golden" / "eg.nt").read_text().count("rdf-syntax-ns#type")
 
 
 class TestExitCodes:

@@ -37,6 +37,7 @@ from itelos.inception import load_dataset_schema
 from itelos.matching import EtypeIndex
 from itelos.model import (
     EG,
+    ETG,
     DocumentError,
     Entity,
     ModelError,
@@ -1426,6 +1427,33 @@ class TestCaseReports:
         assert flagged_pairs(first) == scan_conflict_flags(first.entities) == frozenset()
         assert flagged_pairs(state.eg) == {("ds_a/tn01", "name"), ("ds_a/tn01", "beds")}
 
+    def test_totals_read_the_schema_of_the_touched_etype_alone(self, monkeypatch):
+        # a pass over the whole schema after every dataset would show on
+        # many one-etype datasets: only the etypes a dataset touched count again
+        others = [f"kind_{n:02d}" for n in range(30)]
+        etg = make_etg("g", [*others, "site"], {etype: ["code", "name", "note"] for etype in [*others, "site"]})
+        columns = [("code", "code", "identity"), ("name", "name", "attribute"), ("note", "note", "attribute")]
+        state = initial_state(etg, "eg")
+        for n, etype in enumerate(others):
+            rows = [[f"K{k}", f"name {k}", "" if (n + k) % 3 else "seen"] for k in range(n % 4 + 1)]
+            state, _report = run_dataset(state, f"ds_{etype}", etype, columns, rows)
+        asked = []
+        declared_properties, updated = ETG.declared_properties, integration._updated
+
+        def counted_update(*args):
+            monkeypatch.setattr(
+                ETG, "declared_properties", lambda graph, etype: asked.append(etype) or declared_properties(graph, etype)
+            )
+            try:
+                return updated(*args)
+            finally:
+                monkeypatch.setattr(ETG, "declared_properties", declared_properties)
+
+        monkeypatch.setattr(integration, "_updated", counted_update)
+        state, report = run_dataset(state, "ds_site", "site", columns, [["S1", "Site one", ""]])
+        assert asked == ["site"]
+        assert report.missing_link_ratio == scan_missing_ratio(state.eg) != 0
+
 
 def report_etg():
     """sites that link to sites, and cases that link to sites."""
@@ -1941,10 +1969,11 @@ class TestExport:
         assert "<urn:itelos:eg:d/c> <urn:itelos:etg:hospital> <urn:itelos:eg:d/h> ." in text
 
     def test_each_iri_is_quoted_once(self, tmp_path, monkeypatch):
-        quoted = []
-        original = integration.quote
+        built, quoted = [], []
+        original_iri, original_quote = integration._iri, integration.quote
+        monkeypatch.setattr(integration, "_iri", lambda text: built.append(text) or original_iri(text))
         monkeypatch.setattr(
-            integration, "quote", lambda text, safe: quoted.append(text) or original(text, safe=safe)
+            integration, "quote", lambda text, safe: quoted.append(text) or original_quote(text, safe=safe)
         )
         hospitals = [entity(f"d/h{i}", "hospital", {"code": [(f"H{i}", "a")]}) for i in range(3)]
         cases = [
@@ -1955,7 +1984,9 @@ class TestExport:
         export_eg(eg, tmp_path / "eg.nt")
         # 9 entity ids; hospital, covid_case, code and case_id (the link
         # property `hospital` has the etype's IRI)
-        assert len(quoted) == len(set(quoted)) == 9 + 4
+        assert len(built) == len(set(built)) == 9 + 4
+        # every text holds only characters that quote leaves alone
+        assert quoted == []
         assert len((tmp_path / "eg.nt").read_text().splitlines()) == 9 + 9 + 6
 
     def test_empty_graph_empty_file(self, tmp_path):
@@ -2026,6 +2057,33 @@ class TestExportOracle:
                 eid: entity(eid, "hospital", {"beds": [("many", "d"), ("400", "d"), ("few", "z")]})
                 for eid in ("dé/x", "d/x", "d e/x")
             },
+        )
+    )
+    # an id that needs percent-encoding, linked to from an id that does not
+    @example(
+        EG(
+            id="eg",
+            schema=hospital_etg(),
+            entities={
+                "d%/A b": entity("d%/A b", "hospital", {"code": [("x", "d%")]}),
+                "z/1": entity("z/1", "covid_case", links=[("hospital", "d%/A b", "z")]),
+            },
+        )
+    )
+    # one value to escape beside one that needs nothing, in one entity
+    @example(
+        EG(
+            id="eg",
+            schema=hospital_etg(),
+            entities={"d/x": entity("d/x", "hospital", {"name": [('say "hi"', "d")], "code": [("TN01", "d")]})},
+        )
+    )
+    # two values of one property, one a prefix of the other
+    @example(
+        EG(
+            id="eg",
+            schema=hospital_etg(),
+            entities={"d/x": entity("d/x", "hospital", {"name": [("a b", "d"), ("a", "z")]})},
         )
     )
     def test_equals_sort_of_all_lines(self, tmp_path_factory, eg):
